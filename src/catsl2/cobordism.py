@@ -409,6 +409,12 @@ def compose(g: CobMorphism, f: CobMorphism) -> CobMorphism:
     if f.tgt != g.src:
         raise ValueError("boundary mismatch in composition")
     mid = f.tgt
+    if mid.circles == 0:
+        # on a circle-free tangle the undotted disks (mask 0) are the identity
+        if len(g.terms) == 1 and 0 in g.terms and g.tgt == mid:
+            return f.scale(g.terms[0])
+        if len(f.terms) == 1 and 0 in f.terms and f.src == mid:
+            return g.scale(f.terms[0])
     info_f = glue(f.src, mid)
     info_g = glue(mid, g.tgt)
     info_out = glue(f.src, g.tgt)

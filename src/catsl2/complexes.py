@@ -24,6 +24,14 @@ class EngineLimitError(RuntimeError):
     """Object-count ceiling exceeded (see QPE_MAX_OBJECTS)."""
 
 
+class InvariantError(AssertionError):
+    """An engine invariant (d^2 = 0, chain map, SDR identity) failed.
+
+    Raised explicitly rather than by `assert`, so the checks still run under
+    `python -O`; it subclasses AssertionError for callers that catch that.
+    """
+
+
 def object_ceiling() -> int:
     return int(os.environ.get("QPE_MAX_OBJECTS", "200000"))
 
@@ -96,9 +104,10 @@ class Complex:
             for (i, j), m in entries.items():
                 src = self.objects[h][j]
                 tgt = self.objects[h + 1][i]
-                assert m.src == src.tangle and m.tgt == tgt.tangle, "entry endpoints"
-                assert m.deg_raw() == src.qshift - tgt.qshift, \
-                    f"entry degree at h={h} ({i},{j})"
+                if m.src != src.tangle or m.tgt != tgt.tangle:
+                    raise InvariantError(f"entry endpoints at h={h} ({i},{j})")
+                if m.deg_raw() != src.qshift - tgt.qshift:
+                    raise InvariantError(f"entry degree at h={h} ({i},{j})")
         if d_squared:
             for h in self.diff:
                 if h + 1 not in self.diff:
@@ -114,7 +123,8 @@ class Complex:
                         else:
                             acc[(k, j)] = c
                 for key, m in acc.items():
-                    assert m.is_zero(), f"d^2 != 0 at h={h} {key}: {m}"
+                    if not m.is_zero():
+                        raise InvariantError(f"d^2 != 0 at h={h} {key}: {m}")
 
     def truncate_below(self, h_cut: int) -> Complex:
         """Brutal truncation keeping degrees >= h_cut (d^2 = 0 is preserved)."""
@@ -203,9 +213,10 @@ class ChainMap:
             for (i, j), m in entries.items():
                 src = self.src.objects[h][j]
                 tgt = self.tgt.objects[h + self.dh][i]
-                assert m.src == src.tangle and m.tgt == tgt.tangle
-                assert m.deg_raw() == src.qshift + self.dq - tgt.qshift, \
-                    f"component degree at h={h} ({i},{j})"
+                if m.src != src.tangle or m.tgt != tgt.tangle:
+                    raise InvariantError(f"component endpoints at h={h} ({i},{j})")
+                if m.deg_raw() != src.qshift + self.dq - tgt.qshift:
+                    raise InvariantError(f"component degree at h={h} ({i},{j})")
 
     def __add__(self, other: ChainMap) -> ChainMap:
         assert (self.src, self.tgt, self.dh, self.dq) == \
@@ -275,7 +286,20 @@ def differential_map(c: Complex) -> ChainMap:
 
 @dataclass
 class SDRData:
-    """Strong deformation retract: pi: M -> N, sigma: N -> M, h: M -> M (-1,0)."""
+    """Strong deformation retract: pi: M -> N, sigma: N -> M, h: M -> M (-1,0).
+
+    The identities are pi sigma = 1, 1 - sigma pi = dh + hd, pi h = 0,
+    h sigma = 0 and h^2 = 0.  `simplify` carries its retract by local
+    updates instead of `then`: eliminating the pivot (h, i, j) of N with
+    unit eps, a_s = d[i, s] and b_t = d[t, j],
+
+        pi row t@h+1       += -eps b_t o (row i of pi at h+1)
+        sigma column s@h   += -eps (column j of sigma at h) o a_s
+        h                  += eps (column j of sigma at h) o (row i of pi at h+1)
+
+    and rows j@h, i@h+1 of pi and the same columns of sigma are dropped.
+    This equals `self.then(step)` with `step` the retract of `gauss`.
+    """
 
     pi: ChainMap
     sigma: ChainMap
@@ -283,14 +307,19 @@ class SDRData:
 
     def verify(self) -> None:
         m, n = self.pi.src, self.pi.tgt
-        assert (self.sigma.then(self.pi) - ChainMap.identity(n)).is_zero(), "pi o sigma"
         dh = differential_map(m)
-        lhs = (ChainMap.identity(m) - self.pi.then(self.sigma))
-        rhs = self.homotopy.then(dh) + dh.then(self.homotopy)
-        assert (lhs - rhs).is_zero(), "Id - sigma pi = dh + hd"
-        assert self.homotopy.then(self.pi).is_zero(), "pi o h = 0"
-        assert self.sigma.then(self.homotopy).is_zero(), "h o sigma = 0"
-        assert self.homotopy.then(self.homotopy).is_zero(), "h^2 = 0"
+        checks = (
+            ((self.sigma.then(self.pi) - ChainMap.identity(n)), "pi o sigma = 1"),
+            (ChainMap.identity(m) - self.pi.then(self.sigma)
+             - self.homotopy.then(dh) - dh.then(self.homotopy),
+             "Id - sigma pi = dh + hd"),
+            (self.homotopy.then(self.pi), "pi o h = 0"),
+            (self.sigma.then(self.homotopy), "h o sigma = 0"),
+            (self.homotopy.then(self.homotopy), "h^2 = 0"),
+        )
+        for residue, name in checks:
+            if not residue.is_zero():
+                raise InvariantError(f"SDR identity fails: {name}")
 
     @classmethod
     def identity(cls, c: Complex) -> SDRData:
@@ -402,7 +431,16 @@ def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None
 
 def gauss(c: Complex, h: int, i: int, j: int,
           track_sdr: bool = False) -> tuple[Complex, SDRData | None]:
-    """Cancel the invertible entry objects[h][j] -> objects[h+1][i]."""
+    """Cancel the invertible entry objects[h][j] -> objects[h+1][i].
+
+    With pivot eps (= +-1), a_s = d[i, s] for the other entries into row i
+    and b_t = d[t, j] for the other entries out of column j, the surviving
+    differential is d[t, s] - eps b_t a_s.  With track_sdr the retract is
+    the local update (see `SDRData`) applied to the identity retract: pi is
+    the identity on survivors plus -eps b_t from object i@h+1 into each t,
+    sigma the identity plus -eps a_s from each s into object j@h, and h is
+    eps times the identity from i@h+1 to j@h.
+    """
     pivot = c.entry(h, i, j)
     assert pivot is not None and pivot.is_identity_entry(), \
         "pivot entry is not +-identity"
@@ -446,27 +484,80 @@ def gauss(c: Complex, h: int, i: int, j: int,
     result = Complex(c.n, new_objects, new_diff)
     if not track_sdr:
         return result, None
+    retract = _LocalRetract(SDRData.identity(c))
+    retract.eliminate(c, h, i, j)
+    return result, retract.sdr(result)
 
-    pi_comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    sg_comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    for hh, objs in c.objects.items():
-        for idx, o in enumerate(objs):
-            if (hh == h and idx == j) or (hh == h + 1 and idx == i):
-                continue
-            ident = CobMorphism.identity(o.tangle)
-            pi_comps.setdefault(hh, {})[(reindex(hh, idx), idx)] = ident
-            sg_comps.setdefault(hh, {})[(idx, reindex(hh, idx))] = ident
-    for t, b in outs.items():
-        # pi component from the removed object at h+1 into survivors at h+1
-        pi_comps.setdefault(h + 1, {})[(reindex(h + 1, t), i)] = b.scale(-eps)
-    for s, a in ins.items():
-        # sigma component from survivors at h into the removed object at h
-        sg_comps.setdefault(h, {})[(j, reindex(h, s))] = a.scale(-eps)
-    hom = ChainMap(c, c, -1, 0,
-                   {h + 1: {(j, i): CobMorphism.identity(pivot.src).scale(eps)}})
-    sdr = SDRData(ChainMap(c, result, 0, 0, pi_comps),
-                  ChainMap(result, c, 0, 0, sg_comps), hom)
-    return result, sdr
+
+def _accumulate(slot: dict, key, m: CobMorphism) -> None:
+    """slot[key] += m, keeping no zero entries."""
+    if key in slot:
+        m = slot[key] + m
+        if m.is_zero():
+            del slot[key]
+            return
+    if not m.is_zero():
+        slot[key] = m
+
+
+class _LocalRetract:
+    """A retract (pi, sigma, h): M -> N, updated in place as N is simplified.
+
+    pi[hh] holds one row per object of N at degree hh (M index -> morphism),
+    sigma[hh] one column per object of N (M index -> morphism), and
+    hom[hh] the components of h out of degree hh of M, keyed (row, col) in
+    M.  Rows and columns are lists, so deleting one reindexes the rest as
+    `gauss` reindexes the objects.  `eliminate` applies the local update
+    stated in `SDRData`; only the rows and columns next to the cancelled
+    pair change.
+    """
+
+    def __init__(self, sdr: SDRData):
+        self.src = sdr.pi.src
+        objects = sdr.pi.tgt.objects
+        self.pi = {hh: [{} for _ in objs] for hh, objs in objects.items()}
+        self.sigma = {hh: [{} for _ in objs] for hh, objs in objects.items()}
+        for hh, entries in sdr.pi.components.items():
+            for (r, m), p in entries.items():
+                self.pi[hh][r][m] = p
+        for hh, entries in sdr.sigma.components.items():
+            for (y, s), q in entries.items():
+                self.sigma[hh][s][y] = q
+        self.hom = {hh: dict(entries)
+                    for hh, entries in sdr.homotopy.components.items()}
+
+    def eliminate(self, n: Complex, h: int, i: int, j: int) -> None:
+        """Carry the retract through gauss(n, h, i, j); call before gauss."""
+        eps = n.diff[h][(i, j)].terms[0]
+        row_i = self.pi[h + 1].pop(i)
+        col_j = self.sigma[h].pop(j)
+        del self.pi[h][j]
+        del self.sigma[h + 1][i]
+        for (t, s), m in n.diff[h].items():
+            if s == j and t != i:
+                b = m.scale(-eps)
+                row = self.pi[h + 1][t - (t > i)]
+                for mm, p in row_i.items():
+                    _accumulate(row, mm, compose(b, p))
+            elif t == i and s != j:
+                a = m.scale(-eps)
+                col = self.sigma[h][s - (s > j)]
+                for y, q in col_j.items():
+                    _accumulate(col, y, compose(q, a))
+        hom = self.hom.setdefault(h + 1, {})
+        for y, q in col_j.items():
+            q = q.scale(eps)
+            for mm, p in row_i.items():
+                _accumulate(hom, (y, mm), compose(q, p))
+
+    def sdr(self, n: Complex) -> SDRData:
+        pi = {hh: {(r, m): p for r, row in enumerate(rows) for m, p in row.items()}
+              for hh, rows in self.pi.items()}
+        sigma = {hh: {(y, s): q for s, col in enumerate(cols) for y, q in col.items()}
+                 for hh, cols in self.sigma.items()}
+        return SDRData(ChainMap(self.src, n, 0, 0, pi),
+                       ChainMap(n, self.src, 0, 0, sigma),
+                       ChainMap(self.src, self.src, -1, 0, self.hom))
 
 
 def _find_pivot(c: Complex) -> tuple[int, int, int] | None:
@@ -483,17 +574,27 @@ def _find_pivot(c: Complex) -> tuple[int, int, int] | None:
 
 
 def simplify(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None]:
-    """Deloop, then cancel +-identity entries until none remain."""
+    """Deloop, then cancel +-identity entries until none remain.
+
+    Pivots are taken at the lowest degree first, then the lowest (j, i).
+    With track_sdr the retract c -> result starts from the delooping retract
+    and is updated locally at each elimination (h, i, j) with unit eps:
+    pi row t@h+1 gains -eps b_t o (row i), sigma column s@h gains
+    -eps (column j) o a_s, and h gains eps (column j of sigma) o (row i of
+    pi), where a_s = d[i, s] and b_t = d[t, j].  The result equals folding
+    the one-step retracts of `gauss` with `SDRData.then`, and the homotopy
+    is exact.
+    """
     cur, sdr = deloop(c, track_sdr)
+    retract = _LocalRetract(sdr) if track_sdr else None
     while True:
         pivot = _find_pivot(cur)
         if pivot is None:
             break
-        h, i, j = pivot
-        cur, step = gauss(cur, h, i, j, track_sdr)
-        if track_sdr:
-            sdr = sdr.then(step)
-    return cur, sdr
+        if retract is not None:
+            retract.eliminate(cur, *pivot)
+        cur, _ = gauss(cur, *pivot)
+    return cur, (retract.sdr(cur) if retract is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +695,6 @@ def tensor_endomorphism(f: ChainMap | None, g: ChainMap | None,
                 add(h, idx, tidx,
                     stack(CobMorphism.identity(oa.tangle), m).scale(sign))
     return ChainMap(raw, raw, dh, dq, comps)
-
-
-def restrict_endomorphism(f: ChainMap, newc: Complex) -> ChainMap:
-    """Reattach an endomorphism to a degree-truncation of its complex."""
-    comps = {h: dict(entries) for h, entries in f.components.items()
-             if h in newc.objects and h + f.dh in newc.objects}
-    return ChainMap(newc, newc, f.dh, f.dq, comps)
 
 
 def juxtapose_complexes(a: Complex, b: Complex, delooped: bool = True) -> Complex:

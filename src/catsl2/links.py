@@ -41,16 +41,25 @@ class ColoredDiagram:
     orientations: tuple[int, ...] | None = None   # per component, +-1
 
     def __post_init__(self):
-        assert self.closure in ("trace", "plat")
+        if self.closure not in ("trace", "plat"):
+            raise ValueError(f"unknown closure {self.closure!r}")
+        bad = [x for x in self.word if not 1 <= abs(x) <= self.strands - 1]
+        if bad:
+            raise ValueError(f"braid generator {bad[0]} out of range for "
+                             f"{self.strands} strands")
         comps = self.components()
-        assert len(self.colors) == len(comps), "one color per component"
-        assert len(self.framings) == len(comps)
-        assert len(self.marks) == len(comps)
-        assert all(m >= 1 for m in self.marks), "each component needs a mark"
-        assert all(c >= 1 for c in self.colors)
-        if self.orientations is not None:
-            assert len(self.orientations) == len(comps)
-            assert all(o in (1, -1) for o in self.orientations)
+        for name in ("colors", "framings", "marks"):
+            if len(getattr(self, name)) != len(comps):
+                raise ValueError(f"{name}: need one per component "
+                                 f"({len(comps)})")
+        if not all(m >= 1 for m in self.marks):
+            raise ValueError("each component needs a mark")
+        if not all(c >= 1 for c in self.colors):
+            raise ValueError(f"colors must be >= 1, got {list(self.colors)}")
+        if self.orientations is not None and (
+                len(self.orientations) != len(comps)
+                or not all(o in (1, -1) for o in self.orientations)):
+            raise ValueError("orientations: need one +-1 per component")
 
     def permutation(self) -> list[int]:
         """perm[p] = top position reached by the strand entering at bottom p."""
@@ -81,7 +90,8 @@ class ColoredDiagram:
             for p in range(self.strands):
                 union(p, perm[p])
         else:
-            assert self.strands % 2 == 0, "plat closure needs an even braid"
+            if self.strands % 2:
+                raise ValueError("plat closure needs an even number of strands")
             for p in range(0, self.strands, 2):
                 union(p, p + 1)
             inv = [0] * self.strands

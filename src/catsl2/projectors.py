@@ -18,10 +18,10 @@ from functools import lru_cache
 
 from .cobordism import CobMorphism, FlatTangle, GradedObject, stack_tangles
 from .cobordism import stack as stack_morphism
-from .complexes import (ChainMap, Complex, cone, convolution_complete,
-                        deloop, juxtapose_complexes, shift, simplify, tensor,
-                        tensor_endomorphism, tensor_indexed,
-                        transport_endomorphism)
+from .complexes import (ChainMap, Complex, InvariantError, cone,
+                        convolution_complete, deloop, juxtapose_complexes,
+                        shift, simplify, tensor, tensor_endomorphism,
+                        tensor_indexed, transport_endomorphism)
 
 # extra projector depth used when feeding a truncated projector into the
 # convolution solver, keeping the guarded equations clear of its artifacts
@@ -283,13 +283,17 @@ class TruncatedProjector:
     def check(self) -> None:
         self.complex.check()
         top = self.complex.objects.get(0, [])
-        assert len(top) == 1 and top[0].tangle == FlatTangle.identity(self.n) \
-            and top[0].qshift == 0, "degree zero is not exactly 1_n"
-        assert self.unit.is_cycle(), "unit is not a chain map"
+        if not (len(top) == 1 and top[0].tangle == FlatTangle.identity(self.n)
+                and top[0].qshift == 0):
+            raise InvariantError("degree zero is not exactly 1_n")
+        if not self.unit.is_cycle():
+            raise InvariantError("unit is not a chain map")
         for k, u in self.u_maps.items():
-            assert (u.dh, u.dq) == (2 - 2 * k, 2 * k), f"u_{k} bidegree"
+            if (u.dh, u.dq) != (2 - 2 * k, 2 * k):
+                raise InvariantError(f"u_{k} bidegree")
             u.check_degrees()
-            assert u.is_cycle(), f"u_{k} is not a chain map"
+            if not u.is_cycle():
+                raise InvariantError(f"u_{k} is not a chain map")
 
 
 def _periodic_model(block: Complex, n: int, window: int):

@@ -91,6 +91,24 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("diagram, message", [
+    ({"braid": {"strands": 2, "word": [5]}, "colors": [1]},
+     "braid generator 5 out of range"),
+    ({"braid": {"strands": 1, "word": []}, "colors": [0]},
+     "colors must be >= 1"),
+    ({"braid": {"strands": 3, "word": [1]}, "closure": "plat", "colors": [1]},
+     "plat closure needs an even number of strands"),
+])
+def test_colored_homology_bad_diagram_is_usage_error(tmp_path, capsys,
+                                                     diagram, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(diagram))
+    assert main(["colored", "homology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_verify_single_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "end11")
     assert code == 0

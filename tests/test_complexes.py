@@ -1,10 +1,11 @@
 import pytest
 
 from catsl2.cobordism import CobMorphism, FlatTangle, GradedObject
-from catsl2.complexes import (ChainMap, Complex, cone, convolution_complete,
-                              deloop, direct_sum, dual, gauss, hom_complex,
-                              juxtapose_complexes, partial_trace_complex,
-                              shift, simplify, tautological_complex, tensor)
+from catsl2.complexes import (ChainMap, Complex, _find_pivot, cone,
+                              convolution_complete, deloop, direct_sum, dual,
+                              gauss, hom_complex, juxtapose_complexes,
+                              partial_trace_complex, shift, simplify,
+                              tautological_complex, tensor)
 from catsl2.homology import integer_homology
 from catsl2.projectors import braid_letter_complex, crossing_complex, q1, q2
 from catsl2.series import TruncatedSeries
@@ -123,7 +124,6 @@ def test_gauss_preserves_d_squared_and_chi(rng):
         c = random_braid_complex(rng, 3, 3)
         chi = euler_characteristic(c)
         # run a few elimination steps by hand and validate after each
-        from catsl2.complexes import _find_pivot
         for _ in range(4):
             pivot = _find_pivot(c)
             if pivot is None:
@@ -140,6 +140,43 @@ def test_simplify_returns_verified_sdr(rng):
     sdr.verify()
     assert sdr.pi.src.graded_ranks() == c.graded_ranks()
     assert sdr.pi.tgt.graded_ranks() == s.graded_ranks()
+
+
+def folded_retract(c):
+    """Reference: the delooping retract folded with every one-step gauss
+    retract by SDRData.then; also the largest homotopy outer product."""
+    cur, sdr = deloop(c, track_sdr=True)
+    widest = 0
+    while (pivot := _find_pivot(cur)) is not None:
+        h, i, j = pivot
+        col_j = [k for k in sdr.sigma.components.get(h, {}) if k[1] == j]
+        row_i = [k for k in sdr.pi.components.get(h + 1, {}) if k[0] == i]
+        widest = max(widest, len(col_j) * len(row_i))
+        cur, step = gauss(cur, h, i, j, track_sdr=True)
+        sdr = sdr.then(step)
+    return cur, sdr, widest
+
+
+def test_simplify_retract_equals_folded_gauss_retracts(rng):
+    from catsl2.projectors import _periodic_model
+    cases = [_periodic_model(q2(), 2, 6)[0]]
+    for _ in range(4):
+        c = random_braid_complex(rng, 3, 3)
+        cases += [c, partial_trace_complex(c, delooped=False)]
+    widest = []
+    for c in cases:
+        ref_c, ref, w = folded_retract(c)
+        s, sdr = simplify(c, track_sdr=True)
+        assert s.to_json() == ref_c.to_json()
+        for mine, theirs in ((sdr.pi, ref.pi), (sdr.sigma, ref.sigma),
+                             (sdr.homotopy, ref.homotopy)):
+            assert (mine.dh, mine.dq) == (theirs.dh, theirs.dq)
+            assert mine.components == theirs.components
+        assert sdr.pi.src is c and sdr.pi.tgt is s
+        sdr.verify()
+        widest.append(w)
+    # some homotopy update adds an outer product of more than one term
+    assert max(widest) > 1
 
 
 def test_simplify_preserves_homology_of_closures(rng):

@@ -21,9 +21,9 @@ def test_components_and_validation():
     assert d.components() == [[0, 1]]
     d2 = ColoredDiagram(2, (1, -1), "trace", (1, 1), (0, 0), (1, 1), FAM1)
     assert d2.components() == [[0], [1]]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ColoredDiagram(2, (1,), "trace", (1, 1), (0, 0), (1, 1), FAM1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ColoredDiagram(1, (), "trace", (1,), (0,), (0,), FAM1)  # no mark
 
 

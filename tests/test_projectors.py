@@ -210,3 +210,37 @@ def test_cone_of_u3_has_q3_ranks_in_window():
     s, _ = simplify(cone(p3.u_maps[3]))
     in_window = {k: v for k, v in s.graded_ranks().items() if k[0] >= -5}
     assert in_window == q3().graded_ranks()
+
+
+def test_projector_check_survives_optimize_flag():
+    # a u-map with one entry doubled is no chain map; check() must still say
+    # so when python -O strips assert statements
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import catsl2
+    script = """
+import dataclasses
+from catsl2.complexes import ChainMap, InvariantError
+from catsl2.projectors import truncated_pn
+proj = truncated_pn(2, 4)
+u = proj.u_maps[2]
+comps = {h: dict(e) for h, e in u.components.items()}
+comps[-3][(0, 0)] = comps[-3][(0, 0)].scale(2)
+bad = dataclasses.replace(
+    proj, u_maps={**proj.u_maps, 2: ChainMap(u.src, u.tgt, u.dh, u.dq, comps)})
+proj.check()
+try:
+    bad.check()
+except InvariantError as exc:
+    print("rejected:", exc)
+"""
+    src = str(Path(catsl2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected: u_2 is not a chain map"
