@@ -10,7 +10,8 @@ import argparse
 import json
 import sys
 
-from .complexes import Complex, simplify, tautological_complex, tensor
+from .complexes import (Complex, InvariantError, simplify, tautological_complex,
+                        tensor)
 from .config import Config
 from .homology import homology_mod_p, integer_homology, poincare_polynomial, \
     poincare_string
@@ -34,9 +35,18 @@ def _write(args, payload) -> None:
         print(text)
 
 
-def _load_complex(path: str) -> Complex:
+def _load(path: str, parse):
+    """parse() of the JSON in `path`; a malformed structure is a usage error."""
     with open(path) as fh:
-        return Complex.from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed file {path}: {exc}") from exc
+
+
+def _load_complex(path: str) -> Complex:
+    return _load(path, Complex.from_json)
 
 
 def _tl_json(elem: TLElement) -> dict:
@@ -128,6 +138,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:  # e.g. d^2 != 0 in `complex check`
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args, cfg: Config) -> int:
@@ -190,8 +203,7 @@ def _dispatch(args, cfg: Config) -> int:
         return 0
 
     if args.command == "colored":
-        with open(args.file) as fh:
-            diagram = ColoredDiagram.from_json(json.load(fh))
+        diagram = _load(args.file, ColoredDiagram.from_json)
         groups, exact = link_homology(diagram, cfg.window)
         payload = _homology_payload(groups, "z")
         payload["exact"] = exact

@@ -10,10 +10,13 @@ diagram S u mirror(T), each disk carrying 0 or 1 dot.  The local relations
     handle = 2 dots,
 
 reduce every composite to this basis, which is what `reduce_components`
-implements.  Composition, vertical stacking, horizontal juxtaposition and
-partial trace are all instances of one gluing computation: merge disks along
-shared pieces of boundary (union-find), track Euler characteristic and dots
-per merged component, then expand back into disks.
+implements.  Composition, vertical stacking and partial trace are one gluing
+computation: each builds a plan (a factor's curve count, the `unions` of
+disks along shared boundary, the `incidences` of disks on output curves),
+`_merge` turns it into connected pieces once per tangles, and `_glue_terms`
+places each term pair's dots on the pieces and expands them into disks.
+Juxtaposition and the symmetries only relabel curves (`_curve_table`,
+`_remap`); the identity-like constructors share `CobMorphism._sheets`.
 
 Only the combinatorics of an embedded surface is tracked (component/curve
 incidence, genus, dots).  For composites of the elementary pieces this engine
@@ -68,16 +71,14 @@ class GradedObject:
         return GradedObject(self.tangle, self.qshift + j)
 
 
+@dataclass(frozen=True, slots=True)
 class Curve:
     """One closed curve of a glued diagram S u mirror(T)."""
 
-    __slots__ = ("points", "arcs_src", "arcs_tgt", "ref")
-
-    def __init__(self, points, arcs_src, arcs_tgt, ref):
-        self.points = points        # frozenset of boundary labels (may be empty)
-        self.arcs_src = arcs_src    # frozenset of arcs of the source matching
-        self.arcs_tgt = arcs_tgt    # frozenset of arcs of the target matching
-        self.ref = ref              # ('pts', min point) | ('S', i) | ('T', i)
+    points: frozenset     # boundary labels (may be empty)
+    arcs_src: frozenset   # arcs of the source matching
+    arcs_tgt: frozenset   # arcs of the target matching
+    ref: tuple            # ('pts', min point) | ('S', i) | ('T', i)
 
 
 class GlueInfo:
@@ -92,48 +93,32 @@ class GlueInfo:
 
     def __init__(self, src: FlatTangle, tgt: FlatTangle):
         assert src.n == tgt.n, "boundary mismatch"
-        n = src.n
         sp, tp = src.matching.pairing, tgt.matching.pairing
-        curves: list[Curve] = []
-        seen = [False] * (2 * n)
-        for start in range(2 * n):
-            if seen[start]:
+        self.src, self.tgt = src, tgt
+        self.curves: list[Curve] = []
+        self.point_curve, self.arc_src_curve, self.arc_tgt_curve = {}, {}, {}
+        for start in range(2 * src.n):
+            if start in self.point_curve:
                 continue
-            pts, arcs_s, arcs_t = [], [], []
+            idx = len(self.curves)
+            arcs_s, arcs_t = [], []
             p = start
-            while not seen[p]:
-                seen[p] = True
+            while p not in self.point_curve:
                 q = sp[p]
-                seen[q] = True
+                self.point_curve[p] = self.point_curve[q] = idx
                 arcs_s.append(frozenset((p, q)))
-                pts.extend((p, q))
-                r = tp[q]
-                arcs_t.append(frozenset((q, r)))
-                p = r
-            curves.append(Curve(frozenset(pts), frozenset(arcs_s),
-                                frozenset(arcs_t), ("pts", start)))
-        for i in range(src.circles):
-            curves.append(Curve(frozenset(), frozenset(), frozenset(), ("S", i)))
-        for i in range(tgt.circles):
-            curves.append(Curve(frozenset(), frozenset(), frozenset(), ("T", i)))
-
-        self.src, self.tgt, self.curves = src, tgt, curves
-        self.point_curve = {}
-        self.arc_src_curve = {}
-        self.arc_tgt_curve = {}
-        self.circle_src_curve = {}
-        self.circle_tgt_curve = {}
-        for idx, c in enumerate(curves):
-            for p in c.points:
-                self.point_curve[p] = idx
-            for a in c.arcs_src:
-                self.arc_src_curve[a] = idx
-            for a in c.arcs_tgt:
-                self.arc_tgt_curve[a] = idx
-            if c.ref[0] == "S":
-                self.circle_src_curve[c.ref[1]] = idx
-            elif c.ref[0] == "T":
-                self.circle_tgt_curve[c.ref[1]] = idx
+                p = tp[q]
+                arcs_t.append(frozenset((q, p)))
+            self.arc_src_curve.update(dict.fromkeys(arcs_s, idx))
+            self.arc_tgt_curve.update(dict.fromkeys(arcs_t, idx))
+            self.curves.append(Curve(frozenset().union(*arcs_s), frozenset(arcs_s),
+                                     frozenset(arcs_t), ("pts", start)))
+        first = len(self.curves)
+        self.circle_src_curve = {i: first + i for i in range(src.circles)}
+        self.circle_tgt_curve = {i: first + src.circles + i for i in range(tgt.circles)}
+        refs = [("S", i) for i in range(src.circles)]
+        refs += [("T", i) for i in range(tgt.circles)]
+        self.curves += [Curve(frozenset(), frozenset(), frozenset(), ref) for ref in refs]
 
     def __len__(self):
         return len(self.curves)
@@ -190,10 +175,6 @@ def reduce_components(components) -> list[tuple[int, int]]:
     return out
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 class CobMorphism:
     """Integer combination of canonical dotted-disk cobordisms src -> tgt."""
 
@@ -203,7 +184,7 @@ class CobMorphism:
         self.src, self.tgt = src, tgt
         self.terms = {m: c for m, c in sorted(terms.items()) if c}
         if __debug__ and len(self.terms) > 1:
-            pops = {_popcount(m) for m in self.terms}
+            pops = {m.bit_count() for m in self.terms}
             assert len(pops) == 1, "morphism is not bihomogeneous"
 
     # -- constructors -----------------------------------------------------
@@ -220,16 +201,35 @@ class CobMorphism:
         return cls(src, tgt, terms)
 
     @classmethod
+    def _sheets(cls, src: FlatTangle, tgt: FlatTangle, dot=None,
+                lone: bool | None = None) -> CobMorphism:
+        """The identity-like cobordism src -> tgt, built sheet by sheet.
+
+        One sheet per strand curve of glue(src, tgt), one cylinder per circle
+        that src and tgt share and, when `lone` is not None, one disk (dotted
+        if `lone`) on the last circle of the side that has one more.  `dot`
+        puts a dot on the sheet meeting a boundary point, an Arc of src, or
+        ('circle', i) for circle i of src.
+        """
+        info = glue(src, tgt)
+        if dot is not None:
+            dot = {**info.point_curve, **info.arc_src_curve,
+                   **{("circle", i): c for i, c in info.circle_src_curve.items()}}[dot]
+        comps = [((idx,), int(idx == dot), 1)
+                 for idx, c in enumerate(info.curves) if c.ref[0] == "pts"]
+        for i in range(min(src.circles, tgt.circles)):
+            pair = tuple(sorted((info.circle_src_curve[i], info.circle_tgt_curve[i])))
+            comps.append((pair, int(dot in pair), 0))
+        if lone is not None:
+            last = (info.circle_src_curve[src.circles - 1]
+                    if src.circles > tgt.circles
+                    else info.circle_tgt_curve[tgt.circles - 1])
+            comps.append(((last,), int(lone), 1))
+        return cls.from_components(src, tgt, comps)
+
+    @classmethod
     def identity(cls, t: FlatTangle) -> CobMorphism:
-        info = glue(t, t)
-        comps = []
-        for idx, c in enumerate(info.curves):
-            if c.ref[0] == "pts":
-                comps.append(((idx,), 0, 1))  # one sheet per strand curve
-        for i in range(t.circles):
-            comps.append((tuple(sorted((info.circle_src_curve[i],
-                                        info.circle_tgt_curve[i]))), 0, 0))
-        return cls.from_components(t, t, comps)
+        return cls._sheets(t, t)
 
     @classmethod
     def canonical(cls, src: FlatTangle, tgt: FlatTangle) -> CobMorphism:
@@ -243,53 +243,17 @@ class CobMorphism:
         `where` is a boundary point, an Arc of the matching, or ('circle', i)
         referring to a circle of t (the dot lands on the source-side sheet).
         """
-        info = glue(t, t)
-        if isinstance(where, int):
-            target = info.point_curve[where]
-        elif isinstance(where, frozenset):
-            target = info.arc_src_curve[where]
-        else:
-            target = info.circle_src_curve[where[1]]
-        comps = []
-        for idx, c in enumerate(info.curves):
-            if c.ref[0] == "pts":
-                comps.append(((idx,), 1 if idx == target else 0, 1))
-        for i in range(t.circles):
-            pair = tuple(sorted((info.circle_src_curve[i], info.circle_tgt_curve[i])))
-            comps.append((pair, 1 if target in pair else 0, 0))
-        return cls.from_components(t, t, comps)
+        return cls._sheets(t, t, dot=where)
 
     @classmethod
     def cap_circle(cls, src: FlatTangle, dotted: bool) -> CobMorphism:
         """Cap off the last circle of src: a morphism src -> src minus circle."""
-        tgt = src.drop_circle()
-        info = glue(src, tgt)
-        comps = []
-        for idx, c in enumerate(info.curves):
-            if c.ref[0] == "pts":
-                comps.append(((idx,), 0, 1))
-        for i in range(tgt.circles):
-            comps.append((tuple(sorted((info.circle_src_curve[i],
-                                        info.circle_tgt_curve[i]))), 0, 0))
-        comps.append(((info.circle_src_curve[src.circles - 1],),
-                      1 if dotted else 0, 1))
-        return cls.from_components(src, tgt, comps)
+        return cls._sheets(src, src.drop_circle(), lone=dotted)
 
     @classmethod
     def cup_circle(cls, tgt: FlatTangle, dotted: bool) -> CobMorphism:
         """Birth of the last circle of tgt: a morphism tgt minus circle -> tgt."""
-        src = tgt.drop_circle()
-        info = glue(src, tgt)
-        comps = []
-        for idx, c in enumerate(info.curves):
-            if c.ref[0] == "pts":
-                comps.append(((idx,), 0, 1))
-        for i in range(src.circles):
-            comps.append((tuple(sorted((info.circle_src_curve[i],
-                                        info.circle_tgt_curve[i]))), 0, 0))
-        comps.append(((info.circle_tgt_curve[tgt.circles - 1],),
-                      1 if dotted else 0, 1))
-        return cls.from_components(src, tgt, comps)
+        return cls._sheets(tgt.drop_circle(), tgt, lone=dotted)
 
     # -- linear structure ---------------------------------------------------
 
@@ -330,7 +294,7 @@ class CobMorphism:
         if not self.terms:
             return None
         mask = next(iter(self.terms))
-        return self.src.n - len(glue(self.src, self.tgt)) + 2 * _popcount(mask)
+        return self.src.n - len(glue(self.src, self.tgt)) + 2 * mask.bit_count()
 
     def is_identity_entry(self) -> bool:
         """True when this is exactly +-1 times the identity on equal tangles.
@@ -358,50 +322,92 @@ class CobMorphism:
 # The gluing engine
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.extra_chi = [0] * size  # subtracted chi from internal gluings
+def _merge(unions, incidences):
+    """Connected pieces of a glued surface, before any dots are placed.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int, chi_cost: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            self.extra_chi[rx] += chi_cost
-        else:
-            self.parent[ry] = rx
-            self.extra_chi[rx] += self.extra_chi[ry] + chi_cost
-
-
-def _merge(n_f: int, n_g: int, unions, incidences, dots_f, dots_g):
-    """Shared core: disks 0..n_f-1 from the first factor, then n_g more.
-
-    unions: [(a, b, chi_cost)] over combined disk indices.
-    incidences: combined disk index -> iterable of outer curve indices.
-    Returns components [(outer_curves, dots, chi)].
+    Disk d of the glued factors meets the outer curves incidences[d];
+    unions [(a, b, chi_cost)] join disks.  Returns [(outer_curves, disks,
+    chi)] with each piece's disks as a bit mask.
     """
-    total = n_f + n_g
-    uf = _UnionFind(total)
-    for a, b, cost in unions:
-        uf.union(a, b, cost)
+    label = list(range(len(incidences)))  # disk -> its piece, per union
+    for a, b, _ in unions:
+        old, new = label[b], label[a]
+        label = [new if x == old else x for x in label]
     groups: dict[int, list[int]] = {}
-    for d in range(total):
-        groups.setdefault(uf.find(d), []).append(d)
-    comps = []
+    for d, root in enumerate(label):
+        groups.setdefault(root, []).append(d)
+    pieces = []
     for root, disks in groups.items():
-        outer: set[int] = set()
-        dots = 0
-        for d in disks:
-            outer.update(incidences[d])
-            dots += dots_f[d] if d < n_f else dots_g[d - n_f]
-        chi = len(disks) - uf.extra_chi[root]
-        comps.append((tuple(sorted(outer)), dots, chi))
-    return comps
+        outer = set().union(*(incidences[d] for d in disks))
+        # every gluing lies inside one piece and lowers its chi by its cost
+        chi = len(disks) - sum(c for a, _, c in unions if label[a] == root)
+        pieces.append((tuple(sorted(outer)), sum(1 << d for d in disks), chi))
+    return pieces
+
+
+@lru_cache(maxsize=None)
+def _merged_plan(build, *tangles: FlatTangle):
+    """Merge the plan `build(*tangles)` = (n_f, unions, incidences) into
+    (n_f, pieces); cached per builder and tangles."""
+    n_f, unions, incidences = build(*tangles)
+    return n_f, tuple(_merge(unions, incidences))
+
+
+def _glue_terms(plan, f: CobMorphism, g: CobMorphism | None = None) -> dict[int, int]:
+    """Glue every term pair of f and g (f alone when g is None) along a
+    merged plan; g's disks follow the n_f disks of f."""
+    n_f, pieces = plan
+    acc: dict[int, int] = {}
+    g_terms = g.terms.items() if g is not None else ((0, 1),)
+    for mf, cf in f.terms.items():
+        for mg, cg in g_terms:
+            dots = mf | mg << n_f
+            comps = [(outer, (dots & disks).bit_count(), chi)
+                     for outer, disks, chi in pieces]
+            for mask, c in reduce_components(comps):
+                acc[mask] = acc.get(mask, 0) + c * cf * cg
+    return acc
+
+
+# a side of a factor that carries over unchanged into the output tangle
+_KEEP = (lambda arc: ("arc", arc), lambda i: i)
+
+
+def _incidences(info: GlueInfo, out: GlueInfo, src_side, tgt_side) -> list[set[int]]:
+    """Output curves met by each curve of one factor's glued diagram `info`.
+
+    A side is None when the factor is glued along it; otherwise it is a pair
+    of lookups sending the factor's arcs on that side to ('arc', arc) or
+    ('circle', i), and its circles there to circle indices, both in the
+    output tangle on the same side.
+    """
+    table = []
+    for c in info.curves:
+        inc = set()
+        for side, arcs, ref, arc_curve, circle_curve in (
+                (src_side, c.arcs_src, "S", out.arc_src_curve, out.circle_src_curve),
+                (tgt_side, c.arcs_tgt, "T", out.arc_tgt_curve, out.circle_tgt_curve)):
+            if side is None:
+                continue
+            arc_map, circle_map = side
+            for a in arcs:
+                kind, val = arc_map(a)
+                inc.add(arc_curve[val] if kind == "arc" else circle_curve[val])
+            if c.ref[0] == ref:
+                inc.add(circle_curve[circle_map(c.ref[1])])
+        table.append(inc)
+    return table
+
+
+def _compose_plan(src: FlatTangle, mid: FlatTangle, tgt: FlatTangle):
+    info_f, info_g, out = glue(src, mid), glue(mid, tgt), glue(src, tgt)
+    nf = len(info_f)
+    unions = [(info_f.arc_tgt_curve[arc], nf + info_g.arc_src_curve[arc], 1)
+              for arc in mid.matching.arcs()]
+    unions += [(info_f.circle_tgt_curve[i], nf + info_g.circle_src_curve[i], 0)
+               for i in range(mid.circles)]
+    return (nf, unions, _incidences(info_f, out, _KEEP, None)
+            + _incidences(info_g, out, None, _KEEP))
 
 
 def compose(g: CobMorphism, f: CobMorphism) -> CobMorphism:
@@ -415,88 +421,36 @@ def compose(g: CobMorphism, f: CobMorphism) -> CobMorphism:
             return f.scale(g.terms[0])
         if len(f.terms) == 1 and 0 in f.terms and f.src == mid:
             return g.scale(f.terms[0])
-    info_f = glue(f.src, mid)
-    info_g = glue(mid, g.tgt)
-    info_out = glue(f.src, g.tgt)
-    nf, ng = len(info_f), len(info_g)
+    plan = _merged_plan(_compose_plan, f.src, mid, g.tgt)
+    return CobMorphism(f.src, g.tgt, _glue_terms(plan, f, g))
 
-    unions = []
-    for arc in mid.matching.arcs():
-        unions.append((info_f.arc_tgt_curve[arc],
-                       nf + info_g.arc_src_curve[arc], 1))
-    for i in range(mid.circles):
-        unions.append((info_f.circle_tgt_curve[i],
-                       nf + info_g.circle_src_curve[i], 0))
 
-    incidences: list[set[int]] = []
-    for c in info_f.curves:
-        inc = {info_out.arc_src_curve[a] for a in c.arcs_src}
-        if c.ref[0] == "S":
-            inc.add(info_out.circle_src_curve[c.ref[1]])
-        incidences.append(inc)
-    for c in info_g.curves:
-        inc = {info_out.arc_tgt_curve[a] for a in c.arcs_tgt}
-        if c.ref[0] == "T":
-            inc.add(info_out.circle_tgt_curve[c.ref[1]])
-        incidences.append(inc)
+def _stack_plan(f_src: FlatTangle, f_tgt: FlatTangle,
+                g_src: FlatTangle, g_tgt: FlatTangle):
+    n = f_src.n
+    src, tgt = stack_tangles(f_src, g_src), stack_tangles(f_tgt, g_tgt)
+    info_f, info_g = glue(f_src, f_tgt), glue(g_src, g_tgt)
+    out = glue(src.tangle, tgt.tangle)
+    nf = len(info_f)
+    # glue at the n middle points: f's bottom point p meets g's top point n+p
+    unions = [(info_f.point_curve[p], nf + info_g.point_curve[n + p], 1)
+              for p in range(n)]
 
-    acc: dict[int, int] = {}
-    for mf, cf in f.terms.items():
-        dots_f = [mf >> i & 1 for i in range(nf)]
-        for mg, cg in g.terms.items():
-            dots_g = [mg >> i & 1 for i in range(ng)]
-            comps = _merge(nf, ng, unions, incidences, dots_f, dots_g)
-            for mask, c in reduce_components(comps):
-                acc[mask] = acc.get(mask, 0) + c * cf * cg
-    return CobMorphism(f.src, g.tgt, acc)
+    def layer(st: StackedTangle, name: str):
+        return (lambda a: st.arc_map[(name, a)], lambda i: st.circle_map[(name, i)])
+
+    return (nf, unions,
+            _incidences(info_f, out, layer(src, "T"), layer(tgt, "T"))
+            + _incidences(info_g, out, layer(src, "B"), layer(tgt, "B")))
 
 
 def stack(f: CobMorphism, g: CobMorphism) -> CobMorphism:
     """Vertical stacking f (x) g with f on top of g (both in the same Cob_n)."""
     assert f.src.n == g.src.n, "strand-count mismatch"
-    n = f.src.n
-    src = stack_tangles(f.src, g.src)
-    tgt = stack_tangles(f.tgt, g.tgt)
-    info_f = glue(f.src, f.tgt)
-    info_g = glue(g.src, g.tgt)
-    info_out = glue(src.tangle, tgt.tangle)
-    nf, ng = len(info_f), len(info_g)
-
-    # glue at the n middle points: f's bottom point p meets g's top point n+p
-    unions = [(info_f.point_curve[p], nf + info_g.point_curve[n + p], 1)
-              for p in range(n)]
-
-    def out_curve(stacked: "StackedTangle", is_f: bool,
-                  which: str, c: Curve) -> set[int]:
-        layer = "T" if is_f else "B"
-        inc = set()
-        arcs = c.arcs_src if which == "S" else c.arcs_tgt
-        amap = (info_out.arc_src_curve if which == "S" else info_out.arc_tgt_curve)
-        cmap = (info_out.circle_src_curve if which == "S" else info_out.circle_tgt_curve)
-        for a in arcs:
-            kind, val = stacked.arc_map[(layer, a)]
-            inc.add(amap[val] if kind == "arc" else cmap[val])
-        if c.ref[0] == "S" and which == "S":
-            inc.add(cmap[stacked.circle_map[(layer, c.ref[1])]])
-        if c.ref[0] == "T" and which == "T":
-            inc.add(cmap[stacked.circle_map[(layer, c.ref[1])]])
-        return inc
-
-    incidences = []
-    for c in info_f.curves:
-        incidences.append(out_curve(src, True, "S", c) | out_curve(tgt, True, "T", c))
-    for c in info_g.curves:
-        incidences.append(out_curve(src, False, "S", c) | out_curve(tgt, False, "T", c))
-
-    acc: dict[int, int] = {}
-    for mf, cf in f.terms.items():
-        dots_f = [mf >> i & 1 for i in range(nf)]
-        for mg, cg in g.terms.items():
-            dots_g = [mg >> i & 1 for i in range(ng)]
-            comps = _merge(nf, ng, unions, incidences, dots_f, dots_g)
-            for mask, c in reduce_components(comps):
-                acc[mask] = acc.get(mask, 0) + c * cf * cg
-    return CobMorphism(src.tangle, tgt.tangle, acc)
+    plan = _merged_plan(_stack_plan, f.src, f.tgt, g.src, g.tgt)
+    return CobMorphism(stack_tangles(f.src, g.src).tangle,
+                       stack_tangles(f.tgt, g.tgt).tangle,
+                       _glue_terms(plan, f, g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,40 +480,20 @@ def stack_tangles(top: FlatTangle, bottom: FlatTangle) -> StackedTangle:
 
 
 def juxtapose(f: CobMorphism, g: CobMorphism) -> CobMorphism:
-    """Horizontal disjoint union, f on the left."""
-    src, lmaps = juxtapose_tangles(f.src, g.src)
+    """Horizontal disjoint union, f on the left.
+
+    Both factors are relabelled into the curves of the juxtaposed diagram,
+    which they share none of, so each term pair is the OR of its masks.
+    """
+    src, (map_l, map_r) = juxtapose_tangles(f.src, g.src)
     tgt, _ = juxtapose_tangles(f.tgt, g.tgt)
-    info_f = glue(f.src, f.tgt)
-    info_g = glue(g.src, g.tgt)
-    info_out = glue(src, tgt)
-    map_l, map_r = lmaps
-
-    def translate(info: GlueInfo, point_map, circle_off: int):
-        table = []
-        for c in info.curves:
-            if c.ref[0] == "pts":
-                table.append(info_out.point_curve[point_map(c.ref[1])])
-            elif c.ref[0] == "S":
-                table.append(info_out.circle_src_curve[c.ref[1] + circle_off[0]])
-            else:
-                table.append(info_out.circle_tgt_curve[c.ref[1] + circle_off[1]])
-        return table
-
-    tf = translate(info_f, map_l, (0, 0))
-    tg = translate(info_g, map_r, (f.src.circles, f.tgt.circles))
-
-    acc: dict[int, int] = {}
-    for mf, cf in f.terms.items():
-        for mg, cg in g.terms.items():
-            mask = 0
-            for i in range(len(info_f)):
-                if mf >> i & 1:
-                    mask |= 1 << tf[i]
-            for i in range(len(info_g)):
-                if mg >> i & 1:
-                    mask |= 1 << tg[i]
-            acc[mask] = acc.get(mask, 0) + cf * cg
-    return CobMorphism(src, tgt, acc)
+    out = glue(src, tgt)
+    offsets = (f.src.circles, f.tgt.circles)
+    left = _remap(f, src, tgt, _curve_table(glue(f.src, f.tgt), out, map_l))
+    right = _remap(g, src, tgt, _curve_table(glue(g.src, g.tgt), out, map_r,
+                                             circle_offsets=offsets))
+    return CobMorphism(src, tgt, {mf | mg: cf * cg for mf, cf in left.terms.items()
+                                  for mg, cg in right.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -569,45 +503,22 @@ def juxtapose_tangles(left: FlatTangle, right: FlatTangle):
     return tangle, (maps["L"], maps["R"])
 
 
+def _trace_plan(f_src: FlatTangle, f_tgt: FlatTangle):
+    n = f_src.n
+    src, tgt = trace_tangle(f_src), trace_tangle(f_tgt)
+    info = glue(f_src, f_tgt)
+    unions = [(info.point_curve[n - 1], info.point_curve[2 * n - 1], 1)]
+    return (len(info), unions, _incidences(info, glue(src.tangle, tgt.tangle),
+                                              (src.arc_map.get, src.circle_map.get),
+                                              (tgt.arc_map.get, tgt.circle_map.get)))
+
+
 def partial_trace(f: CobMorphism) -> CobMorphism:
     """Close the rightmost strand of every tangle and of the cobordism."""
-    n = f.src.n
-    assert n >= 1
-    src = trace_tangle(f.src)
-    tgt = trace_tangle(f.tgt)
-    info_f = glue(f.src, f.tgt)
-    info_out = glue(src.tangle, tgt.tangle)
-    nf = len(info_f)
-    unions = [(info_f.point_curve[n - 1], info_f.point_curve[2 * n - 1], 1)]
-
-    def mapped(tinfo: TracedTangle, arc, which: str) -> int:
-        kind, val = tinfo.arc_map[arc]
-        if kind == "arc":
-            return (info_out.arc_src_curve if which == "S"
-                    else info_out.arc_tgt_curve)[val]
-        return (info_out.circle_src_curve if which == "S"
-                else info_out.circle_tgt_curve)[val]
-
-    incidences = []
-    for c in info_f.curves:
-        inc = set()
-        for a in c.arcs_src:
-            inc.add(mapped(src, a, "S"))
-        for a in c.arcs_tgt:
-            inc.add(mapped(tgt, a, "T"))
-        if c.ref[0] == "S":
-            inc.add(info_out.circle_src_curve[src.circle_map[c.ref[1]]])
-        elif c.ref[0] == "T":
-            inc.add(info_out.circle_tgt_curve[tgt.circle_map[c.ref[1]]])
-        incidences.append(inc)
-
-    acc: dict[int, int] = {}
-    for mf, cf in f.terms.items():
-        dots_f = [mf >> i & 1 for i in range(nf)]
-        comps = _merge(nf, 0, unions, incidences, dots_f, [])
-        for mask, c in reduce_components(comps):
-            acc[mask] = acc.get(mask, 0) + c * cf
-    return CobMorphism(src.tangle, tgt.tangle, acc)
+    assert f.src.n >= 1
+    plan = _merged_plan(_trace_plan, f.src, f.tgt)
+    return CobMorphism(trace_tangle(f.src).tangle, trace_tangle(f.tgt).tangle,
+                       _glue_terms(plan, f))
 
 
 @dataclass(frozen=True, eq=False)
@@ -628,33 +539,43 @@ def trace_tangle(t: FlatTangle) -> TracedTangle:
 
 
 # ---------------------------------------------------------------------------
-# Symmetries
+# Relabelling: symmetries and juxtaposition
 # ---------------------------------------------------------------------------
+
+def _curve_table(info: GlueInfo, info_out: GlueInfo, point_map=None,
+                 swap_sides: bool = False, circle_offsets=(0, 0)) -> list[int]:
+    """Where each curve of `info` lands among the curves of `info_out`.
+
+    A point-curve goes to the curve of its smallest boundary point under
+    `point_map` (None: unchanged); source and target circles keep their
+    index plus `circle_offsets`, and trade sides when `swap_sides`.
+    """
+    src_curve, tgt_curve = info_out.circle_src_curve, info_out.circle_tgt_curve
+    if swap_sides:
+        src_curve, tgt_curve = tgt_curve, src_curve
+    table = []
+    for c in info.curves:
+        kind, i = c.ref
+        if kind == "pts":
+            table.append(info_out.point_curve[point_map(i) if point_map else i])
+        elif kind == "S":
+            table.append(src_curve[i + circle_offsets[0]])
+        else:
+            table.append(tgt_curve[i + circle_offsets[1]])
+    return table
+
 
 def _remap(f: CobMorphism, new_src: FlatTangle, new_tgt: FlatTangle,
            curve_table: list[int]) -> CobMorphism:
-    terms = {}
-    for m, c in f.terms.items():
-        mask = 0
-        for i in range(len(curve_table)):
-            if m >> i & 1:
-                mask |= 1 << curve_table[i]
-        terms[mask] = terms.get(mask, 0) + c
-    return CobMorphism(new_src, new_tgt, terms)
+    """Relabel f's curves by `curve_table`, a one-to-one map of curve indices."""
+    return CobMorphism(new_src, new_tgt,
+                       {sum(1 << t for i, t in enumerate(curve_table) if m >> i & 1): c
+                        for m, c in f.terms.items()})
 
 
 def reflect(f: CobMorphism) -> CobMorphism:
     """Flip the cobordism upside down: a morphism tgt -> src (same diagrams)."""
-    info = glue(f.src, f.tgt)
-    info_out = glue(f.tgt, f.src)
-    table = []
-    for c in info.curves:
-        if c.ref[0] == "pts":
-            table.append(info_out.point_curve[c.ref[1]])
-        elif c.ref[0] == "S":
-            table.append(info_out.circle_tgt_curve[c.ref[1]])
-        else:
-            table.append(info_out.circle_src_curve[c.ref[1]])
+    table = _curve_table(glue(f.src, f.tgt), glue(f.tgt, f.src), swap_sides=True)
     return _remap(f, f.tgt, f.src, table)
 
 
@@ -668,18 +589,9 @@ def dual(f: CobMorphism) -> CobMorphism:
     Contravariant: a morphism flip(tgt) -> flip(src).
     """
     n = f.src.n
-    phi = lambda p: p + n if p < n else p - n
     src2, tgt2 = flip_tangle(f.tgt), flip_tangle(f.src)
-    info = glue(f.src, f.tgt)
-    info_out = glue(src2, tgt2)
-    table = []
-    for c in info.curves:
-        if c.ref[0] == "pts":
-            table.append(info_out.point_curve[phi(c.ref[1])])
-        elif c.ref[0] == "S":
-            table.append(info_out.circle_tgt_curve[c.ref[1]])
-        else:
-            table.append(info_out.circle_src_curve[c.ref[1]])
+    table = _curve_table(glue(f.src, f.tgt), glue(src2, tgt2),
+                         lambda p: p + n if p < n else p - n, swap_sides=True)
     return _remap(f, src2, tgt2, table)
 
 
@@ -690,16 +602,7 @@ def rotate_tangle(t: FlatTangle) -> FlatTangle:
 def rotate(f: CobMorphism) -> CobMorphism:
     """Rotate the picture by pi (covariant)."""
     n = f.src.n
-    rho = lambda p: 2 * n - 1 - p
     src2, tgt2 = rotate_tangle(f.src), rotate_tangle(f.tgt)
-    info = glue(f.src, f.tgt)
-    info_out = glue(src2, tgt2)
-    table = []
-    for c in info.curves:
-        if c.ref[0] == "pts":
-            table.append(info_out.point_curve[rho(c.ref[1])])
-        elif c.ref[0] == "S":
-            table.append(info_out.circle_src_curve[c.ref[1]])
-        else:
-            table.append(info_out.circle_tgt_curve[c.ref[1]])
+    table = _curve_table(glue(f.src, f.tgt), glue(src2, tgt2),
+                         lambda p: 2 * n - 1 - p)
     return _remap(f, src2, tgt2, table)

@@ -148,29 +148,44 @@ class Complex:
 
     @classmethod
     def from_json(cls, data: dict) -> Complex:
+        """Read `to_json` output; entries that cannot be a differential's
+        (indices out of range, no degree h+1, dots off the glued diagram,
+        wrong degree) raise ValueError."""
         from .tl import Matching
         n = data["n"]
         objects = {}
         for row in data["degrees"]:
-            objs = [GradedObject(FlatTangle(n, Matching(n, tuple(o["matching"])),
-                                            o.get("circles", 0)), o["qshift"])
-                    for o in row["objects"]]
+            objs = []
+            for o in row["objects"]:
+                if o.get("circles", 0) < 0:
+                    raise ValueError("circles must be >= 0")
+                tangle = FlatTangle(n, Matching(n, tuple(o["matching"])),
+                                    o.get("circles", 0))
+                objs.append(GradedObject(tangle, o["qshift"]))
             objects[row["h"]] = objs
         diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
         for row in data.get("differential", []):
             h = row["h"]
+            if h not in objects or h + 1 not in objects:
+                raise ValueError(f"differential at h={h} needs objects at h={h} "
+                                 f"and h={h + 1}")
             entries = {}
             for e in row["entries"]:
-                src = objects[h][e["col"]].tangle
-                tgt = objects[h + 1][e["row"]].tangle
-                info = glue(src, tgt)
+                i, j = e["row"], e["col"]
+                if not (0 <= j < len(objects[h]) and 0 <= i < len(objects[h + 1])):
+                    raise ValueError(f"entry ({i},{j}) at h={h} is out of range")
+                src, tgt = objects[h][j], objects[h + 1][i]
+                curves = len(glue(src.tangle, tgt.tangle))
                 terms = {}
                 for t in e["morphism"]["terms"]:
-                    mask = 0
-                    for c in t["dots"]:
-                        mask |= 1 << c
-                    terms[mask] = t["coeff"]
-                entries[(e["row"], e["col"])] = CobMorphism(src, tgt, terms)
+                    dots = set(t["dots"])
+                    if not all(0 <= c < curves for c in dots):
+                        raise ValueError(f"entry ({i},{j}) at h={h}: a dot is off "
+                                         f"the {curves} curves of the glued diagram")
+                    if n - curves + 2 * len(dots) != src.qshift - tgt.qshift:
+                        raise ValueError(f"entry ({i},{j}) at h={h} has the wrong degree")
+                    terms[sum(1 << c for c in dots)] = t["coeff"]
+                entries[(i, j)] = CobMorphism(src.tangle, tgt.tangle, terms)
             diff[h] = entries
         return cls(n, objects, diff)
 
@@ -609,47 +624,67 @@ def tensor(a: Complex, b: Complex, delooped: bool = True) -> Complex:
     return deloop(raw)[0]
 
 
-def tensor_indexed(a: Complex, b: Complex):
-    """Undelooped tensor plus the map (ha, ia, hb, ib) -> (h, index)."""
-    if a.n != b.n:
-        raise ValueError("strand-count mismatch in tensor")
+def _product(a: Complex, b: Complex, tangle_op, morphism_op, left, right):
+    """The bilinear product of two complexes, and of a map on either factor.
+
+    The objects are tangle_op(oa, ob) at degree ha + hb with q-shift
+    qa + qb, ordered by (ha, hb, ia, ib).  `left` and `right` are None or a
+    (components, dh) pair of a map on that factor: (c.diff, 1) for a
+    differential, (f.components, f.dh) for an endomorphism.  A component m
+    on the left gives morphism_op(m, 1); on the right it gives the Koszul-
+    signed (-1)^(ha * dh_right) morphism_op(1, m).  Returns (objects, index,
+    components) with index[(ha, ia, hb, ib)] = (h, position).
+    """
     index: dict[tuple[int, int, int, int], tuple[int, int]] = {}
     objects: dict[int, list[GradedObject]] = {}
     for ha, objas in a.objects.items():
         for hb, objbs in b.objects.items():
-            h = ha + hb
-            lst = objects.setdefault(h, [])
+            lst = objects.setdefault(ha + hb, [])
             for ia, oa in enumerate(objas):
                 for ib, ob in enumerate(objbs):
-                    st = stack_tangles(oa.tangle, ob.tangle)
-                    index[(ha, ia, hb, ib)] = (h, len(lst))
-                    lst.append(GradedObject(st.tangle, oa.qshift + ob.qshift))
+                    index[(ha, ia, hb, ib)] = (ha + hb, len(lst))
+                    lst.append(GradedObject(tangle_op(oa.tangle, ob.tangle),
+                                            oa.qshift + ob.qshift))
             if len(lst) > object_ceiling():
-                raise EngineLimitError("tensor exceeded object ceiling")
-    diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
+                raise EngineLimitError("product exceeded object ceiling")
 
-    def add(hsrc: int, src_idx: int, tgt_idx: int, m: CobMorphism):
-        if m.is_zero():
-            return
-        entries = diff.setdefault(hsrc, {})
-        key = (tgt_idx, src_idx)
-        entries[key] = entries[key] + m if key in entries else m
+    def by_column(side):
+        """components[h][(i, j)] as cols[h][j] = [(i, m), ...], in order."""
+        cols: dict[int, dict[int, list]] = {}
+        for h, entries in (side[0].items() if side else ()):
+            for (i, j), m in entries.items():
+                cols.setdefault(h, {}).setdefault(j, []).append((i, m))
+        return cols
 
+    cols_l, cols_r = by_column(left), by_column(right)
+    comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
     for (ha, ia, hb, ib), (h, idx) in index.items():
-        oa = a.objects[ha][ia]
-        ob = b.objects[hb][ib]
-        for (i2, j2), m in a.diff.get(ha, {}).items():
-            if j2 != ia:
-                continue
-            _, tidx = index[(ha + 1, i2, hb, ib)]
-            add(h, idx, tidx, stack(m, CobMorphism.identity(ob.tangle)))
-        sign = -1 if ha % 2 else 1
-        for (i2, j2), m in b.diff.get(hb, {}).items():
-            if j2 != ib:
-                continue
-            _, tidx = index[(ha, ia, hb + 1, i2)]
-            add(h, idx, tidx, stack(CobMorphism.identity(oa.tangle), m).scale(sign))
+        slot = comps.setdefault(h, {})
+        for i2, m in cols_l.get(ha, {}).get(ia, ()):
+            key = (ha + left[1], i2, hb, ib)
+            if key in index:
+                ob = b.objects[hb][ib].tangle
+                _accumulate(slot, (index[key][1], idx),
+                            morphism_op(m, CobMorphism.identity(ob)))
+        sign = -1 if right and (ha * right[1]) % 2 else 1
+        for i2, m in cols_r.get(hb, {}).get(ib, ()):
+            key = (ha, ia, hb + right[1], i2)
+            if key in index:
+                oa = a.objects[ha][ia].tangle
+                _accumulate(slot, (index[key][1], idx),
+                            morphism_op(CobMorphism.identity(oa), m).scale(sign))
+    return objects, index, comps
 
+
+def _stacked(top: FlatTangle, bottom: FlatTangle) -> FlatTangle:
+    return stack_tangles(top, bottom).tangle
+
+
+def tensor_indexed(a: Complex, b: Complex):
+    """Undelooped tensor plus the map (ha, ia, hb, ib) -> (h, index)."""
+    if a.n != b.n:
+        raise ValueError("strand-count mismatch in tensor")
+    objects, index, diff = _product(a, b, _stacked, stack, (a.diff, 1), (b.diff, 1))
     return Complex(a.n, objects, diff), index
 
 
@@ -658,84 +693,24 @@ def tensor_endomorphism(f: ChainMap | None, g: ChainMap | None,
     """f (x) id + Koszul-signed id (x) g on an undelooped tensor (one of f, g).
 
     For f on the left factor: (f x id)(x (x) y) = f(x) (x) y; for g on the
-    right: (id x g)(x (x) y) = (-1)^(deg x * deg g) x (x) g(y).
+    right: (id x g)(x (x) y) = (-1)^(deg x * deg g) x (x) g(y).  `raw` and
+    `index` are what tensor_indexed(a, b) returned; the product recomputes
+    the same index.
     """
     assert (f is None) != (g is None)
-    dh = f.dh if f else g.dh
-    dq = f.dq if f else g.dq
-    comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-
-    def add(h, sidx, tidx, m):
-        if m.is_zero():
-            return
-        slot = comps.setdefault(h, {})
-        key = (tidx, sidx)
-        slot[key] = slot[key] + m if key in slot else m
-
-    for (ha, ia, hb, ib), (h, idx) in index.items():
-        oa, ob = a.objects[ha][ia], b.objects[hb][ib]
-        if f is not None:
-            for (i2, j2), m in f.components.get(ha, {}).items():
-                if j2 != ia:
-                    continue
-                key = (ha + f.dh, i2, hb, ib)
-                if key not in index:
-                    continue
-                _, tidx = index[key]
-                add(h, idx, tidx, stack(m, CobMorphism.identity(ob.tangle)))
-        else:
-            sign = -1 if (ha * g.dh) % 2 else 1
-            for (i2, j2), m in g.components.get(hb, {}).items():
-                if j2 != ib:
-                    continue
-                key = (ha, ia, hb + g.dh, i2)
-                if key not in index:
-                    continue
-                _, tidx = index[key]
-                add(h, idx, tidx,
-                    stack(CobMorphism.identity(oa.tangle), m).scale(sign))
-    return ChainMap(raw, raw, dh, dq, comps)
+    endo = f if f is not None else g
+    _, _, comps = _product(a, b, _stacked, stack,
+                           (f.components, f.dh) if f is not None else None,
+                           (g.components, g.dh) if g is not None else None)
+    return ChainMap(raw, raw, endo.dh, endo.dq, comps)
 
 
-def juxtapose_complexes(a: Complex, b: Complex, delooped: bool = True) -> Complex:
-    """Horizontal disjoint union (a on the left), Koszul sign on the right factor."""
-    index: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    objects: dict[int, list[GradedObject]] = {}
-    for ha, objas in a.objects.items():
-        for hb, objbs in b.objects.items():
-            h = ha + hb
-            lst = objects.setdefault(h, [])
-            for ia, oa in enumerate(objas):
-                for ib, ob in enumerate(objbs):
-                    t, _ = juxtapose_tangles(oa.tangle, ob.tangle)
-                    index[(ha, ia, hb, ib)] = (h, len(lst))
-                    lst.append(GradedObject(t, oa.qshift + ob.qshift))
-    diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-
-    def add(hsrc, src_idx, tgt_idx, m):
-        if m.is_zero():
-            return
-        entries = diff.setdefault(hsrc, {})
-        key = (tgt_idx, src_idx)
-        entries[key] = entries[key] + m if key in entries else m
-
-    for (ha, ia, hb, ib), (h, idx) in index.items():
-        oa, ob = a.objects[ha][ia], b.objects[hb][ib]
-        for (i2, j2), m in a.diff.get(ha, {}).items():
-            if j2 != ia:
-                continue
-            _, tidx = index[(ha + 1, i2, hb, ib)]
-            add(h, idx, tidx, juxtapose_morphism(m, CobMorphism.identity(ob.tangle)))
-        sign = -1 if ha % 2 else 1
-        for (i2, j2), m in b.diff.get(hb, {}).items():
-            if j2 != ib:
-                continue
-            _, tidx = index[(ha, ia, hb + 1, i2)]
-            add(h, idx, tidx,
-                juxtapose_morphism(CobMorphism.identity(oa.tangle), m).scale(sign))
-
-    out = Complex(a.n + b.n, objects, diff)
-    return deloop(out)[0] if delooped else out
+def juxtapose_complexes(a: Complex, b: Complex) -> Complex:
+    """Horizontal disjoint union (a on the left), Koszul sign on the right
+    factor; delooped, which changes nothing unless a factor has circles."""
+    objects, _, diff = _product(a, b, lambda s, t: juxtapose_tangles(s, t)[0],
+                                juxtapose_morphism, (a.diff, 1), (b.diff, 1))
+    return deloop(Complex(a.n + b.n, objects, diff))[0]
 
 
 def partial_trace_complex(c: Complex, delooped: bool = True) -> Complex:
@@ -813,29 +788,21 @@ def cone(f: ChainMap) -> Complex:
             lst.append(o)
         objects[h] = lst
     diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-
-    def add(h, sidx, tidx, m):
-        if m.is_zero():
-            return
-        entries = diff.setdefault(h, {})
-        key = (tidx, sidx)
-        entries[key] = entries[key] + m if key in entries else m
-
     for k, entries in src.diff.items():
         for (i, j), m in entries.items():
             (h, sidx) = src_pos[(k, j)]
             (_, tidx) = src_pos[(k + 1, i)]
-            add(h, sidx, tidx, m.scale(sign))
+            _accumulate(diff.setdefault(h, {}), (tidx, sidx), m.scale(sign))
     for k, entries in tgt.diff.items():
         for (i, j), m in entries.items():
             (h, sidx) = tgt_pos[(k, j)]
             (_, tidx) = tgt_pos[(k + 1, i)]
-            add(h, sidx, tidx, m)
+            _accumulate(diff.setdefault(h, {}), (tidx, sidx), m)
     for k, entries in f.components.items():
         for (i, j), m in entries.items():
             (h, sidx) = src_pos[(k, j)]
             (_, tidx) = tgt_pos[(k + dh, i)]
-            add(h, sidx, tidx, m)
+            _accumulate(diff.setdefault(h, {}), (tidx, sidx), m)
     out = Complex(src.n, objects, diff)
     if __debug__:
         out.check()

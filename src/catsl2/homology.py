@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (ChainMap, Complex, ZComplex, hom_complex,
-                        partial_trace_complex, shift, tautological_complex)
+from .complexes import (ChainMap, Complex, InvariantError, ZComplex,
+                        hom_complex, partial_trace_complex, shift,
+                        tautological_complex)
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -119,26 +120,39 @@ def kernel_basis(matrix: list[list[int]]) -> list[list[int]]:
     return [[v[i][j] for j in range(r, cols)] for i in range(cols)]
 
 
-def solve_integer(matrix: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """One integer solution of M x = b, or None; free parameters are zero."""
+def _solver(matrix: list[list[int]]):
+    """Solve M x = b over Z for any number of b, with one Smith normal form.
+
+    Returns a function b -> one integer solution (free parameters zero), or
+    None when there is none.
+    """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if rows == 0:
-        return [0] * cols
+        return lambda rhs: [0] * cols
     if cols == 0:
-        return None if any(rhs) else []
+        return lambda rhs: None if any(rhs) else []
     u, d, v = smith_normal_form(matrix)
-    ub = [sum(u[i][k] * rhs[k] for k in range(rows)) for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < min(rows, cols) else 0
-        if di:
-            if ub[i] % di:
+
+    def solve(rhs: list[int]) -> list[int] | None:
+        ub = [sum(u[i][k] * rhs[k] for k in range(rows)) for i in range(rows)]
+        y = [0] * cols
+        for i in range(rows):
+            di = d[i][i] if i < min(rows, cols) else 0
+            if di:
+                if ub[i] % di:
+                    return None
+                y[i] = ub[i] // di
+            elif ub[i]:
                 return None
-            y[i] = ub[i] // di
-        elif ub[i]:
-            return None
-    return [sum(v[i][k] * y[k] for k in range(cols)) for i in range(cols)]
+        return [sum(v[i][k] * y[k] for k in range(cols)) for i in range(cols)]
+
+    return solve
+
+
+def solve_integer(matrix: list[list[int]], rhs: list[int]) -> list[int] | None:
+    """One integer solution of M x = b, or None; free parameters are zero."""
+    return _solver(matrix)(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -201,37 +215,37 @@ class BigradedGroups:
         return "{" + "; ".join(bits) + "}"
 
 
+def _cycles_mod_boundaries(z: ZComplex, i: int, j: int):
+    """Kernel basis and cyclic decomposition of the homology at (i, j).
+
+    Returns (kb, u, orders): the columns of kb are a basis of the cycles,
+    and the columns of kb u^-1 generate cyclic summands of the orders given
+    (0 = free, 1 = trivial); u is None when it is the identity.
+    """
+    n = z.rank(i, j)
+    b_out = z.diffs.get((i, j))
+    kb = kernel_basis(b_out) if b_out else _identity(n)
+    kdim = len(kb[0]) if kb else 0
+    a_in = z.diffs.get((i - 1, j))
+    if kdim == 0 or not a_in:
+        return kb, None, [0] * kdim
+    # express the image inside the kernel lattice: kb * X = a_in
+    solve = _solver(kb)
+    x = [solve([row[c] for row in a_in]) for c in range(len(a_in[0]))]
+    if any(col is None for col in x):
+        raise InvariantError("image not contained in kernel (d^2 != 0?)")
+    xm = [[col[r] for col in x] for r in range(kdim)]
+    u, d, _ = smith_normal_form(xm)
+    return kb, u, [d[c][c] if c < min(kdim, len(x)) else 0 for c in range(kdim)]
+
+
 def integer_homology(z: ZComplex) -> BigradedGroups:
     """Kernel mod image per bidegree, with torsion via Smith normal form."""
     out = BigradedGroups()
     for (i, j) in sorted(z.groups):
-        n = z.rank(i, j)
-        if n == 0:
-            continue
-        b_out = z.diffs.get((i, j))
-        kb = kernel_basis(b_out) if b_out else \
-            [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        kdim = len(kb[0]) if kb else 0
-        if kdim == 0:
-            continue
-        a_in = z.diffs.get((i - 1, j))
-        if not a_in:
-            out.set(i, j, kdim)
-            continue
-        # express the image inside the kernel lattice: kb * X = a_in
-        cols_in = len(a_in[0])
-        x = []
-        for cidx in range(cols_in):
-            col = [a_in[r][cidx] for r in range(len(a_in))]
-            sol = solve_integer(kb, col)
-            assert sol is not None, "image not contained in kernel (d^2 != 0?)"
-            x.append(sol)
-        xm = [[x[c][r] for c in range(cols_in)] for r in range(kdim)]
-        _, dmat, _ = smith_normal_form(xm)
-        factors = [dmat[k][k] for k in range(min(kdim, cols_in)) if dmat[k][k]]
-        free = kdim - len(factors)
-        torsion = tuple(f for f in factors if f > 1)
-        out.set(i, j, free, torsion)
+        _, _, orders = _cycles_mod_boundaries(z, i, j)
+        factors = [f for f in orders if f]
+        out.set(i, j, len(orders) - len(factors), tuple(f for f in factors if f > 1))
     return out
 
 
@@ -268,9 +282,8 @@ def homology_mod_p(z: ZComplex, p: int) -> dict[tuple[int, int], int]:
     return dims
 
 
-def poincare_polynomial(groups: BigradedGroups, field: str = "z") -> dict[tuple[int, int], int]:
+def poincare_polynomial(groups: BigradedGroups) -> dict[tuple[int, int], int]:
     """Free ranks as a dict (h, q) -> coefficient of t^h q^q."""
-    assert field in ("z", "q")
     return {k: r for k, (r, _) in groups.groups.items() if r}
 
 
@@ -426,49 +439,26 @@ def taut_chain_map(f: ChainMap, src_z: ZComplex, tgt_z: ZComplex):
 
 def homology_generators(z: ZComplex, key: tuple[int, int]):
     """Generators of H at `key` as chain vectors plus their orders (0 = free)."""
-    i, j = key
-    n = z.rank(i, j)
-    if n == 0:
-        return [], []
-    b_out = z.diffs.get((i, j))
-    kb = kernel_basis(b_out) if b_out else \
-        [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    kdim = len(kb[0]) if kb else 0
-    if kdim == 0:
-        return [], []
-    a_in = z.diffs.get((i - 1, j))
-    if not a_in:
-        gens = [[kb[r][c] for r in range(n)] for c in range(kdim)]
-        return gens, [0] * kdim
-    cols_in = len(a_in[0])
-    x = []
-    for cidx in range(cols_in):
-        col = [a_in[r][cidx] for r in range(len(a_in))]
-        sol = solve_integer(kb, col)
-        assert sol is not None
-        x.append(sol)
-    xm = [[x[c][r] for c in range(cols_in)] for r in range(kdim)]
-    u, d, v = smith_normal_form(xm)
-    # new kernel basis: columns of kb * u^-1; with U X V = D, take kb' = kb U^{-1}
-    uinv = matrix_inverse_unimodular(u)
-    gens, orders = [], []
-    for c in range(kdim):
-        dc = d[c][c] if c < min(kdim, cols_in) else 0
-        if dc == 1:
-            continue
-        col = [sum(kb[r][k] * uinv[k][c] for k in range(kdim)) for r in range(n)]
-        gens.append(col)
-        orders.append(dc)
-    return gens, orders
+    kb, u, orders = _cycles_mod_boundaries(z, *key)
+    kdim = len(orders)
+    if u is not None:
+        # new kernel basis: with U X V = D, take kb' = kb U^{-1}
+        uinv = matrix_inverse_unimodular(u)
+        kb = [[sum(row[k] * uinv[k][c] for k in range(kdim)) for c in range(kdim)]
+              for row in kb]
+    gens = [[row[c] for row in kb] for c, dc in enumerate(orders) if dc != 1]
+    return gens, [dc for dc in orders if dc != 1]
 
 
 def matrix_inverse_unimodular(u: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix, from one Smith normal form:
+    U' U V' = I gives U^-1 = V' U'."""
     n = len(u)
-    cols = [solve_integer(u, [1 if r == c else 0 for r in range(n)])
-            for c in range(n)]
-    assert all(c is not None for c in cols)
-    return [[cols[c][r] for c in range(n)] for r in range(n)]
+    left, d, right = smith_normal_form(u)
+    if any(d[k][k] != 1 for k in range(n)):
+        raise ValueError("matrix is not unimodular")
+    return [[sum(right[r][k] * left[k][c] for k in range(n)) for c in range(n)]
+            for r in range(n)]
 
 
 def induced_map_on_homology(z_src: ZComplex, z_tgt: ZComplex,
@@ -491,16 +481,17 @@ def induced_map_on_homology(z_src: ZComplex, z_tgt: ZComplex,
         n_t = z_tgt.rank(*key_t)
         a_in = z_tgt.diffs.get((key_t[0] - 1, key_t[1]))
         g = len(gens_t)
+        # img = sum y_i * G_i + boundary; generators + boundaries span cycles
+        big_cols = g + (len(a_in[0]) if a_in else 0)
+        solve = _solver([[(gens_t[c][r] if c < g else a_in[r][c - g])
+                          for c in range(big_cols)] for r in range(n_t)])
         cols = []
         for gen in gens_s:
             img = [sum(mat[r][c] * gen[c] for c in range(len(gen)))
                    for r in range(len(mat))]
-            # img = sum y_i * G_i + boundary; generators + boundaries span cycles
-            big_cols = g + (len(a_in[0]) if a_in else 0)
-            big = [[(gens_t[c][r] if c < g else a_in[r][c - g])
-                    for c in range(big_cols)] for r in range(n_t)]
-            sol = solve_integer(big, img) if big_cols else ([] if not any(img) else None)
-            assert sol is not None, "image of a cycle is not a cycle"
+            sol = solve(img)
+            if sol is None:
+                raise InvariantError("image of a cycle is not a cycle")
             cols.append(sol[:g])
         out[key] = (cols, ord_s, ord_t)
     return out

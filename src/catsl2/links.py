@@ -118,18 +118,32 @@ class ColoredDiagram:
 
     @classmethod
     def from_json(cls, data: dict) -> ColoredDiagram:
-        fam = tuple(sorted((int(k), tuple(v.get("indices", [])))
-                           for k, v in data.get("family", {}).items()))
+        def ints(value, name: str) -> tuple[int, ...]:
+            if not (isinstance(value, list) and all(
+                    isinstance(x, int) and not isinstance(x, bool) for x in value)):
+                raise ValueError(f"{name}: expected a list of integers, got {value!r}")
+            return tuple(value)
+
+        family = data.get("family", {})
+        if not (isinstance(family, dict)
+                and all(isinstance(v, dict) for v in family.values())):
+            raise ValueError("family: expected {color: {\"indices\": [...]}}")
+        fam = tuple(sorted((int(k), ints(v.get("indices", []), "family indices"))
+                           for k, v in family.items()))
+        colors = ints(data["colors"], "colors")
         orientations = data.get("orientations")
-        return cls(strands=data["braid"]["strands"],
-                   word=tuple(data["braid"]["word"]),
+        strands = data["braid"]["strands"]
+        if not isinstance(strands, int) or isinstance(strands, bool):
+            raise ValueError(f"braid strands: expected an integer, got {strands!r}")
+        return cls(strands=strands,
+                   word=ints(data["braid"]["word"], "braid word"),
                    closure=data.get("closure", "trace"),
-                   colors=tuple(data["colors"]),
-                   framings=tuple(data.get("framings",
-                                           [0] * len(data["colors"]))),
-                   marks=tuple(data.get("marks", [1] * len(data["colors"]))),
+                   colors=colors,
+                   framings=ints(data.get("framings", [0] * len(colors)), "framings"),
+                   marks=ints(data.get("marks", [1] * len(colors)), "marks"),
                    family=fam,
-                   orientations=tuple(orientations) if orientations else None)
+                   orientations=(ints(orientations, "orientations")
+                                 if orientations else None))
 
 
 @dataclass
@@ -193,13 +207,10 @@ def cable(d: ColoredDiagram) -> CabledWord:
 
     # at the top: framing twists and marks, one site per component
     perm = d.permutation()
-    inv = [0] * d.strands
-    for p, t in enumerate(perm):
-        inv[t] = p
     for cidx, comp in enumerate(comps):
         n = d.colors[cidx]
-        toppad_columnss = sorted(perm[p] for p in comp)
-        site = toppad_columnss[0]
+        top_columns = sorted(perm[p] for p in comp)
+        site = top_columns[0]
         base = col_base(site)
         if d.framings[cidx]:
             for i in full_twist_word(n, d.framings[cidx]):

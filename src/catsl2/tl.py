@@ -57,8 +57,11 @@ class Matching:
     pairing: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.pairing) == 2 * self.n, "pairing length must be 2n"
-        assert is_planar_matching(self.pairing), f"non-planar pairing {self.pairing}"
+        # explicit raises, not asserts, so the checks survive `python -O`
+        if len(self.pairing) != 2 * self.n:
+            raise ValueError("pairing length must be 2n")
+        if not is_planar_matching(self.pairing):
+            raise ValueError(f"non-planar pairing {self.pairing}")
 
     @classmethod
     def identity(cls, n: int) -> Matching:

@@ -98,6 +98,9 @@ def test_missing_file_is_usage_error(capsys):
      "colors must be >= 1"),
     ({"braid": {"strands": 3, "word": [1]}, "closure": "plat", "colors": [1]},
      "plat closure needs an even number of strands"),
+    ({"braid": {"strands": 2, "word": [1, 1, 1]}, "colors": "x"},
+     "colors: expected a list of integers"),
+    ({"braid": [2, [1, 1, 1]], "colors": [1]}, "malformed file"),
 ])
 def test_colored_homology_bad_diagram_is_usage_error(tmp_path, capsys,
                                                      diagram, message):
@@ -120,3 +123,52 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, _ = run(capsys, "--out", str(target), "proj", "q2")
     assert code == 0
     assert json.loads(target.read_text())["n"] == 2
+
+
+def _q2_edited(edit) -> dict:
+    data = q2().to_json()
+    edit(data)
+    return data
+
+
+def _set(path, value):
+    """An edit that sets data[path[0]][path[1]]... to value."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+def _drop_last_degree(data):
+    del data["degrees"][-1]
+
+
+@pytest.mark.parametrize("command", ["check", "simplify"])
+@pytest.mark.parametrize("edit, message", [
+    (_set(["degrees", 0, "objects", 0, "qshift"], 5), "wrong degree"),
+    (_set(["differential", 0, "entries", 0, "col"], 7), "out of range"),
+    (_set(["differential", 0, "entries", 0, "row"], -1), "out of range"),
+    (_set(["differential", 1, "entries", 0, "morphism", "terms", 0, "dots"], [9]),
+     "a dot is off the 2 curves"),
+    (_drop_last_degree, "needs objects at h=-1 and h=0"),
+    (_set(["degrees", 0, "objects", 0, "matching"], [0, 1, 2, 3]), "non-planar"),
+    (_set(["degrees", 0, "objects", 0, "matching"], ["a", 0, 3, 2]), "malformed"),
+])
+def test_bad_complex_file_is_usage_error(tmp_path, capsys, command, edit, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_q2_edited(edit)))
+    assert main(["complex", command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_complex_check_d_squared_failure_exits_one(tmp_path, capsys):
+    # -(x0 + x1) instead of x1 - x0 at h=-2: degrees stay right, d^2 does not
+    path = tmp_path / "bad.json"
+    edit = _set(["differential", 1, "entries", 0, "morphism", "terms", 1, "coeff"], -1)
+    path.write_text(json.dumps(_q2_edited(edit)))
+    assert main(["complex", "check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: d^2 != 0") and err.count("\n") == 1

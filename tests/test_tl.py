@@ -77,6 +77,33 @@ def test_generator_relations(rng):
                 assert e * TLElement.generator(j, n) == TLElement.generator(j, n) * e
 
 
+def test_bad_matchings_raise_value_error_even_under_optimize_flag():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import catsl2
+    with pytest.raises(ValueError, match="non-planar"):
+        Matching(2, (3, 2, 1, 0))
+    with pytest.raises(ValueError, match="length"):
+        Matching(2, (1, 0, 3, 2, 0))
+    script = """
+from catsl2.tl import Matching
+for pairing in ((1, 0, 3, 2, 0), (3, 2, 1, 0)):
+    try:
+        Matching(2, pairing)
+    except ValueError:
+        print("rejected")
+"""
+    src = str(Path(catsl2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["rejected", "rejected"], out.stderr
+
+
 def test_mul_requires_matching_sizes():
     with pytest.raises(ValueError):
         tl_mul(TLElement.identity(2), TLElement.identity(3))
