@@ -120,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
 
     hom = leaf(sub, "homology", help="integer homology of a closed complex")
     hom.add_argument("file")
-    hom.add_argument("--field", choices=("z", "q", "f2"), default="z")
+    hom.add_argument("--field", choices=("z", "f2"), default="z")
 
     colored = sub.add_parser("colored", help="colored link homology")
     colsub = colored.add_subparsers(dest="colored_command", required=True)
@@ -130,10 +130,9 @@ def main(argv: list[str] | None = None) -> int:
     ver.add_argument("--suite", type=str, default=None)
 
     args = parser.parse_args(argv)
-    cfg = Config(precision=args.precision, window=args.window, seed=args.seed,
-                 jobs=args.jobs, format=args.format)
-
     try:
+        cfg = Config(precision=args.precision, window=args.window, seed=args.seed,
+                     jobs=args.jobs, format=args.format)
         return _dispatch(args, cfg)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

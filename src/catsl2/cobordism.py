@@ -36,6 +36,14 @@ from .tl import (Matching, juxtapose_matchings, stack_matchings,
                  trace_matching)
 
 
+class InvariantError(AssertionError):
+    """An engine invariant (d^2 = 0, chain map, SDR identity) failed.
+
+    Raised explicitly rather than by `assert`, so the checks still run under
+    `python -O`; it subclasses AssertionError for callers that catch that.
+    """
+
+
 @dataclass(frozen=True, order=True)
 class FlatTangle:
     n: int
@@ -92,7 +100,8 @@ class GlueInfo:
                  "arc_tgt_curve", "circle_src_curve", "circle_tgt_curve")
 
     def __init__(self, src: FlatTangle, tgt: FlatTangle):
-        assert src.n == tgt.n, "boundary mismatch"
+        if src.n != tgt.n:
+            raise InvariantError("boundary mismatch")
         sp, tp = src.matching.pairing, tgt.matching.pairing
         self.src, self.tgt = src, tgt
         self.curves: list[Curve] = []
@@ -183,9 +192,8 @@ class CobMorphism:
     def __init__(self, src: FlatTangle, tgt: FlatTangle, terms: dict[int, int]):
         self.src, self.tgt = src, tgt
         self.terms = {m: c for m, c in sorted(terms.items()) if c}
-        if __debug__ and len(self.terms) > 1:
-            pops = {m.bit_count() for m in self.terms}
-            assert len(pops) == 1, "morphism is not bihomogeneous"
+        if len(self.terms) > 1 and len({m.bit_count() for m in self.terms}) > 1:
+            raise InvariantError("morphism is not bihomogeneous")
 
     # -- constructors -----------------------------------------------------
 

@@ -12,24 +12,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
-from .cobordism import (CobMorphism, FlatTangle, GradedObject, compose, dual as
-                        dual_morphism, glue, juxtapose as juxtapose_morphism,
-                        juxtapose_tangles, partial_trace as trace_morphism,
-                        flip_tangle, stack, stack_tangles, trace_tangle)
+from .cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantError,
+                        compose, dual as dual_morphism, glue,
+                        juxtapose as juxtapose_morphism, juxtapose_tangles,
+                        partial_trace as trace_morphism, flip_tangle, stack,
+                        stack_tangles, trace_tangle)
 
 
 class EngineLimitError(RuntimeError):
     """Object-count ceiling exceeded (see QPE_MAX_OBJECTS)."""
-
-
-class InvariantError(AssertionError):
-    """An engine invariant (d^2 = 0, chain map, SDR identity) failed.
-
-    Raised explicitly rather than by `assert`, so the checks still run under
-    `python -O`; it subclasses AssertionError for callers that catch that.
-    """
 
 
 def object_ceiling() -> int:
@@ -109,22 +102,9 @@ class Complex:
                 if m.deg_raw() != src.qshift - tgt.qshift:
                     raise InvariantError(f"entry degree at h={h} ({i},{j})")
         if d_squared:
-            for h in self.diff:
-                if h + 1 not in self.diff:
-                    continue
-                acc: dict[tuple[int, int], CobMorphism] = {}
-                for (i, j), m in self.diff[h].items():
-                    for (k, i2), m2 in self.diff[h + 1].items():
-                        if i2 != i:
-                            continue
-                        c = compose(m2, m)
-                        if (k, j) in acc:
-                            acc[(k, j)] = acc[(k, j)] + c
-                        else:
-                            acc[(k, j)] = c
-                for key, m in acc.items():
-                    if not m.is_zero():
-                        raise InvariantError(f"d^2 != 0 at h={h} {key}: {m}")
+            for h, entries in _block_product(self.diff, self.diff, 1).items():
+                key, m = next(iter(entries.items()))
+                raise InvariantError(f"d^2 != 0 at h={h} {key}: {m}")
 
     def truncate_below(self, h_cut: int) -> Complex:
         """Brutal truncation keeping degrees >= h_cut (d^2 = 0 is preserved)."""
@@ -188,6 +168,95 @@ class Complex:
                 entries[(i, j)] = CobMorphism(src.tangle, tgt.tangle, terms)
             diff[h] = entries
         return cls(n, objects, diff)
+
+
+# ---------------------------------------------------------------------------
+# Block matrices: one layout, one product, one basis-column routine
+# ---------------------------------------------------------------------------
+
+def _accumulate(slot: dict, key, m: CobMorphism) -> None:
+    """slot[key] += m, keeping no zero entries."""
+    if key in slot:
+        m = slot[key] + m
+        if m.is_zero():
+            del slot[key]
+            return
+    if not m.is_zero():
+        slot[key] = m
+
+
+def _lines(entries: dict, by_row: bool = False) -> dict[int, list]:
+    """Block entries {(i, j): m} grouped by column j as [(i, m), ...], or by
+    row i as [(j, m), ...]; each list keeps the entry order."""
+    out: dict[int, list] = {}
+    for (i, j), m in entries.items():
+        a, b = (i, j) if by_row else (j, i)
+        out.setdefault(a, []).append((b, m))
+    return out
+
+
+def _block_product(g: dict, f: dict, f_dh: int) -> dict:
+    """g o f for sparse blocks {h: {(i, j): m}}, keyed by f's degrees.
+
+    f goes out of degree h and g out of degree h + f_dh.  g is grouped by
+    source column once per degree, so each entry of f meets only the entries
+    of g it composes with; sums that vanish are dropped.
+    """
+    out = {}
+    for h, entries in f.items():
+        cols = _lines(g.get(h + f_dh, {}))
+        slot: dict[tuple[int, int], CobMorphism] = {}
+        for (i, j), m in entries.items():
+            for k, m2 in cols.get(i, ()):
+                _accumulate(slot, (k, j), compose(m2, m))
+        if slot:
+            out[h] = slot
+    return out
+
+
+def _assemble(n: int, parts: list[Complex], blocks=()) -> tuple[Complex, dict]:
+    """The direct sum of `parts`, plus off-diagonal blocks in its differential.
+
+    Objects are placed degree by degree, in part order and then in index
+    order; place[(p, h, idx)] is the position at degree h of object idx of
+    part p.  The differential is each part's own plus every block
+    (k2, k1, components), whose components[h][(i, j)] go from object j at
+    degree h of part k1 to object i at degree h + 1 of part k2.
+    """
+    objects: dict[int, list[GradedObject]] = {}
+    place: dict[tuple[int, int, int], int] = {}
+    for p, part in enumerate(parts):
+        for h, objs in part.objects.items():
+            lst = objects.setdefault(h, [])
+            for idx, o in enumerate(objs):
+                place[(p, h, idx)] = len(lst)
+                lst.append(o)
+    diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
+    own = [(p, p, part.diff) for p, part in enumerate(parts)]
+    for k2, k1, comps in own + list(blocks):
+        for h, entries in comps.items():
+            slot = diff.setdefault(h, {})
+            for (i, j), m in entries.items():
+                _accumulate(slot, (place[(k2, h + 1, i)], place[(k1, h, j)]), m)
+    return Complex(n, objects, diff), place
+
+
+def _add_composites(matrix, col: int, x: CobMorphism, line, after: bool,
+                    rows: dict, label, scale: int = 1) -> bool:
+    """Add the composites of a one-term basis morphism x with one line
+    [(index, m), ...] of a block (see `_lines`) into column `col` of a matrix:
+    m o x along a block column when `after`, else x o m along a row.  Each
+    term (mask, c) adds scale * c at row rows[label(index, mask)] when that
+    label is in the basis.  Returns whether any entry was touched."""
+    touched = False
+    for idx, m in line:
+        r = compose(m, x) if after else compose(x, m)
+        for mask, c in r.terms.items():
+            row = rows.get(label(idx, mask))
+            if row is not None:
+                matrix[row][col] += scale * c
+                touched = True
+    return touched
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +326,8 @@ class ChainMap:
     def then(self, other: ChainMap) -> ChainMap:
         """other after self (self first)."""
         assert self.tgt is other.src or self.tgt.objects == other.src.objects
-        comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-        for h, entries in self.components.items():
-            mid_h = h + self.dh
-            other_entries = other.components.get(mid_h, {})
-            for (i, j), m in entries.items():
-                for (k, i2), m2 in other_entries.items():
-                    if i2 != i:
-                        continue
-                    c = compose(m2, m)
-                    if c.is_zero():
-                        continue
-                    tgt = comps.setdefault(h, {})
-                    key = (k, j)
-                    tgt[key] = tgt[key] + c if key in tgt else c
-        return ChainMap(self.src, other.tgt, self.dh + other.dh,
-                        self.dq + other.dq, comps)
+        return ChainMap(self.src, other.tgt, self.dh + other.dh, self.dq + other.dq,
+                        _block_product(other.components, self.components, self.dh))
 
     def is_zero(self) -> bool:
         return not self.components
@@ -504,17 +559,6 @@ def gauss(c: Complex, h: int, i: int, j: int,
     return result, retract.sdr(result)
 
 
-def _accumulate(slot: dict, key, m: CobMorphism) -> None:
-    """slot[key] += m, keeping no zero entries."""
-    if key in slot:
-        m = slot[key] + m
-        if m.is_zero():
-            del slot[key]
-            return
-    if not m.is_zero():
-        slot[key] = m
-
-
 class _LocalRetract:
     """A retract (pi, sigma, h): M -> N, updated in place as N is simplified.
 
@@ -619,9 +663,7 @@ def simplify(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | No
 def tensor(a: Complex, b: Complex, delooped: bool = True) -> Complex:
     """Vertical stacking (a on top of b) with the Koszul sign on d_b."""
     raw, _ = tensor_indexed(a, b)
-    if not delooped:
-        return raw
-    return deloop(raw)[0]
+    return deloop(raw)[0] if delooped else raw
 
 
 def _product(a: Complex, b: Complex, tangle_op, morphism_op, left, right):
@@ -648,15 +690,9 @@ def _product(a: Complex, b: Complex, tangle_op, morphism_op, left, right):
             if len(lst) > object_ceiling():
                 raise EngineLimitError("product exceeded object ceiling")
 
-    def by_column(side):
-        """components[h][(i, j)] as cols[h][j] = [(i, m), ...], in order."""
-        cols: dict[int, dict[int, list]] = {}
-        for h, entries in (side[0].items() if side else ()):
-            for (i, j), m in entries.items():
-                cols.setdefault(h, {}).setdefault(j, []).append((i, m))
-        return cols
-
-    cols_l, cols_r = by_column(left), by_column(right)
+    # components[h][(i, j)] of each side as cols[h][j] = [(i, m), ...], in order
+    cols_l, cols_r = ({h: _lines(entries) for h, entries in side[0].items()}
+                      if side else {} for side in (left, right))
     comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
     for (ha, ia, hb, ib), (h, idx) in index.items():
         slot = comps.setdefault(h, {})
@@ -736,76 +772,28 @@ def shift(c: Complex, dh: int, dq: int) -> Complex:
 
 
 def direct_sum(a: Complex, b: Complex) -> Complex:
-    assert a.n == b.n
-    objects: dict[int, list[GradedObject]] = {}
-    offset: dict[int, int] = {}
-    for h, objs in a.objects.items():
-        objects[h] = list(objs)
-    for h, objs in b.objects.items():
-        offset[h] = len(objects.get(h, []))
-        objects.setdefault(h, []).extend(objs)
-    diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    for h, entries in a.diff.items():
-        diff[h] = dict(entries)
-    for h, entries in b.diff.items():
-        o_src, o_tgt = offset.get(h, 0), offset.get(h + 1, 0)
-        tgt = diff.setdefault(h, {})
-        for (i, j), m in entries.items():
-            tgt[(i + o_tgt, j + o_src)] = m
-    return Complex(a.n, objects, diff)
+    if a.n != b.n:
+        raise ValueError("strand-count mismatch in direct sum")
+    return _assemble(a.n, [a, b])[0]
 
 
 def dual(c: Complex) -> Complex:
     """Reverse both gradings, flip diagrams and cobordisms."""
     objects = {-h: [GradedObject(flip_tangle(o.tangle), -o.qshift) for o in objs]
                for h, objs in c.objects.items()}
-    diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    for h, entries in c.diff.items():
-        out = diff.setdefault(-h - 1, {})
-        for (i, j), m in entries.items():
-            out[(j, i)] = dual_morphism(m)
+    diff = {-h - 1: {(j, i): dual_morphism(m) for (i, j), m in entries.items()}
+            for h, entries in c.diff.items()}
     return Complex(c.n, objects, diff)
 
 
 def cone(f: ChainMap) -> Complex:
     """Mapping cone of a cycle f; for bidegree (0,0) this is t^-1 src + tgt."""
-    assert f.is_cycle(), "cone of a non-chain-map"
-    dh, dq = f.dh, f.dq
-    src, tgt = f.src, f.tgt
-    sign = -1 if (dh - 1) % 2 else 1
-    objects: dict[int, list[GradedObject]] = {}
-    src_pos: dict[tuple[int, int], tuple[int, int]] = {}
-    tgt_pos: dict[tuple[int, int], tuple[int, int]] = {}
-    degrees = sorted(set(
-        [k + dh - 1 for k in src.objects] + list(tgt.objects)))
-    for h in degrees:
-        lst: list[GradedObject] = []
-        for idx, o in enumerate(src.objects.get(h - dh + 1, [])):
-            src_pos[(h - dh + 1, idx)] = (h, len(lst))
-            lst.append(GradedObject(o.tangle, o.qshift + dq))
-        for idx, o in enumerate(tgt.objects.get(h, [])):
-            tgt_pos[(h, idx)] = (h, len(lst))
-            lst.append(o)
-        objects[h] = lst
-    diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    for k, entries in src.diff.items():
-        for (i, j), m in entries.items():
-            (h, sidx) = src_pos[(k, j)]
-            (_, tidx) = src_pos[(k + 1, i)]
-            _accumulate(diff.setdefault(h, {}), (tidx, sidx), m.scale(sign))
-    for k, entries in tgt.diff.items():
-        for (i, j), m in entries.items():
-            (h, sidx) = tgt_pos[(k, j)]
-            (_, tidx) = tgt_pos[(k + 1, i)]
-            _accumulate(diff.setdefault(h, {}), (tidx, sidx), m)
-    for k, entries in f.components.items():
-        for (i, j), m in entries.items():
-            (h, sidx) = src_pos[(k, j)]
-            (_, tidx) = tgt_pos[(k + dh, i)]
-            _accumulate(diff.setdefault(h, {}), (tidx, sidx), m)
-    out = Complex(src.n, objects, diff)
-    if __debug__:
-        out.check()
+    if not f.is_cycle():
+        raise InvariantError("cone of a non-chain-map")
+    parts = [shift(f.src, f.dh - 1, f.dq), f.tgt]
+    block = {k + f.dh - 1: entries for k, entries in f.components.items()}
+    out, _ = _assemble(f.src.n, parts, [(1, 0, block)])
+    out.check()
     return out
 
 
@@ -848,7 +836,16 @@ class ZComplex:
                 col = [m[r][cidx] for r in range(len(m))]
                 out = [sum(nxt[r][k] * col[k] for k in range(len(col)))
                        for r in range(rows2)]
-                assert not any(out), f"d^2 != 0 at {(i, j)}"
+                if any(out):
+                    raise InvariantError(f"d^2 != 0 at {(i, j)}")
+
+
+def _dot_masks(nc: int) -> list[list[int]]:
+    """Dot masks on nc curves, listed by their number of dots."""
+    out: list[list[int]] = [[] for _ in range(nc + 1)]
+    for mask in range(1 << nc):
+        out[mask.bit_count()].append(mask)
+    return out
 
 
 def _hom_basis(a: Complex, b: Complex):
@@ -859,19 +856,15 @@ def _hom_basis(a: Complex, b: Complex):
             i = kb - k
             for ia, oa in enumerate(objas):
                 for ib, ob in enumerate(objbs):
-                    info = glue(oa.tangle, ob.tangle)
-                    nc = len(info)
+                    nc = len(glue(oa.tangle, ob.tangle))
                     base = a.n - nc  # deg_raw with no dots
-                    for dots in range(nc + 1):
+                    for dots, masks in enumerate(_dot_masks(nc)):
                         deg_raw = base + 2 * dots
                         # f in HOM^{i,j} maps q^j A -> B, so each component
                         # q^(j+qa) S -> q^(qb) T has deg_raw + qb - qa - j = 0
                         j = deg_raw + ob.qshift - oa.qshift
-                        for combo in combinations(range(nc), dots):
-                            mask = 0
-                            for cc in combo:
-                                mask |= 1 << cc
-                            groups.setdefault((i, j), []).append((k, ia, ib, mask))
+                        groups.setdefault((i, j), []).extend(
+                            [(k, ia, ib, mask) for mask in masks])
     for lst in groups.values():
         lst.sort()
     return groups
@@ -890,6 +883,8 @@ def hom_complex(a: Complex, b: Complex,
         want |= {(i - 1, j) for (i, j) in bidegrees}
         groups = {k: v for k, v in groups.items() if k in want}
     pos = {key: {lab: r for r, lab in enumerate(lst)} for key, lst in groups.items()}
+    b_cols = {h: _lines(entries) for h, entries in b.diff.items()}
+    a_rows = {h: _lines(entries, by_row=True) for h, entries in a.diff.items()}
     diffs: dict[tuple[int, int], list[list[int]]] = {}
     for (i, j), basis in groups.items():
         tgt_basis = groups.get((i + 1, j))
@@ -898,30 +893,14 @@ def hom_complex(a: Complex, b: Complex,
         matrix = [[0] * len(basis) for _ in range(len(tgt_basis))]
         tgt_pos = pos[(i + 1, j)]
         sign = -1 if i % 2 else 1
-        nonzero = False
         for cidx, (k, ia, ib, mask) in enumerate(basis):
             oa, ob = a.objects[k][ia], b.objects[k + i][ib]
             f = CobMorphism(oa.tangle, ob.tangle, {mask: 1})
-            for (i2, j2), m in b.diff.get(k + i, {}).items():
-                if j2 != ib:
-                    continue
-                r = compose(m, f)
-                for mask2, coeff in r.terms.items():
-                    row = tgt_pos.get((k, ia, i2, mask2))
-                    if row is not None:
-                        matrix[row][cidx] += coeff
-                        nonzero = True
-            for (i2, j2), m in a.diff.get(k - 1, {}).items():
-                if i2 != ia:
-                    continue
-                r = compose(f, m)
-                for mask2, coeff in r.terms.items():
-                    row = tgt_pos.get((k - 1, j2, ib, mask2))
-                    if row is not None:
-                        matrix[row][cidx] -= sign * coeff
-                        nonzero = True
-        if nonzero:
-            diffs[(i, j)] = matrix
+            _add_composites(matrix, cidx, f, b_cols.get(k + i, {}).get(ib, ()), True,
+                            tgt_pos, lambda i2, mask2: (k, ia, i2, mask2))
+            _add_composites(matrix, cidx, f, a_rows.get(k - 1, {}).get(ia, ()), False,
+                            tgt_pos, lambda j2, mask2: (k - 1, j2, ib, mask2), -sign)
+        diffs[(i, j)] = matrix
     return ZComplex(groups, diffs)
 
 
@@ -962,72 +941,41 @@ def convolution_complete(pieces: list[Complex], alphas: list[ChainMap],
     caller is expected to truncate the result and re-check d^2 = 0.
     """
     m = len(pieces)
-    assert len(alphas) == m - 1
+    if len(alphas) != m - 1:
+        raise InvariantError("a convolution of m pieces needs m - 1 maps")
     offs = [k - (m - 1) for k in range(m)]
     comps: dict[tuple[int, int], dict[int, dict[tuple[int, int], CobMorphism]]] = {}
     for k, alpha in enumerate(alphas):
-        assert alpha.src is pieces[k] and alpha.tgt is pieces[k + 1]
-        assert (alpha.dh, alpha.dq) == (0, 0)
+        if not (alpha.src is pieces[k] and alpha.tgt is pieces[k + 1]):
+            raise InvariantError(f"alpha_{k} does not go from piece {k} to {k + 1}")
+        if (alpha.dh, alpha.dq) != (0, 0):
+            raise InvariantError(f"alpha_{k} is not of bidegree (0, 0)")
         comps[(k + 1, k)] = {h: dict(e) for h, e in alpha.components.items()}
 
-    def dcomp(k2: int, k1: int) -> dict[int, dict[tuple[int, int], CobMorphism]]:
-        if k1 == k2:
-            sign = -1 if offs[k1] % 2 else 1
-            return {h: {key: mm.scale(sign) for key, mm in e.items()}
-                    for h, e in pieces[k1].diff.items()}
-        return comps.get((k2, k1), {})
-
     for k in range(m - 2, -1, -1):
-        solved = _attach_piece(pieces, offs, comps, dcomp, k, m,
-                               min_total_degree)
-        for j, block in solved.items():
-            if block:
-                comps[(j, k)] = block
+        for j, block in _attach_piece(pieces, offs, comps, k, min_total_degree).items():
+            comps[(j, k)] = block
 
-    # assemble the total complex
-    objects: dict[int, list[GradedObject]] = {}
-    place: dict[tuple[int, int, int], tuple[int, int]] = {}
-    keys = []
-    for k in range(m):
-        for h, objs in pieces[k].objects.items():
-            for idx, o in enumerate(objs):
-                keys.append((h + offs[k], k, h, idx, o))
-    keys.sort(key=lambda t: (t[0], t[1], t[3]))
-    for (tot, k, h, idx, o) in keys:
-        lst = objects.setdefault(tot, [])
-        place[(k, h, idx)] = (tot, len(lst))
-        lst.append(o)
-    diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    for k1 in range(m):
-        for k2 in range(k1, m):
-            for h, entries in dcomp(k2, k1).items():
-                for (i, j), mm in entries.items():
-                    (tot, sidx) = place[(k1, h, j)]
-                    (_, tidx) = place[(k2, h + 1 - (k2 - k1), i)]
-                    slot = diff.setdefault(tot, {})
-                    key = (tidx, sidx)
-                    slot[key] = slot[key] + mm if key in slot else mm
-    return Complex(pieces[0].n, objects, diff)
+    # the total complex: piece k at offset offs[k], where the shift supplies
+    # the sign (-1)^offset of its own differential
+    parts = [shift(piece, off, 0) for piece, off in zip(pieces, offs)]
+    blocks = [(k2, k1, {h + offs[k1]: e for h, e in block.items()})
+              for (k2, k1), block in comps.items()]
+    return _assemble(pieces[0].n, parts, blocks)[0]
 
 
 def _deg0_basis(src_obj: GradedObject, tgt_obj: GradedObject, n: int):
     """Dot masks of degree-zero disk morphisms between two graded objects."""
-    info = glue(src_obj.tangle, tgt_obj.tangle)
-    nc = len(info)
+    nc = len(glue(src_obj.tangle, tgt_obj.tangle))
     need2 = nc - n + src_obj.qshift - tgt_obj.qshift
     if need2 < 0 or need2 % 2 or need2 // 2 > nc:
         return []
-    masks = []
-    for combo in combinations(range(nc), need2 // 2):
-        mask = 0
-        for cc in combo:
-            mask |= 1 << cc
-        masks.append(mask)
-    return masks
+    return _dot_masks(nc)[need2 // 2]
 
 
-def _attach_piece(pieces, offs, comps, dcomp, k, m, min_total_degree):
-    """Solve jointly for all components D_{j,k}, j >= k+2, attaching E_k.
+def _attach_piece(pieces, offs, comps, k, min_total_degree):
+    """Solve jointly for all components D_{j,k}, j >= k+2, attaching E_k;
+    returns the nonzero blocks {j: D_{j,k}}.
 
     The constraints are (D^2)_{j,k} = 0 for j = k+2..m-1:
         sign_j d X_j + sign_k X_j d + sum_{k<mid<j} D_{j,mid} X_{mid} = 0
@@ -1036,7 +984,7 @@ def _attach_piece(pieces, offs, comps, dcomp, k, m, min_total_degree):
     from .homology import solve_integer
 
     src = pieces[k]
-    n = src.n
+    n, m = src.n, len(pieces)
     sign_k = -1 if offs[k] % 2 else 1
     unknowns: list[tuple[int, int, int, int, int]] = []  # (j, h, ia, ib, mask)
     equations: list[tuple[int, int, int, int, int]] = []
@@ -1073,77 +1021,48 @@ def _attach_piece(pieces, offs, comps, dcomp, k, m, min_total_degree):
                 rhs[ridx] -= coeff
 
     # fixed contribution: D_{j,k+1} o alpha_k
-    alpha = dcomp(k + 1, k)
     for j in range(k + 2, m):
-        left = dcomp(j, k + 1)
-        for h, entries in alpha.items():
-            lentries = left.get(h, {})
-            acc: dict[tuple[int, int], CobMorphism] = {}
-            for (i1, j1), m1 in entries.items():
-                for (i2, j2), m2 in lentries.items():
-                    if j2 != i1:
-                        continue
-                    r = compose(m2, m1)
-                    if r.is_zero():
-                        continue
-                    key = (i2, j1)
-                    acc[key] = acc[key] + r if key in acc else r
-            if acc:
-                add_rhs(j, h, acc)
+        fixed = _block_product(comps.get((j, k + 1), {}), comps[(k + 1, k)], 0)
+        for h, acc in fixed.items():
+            add_rhs(j, h, acc)
     if not any(rhs):
-        return {j: {} for j in range(k + 2, m)}
+        return {}
 
+    # the entries composed with each unknown, grouped once: columns of d on
+    # each target piece and of each block D_{j2,j}, and the rows of d_src
+    d_cols = {j: {h: _lines(e) for h, e in pieces[j].diff.items()}
+              for j in range(k + 2, m)}
+    block_cols = {key: {h: _lines(e) for h, e in block.items()}
+                  for key, block in comps.items() if key[1] >= k + 2}
+    src_rows = {h: _lines(e, by_row=True) for h, e in src.diff.items()}
     matrix = [[0] * cols for _ in range(rows)]
     for cidx, (j, h, ia, ib, mask) in enumerate(unknowns):
-        tgt = pieces[j]
-        length = j - k
+        hb = h + 1 - (j - k)
         sign_j = -1 if offs[j] % 2 else 1
-        oa = src.objects[h][ia]
-        ob = tgt.objects[h + 1 - length][ib]
-        x = CobMorphism(oa.tangle, ob.tangle, {mask: 1})
+        x = CobMorphism(src.objects[h][ia].tangle, pieces[j].objects[hb][ib].tangle,
+                        {mask: 1})
         # sign_j * d_tgt o X_j
-        for (i2, j2), mm in tgt.diff.get(h + 1 - length, {}).items():
-            if j2 != ib:
-                continue
-            r = compose(mm, x).scale(sign_j)
-            for mask2, coeff in r.terms.items():
-                ridx = epos.get((j, h, ia, i2, mask2))
-                if ridx is not None:
-                    matrix[ridx][cidx] += coeff
+        _add_composites(matrix, cidx, x, d_cols[j].get(hb, {}).get(ib, ()), True,
+                        epos, lambda i2, mask2: (j, h, ia, i2, mask2), sign_j)
         # sign_k * X_j o d_src  (lands in equations at source degree h-1)
-        for (i2, j2), mm in src.diff.get(h - 1, {}).items():
-            if i2 != ia:
-                continue
-            r = compose(x, mm).scale(sign_k)
-            for mask2, coeff in r.terms.items():
-                ridx = epos.get((j, h - 1, j2, ib, mask2))
-                if ridx is not None:
-                    matrix[ridx][cidx] += coeff
+        _add_composites(matrix, cidx, x, src_rows.get(h - 1, {}).get(ia, ()), False,
+                        epos, lambda j2, mask2: (j, h - 1, j2, ib, mask2), sign_k)
         # D_{j2,j} o X_j for j2 > j
         for j2 in range(j + 1, m):
-            left = dcomp(j2, j)
-            lentries = left.get(h + 1 - length, {})
-            for (i2, jj2), mm in lentries.items():
-                if jj2 != ib:
-                    continue
-                r = compose(mm, x)
-                for mask2, coeff in r.terms.items():
-                    ridx = epos.get((j2, h, ia, i2, mask2))
-                    if ridx is not None:
-                        matrix[ridx][cidx] += coeff
+            line = block_cols.get((j2, j), {}).get(hb, {}).get(ib, ())
+            _add_composites(matrix, cidx, x, line, True, epos,
+                            lambda i2, mask2: (j2, h, ia, i2, mask2))
     sol = solve_integer(matrix, rhs)
     if sol is None:
         raise ObstructionError(m - 1 - k, offs[k])
-    out: dict[int, dict[int, dict[tuple[int, int], CobMorphism]]] = \
-        {j: {} for j in range(k + 2, m)}
     acc: dict[tuple[int, int, int, int], dict[int, int]] = {}
     for val, (j, h, ia, ib, mask) in zip(sol, unknowns):
-        if not val:
-            continue
-        acc.setdefault((j, h, ia, ib), {})[mask] = val
+        if val:
+            acc.setdefault((j, h, ia, ib), {})[mask] = val
+    out: dict[int, dict[int, dict[tuple[int, int], CobMorphism]]] = {}
     for (j, h, ia, ib), terms in acc.items():
         oa = src.objects[h][ia]
         ob = pieces[j].objects[h + 1 - (j - k)][ib]
-        out[j].setdefault(h, {})[(ib, ia)] = CobMorphism(oa.tangle, ob.tangle,
-                                                         terms)
+        out.setdefault(j, {}).setdefault(h, {})[(ib, ia)] = \
+            CobMorphism(oa.tangle, ob.tangle, terms)
     return out

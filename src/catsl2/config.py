@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .series import DEFAULT_PRECISION
@@ -12,17 +11,16 @@ from .series import DEFAULT_PRECISION
 class Config:
     precision: int = DEFAULT_PRECISION   # series truncation window
     window: int = 12                     # homological truncation depth
-    max_objects: int = 200000            # object-count ceiling per complex
     seed: int = 0                        # RNG seed for property checks
     jobs: int = 1                        # parallel verification tasks
     format: str = "json"                 # 'json' | 'table'
 
     def __post_init__(self):
-        assert self.precision >= 4, "precision must be at least 4"
-        assert self.window >= 4, "window must be at least 4"
-        assert self.jobs >= 1
-        assert self.format in ("json", "table")
-        env = os.environ.get("QPE_MAX_OBJECTS")
-        if env is not None:
-            self.max_objects = int(env)
-        os.environ["QPE_MAX_OBJECTS"] = str(self.max_objects)
+        if self.precision < 4:
+            raise ValueError("precision must be at least 4")
+        if self.window < 4:
+            raise ValueError("window must be at least 4")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        if self.format not in ("json", "table"):
+            raise ValueError("format must be 'json' or 'table'")

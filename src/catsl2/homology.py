@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import (ChainMap, Complex, InvariantError, ZComplex,
-                        hom_complex, partial_trace_complex, shift,
-                        tautological_complex)
+                        _add_composites, _lines, hom_complex,
+                        partial_trace_complex, shift, tautological_complex)
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -406,12 +406,13 @@ def taut_chain_map(f: ChainMap, src_z: ZComplex, tgt_z: ZComplex):
     Basis labels are (k, 0, ib, mask) as produced by hom_complex against the
     empty diagram; returns dict (i, j) -> matrix into (i + dh, j + dq).
     """
-    from .cobordism import CobMorphism, FlatTangle, compose
+    from .cobordism import CobMorphism, FlatTangle
     from .tl import Matching
     empty = FlatTangle(0, Matching(0, ()), 0)
     out: dict[tuple[int, int], list[list[int]]] = {}
     tgt_pos = {key: {lab: r for r, lab in enumerate(lst)}
                for key, lst in tgt_z.groups.items()}
+    f_cols = {h: _lines(entries) for h, entries in f.components.items()}
     for (i, j), basis in src_z.groups.items():
         key_t = (i + f.dh, j + f.dq)
         tbasis = tgt_z.groups.get(key_t)
@@ -424,14 +425,9 @@ def taut_chain_map(f: ChainMap, src_z: ZComplex, tgt_z: ZComplex):
             # degree i of the target complex
             assert k == 0
             x = CobMorphism(empty, f.src.objects[i][ib].tangle, {mask: 1})
-            for (i2, j2), m in f.components.get(i, {}).items():
-                if j2 != ib:
-                    continue
-                for mask2, coeff in compose(m, x).terms.items():
-                    row = tgt_pos[key_t].get((0, 0, i2, mask2))
-                    if row is not None:
-                        mat[row][cidx] += coeff
-                        nonzero = True
+            line = f_cols.get(i, {}).get(ib, ())
+            nonzero |= _add_composites(mat, cidx, x, line, True, tgt_pos[key_t],
+                                       lambda i2, mask2: (0, 0, i2, mask2))
         if nonzero:
             out[(i, j)] = mat
     return out

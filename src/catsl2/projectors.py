@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .cobordism import CobMorphism, FlatTangle, GradedObject, stack_tangles
 from .cobordism import stack as stack_morphism
-from .complexes import (ChainMap, Complex, InvariantError, cone,
+from .complexes import (ChainMap, Complex, InvariantError, _assemble, cone,
                         convolution_complete, deloop, juxtapose_complexes,
                         shift, simplify, tensor, tensor_endomorphism,
                         tensor_indexed, transport_endomorphism)
@@ -310,49 +310,25 @@ def _periodic_model(block: Complex, n: int, window: int):
     # that degrees >= -window agree with the untruncated projector
     while (copies - 1) * (-dh) + span < window + span:
         copies += 1
+    bottom = block.objects[block.h_min()]
+    if len(bottom) != 1:
+        raise InvariantError("block bottom is not a single object")
+    if block.h_max() + dh != block.h_min() + 1:
+        raise InvariantError("connector degree mismatch")
+    # copy b + 1's top object sits one degree above copy b's bottom object
+    connector = {(0, 0): CobMorphism.identity(bottom[0].tangle).scale(-1)}
     shifted = [shift(block, b * dh, b * dq) for b in range(copies)]
-    objects: dict[int, list[GradedObject]] = {}
-    place: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for b, cpy in enumerate(shifted):
-        for h, objs in cpy.objects.items():
-            lst = objects.setdefault(h, [])
-            for idx, o in enumerate(objs):
-                place[(b, h, idx)] = (h, len(lst))
-                lst.append(o)
-    diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    for b, cpy in enumerate(shifted):
-        for h, entries in cpy.diff.items():
-            for (i, j), m in entries.items():
-                (_, sidx) = place[(b, h, j)]
-                (_, tidx) = place[(b, h + 1, i)]
-                slot = diff.setdefault(h, {})
-                slot[(tidx, sidx)] = m
-    bottom_rel = block.h_min()
-    bottom_obj = block.objects[bottom_rel][0]
-    assert len(block.objects[bottom_rel]) == 1, "block bottom is not a single object"
-    for b in range(copies - 1):
-        hs = bottom_rel + b * dh
-        (_, sidx) = place[(b, hs, 0)]
-        (_, tidx) = place[(b + 1, block.h_max() + (b + 1) * dh, 0)]
-        assert block.h_max() + (b + 1) * dh == hs + 1, "connector degree mismatch"
-        slot = diff.setdefault(hs, {})
-        key = (tidx, sidx)
-        delta = CobMorphism.identity(bottom_obj.tangle).scale(-1)
-        slot[key] = slot[key] + delta if key in slot else delta
-    per = Complex(n, objects, diff)
-
+    per, place = _assemble(n, shifted, [(b + 1, b, {block.h_min() + b * dh: connector})
+                                        for b in range(copies - 1)])
     u_comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
     for b in range(copies - 1):
         for h, objs in shifted[b].objects.items():
             for idx, o in enumerate(objs):
-                src = place[(b, h, idx)]
                 tgt = place.get((b + 1, h + dh, idx))
-                if tgt is None:
-                    continue
-                u_comps.setdefault(h, {})[(tgt[1], src[1])] = \
-                    CobMorphism.identity(o.tangle)
-    u_map = ChainMap(per, per, dh, dq, u_comps)
-    return per, u_map
+                if tgt is not None:
+                    u_comps.setdefault(h, {})[(tgt, place[(b, h, idx)])] = \
+                        CobMorphism.identity(o.tangle)
+    return per, ChainMap(per, per, dh, dq, u_comps)
 
 
 def _bare_unit(c: Complex, n: int) -> ChainMap:
@@ -457,7 +433,8 @@ def quasi_projector(n: int, indices: tuple[int, ...] | list[int],
     the truncated projector itself.
     """
     indices = tuple(indices)
-    assert all(1 <= i <= n for i in indices), "index out of range"
+    if not all(1 <= i <= n for i in indices):
+        raise ValueError(f"quasi-projector indices must lie in 1..{n}")
     if not indices:
         proj = truncated_pn(n, window)
         return QnBuild(proj.complex, None if n == 1 else -window + 2)

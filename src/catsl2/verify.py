@@ -46,6 +46,15 @@ class CheckResult:
         return f"{status}  {self.name}: {self.description} ({self.elapsed:.2f}s){extra}"
 
 
+class CriterionFailed(AssertionError):
+    """An acceptance criterion does not hold (raised even under `python -O`)."""
+
+
+def _require(cond, msg: str) -> None:
+    if not cond:
+        raise CriterionFailed(msg)
+
+
 def _check(name, description, budget, fn) -> CheckResult:
     start = time.perf_counter()
     try:
@@ -69,16 +78,16 @@ def check_tl(cfg: Config):
         for i in range(1, n):
             e = TLElement.generator(i, n, prec)
             circle = TruncatedSeries.circle(prec)
-            assert e * e == e.scale(circle), f"e_{i}^2 relation at n={n}"
+            _require(e * e == e.scale(circle), f"e_{i}^2 relation at n={n}")
             if i + 1 < n:
                 e2 = TLElement.generator(i + 1, n, prec)
-                assert e * e2 * e == e, "adjacent relation"
+                _require(e * e2 * e == e, "adjacent relation")
             for jdx in range(i + 2, n):
                 ej = TLElement.generator(jdx, n, prec)
-                assert e * ej == ej * e, "distant commutation"
-            assert (p * e).is_zero(), f"jw({n}) e_{i} != 0"
-            assert (e * p).is_zero(), f"e_{i} jw({n}) != 0"
-        assert p * p == p, f"jw({n}) not idempotent"
+                _require(e * ej == ej * e, "distant commutation")
+            _require((p * e).is_zero(), f"jw({n}) e_{i} != 0")
+            _require((e * p).is_zero(), f"e_{i} jw({n}) != 0")
+        _require(p * p == p, f"jw({n}) not idempotent")
 
 
 def check_cobordism(cfg: Config):
@@ -104,30 +113,30 @@ def check_cobordism(cfg: Config):
         gf = compose(g, f)
         composites += 1
         if not gf.is_zero():
-            assert gf.deg_raw() == g.deg_raw() + f.deg_raw(), "degree additivity"
+            _require(gf.deg_raw() == g.deg_raw() + f.deg_raw(), "degree additivity")
         if trials % 3 == 0:
-            assert compose(h, gf) == compose(compose(h, g), f), "associativity"
+            _require(compose(h, gf) == compose(compose(h, g), f), "associativity")
             composites += 3
         trials += 1
         # two dots on one component annihilate
         if trials % 50 == 0:
             t = rand_tangle(rng.randrange(1, 4))
             dot = CobMorphism.dotted_identity(t, 0)
-            assert compose(dot, dot).is_zero(), "dot^2 != 0"
+            _require(compose(dot, dot).is_zero(), "dot^2 != 0")
 
 
 def check_end11(cfg: Config):
     one = Complex.identity_complex(1)
     h = integer_homology(hom_complex(one, one))
-    assert h.groups == {(0, 0): (1, ()), (0, 2): (1, ())}, \
-        f"END(1_1) = {h.groups}"
+    _require(h.groups == {(0, 0): (1, ()), (0, 2): (1, ())},
+             f"END(1_1) = {h.groups}")
 
 
 def check_turnbacks(cfg: Config):
     for n, qn in ((2, q2()), (3, q3())):
         qn.check()
         rep = turnback_check(qn)
-        assert rep["kills_turnbacks"], f"Q_{n} fails: {rep}"
+        _require(rep["kills_turnbacks"], f"Q_{n} fails: {rep}")
 
 
 def check_euler(cfg: Config):
@@ -136,7 +145,7 @@ def check_euler(cfg: Config):
         chi = euler_characteristic(qn, prec)
         target = jw(n, prec).scale(
             TruncatedSeries.one(prec) - TruncatedSeries.monomial(2 * n, 1, prec))
-        assert chi == target, f"chi(Q_{n}) != (1-q^{2*n}) jw({n})"
+        _require(chi == target, f"chi(Q_{n}) != (1-q^{2*n}) jw({n})")
 
 
 def check_idempotency(cfg: Config):
@@ -145,12 +154,12 @@ def check_idempotency(cfg: Config):
     predicted = dict(ranks)
     for (h, q), r in ranks.items():
         predicted[(h - 3, q + 4)] = predicted.get((h - 3, q + 4), 0) + r
-    assert qq.graded_ranks() == predicted, "graded ranks of Q2 (x) Q2"
+    _require(qq.graded_ranks() == predicted, "graded ranks of Q2 (x) Q2")
     # closure homology agrees with the direct-sum prediction
     from .homology import closure_complex
     h_qq = integer_homology(tautological_complex(closure_complex(qq)))
     h_q = integer_homology(tautological_complex(closure_complex(q2())))
-    assert h_qq == h_q + h_q.shifted(-3, 4), "closure homology of Q2 (x) Q2"
+    _require(h_qq == h_q + h_q.shifted(-3, 4), "closure homology of Q2 (x) Q2")
 
 
 def _w2_oracle(bmax: int) -> ZComplex:
@@ -189,14 +198,14 @@ def check_p2(cfg: Config):
     ranks = p2.complex.graded_ranks()
     for k in range(0, window + 1):
         key = (0, 0) if k == 0 else (-k, 2 * k - 1)
-        assert ranks.get(key) == 1, f"P2 object at h=-{k} missing"
+        _require(ranks.get(key) == 1, f"P2 object at h=-{k} missing")
     ext = integer_homology(projector_end_complex(p2.complex))
     safe = p2.complex.h_min() + 2
-    assert ext.groups.get((0, 0)) == (1, ()), "Ext^{0,0}(P2,P2) != Z"
-    assert ext.groups.get((-2, 4)) == (1, ()), "Ext^{-2,4}(P2,P2) != Z"
+    _require(ext.groups.get((0, 0)) == (1, ()), "Ext^{0,0}(P2,P2) != Z")
+    _require(ext.groups.get((-2, 4)) == (1, ()), "Ext^{-2,4}(P2,P2) != Z")
     for (h, q), v in ext.groups.items():
         if h >= safe and (h + q) in (1, 3):
-            raise AssertionError(f"Ext at (h,q)=({h},{q}) with h+q in {{1,3}}: {v}")
+            raise CriterionFailed(f"Ext at (h,q)=({h},{q}) with h+q in {{1,3}}: {v}")
 
 
 def check_gor(cfg: Config):
@@ -209,15 +218,15 @@ def check_gor(cfg: Config):
     for key in sorted(keys):
         a = engine.groups.get(key)
         b = oracle.groups.get(key)
-        assert a == b, f"END(P2) vs W2 oracle at {key}: {a} != {b}"
+        _require(a == b, f"END(P2) vs W2 oracle at {key}: {a} != {b}")
 
 
 def check_framing(cfg: Config):
     rep = framing_check(2, (2,), cfg.window)
-    assert rep["matches"], f"full twist on Q2 cable: {rep}"
-    assert rep["shift"] == {"t": 2, "q": -4}, rep["shift"]
+    _require(rep["matches"], f"full twist on Q2 cable: {rep}")
+    _require(rep["shift"] == {"t": 2, "q": -4}, f"{rep['shift']}")
     rep1 = framing_check(1, (1,), cfg.window)
-    assert rep1["matches"] and rep1["shift"] == {"t": 0, "q": 0}, rep1
+    _require(rep1["matches"] and rep1["shift"] == {"t": 0, "q": 0}, f"{rep1}")
     # positive kink on the Q1-decorated unknot: closure of sigma_1 vs trivial
     fam = ((1, (1,)),)
     kinked = ColoredDiagram(strands=2, word=(1,), colors=(1,),
@@ -226,13 +235,13 @@ def check_framing(cfg: Config):
                           framings=(0,), marks=(1,), family=fam)
     h1, _ = link_homology(kinked, cfg.window)
     h2, _ = link_homology(flat, cfg.window)
-    assert h1 == h2, "positive kink is not the identity shift at n=1"
+    _require(h1 == h2, "positive kink is not the identity shift at n=1")
 
 
 def check_merging(cfg: Config):
     rep = merging_check(2, (2,), cfg.window)
-    assert rep["matches"], f"merging factor mismatch: {rep}"
-    assert sorted(rep["factor_shifts"]) == [[-3, 4], [0, 0]]
+    _require(rep["matches"], f"merging factor mismatch: {rep}")
+    _require(sorted(rep["factor_shifts"]) == [[-3, 4], [0, 0]], "merging factor shifts")
 
 
 def check_invariance(cfg: Config):
@@ -258,25 +267,25 @@ def check_invariance(cfg: Config):
         base = group[0]
         for other in group[1:]:
             rep = invariance_spotcheck(base, other, cfg.window)
-            assert rep["equal"], f"{name}: presentations disagree: {rep}"
+            _require(rep["equal"], f"{name}: presentations disagree: {rep}")
 
 
 def check_solver(cfg: Config):
     b2 = build_qn(2)
-    assert b2.valid_h_min is None
-    assert b2.complex.graded_ranks() == q2().graded_ranks(), "build_qn(2) ranks"
+    _require(b2.valid_h_min is None, "build_qn(2) claims a truncation window")
+    _require(b2.complex.graded_ranks() == q2().graded_ranks(), "build_qn(2) ranks")
     for h, entries in q2().diff.items():
         for key, m in entries.items():
-            assert b2.complex.entry(h, *key) == m, "build_qn(2) differential"
+            _require(b2.complex.entry(h, *key) == m, "build_qn(2) differential")
     for h, entries in b2.complex.diff.items():
         for key in entries:
-            assert q2().entry(h, *key) is not None, "spurious higher component"
+            _require(q2().entry(h, *key) is not None, "spurious higher component")
     b3 = build_qn(3, cfg.window)
     s3, _ = simplify(b3.complex)
     window_ranks = {k: v for k, v in s3.graded_ranks().items()
                     if k[0] > b3.valid_h_min}
-    assert window_ranks == q3().graded_ranks(), \
-        f"build_qn(3) ranks in window: {window_ranks}"
+    _require(window_ranks == q3().graded_ranks(),
+             f"build_qn(3) ranks in window: {window_ranks}")
 
 
 CRITERIA = [

@@ -86,6 +86,28 @@ def test_colored_homology_file(tmp_path, capsys):
     assert code == 0 and "torsion" in out2
 
 
+def test_field_q_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "closed.json", "--field", "q"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'q'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("argv, message", [
+    (["proj", "pn", "--n", "2", "--window", "0"], "window must be at least 4"),
+    (["--precision", "-1", "tl", "jw", "--n", "2"], "precision must be at least 4"),
+    (["--jobs", "0", "verify"], "jobs must be at least 1"),
+    (["proj", "quasi", "--n", "2", "--indices", "3"], "indices must lie in 1..2"),
+])
+def test_bad_values_are_usage_errors_even_under_optimize_flag(run_python, argv,
+                                                              message, optimize):
+    out = run_python("-m", "catsl2.cli", *argv, optimize=optimize)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and message in out.stderr
+    assert out.stderr.count("\n") == 1
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _ = run(capsys, "complex", "check", "/nonexistent/path.json")
     assert code == 2

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catsl2.complexes import (Complex, ZComplex, hom_complex,
+from catsl2.complexes import (ChainMap, Complex, ZComplex, hom_complex,
                               partial_trace_complex, shift, simplify,
                               tautological_complex, tensor)
 from catsl2.homology import (BigradedGroups, adjunction_reduce, closure_complex,
@@ -10,7 +10,8 @@ from catsl2.homology import (BigradedGroups, adjunction_reduce, closure_complex,
                              kernel_basis, matrix_inverse_unimodular,
                              poincare_polynomial, poincare_string,
                              projector_end_complex, smith_normal_form,
-                             solve_integer, u_action_on_homology)
+                             solve_integer, taut_chain_map,
+                             u_action_on_homology)
 from catsl2.projectors import q2, truncated_pn
 from catsl2.series import TruncatedSeries
 from catsl2.tl import closure_evaluate, euler_characteristic
@@ -194,3 +195,15 @@ def test_u_action_matches_module_structure():
     # u2 maps the u1-class onto the Z/2 generator
     cols, so, to = act2[(0, 2)]
     assert so == [0] and to == [2] and cols[0][0] % 2 == 1
+
+
+def test_taut_chain_map_keys_are_the_bidegrees_it_reaches():
+    # a zero map reaches no bidegree; the identity reaches every one, as the
+    # identity matrix
+    closed = closure_complex(q2())
+    z = tautological_complex(closed)
+    assert taut_chain_map(ChainMap.zero(closed, closed), z, z) == {}
+    ident = taut_chain_map(ChainMap.identity(closed), z, z)
+    assert set(ident) == set(z.groups)
+    for mat in ident.values():
+        assert mat == [[int(r == c) for c in range(len(mat))] for r in range(len(mat))]

@@ -166,7 +166,7 @@ def test_quasi_projector_routes():
     p = quasi_projector(2, (), 9)
     assert p.valid_h_min is not None
     assert p.complex.graded_ranks()[(0, 0)] == 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         quasi_projector(2, (3,), 6)
 
 
