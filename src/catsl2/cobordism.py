@@ -51,8 +51,10 @@ class FlatTangle:
     circles: int = 0
 
     def __post_init__(self):
-        assert self.matching.n == self.n
-        assert self.circles >= 0
+        if self.matching.n != self.n or self.circles < 0:
+            raise InvariantError(f"bad flat tangle: {self.n} strands, "
+                                 f"{self.matching.n}-strand matching, "
+                                 f"{self.circles} circles")
 
     @classmethod
     def identity(cls, n: int) -> FlatTangle:

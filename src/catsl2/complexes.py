@@ -303,8 +303,9 @@ class ChainMap:
                     raise InvariantError(f"component degree at h={h} ({i},{j})")
 
     def __add__(self, other: ChainMap) -> ChainMap:
-        assert (self.src, self.tgt, self.dh, self.dq) == \
-               (other.src, other.tgt, other.dh, other.dq)
+        if (self.src, self.tgt, self.dh, self.dq) != \
+                (other.src, other.tgt, other.dh, other.dq):
+            raise InvariantError("adding chain maps of different shape")
         comps = {h: dict(entries) for h, entries in self.components.items()}
         for h, entries in other.components.items():
             tgt = comps.setdefault(h, {})
@@ -325,7 +326,8 @@ class ChainMap:
 
     def then(self, other: ChainMap) -> ChainMap:
         """other after self (self first)."""
-        assert self.tgt is other.src or self.tgt.objects == other.src.objects
+        if not (self.tgt is other.src or self.tgt.objects == other.src.objects):
+            raise InvariantError("composing chain maps through different complexes")
         return ChainMap(self.src, other.tgt, self.dh + other.dh, self.dq + other.dq,
                         _block_product(other.components, self.components, self.dh))
 
@@ -512,8 +514,8 @@ def gauss(c: Complex, h: int, i: int, j: int,
     eps times the identity from i@h+1 to j@h.
     """
     pivot = c.entry(h, i, j)
-    assert pivot is not None and pivot.is_identity_entry(), \
-        "pivot entry is not +-identity"
+    if pivot is None or not pivot.is_identity_entry():
+        raise InvariantError("pivot entry is not +-identity")
     eps = pivot.terms[0]  # +-1; the inverse is the same morphism scaled by eps
 
     ins = {s: m for (ti, s), m in c.diff.get(h, {}).items() if ti == i and s != j}
@@ -733,7 +735,8 @@ def tensor_endomorphism(f: ChainMap | None, g: ChainMap | None,
     `index` are what tensor_indexed(a, b) returned; the product recomputes
     the same index.
     """
-    assert (f is None) != (g is None)
+    if (f is None) == (g is None):
+        raise InvariantError("tensor_endomorphism takes exactly one of f, g")
     endo = f if f is not None else g
     _, _, comps = _product(a, b, _stacked, stack,
                            (f.components, f.dh) if f is not None else None,

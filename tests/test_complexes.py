@@ -119,6 +119,26 @@ def test_gauss_cancels_identity_pair():
     sdr.verify()
 
 
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_gauss_rejects_non_unit_pivot_even_under_optimize_flag(run_python, optimize):
+    # cancelling Z --2--> Z would lose the Z/2 in homology; the pivot check
+    # must still fire when python -O strips assert statements
+    script = """
+from catsl2.cobordism import CobMorphism, FlatTangle, GradedObject
+from catsl2.complexes import Complex, InvariantError, gauss
+one2 = FlatTangle.identity(2)
+c = Complex(2, {0: [GradedObject(one2, 0)], 1: [GradedObject(one2, 0)]},
+            {0: {(0, 0): CobMorphism.identity(one2).scale(2)}})
+try:
+    gauss(c, 0, 0, 0)
+except InvariantError as exc:
+    print("rejected:", exc)
+"""
+    out = run_python("-c", script, optimize=optimize)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected: pivot entry is not +-identity"
+
+
 def test_gauss_preserves_d_squared_and_chi(rng):
     for _ in range(15):
         c = random_braid_complex(rng, 3, 3)

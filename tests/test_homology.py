@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 from catsl2.complexes import (ChainMap, Complex, ZComplex, hom_complex,
                               partial_trace_complex, shift, simplify,
                               tautological_complex, tensor)
-from catsl2.homology import (BigradedGroups, adjunction_reduce, closure_complex,
-                             ext_groups, homology_mod_p, integer_homology,
-                             kernel_basis, matrix_inverse_unimodular,
-                             poincare_polynomial, poincare_string,
-                             projector_end_complex, smith_normal_form,
-                             solve_integer, taut_chain_map,
+from catsl2.homology import (BigradedGroups, _solver, adjunction_reduce,
+                             closure_complex, ext_groups, homology_mod_p,
+                             integer_homology, kernel_basis,
+                             matrix_inverse_unimodular, poincare_polynomial,
+                             poincare_string, projector_end_complex,
+                             smith_normal_form, solve_integer, taut_chain_map,
                              u_action_on_homology)
 from catsl2.projectors import q2, truncated_pn
 from catsl2.series import TruncatedSeries
@@ -84,18 +84,44 @@ def test_snf_forty_by_forty(rng):
 
 
 def test_kernel_and_solve(rng):
-    for _ in range(60):
-        r, c = rng.randrange(1, 6), rng.randrange(1, 6)
-        m = [[rng.randrange(-5, 6) for _ in range(c)] for _ in range(r)]
-        kb = kernel_basis(m)
-        for col in range(len(kb[0]) if kb else 0):
-            v = [kb[i][col] for i in range(c)]
-            assert not any(sum(m[i][k] * v[k] for k in range(c)) for i in range(r))
-        x0 = [rng.randrange(-4, 5) for _ in range(c)]
-        b = [sum(m[i][k] * x0[k] for k in range(c)) for i in range(r)]
-        sol = solve_integer(m, b)
-        assert sol is not None
-        assert [sum(m[i][k] * sol[k] for k in range(c)) for i in range(r)] == b
+    # one factorization serves many right-hand sides: square, wide and tall
+    # matrices, rank-deficient ones (products through a smaller dimension)
+    # and ones whose invariant factors are all > 1
+    def rand(r, c, bound=5):
+        return [[rng.randrange(-bound, bound + 1) for _ in range(c)] for _ in range(r)]
+
+    def apply(m, x):
+        return [sum(a * b for a, b in zip(row, x)) for row in m]
+
+    def columns(kb):
+        return [list(col) for col in zip(*kb)]
+
+    unsolvable = 0
+    for idx in range(90):
+        r, c = rng.randrange(1, 7), rng.randrange(1, 7)
+        m, g = rand(r, c), 1
+        if idx % 3 == 1:
+            k = max(1, min(r, c) - 1)
+            m = [apply(rand(k, c, 2), col) for col in rand(r, k, 2)]
+        elif idx % 3 == 2:
+            g = rng.choice((2, 3))
+            m = [[g * x for x in row] for row in m]
+        for v in columns(kernel_basis(m)):
+            assert not any(apply(m, v))
+        solve = _solver(m)
+        for _ in range(4):
+            b = apply(m, [rng.randrange(-4, 5) for _ in range(c)])
+            sol = solve(b)
+            assert sol is not None and apply(m, sol) == b
+        # y with y^T M = 0 is no image: y.y = y.(M x) = 0 would force y = 0
+        for y in columns(kernel_basis([list(col) for col in zip(*m)])):
+            assert not any(apply(list(zip(*m)), y))
+            assert solve(y) is None
+            unsolvable += 1
+        if g > 1:
+            assert solve([1] + [0] * (r - 1)) is None
+            unsolvable += 1
+    assert unsolvable > 60
     assert solve_integer([[2]], [1]) is None
 
 

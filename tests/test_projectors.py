@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 
-from catsl2.cobordism import CobMorphism, FlatTangle
-from catsl2.complexes import (Complex, ObstructionError, cone, simplify,
-                              tautological_complex, tensor)
+from catsl2.cobordism import CobMorphism, FlatTangle, glue
+from catsl2.complexes import (Complex, ObstructionError, _deg0_basis, cone,
+                              simplify, tautological_complex, tensor)
 from catsl2.homology import closure_complex, integer_homology
-from catsl2.projectors import (braid_letter_complex, build_qn, crossing_complex,
-                               khovanov_bracket, q1, q2, q3, quasi_projector,
-                               symmetric_sequence, truncated_pn, turnback_check)
+from catsl2.projectors import (DEPTH_MARGIN, braid_letter_complex, build_qn,
+                               crossing_complex, khovanov_bracket, q1, q2, q3,
+                               quasi_projector, symmetric_sequence, truncated_pn,
+                               turnback_check)
 from catsl2.series import TruncatedSeries
 from catsl2.tl import euler_characteristic, jw
 
@@ -109,6 +112,22 @@ def test_build_qn3_simplifies_to_q3_ranks():
     window_ranks = {k: v for k, v in s.graded_ranks().items()
                     if k[0] > built.valid_h_min}
     assert window_ranks == q3().graded_ranks()
+
+
+def test_solver_unknowns_are_every_degree_zero_dotting():
+    # the convolution solver's unknowns between two objects are all dottings
+    # of the glued curves whose cobordism has degree zero; enumerate them
+    # independently for every object pair of build_qn(3, 4)
+    pieces, _ = symmetric_sequence(truncated_pn(2, 4 + DEPTH_MARGIN).complex, 3)
+    objs = {o for p in pieces for lst in p.objects.values() for o in lst}
+    for oa, ob in itertools.product(objs, repeat=2):
+        curves = range(len(glue(oa.tangle, ob.tangle)))
+        masks = [sum(1 << i for i in dots) for k in range(len(curves) + 1)
+                 for dots in itertools.combinations(curves, k)]
+        want = [mask for mask in masks
+                if CobMorphism(oa.tangle, ob.tangle, {mask: 1}).deg_raw()
+                == oa.qshift - ob.qshift]
+        assert sorted(_deg0_basis(oa, ob, 3)) == sorted(want), (oa, ob)
 
 
 def test_build_qn_rejects_large_n():
