@@ -8,10 +8,9 @@ colored sl2 link homology of braid closures.
 
 from .cobordism import CobMorphism, FlatTangle, GradedObject, glue_curves
 from .complexes import (ChainMap, Complex, SDRData, ZComplex, cone, deloop,
-                        direct_sum, dual, gauss, hom_complex,
-                        juxtapose_complexes, partial_trace_complex, shift,
-                        simplify, tautological_complex, tensor,
-                        convolution_complete)
+                        direct_sum, dual, hom_complex, juxtapose_complexes,
+                        partial_trace_complex, shift, simplify,
+                        tautological_complex, tensor, convolution_complete)
 from .config import Config
 from .homology import (BigradedGroups, adjunction_reduce, ext_groups,
                        integer_homology, poincare_polynomial,

@@ -10,8 +10,8 @@ import argparse
 import json
 import sys
 
-from .complexes import (Complex, InvariantError, simplify, tautological_complex,
-                        tensor)
+from .complexes import (Complex, EngineLimitError, InvariantError, object_ceiling,
+                        simplify, tautological_complex, tensor)
 from .config import Config
 from .homology import homology_mod_p, integer_homology, poincare_polynomial, \
     poincare_string
@@ -139,6 +139,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InvariantError as exc:  # e.g. d^2 != 0 in `complex check`
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except EngineLimitError as exc:
+        print(f"error: {exc} (QPE_MAX_OBJECTS={object_ceiling()})", file=sys.stderr)
         return 1
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import product
 
 from .cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantError,
@@ -185,13 +186,15 @@ def _accumulate(slot: dict, key, m: CobMorphism) -> None:
         slot[key] = m
 
 
-def _lines(entries: dict, by_row: bool = False) -> dict[int, list]:
-    """Block entries {(i, j): m} grouped by column j as [(i, m), ...], or by
-    row i as [(j, m), ...]; each list keeps the entry order."""
-    out: dict[int, list] = {}
-    for (i, j), m in entries.items():
-        a, b = (i, j) if by_row else (j, i)
-        out.setdefault(a, []).append((b, m))
+def _lines(block: dict, by_row: bool = False) -> dict[int, dict]:
+    """Block entries {h: {(i, j): m}} grouped by column, {h: {j: {i: m}}},
+    or by row, {h: {i: {j: m}}}; each line keeps the entry order."""
+    out: dict[int, dict] = {}
+    for h, entries in block.items():
+        lines = out[h] = {}
+        for (i, j), m in entries.items():
+            a, b = (i, j) if by_row else (j, i)
+            lines.setdefault(a, {})[b] = m
     return out
 
 
@@ -203,11 +206,12 @@ def _block_product(g: dict, f: dict, f_dh: int) -> dict:
     of g it composes with; sums that vanish are dropped.
     """
     out = {}
+    g_cols = _lines(g)
     for h, entries in f.items():
-        cols = _lines(g.get(h + f_dh, {}))
+        cols = g_cols.get(h + f_dh, {})
         slot: dict[tuple[int, int], CobMorphism] = {}
         for (i, j), m in entries.items():
-            for k, m2 in cols.get(i, ()):
+            for k, m2 in cols.get(i, {}).items():
                 _accumulate(slot, (k, j), compose(m2, m))
         if slot:
             out[h] = slot
@@ -244,12 +248,12 @@ def _assemble(n: int, parts: list[Complex], blocks=()) -> tuple[Complex, dict]:
 def _add_composites(matrix, col: int, x: CobMorphism, line, after: bool,
                     rows: dict, label, scale: int = 1) -> bool:
     """Add the composites of a one-term basis morphism x with one line
-    [(index, m), ...] of a block (see `_lines`) into column `col` of a matrix:
+    {index: m} of a block (see `_lines`) into column `col` of a matrix:
     m o x along a block column when `after`, else x o m along a row.  Each
     term (mask, c) adds scale * c at row rows[label(index, mask)] when that
     label is in the basis.  Returns whether any entry was touched."""
     touched = False
-    for idx, m in line:
+    for idx, m in line.items():
         r = compose(m, x) if after else compose(x, m)
         for mask, c in r.terms.items():
             row = rows.get(label(idx, mask))
@@ -362,15 +366,17 @@ class SDRData:
 
     The identities are pi sigma = 1, 1 - sigma pi = dh + hd, pi h = 0,
     h sigma = 0 and h^2 = 0.  `simplify` carries its retract by local
-    updates instead of `then`: eliminating the pivot (h, i, j) of N with
-    unit eps, a_s = d[i, s] and b_t = d[t, j],
+    updates instead of `then`, with pi rows and sigma columns keyed by the
+    stable object ids of its `_Workspace`: eliminating the pivot (h, i, j)
+    of N with unit eps, a_s = d[i, s] and b_t = d[t, j], `gauss` does
 
         pi row t@h+1       += -eps b_t o (row i of pi at h+1)
         sigma column s@h   += -eps (column j of sigma at h) o a_s
         h                  += eps (column j of sigma at h) o (row i of pi at h+1)
 
-    and rows j@h, i@h+1 of pi and the same columns of sigma are dropped.
-    This equals `self.then(step)` with `step` the retract of `gauss`.
+    and drops rows j@h, i@h+1 of pi and the same columns of sigma; no other
+    id moves.  This equals `self.then(step)` with `step` the one-step
+    retract of the same `gauss` on a workspace started from the identity.
     """
 
     pi: ChainMap
@@ -501,161 +507,142 @@ def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None
 # Gaussian elimination and the simplifier
 # ---------------------------------------------------------------------------
 
-def gauss(c: Complex, h: int, i: int, j: int,
-          track_sdr: bool = False) -> tuple[Complex, SDRData | None]:
-    """Cancel the invertible entry objects[h][j] -> objects[h+1][i].
+class _Workspace:
+    """A complex, and optionally a retract onto it, simplified in place.
+
+    Every object keeps a stable id, its index in the complex the workspace
+    is built from; objects[h] maps ids to objects in id order, and deleting
+    an id keeps the order of the rest, so the lowest (j, i) in ids is the
+    lowest in current indices.  The differential at degree h is kept as
+    columns out[h][j] = {i: d[i, j]} and rows into[h][i] = {j: d[i, j]}
+    (see `_lines`).  heaps[h] holds (j, i) for every entry at degree h that
+    was +-identity when last written; a candidate is checked when it reaches
+    the top.  A retract from M keeps pi as rows pi[h][id] and sigma as
+    columns sigma[h][id], keyed by M index, and the homotopy as hom[h] =
+    {(row, col) in M: m} out of degree h of M.  `export` builds one Complex.
+    """
+
+    def __init__(self, c: Complex, sdr: SDRData | None = None):
+        self.c, self.sdr, self.eliminated = c, sdr, False
+        self.objects = {h: dict(enumerate(objs)) for h, objs in c.objects.items()}
+        self.out, self.into = _lines(c.diff), _lines(c.diff, by_row=True)
+        self.heaps = {h: sorted((j, i) for (i, j), m in entries.items()
+                                if m.is_identity_entry())  # sorted is a heap
+                      for h, entries in c.diff.items()}
+        self.pi = self.sigma = self.hom = None
+        if sdr is not None:
+            self.pi = _lines(sdr.pi.components, by_row=True)
+            self.sigma = _lines(sdr.sigma.components)
+            self.hom = {h: dict(e) for h, e in sdr.homotopy.components.items()}
+
+    def pivot(self) -> tuple[int, int, int] | None:
+        """The +-identity entry (h, i, j) of lowest degree, then lowest (j, i).
+        Eliminating at h adds entries only at h, so none appears below it."""
+        for h, heap in self.heaps.items():
+            while heap:
+                j, i = heap[0]
+                m = self.out[h].get(j, {}).get(i)
+                if m is not None and m.is_identity_entry():
+                    return h, i, j
+                heappop(heap)
+        return None
+
+    def export(self) -> tuple[Complex, SDRData | None]:
+        """The simplified complex and retract (the inputs if none cancelled)."""
+        if not self.eliminated:
+            return self.c, self.sdr
+        pos = {h: {x: k for k, x in enumerate(objs)} for h, objs in self.objects.items()}
+        diff = {h: {(pos[h + 1][i], pos[h][j]): m
+                    for j, col in cols.items() for i, m in col.items()}
+                for h, cols in self.out.items()}
+        result = Complex(self.c.n, {h: list(objs.values())
+                                    for h, objs in self.objects.items()}, diff)
+        if self.sdr is None:
+            return result, None
+        src = self.sdr.pi.src
+        pi = {h: {(pos[h][r], m): p for r, row in rows.items() for m, p in row.items()}
+              for h, rows in self.pi.items()}
+        sigma = {h: {(y, pos[h][s]): q for s, col in cols.items() for y, q in col.items()}
+                 for h, cols in self.sigma.items()}
+        return result, SDRData(ChainMap(src, result, 0, 0, pi),
+                               ChainMap(result, src, 0, 0, sigma),
+                               ChainMap(src, src, -1, 0, self.hom))
+
+
+def gauss(ws: _Workspace, h: int, i: int, j: int) -> None:
+    """Cancel the invertible entry from object j@h to object i@h+1 of ws.
 
     With pivot eps (= +-1), a_s = d[i, s] for the other entries into row i
     and b_t = d[t, j] for the other entries out of column j, the surviving
-    differential is d[t, s] - eps b_t a_s.  With track_sdr the retract is
-    the local update (see `SDRData`) applied to the identity retract: pi is
-    the identity on survivors plus -eps b_t from object i@h+1 into each t,
-    sigma the identity plus -eps a_s from each s into object j@h, and h is
-    eps times the identity from i@h+1 to j@h.
+    differential is d[t, s] - eps b_t a_s, and a tracked retract gets the
+    local update stated in `SDRData`.  Every elimination goes through this
+    module-level function, so a tracer that rebinds `complexes.gauss`
+    counts each one.  A one-step retract is `_Workspace(c,
+    SDRData.identity(c))`, one `gauss` and `export`.
     """
-    pivot = c.entry(h, i, j)
+    pivot = ws.out.get(h, {}).get(j, {}).get(i)
     if pivot is None or not pivot.is_identity_entry():
         raise InvariantError("pivot entry is not +-identity")
     eps = pivot.terms[0]  # +-1; the inverse is the same morphism scaled by eps
+    out, into = ws.out[h], ws.into[h]
+    outs, ins = out.pop(j), into.pop(i)
+    del outs[i], ins[j]
+    for t in outs:
+        del into[t][j]
+    for s in ins:
+        del out[s][i]
+    for s in ws.into.get(h - 1, {}).pop(j, ()):
+        del ws.out[h - 1][s][j]
+    for t in ws.out.get(h + 1, {}).pop(i, ()):
+        del ws.into[h + 1][t][i]
+    del ws.objects[h][j], ws.objects[h + 1][i]
+    ws.eliminated = True
 
-    ins = {s: m for (ti, s), m in c.diff.get(h, {}).items() if ti == i and s != j}
-    outs = {t: m for (t, sj), m in c.diff.get(h, {}).items() if sj == j and t != i}
-
-    new_objects = {}
-    for hh, objs in c.objects.items():
-        keep = [o for idx, o in enumerate(objs)
-                if not (hh == h and idx == j) and not (hh == h + 1 and idx == i)]
-        new_objects[hh] = keep
-
-    def reindex(hh: int, idx: int) -> int:
-        if hh == h and idx > j:
-            return idx - 1
-        if hh == h + 1 and idx > i:
-            return idx - 1
-        return idx
-
-    new_diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    for hh, entries in c.diff.items():
-        out: dict[tuple[int, int], CobMorphism] = {}
-        for (ti, sj), m in entries.items():
-            if hh == h and (sj == j or ti == i):
-                continue
-            if hh == h - 1 and ti == j:
-                continue
-            if hh == h + 1 and sj == i:
-                continue
-            out[(reindex(hh + 1, ti), reindex(hh, sj))] = m
-        new_diff[hh] = out
-    corr = new_diff.setdefault(h, {})
-    for s, a in ins.items():
+    if ws.pi is not None:
+        row_i, col_j = ws.pi[h + 1].pop(i), ws.sigma[h].pop(j)
+        del ws.pi[h][j], ws.sigma[h + 1][i]
         for t, b in outs.items():
-            key = (reindex(h + 1, t), reindex(h, s))
-            delta = compose(b, a).scale(-eps)
-            corr[key] = corr[key] + delta if key in corr else delta
-
-    result = Complex(c.n, new_objects, new_diff)
-    if not track_sdr:
-        return result, None
-    retract = _LocalRetract(SDRData.identity(c))
-    retract.eliminate(c, h, i, j)
-    return result, retract.sdr(result)
-
-
-class _LocalRetract:
-    """A retract (pi, sigma, h): M -> N, updated in place as N is simplified.
-
-    pi[hh] holds one row per object of N at degree hh (M index -> morphism),
-    sigma[hh] one column per object of N (M index -> morphism), and
-    hom[hh] the components of h out of degree hh of M, keyed (row, col) in
-    M.  Rows and columns are lists, so deleting one reindexes the rest as
-    `gauss` reindexes the objects.  `eliminate` applies the local update
-    stated in `SDRData`; only the rows and columns next to the cancelled
-    pair change.
-    """
-
-    def __init__(self, sdr: SDRData):
-        self.src = sdr.pi.src
-        objects = sdr.pi.tgt.objects
-        self.pi = {hh: [{} for _ in objs] for hh, objs in objects.items()}
-        self.sigma = {hh: [{} for _ in objs] for hh, objs in objects.items()}
-        for hh, entries in sdr.pi.components.items():
-            for (r, m), p in entries.items():
-                self.pi[hh][r][m] = p
-        for hh, entries in sdr.sigma.components.items():
-            for (y, s), q in entries.items():
-                self.sigma[hh][s][y] = q
-        self.hom = {hh: dict(entries)
-                    for hh, entries in sdr.homotopy.components.items()}
-
-    def eliminate(self, n: Complex, h: int, i: int, j: int) -> None:
-        """Carry the retract through gauss(n, h, i, j); call before gauss."""
-        eps = n.diff[h][(i, j)].terms[0]
-        row_i = self.pi[h + 1].pop(i)
-        col_j = self.sigma[h].pop(j)
-        del self.pi[h][j]
-        del self.sigma[h + 1][i]
-        for (t, s), m in n.diff[h].items():
-            if s == j and t != i:
-                b = m.scale(-eps)
-                row = self.pi[h + 1][t - (t > i)]
-                for mm, p in row_i.items():
-                    _accumulate(row, mm, compose(b, p))
-            elif t == i and s != j:
-                a = m.scale(-eps)
-                col = self.sigma[h][s - (s > j)]
-                for y, q in col_j.items():
-                    _accumulate(col, y, compose(q, a))
-        hom = self.hom.setdefault(h + 1, {})
+            b, row = b.scale(-eps), ws.pi[h + 1][t]
+            for mm, p in row_i.items():
+                _accumulate(row, mm, compose(b, p))
+        for s, a in ins.items():
+            a, col = a.scale(-eps), ws.sigma[h][s]
+            for y, q in col_j.items():
+                _accumulate(col, y, compose(q, a))
+        hom = ws.hom.setdefault(h + 1, {})
         for y, q in col_j.items():
             q = q.scale(eps)
             for mm, p in row_i.items():
                 _accumulate(hom, (y, mm), compose(q, p))
 
-    def sdr(self, n: Complex) -> SDRData:
-        pi = {hh: {(r, m): p for r, row in enumerate(rows) for m, p in row.items()}
-              for hh, rows in self.pi.items()}
-        sigma = {hh: {(y, s): q for s, col in enumerate(cols) for y, q in col.items()}
-                 for hh, cols in self.sigma.items()}
-        return SDRData(ChainMap(self.src, n, 0, 0, pi),
-                       ChainMap(n, self.src, 0, 0, sigma),
-                       ChainMap(self.src, self.src, -1, 0, self.hom))
-
-
-def _find_pivot(c: Complex) -> tuple[int, int, int] | None:
-    for h in c.diff:
-        best = None
-        for (i, j), m in c.diff[h].items():
-            if m.is_identity_entry():
-                key = (j, i)
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            return h, best[1], best[0]
-    return None
+    for s, a in ins.items():
+        col = out[s]
+        for t, b in outs.items():
+            m = compose(b, a).scale(-eps)
+            m = col[t] + m if t in col else m
+            if not m.is_zero():
+                col[t] = into[t][s] = m
+                if m.is_identity_entry():  # fill-in: a new candidate at degree h
+                    heappush(ws.heaps[h], (s, t))
+            elif t in col:
+                del col[t], into[t][s]
 
 
 def simplify(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None]:
     """Deloop, then cancel +-identity entries until none remain.
 
-    Pivots are taken at the lowest degree first, then the lowest (j, i).
-    With track_sdr the retract c -> result starts from the delooping retract
-    and is updated locally at each elimination (h, i, j) with unit eps:
-    pi row t@h+1 gains -eps b_t o (row i), sigma column s@h gains
-    -eps (column j) o a_s, and h gains eps (column j of sigma) o (row i of
-    pi), where a_s = d[i, s] and b_t = d[t, j].  The result equals folding
-    the one-step retracts of `gauss` with `SDRData.then`, and the homotopy
-    is exact.
+    Pivots are taken at the lowest degree first, then the lowest (j, i), from
+    the heaps of one `_Workspace`; each goes through `gauss`, and the one
+    Complex is built at the end (the delooped complex itself when nothing
+    cancels).  With track_sdr the retract c -> result starts from the
+    delooping retract and is updated locally at each elimination (see
+    `SDRData`).  It equals folding the one-step retracts of `gauss` with
+    `SDRData.then`, and the homotopy is exact.
     """
-    cur, sdr = deloop(c, track_sdr)
-    retract = _LocalRetract(sdr) if track_sdr else None
-    while True:
-        pivot = _find_pivot(cur)
-        if pivot is None:
-            break
-        if retract is not None:
-            retract.eliminate(cur, *pivot)
-        cur, _ = gauss(cur, *pivot)
-    return cur, (retract.sdr(cur) if retract is not None else None)
+    ws = _Workspace(*deloop(c, track_sdr))
+    while (pivot := ws.pivot()) is not None:
+        gauss(ws, *pivot)
+    return ws.export()
 
 
 # ---------------------------------------------------------------------------
@@ -692,20 +679,19 @@ def _product(a: Complex, b: Complex, tangle_op, morphism_op, left, right):
             if len(lst) > object_ceiling():
                 raise EngineLimitError("product exceeded object ceiling")
 
-    # components[h][(i, j)] of each side as cols[h][j] = [(i, m), ...], in order
-    cols_l, cols_r = ({h: _lines(entries) for h, entries in side[0].items()}
-                      if side else {} for side in (left, right))
+    # components[h][(i, j)] of each side as cols[h][j] = {i: m}, in order
+    cols_l, cols_r = (_lines(side[0]) if side else {} for side in (left, right))
     comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
     for (ha, ia, hb, ib), (h, idx) in index.items():
         slot = comps.setdefault(h, {})
-        for i2, m in cols_l.get(ha, {}).get(ia, ()):
+        for i2, m in cols_l.get(ha, {}).get(ia, {}).items():
             key = (ha + left[1], i2, hb, ib)
             if key in index:
                 ob = b.objects[hb][ib].tangle
                 _accumulate(slot, (index[key][1], idx),
                             morphism_op(m, CobMorphism.identity(ob)))
         sign = -1 if right and (ha * right[1]) % 2 else 1
-        for i2, m in cols_r.get(hb, {}).get(ib, ()):
+        for i2, m in cols_r.get(hb, {}).get(ib, {}).items():
             key = (ha, ia, hb + right[1], i2)
             if key in index:
                 oa = a.objects[ha][ia].tangle
@@ -886,8 +872,7 @@ def hom_complex(a: Complex, b: Complex,
         want |= {(i - 1, j) for (i, j) in bidegrees}
         groups = {k: v for k, v in groups.items() if k in want}
     pos = {key: {lab: r for r, lab in enumerate(lst)} for key, lst in groups.items()}
-    b_cols = {h: _lines(entries) for h, entries in b.diff.items()}
-    a_rows = {h: _lines(entries, by_row=True) for h, entries in a.diff.items()}
+    b_cols, a_rows = _lines(b.diff), _lines(a.diff, by_row=True)
     diffs: dict[tuple[int, int], list[list[int]]] = {}
     for (i, j), basis in groups.items():
         tgt_basis = groups.get((i + 1, j))
@@ -899,9 +884,9 @@ def hom_complex(a: Complex, b: Complex,
         for cidx, (k, ia, ib, mask) in enumerate(basis):
             oa, ob = a.objects[k][ia], b.objects[k + i][ib]
             f = CobMorphism(oa.tangle, ob.tangle, {mask: 1})
-            _add_composites(matrix, cidx, f, b_cols.get(k + i, {}).get(ib, ()), True,
+            _add_composites(matrix, cidx, f, b_cols.get(k + i, {}).get(ib, {}), True,
                             tgt_pos, lambda i2, mask2: (k, ia, i2, mask2))
-            _add_composites(matrix, cidx, f, a_rows.get(k - 1, {}).get(ia, ()), False,
+            _add_composites(matrix, cidx, f, a_rows.get(k - 1, {}).get(ia, {}), False,
                             tgt_pos, lambda j2, mask2: (k - 1, j2, ib, mask2), -sign)
         diffs[(i, j)] = matrix
     return ZComplex(groups, diffs)
@@ -1033,11 +1018,9 @@ def _attach_piece(pieces, offs, comps, k, min_total_degree):
 
     # the entries composed with each unknown, grouped once: columns of d on
     # each target piece and of each block D_{j2,j}, and the rows of d_src
-    d_cols = {j: {h: _lines(e) for h, e in pieces[j].diff.items()}
-              for j in range(k + 2, m)}
-    block_cols = {key: {h: _lines(e) for h, e in block.items()}
-                  for key, block in comps.items() if key[1] >= k + 2}
-    src_rows = {h: _lines(e, by_row=True) for h, e in src.diff.items()}
+    d_cols = {j: _lines(pieces[j].diff) for j in range(k + 2, m)}
+    block_cols = {key: _lines(block) for key, block in comps.items() if key[1] >= k + 2}
+    src_rows = _lines(src.diff, by_row=True)
     matrix = [[0] * cols for _ in range(rows)]
     for cidx, (j, h, ia, ib, mask) in enumerate(unknowns):
         hb = h + 1 - (j - k)
@@ -1045,14 +1028,14 @@ def _attach_piece(pieces, offs, comps, k, min_total_degree):
         x = CobMorphism(src.objects[h][ia].tangle, pieces[j].objects[hb][ib].tangle,
                         {mask: 1})
         # sign_j * d_tgt o X_j
-        _add_composites(matrix, cidx, x, d_cols[j].get(hb, {}).get(ib, ()), True,
+        _add_composites(matrix, cidx, x, d_cols[j].get(hb, {}).get(ib, {}), True,
                         epos, lambda i2, mask2: (j, h, ia, i2, mask2), sign_j)
         # sign_k * X_j o d_src  (lands in equations at source degree h-1)
-        _add_composites(matrix, cidx, x, src_rows.get(h - 1, {}).get(ia, ()), False,
+        _add_composites(matrix, cidx, x, src_rows.get(h - 1, {}).get(ia, {}), False,
                         epos, lambda j2, mask2: (j, h - 1, j2, ib, mask2), sign_k)
         # D_{j2,j} o X_j for j2 > j
         for j2 in range(j + 1, m):
-            line = block_cols.get((j2, j), {}).get(hb, {}).get(ib, ())
+            line = block_cols.get((j2, j), {}).get(hb, {}).get(ib, {})
             _add_composites(matrix, cidx, x, line, True, epos,
                             lambda i2, mask2: (j2, h, ia, i2, mask2))
     sol = solve_integer(matrix, rhs)

@@ -144,7 +144,8 @@ def _solver(matrix: list[list[int]]):
     """Solve M x = b over Z for any number of b, with one Smith normal form.
 
     Returns a function b -> one integer solution (free parameters zero), or
-    None when there is none.
+    None when there is none.  U b runs over the nonzeros of b; each column
+    of U is reduced to its nonzeros once, when a b first needs it.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -153,10 +154,16 @@ def _solver(matrix: list[list[int]]):
     if cols == 0:
         return lambda rhs: None if any(rhs) else []
     u, d, v = smith_normal_form(matrix)
+    u_cols: dict[int, list[tuple[int, int]]] = {}  # k -> nonzeros (i, U[i][k])
 
     def solve(rhs: list[int]) -> list[int] | None:
-        rhs_nz = [(k, x) for k, x in enumerate(rhs) if x]
-        ub = [sum(u[i][k] * x for k, x in rhs_nz) for i in range(rows)]
+        ub = [0] * rows
+        for k, x in enumerate(rhs):
+            if x:
+                if k not in u_cols:
+                    u_cols[k] = [(i, row[k]) for i, row in enumerate(u) if row[k]]
+                for i, y in u_cols[k]:
+                    ub[i] += y * x
         y = [0] * cols
         for i in range(rows):
             di = d[i][i] if i < min(rows, cols) else 0
@@ -434,7 +441,7 @@ def taut_chain_map(f: ChainMap, src_z: ZComplex, tgt_z: ZComplex):
     out: dict[tuple[int, int], list[list[int]]] = {}
     tgt_pos = {key: {lab: r for r, lab in enumerate(lst)}
                for key, lst in tgt_z.groups.items()}
-    f_cols = {h: _lines(entries) for h, entries in f.components.items()}
+    f_cols = _lines(f.components)
     for (i, j), basis in src_z.groups.items():
         key_t = (i + f.dh, j + f.dq)
         tbasis = tgt_z.groups.get(key_t)
@@ -449,7 +456,7 @@ def taut_chain_map(f: ChainMap, src_z: ZComplex, tgt_z: ZComplex):
                 raise InvariantError(
                     f"basis label at degree {k}, not the empty diagram's 0")
             x = CobMorphism(empty, f.src.objects[i][ib].tangle, {mask: 1})
-            line = f_cols.get(i, {}).get(ib, ())
+            line = f_cols.get(i, {}).get(ib, {})
             nonzero |= _add_composites(mat, cidx, x, line, True, tgt_pos[key_t],
                                        lambda i2, mask2: (0, 0, i2, mask2))
         if nonzero:

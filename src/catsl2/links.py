@@ -56,6 +56,10 @@ class ColoredDiagram:
             raise ValueError("each component needs a mark")
         if not all(c >= 1 for c in self.colors):
             raise ValueError(f"colors must be >= 1, got {list(self.colors)}")
+        absent = [c for c, _ in self.family if c not in self.colors]
+        if absent:
+            raise ValueError(f"family: color {absent[0]} is not among the "
+                             f"colors {list(self.colors)}")
         if self.orientations is not None and (
                 len(self.orientations) != len(comps)
                 or not all(o in (1, -1) for o in self.orientations)):

@@ -123,6 +123,9 @@ def test_missing_file_is_usage_error(capsys):
     ({"braid": {"strands": 2, "word": [1, 1, 1]}, "colors": "x"},
      "colors: expected a list of integers"),
     ({"braid": [2, [1, 1, 1]], "colors": [1]}, "malformed file"),
+    ({"braid": {"strands": 2, "word": [1, 1, 1]}, "colors": [2],
+      "family": {"2": {"indices": [2]}, "3": {"indices": [9]}}},
+     "family: color 3 is not among the colors [2]"),
 ])
 def test_colored_homology_bad_diagram_is_usage_error(tmp_path, capsys,
                                                      diagram, message):
@@ -132,6 +135,22 @@ def test_colored_homology_bad_diagram_is_usage_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_engine_limit_is_one_line(tmp_path, run_python, optimize):
+    path = tmp_path / "trefoil.json"
+    path.write_text(json.dumps({"braid": {"strands": 2, "word": [1, 1, 1]},
+                                "colors": [2], "family": {"2": {"indices": [2]}}}))
+    script = f"""
+import os, sys
+os.environ["QPE_MAX_OBJECTS"] = "5"
+from catsl2.cli import main
+sys.exit(main(["colored", "homology", {str(path)!r}]))
+"""
+    out = run_python("-c", script, optimize=optimize)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr == "error: product exceeded object ceiling (QPE_MAX_OBJECTS=5)\n"
 
 
 def test_verify_single_suite(capsys):

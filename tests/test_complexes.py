@@ -1,7 +1,7 @@
 import pytest
 
 from catsl2.cobordism import CobMorphism, FlatTangle, GradedObject
-from catsl2.complexes import (ChainMap, Complex, _find_pivot, cone,
+from catsl2.complexes import (ChainMap, Complex, SDRData, _Workspace, cone,
                               convolution_complete, deloop, direct_sum, dual,
                               gauss, hom_complex, juxtapose_complexes,
                               partial_trace_complex, shift, simplify,
@@ -110,11 +110,29 @@ def test_deloop_object_with_circle():
     assert sdr2.homotopy.is_zero()
 
 
+def reference_pivot(c):
+    """Brute-force scan: the +-identity entry (h, i, j) of lowest degree,
+    then lowest (j, i), in the current indices of c."""
+    for h, entries in c.diff.items():
+        keys = [(j, i) for (i, j), m in entries.items() if m.is_identity_entry()]
+        if keys:
+            j, i = min(keys)
+            return h, i, j
+    return None
+
+
+def one_step(c, h, i, j):
+    """One gauss on a workspace over c: the complex left and its retract."""
+    ws = _Workspace(c, SDRData.identity(c))
+    gauss(ws, h, i, j)
+    return ws.export()
+
+
 def test_gauss_cancels_identity_pair():
     one2 = FlatTangle.identity(2)
     c = Complex(2, {0: [GradedObject(one2, 0)], 1: [GradedObject(one2, 0)]},
                 {0: {(0, 0): CobMorphism.identity(one2)}})
-    out, sdr = gauss(c, 0, 0, 0, track_sdr=True)
+    out, sdr = one_step(c, 0, 0, 0)
     assert out.is_zero()
     sdr.verify()
 
@@ -125,12 +143,12 @@ def test_gauss_rejects_non_unit_pivot_even_under_optimize_flag(run_python, optim
     # must still fire when python -O strips assert statements
     script = """
 from catsl2.cobordism import CobMorphism, FlatTangle, GradedObject
-from catsl2.complexes import Complex, InvariantError, gauss
+from catsl2.complexes import Complex, InvariantError, _Workspace, gauss
 one2 = FlatTangle.identity(2)
 c = Complex(2, {0: [GradedObject(one2, 0)], 1: [GradedObject(one2, 0)]},
             {0: {(0, 0): CobMorphism.identity(one2).scale(2)}})
 try:
-    gauss(c, 0, 0, 0)
+    gauss(_Workspace(c), 0, 0, 0)
 except InvariantError as exc:
     print("rejected:", exc)
 """
@@ -145,10 +163,10 @@ def test_gauss_preserves_d_squared_and_chi(rng):
         chi = euler_characteristic(c)
         # run a few elimination steps by hand and validate after each
         for _ in range(4):
-            pivot = _find_pivot(c)
+            pivot = reference_pivot(c)
             if pivot is None:
                 break
-            c, sdr = gauss(c, *pivot, track_sdr=True)
+            c, sdr = one_step(c, *pivot)
             c.check()
             sdr.verify()
         assert euler_characteristic(c) == chi
@@ -167,12 +185,12 @@ def folded_retract(c):
     retract by SDRData.then; also the largest homotopy outer product."""
     cur, sdr = deloop(c, track_sdr=True)
     widest = 0
-    while (pivot := _find_pivot(cur)) is not None:
+    while (pivot := reference_pivot(cur)) is not None:
         h, i, j = pivot
         col_j = [k for k in sdr.sigma.components.get(h, {}) if k[1] == j]
         row_i = [k for k in sdr.pi.components.get(h + 1, {}) if k[0] == i]
         widest = max(widest, len(col_j) * len(row_i))
-        cur, step = gauss(cur, h, i, j, track_sdr=True)
+        cur, step = one_step(cur, h, i, j)
         sdr = sdr.then(step)
     return cur, sdr, widest
 
@@ -197,6 +215,58 @@ def test_simplify_retract_equals_folded_gauss_retracts(rng):
         widest.append(w)
     # some homotopy update adds an outer product of more than one term
     assert max(widest) > 1
+
+
+def test_workspace_pivots_follow_reference_scan(rng):
+    cases = []
+    for _ in range(6):
+        c = random_braid_complex(rng, 3, 4)
+        cases += [c, partial_trace_complex(c, delooped=False)]
+    from_fill_in = 0
+    for c in cases:
+        start, _ = deloop(c)
+        ws = _Workspace(start)
+        while True:
+            pivot = ws.pivot()
+            ref = reference_pivot(ws.export()[0])
+            if pivot is None:
+                assert ref is None
+                break
+            h, i, j = pivot
+            ids = list(ws.objects[h + 1]), list(ws.objects[h])
+            assert ref == (h, ids[0].index(i), ids[1].index(j))
+            # ids are the indices of `start`: an entry that was not +-identity
+            # there became one by fill-in at degree h
+            m = start.entry(h, i, j)
+            from_fill_in += m is None or not m.is_identity_entry()
+            gauss(ws, h, i, j)
+        assert ws.export()[0].to_json() == simplify(c)[0].to_json()
+    assert from_fill_in
+
+
+def test_tracer_counts_every_elimination():
+    # the benchmark's tracer rebinds `complexes.gauss` by identity; every
+    # elimination must go through that global for its counts to hold
+    import importlib.util
+    from pathlib import Path
+    from catsl2 import complexes
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    c = partial_trace_complex(tensor(xplus(), tensor(xplus(), xplus())),
+                              delooped=False)
+    delooped = deloop(c)[0].total_objects()
+    tracer = spans.Tracer()
+    tracer.install("simplify")
+    try:
+        s, _ = complexes.simplify(c)
+    finally:
+        tracer.uninstall()
+    counts = tracer.snapshot()
+    assert delooped > s.total_objects() > 0
+    assert counts["complexes.gauss.calls"] == (delooped - s.total_objects()) // 2
+    assert counts["complexes.peak_objects"] == delooped
 
 
 def test_simplify_preserves_homology_of_closures(rng):
