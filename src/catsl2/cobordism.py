@@ -32,16 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from .tl import (Matching, juxtapose_matchings, stack_matchings,
+from .tl import (InvariantError, Matching, juxtapose_matchings, stack_matchings,
                  trace_matching)
-
-
-class InvariantError(AssertionError):
-    """An engine invariant (d^2 = 0, chain map, SDR identity) failed.
-
-    Raised explicitly rather than by `assert`, so the checks still run under
-    `python -O`; it subclasses AssertionError for callers that catch that.
-    """
 
 
 @dataclass(frozen=True, order=True)
@@ -65,7 +57,8 @@ class FlatTangle:
         return cls(n, Matching.e(i, n))
 
     def drop_circle(self) -> FlatTangle:
-        assert self.circles > 0
+        if self.circles <= 0:
+            raise InvariantError("no circle to drop")
         return FlatTangle(self.n, self.matching, self.circles - 1)
 
     def add_circles(self, k: int) -> FlatTangle:
@@ -162,7 +155,8 @@ def reduce_components(components) -> list[tuple[int, int]]:
     for curve_idxs, dots, chi in components:
         b = len(curve_idxs)
         genus2 = 2 - chi - b
-        assert genus2 >= 0 and genus2 % 2 == 0, f"bad component chi={chi} b={b}"
+        if genus2 < 0 or genus2 % 2:
+            raise InvariantError(f"bad component chi={chi} b={b}")
         genus = genus2 // 2
         coeff = 2 ** genus
         dots += genus
@@ -271,7 +265,8 @@ class CobMorphism:
         return not self.terms
 
     def __add__(self, other: CobMorphism) -> CobMorphism:
-        assert self.src == other.src and self.tgt == other.tgt
+        if self.src != other.src or self.tgt != other.tgt:
+            raise InvariantError("adding cobordisms with different ends")
         acc = dict(self.terms)
         for m, c in other.terms.items():
             acc[m] = acc.get(m, 0) + c
@@ -456,7 +451,8 @@ def _stack_plan(f_src: FlatTangle, f_tgt: FlatTangle,
 
 def stack(f: CobMorphism, g: CobMorphism) -> CobMorphism:
     """Vertical stacking f (x) g with f on top of g (both in the same Cob_n)."""
-    assert f.src.n == g.src.n, "strand-count mismatch"
+    if f.src.n != g.src.n:
+        raise InvariantError("strand-count mismatch in stack")
     plan = _merged_plan(_stack_plan, f.src, f.tgt, g.src, g.tgt)
     return CobMorphism(stack_tangles(f.src, g.src).tangle,
                        stack_tangles(f.tgt, g.tgt).tangle,
@@ -525,7 +521,8 @@ def _trace_plan(f_src: FlatTangle, f_tgt: FlatTangle):
 
 def partial_trace(f: CobMorphism) -> CobMorphism:
     """Close the rightmost strand of every tangle and of the cobordism."""
-    assert f.src.n >= 1
+    if f.src.n < 1:
+        raise InvariantError("partial trace needs at least one strand")
     plan = _merged_plan(_trace_plan, f.src, f.tgt)
     return CobMorphism(trace_tangle(f.src).tangle, trace_tangle(f.tgt).tangle,
                        _glue_terms(plan, f))

@@ -92,8 +92,8 @@ class Complex:
     def entry(self, h: int, i: int, j: int) -> CobMorphism | None:
         return self.diff.get(h, {}).get((i, j))
 
-    def check(self, d_squared: bool = True) -> None:
-        """Validate entry degrees (and d^2 = 0)."""
+    def check(self) -> None:
+        """Validate entry endpoints and degrees, and d^2 = 0."""
         for h, entries in self.diff.items():
             for (i, j), m in entries.items():
                 src = self.objects[h][j]
@@ -102,10 +102,9 @@ class Complex:
                     raise InvariantError(f"entry endpoints at h={h} ({i},{j})")
                 if m.deg_raw() != src.qshift - tgt.qshift:
                     raise InvariantError(f"entry degree at h={h} ({i},{j})")
-        if d_squared:
-            for h, entries in _block_product(self.diff, self.diff, 1).items():
-                key, m = next(iter(entries.items()))
-                raise InvariantError(f"d^2 != 0 at h={h} {key}: {m}")
+        for h, entries in _block_product(self.diff, self.diff, 1).items():
+            key, m = next(iter(entries.items()))
+            raise InvariantError(f"d^2 != 0 at h={h} {key}: {m}")
 
     def truncate_below(self, h_cut: int) -> Complex:
         """Brutal truncation keeping degrees >= h_cut (d^2 = 0 is preserved)."""
@@ -651,91 +650,112 @@ def simplify(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | No
 
 def tensor(a: Complex, b: Complex, delooped: bool = True) -> Complex:
     """Vertical stacking (a on top of b) with the Koszul sign on d_b."""
-    raw, _ = tensor_indexed(a, b)
+    raw = tensor_indexed(a, b)
     return deloop(raw)[0] if delooped else raw
 
 
-def _product(a: Complex, b: Complex, tangle_op, morphism_op, left, right):
-    """The bilinear product of two complexes, and of a map on either factor.
-
-    The objects are tangle_op(oa, ob) at degree ha + hb with q-shift
-    qa + qb, ordered by (ha, hb, ia, ib).  `left` and `right` are None or a
-    (components, dh) pair of a map on that factor: (c.diff, 1) for a
-    differential, (f.components, f.dh) for an endomorphism.  A component m
-    on the left gives morphism_op(m, 1); on the right it gives the Koszul-
-    signed (-1)^(ha * dh_right) morphism_op(1, m).  Returns (objects, index,
-    components) with index[(ha, ia, hb, ib)] = (h, position).
-    """
-    index: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+def _place(a: Complex, b: Complex, tangle_op):
+    """The objects of the product of a and b and index[(ha, ia, hb, ib)], the
+    position at degree ha + hb of tangle_op(oa, ob) with q-shift qa + qb;
+    the objects of a degree are ordered by (ha, hb, ia, ib)."""
+    index: dict[tuple[int, int, int, int], int] = {}
     objects: dict[int, list[GradedObject]] = {}
     for ha, objas in a.objects.items():
         for hb, objbs in b.objects.items():
             lst = objects.setdefault(ha + hb, [])
             for ia, oa in enumerate(objas):
                 for ib, ob in enumerate(objbs):
-                    index[(ha, ia, hb, ib)] = (ha + hb, len(lst))
+                    index[(ha, ia, hb, ib)] = len(lst)
                     lst.append(GradedObject(tangle_op(oa.tangle, ob.tangle),
                                             oa.qshift + ob.qshift))
             if len(lst) > object_ceiling():
                 raise EngineLimitError("product exceeded object ceiling")
+    return objects, index
+
+
+def _product(n: int, a: Complex, b: Complex, left: ChainMap | None = None,
+             right: ChainMap | None = None):
+    """The bilinear product of complexes a and b on n strands, and of maps on
+    its factors: f (x) 1 + 1 (x) g for `left` None or f out of a and `right`
+    None or g out of b.
+
+    It stacks (a on top) when a and b have n strands and juxtaposes (a on
+    the left) when their counts add up to n; closed factors (n = 0), whose
+    stacking and juxtaposition are both the disjoint union, are stacked, so
+    b's circles come first.  A component m of f gives morphism_op(m, 1),
+    one of g the Koszul-signed (-1)^(ha * g.dh) morphism_op(1, m); the
+    differential is the product of differential_map(a) and
+    differential_map(b).  A map whose target differs from its source (given
+    alone) lands in the targets' product, placed by the same `_place`.
+    Returns (objects of a (x) b, objects of the targets' product, components).
+    """
+    if a.n == b.n == n:
+        tangle_op, morphism_op = (lambda s, t: stack_tangles(s, t).tangle), stack
+    elif a.n + b.n == n:
+        tangle_op, morphism_op = ((lambda s, t: juxtapose_tangles(s, t)[0]),
+                                  juxtapose_morphism)
+    else:
+        raise ValueError(f"factors on {a.n} and {b.n} strands have no product "
+                         f"on {n} strands")
+    objects, index = _place(a, b, tangle_op)
+    tgt_a, tgt_b = left.tgt if left else a, right.tgt if right else b
+    tgt_objects, tgt_index = ((objects, index) if tgt_a is a and tgt_b is b
+                              else _place(tgt_a, tgt_b, tangle_op))
 
     # components[h][(i, j)] of each side as cols[h][j] = {i: m}, in order
-    cols_l, cols_r = (_lines(side[0]) if side else {} for side in (left, right))
+    cols_l, cols_r = (_lines(f.components) if f else {} for f in (left, right))
     comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    for (ha, ia, hb, ib), (h, idx) in index.items():
-        slot = comps.setdefault(h, {})
+    for (ha, ia, hb, ib), idx in index.items():
+        slot = comps.setdefault(ha + hb, {})
         for i2, m in cols_l.get(ha, {}).get(ia, {}).items():
-            key = (ha + left[1], i2, hb, ib)
-            if key in index:
-                ob = b.objects[hb][ib].tangle
-                _accumulate(slot, (index[key][1], idx),
-                            morphism_op(m, CobMorphism.identity(ob)))
-        sign = -1 if right and (ha * right[1]) % 2 else 1
+            ob = b.objects[hb][ib].tangle
+            _accumulate(slot, (tgt_index[(ha + left.dh, i2, hb, ib)], idx),
+                        morphism_op(m, CobMorphism.identity(ob)))
+        sign = -1 if right and (ha * right.dh) % 2 else 1
         for i2, m in cols_r.get(hb, {}).get(ib, {}).items():
-            key = (ha, ia, hb + right[1], i2)
-            if key in index:
-                oa = a.objects[ha][ia].tangle
-                _accumulate(slot, (index[key][1], idx),
-                            morphism_op(CobMorphism.identity(oa), m).scale(sign))
-    return objects, index, comps
+            oa = a.objects[ha][ia].tangle
+            _accumulate(slot, (tgt_index[(ha, ia, hb + right.dh, i2)], idx),
+                        morphism_op(CobMorphism.identity(oa), m).scale(sign))
+    return objects, tgt_objects, comps
 
 
-def _stacked(top: FlatTangle, bottom: FlatTangle) -> FlatTangle:
-    return stack_tangles(top, bottom).tangle
+def _product_complex(n: int, a: Complex, b: Complex) -> Complex:
+    objects, _, diff = _product(n, a, b, differential_map(a), differential_map(b))
+    return Complex(n, objects, diff)
 
 
-def tensor_indexed(a: Complex, b: Complex):
-    """Undelooped tensor plus the map (ha, ia, hb, ib) -> (h, index)."""
+def tensor_indexed(a: Complex, b: Complex) -> Complex:
+    """The undelooped tensor: a stacked on top of b."""
     if a.n != b.n:
         raise ValueError("strand-count mismatch in tensor")
-    objects, index, diff = _product(a, b, _stacked, stack, (a.diff, 1), (b.diff, 1))
-    return Complex(a.n, objects, diff), index
+    return _product_complex(a.n, a, b)
 
 
-def tensor_endomorphism(f: ChainMap | None, g: ChainMap | None,
-                        a: Complex, b: Complex, raw: Complex, index) -> ChainMap:
-    """f (x) id + Koszul-signed id (x) g on an undelooped tensor (one of f, g).
+def product_map(src: Complex, tgt: Complex, left: Complex | ChainMap,
+                right: Complex | ChainMap) -> ChainMap:
+    """f (x) 1 or the Koszul-signed 1 (x) g, as a map src -> tgt.
 
-    For f on the left factor: (f x id)(x (x) y) = f(x) (x) y; for g on the
-    right: (id x g)(x (x) y) = (-1)^(deg x * deg g) x (x) g(y).  `raw` and
-    `index` are what tensor_indexed(a, b) returned; the product recomputes
-    the same index.
+    One of `left`, `right` is a ChainMap on that factor, the other a Complex
+    standing for its identity.  src must be the undelooped product of the
+    factors' sources (`tensor_indexed` or `juxtapose_complexes`) and tgt
+    that of their targets; it stacks or juxtaposes as `_product` does for
+    src's strand count.
     """
+    f, g = (x if isinstance(x, ChainMap) else None for x in (left, right))
     if (f is None) == (g is None):
-        raise InvariantError("tensor_endomorphism takes exactly one of f, g")
-    endo = f if f is not None else g
-    _, _, comps = _product(a, b, _stacked, stack,
-                           (f.components, f.dh) if f is not None else None,
-                           (g.components, g.dh) if g is not None else None)
-    return ChainMap(raw, raw, endo.dh, endo.dq, comps)
+        raise InvariantError("product_map takes a map on exactly one factor")
+    objects, tgt_objects, comps = _product(src.n, f.src if f else left,
+                                           g.src if g else right, f, g)
+    if objects != src.objects or tgt_objects != tgt.objects:
+        raise InvariantError("product_map: src and tgt must be the products "
+                             "of the factors' sources and targets")
+    return ChainMap(src, tgt, (f or g).dh, (f or g).dq, comps)
 
 
 def juxtapose_complexes(a: Complex, b: Complex) -> Complex:
     """Horizontal disjoint union (a on the left), Koszul sign on the right
     factor; delooped, which changes nothing unless a factor has circles."""
-    objects, _, diff = _product(a, b, lambda s, t: juxtapose_tangles(s, t)[0],
-                                juxtapose_morphism, (a.diff, 1), (b.diff, 1))
-    return deloop(Complex(a.n + b.n, objects, diff))[0]
+    return deloop(_product_complex(a.n + b.n, a, b))[0]
 
 
 def partial_trace_complex(c: Complex, delooped: bool = True) -> Complex:
@@ -804,9 +824,6 @@ class ZComplex:
     def rank(self, i: int, j: int) -> int:
         return len(self.groups.get((i, j), []))
 
-    def bidegrees(self) -> list[tuple[int, int]]:
-        return list(self.groups)
-
     def matrix(self, i: int, j: int) -> list[list[int]]:
         """Matrix of d: (i, j) -> (i+1, j); rows indexed by target basis."""
         rows = self.rank(i + 1, j)
@@ -859,18 +876,12 @@ def _hom_basis(a: Complex, b: Complex):
     return groups
 
 
-def hom_complex(a: Complex, b: Complex,
-                bidegrees: list[tuple[int, int]] | None = None) -> ZComplex:
+def hom_complex(a: Complex, b: Complex) -> ZComplex:
     """HOM(a, b) as integer matrices over the dotted-disk basis.
 
     The differential is f -> d_b o f - (-1)^deg_h(f) f o d_a.
     """
     groups = _hom_basis(a, b)
-    if bidegrees is not None:
-        want = set(bidegrees)
-        want |= {(i + 1, j) for (i, j) in bidegrees}
-        want |= {(i - 1, j) for (i, j) in bidegrees}
-        groups = {k: v for k, v in groups.items() if k in want}
     pos = {key: {lab: r for r, lab in enumerate(lst)} for key, lst in groups.items()}
     b_cols, a_rows = _lines(b.diff), _lines(a.diff, by_row=True)
     diffs: dict[tuple[int, int], list[list[int]]] = {}
@@ -894,7 +905,8 @@ def hom_complex(a: Complex, b: Complex,
 
 def tautological_complex(c: Complex) -> ZComplex:
     """HOM(empty diagram, c) for a fully delooped complex over Cob_0."""
-    assert c.n == 0, "tautological functor needs a closed diagram"
+    if c.n != 0:
+        raise ValueError("tautological functor needs a closed diagram")
     return hom_complex(Complex.empty_diagram(), c)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cobordism import FlatTangle, GradedObject
-from .complexes import (Complex, partial_trace_complex, simplify,
+from .complexes import (Complex, InvariantError, partial_trace_complex, simplify,
                         tautological_complex, tensor)
 from .homology import BigradedGroups, integer_homology
 from .projectors import (QnBuild, braid_letter_complex, quasi_projector,
@@ -224,8 +224,7 @@ def cable(d: ColoredDiagram) -> CabledWord:
     return out
 
 
-def bracket_colored(d: ColoredDiagram, window: int = 12,
-                    incremental: bool = True) -> tuple[Complex, bool]:
+def bracket_colored(d: ColoredDiagram, window: int = 12) -> tuple[Complex, bool]:
     """The bracket complex of the cabled, decorated closure, over Cob_0.
 
     Returns (complex, exact) where exact is False when any spliced
@@ -248,24 +247,21 @@ def bracket_colored(d: ColoredDiagram, window: int = 12,
         else:
             _, col, color = sl
             piece = pad_columns(boxes[color].complex, col + 1, width)
-        cur = tensor(piece, cur)
-        if incremental:
-            cur, _ = simplify(cur)
+        cur, _ = simplify(tensor(piece, cur))
 
     if d.closure == "plat":
         cur = tensor(_rainbows(d, width), cur)
         cur, _ = simplify(cur)
     while cur.n > 0:
-        cur = partial_trace_complex(cur)
-        if incremental:
-            cur, _ = simplify(cur)
+        cur, _ = simplify(partial_trace_complex(cur))
     return cur, exact
 
 
 def _rainbows(d: ColoredDiagram, width: int) -> Complex:
     """Nested caps joining the cables of each plat pair at the top of the
     braid; trace-closing this over the braid realizes the plat closure."""
-    assert d.strands % 2 == 0
+    if d.strands % 2:
+        raise InvariantError("a plat closure needs an even strand count")
     perm = d.permutation()
     inv = [0] * d.strands
     for p, t in enumerate(perm):
@@ -275,7 +271,8 @@ def _rainbows(d: ColoredDiagram, width: int) -> Complex:
     base = 0
     for pair in range(d.strands // 2):
         wa, wb = top_widths[2 * pair], top_widths[2 * pair + 1]
-        assert wa == wb, "plat-paired strands must share a color"
+        if wa != wb:
+            raise InvariantError("plat-paired strands must share a color")
         span = wa + wb
         for j in range(wa):
             a, b = base + j, base + span - 1 - j

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cobordism import CobMorphism, FlatTangle, GradedObject, stack_tangles
-from .cobordism import stack as stack_morphism
 from .complexes import (ChainMap, Complex, InvariantError, _assemble, cone,
                         convolution_complete, deloop, juxtapose_complexes,
-                        shift, simplify, tensor, tensor_endomorphism,
-                        tensor_indexed, transport_endomorphism)
+                        product_map, shift, simplify, tensor, tensor_indexed,
+                        transport_endomorphism)
 
 # extra projector depth used when feeding a truncated projector into the
 # convolution solver, keeping the guarded equations clear of its artifacts
@@ -35,7 +34,8 @@ DEPTH_MARGIN = 8
 def crossing_complex(sign: int, n: int = 2, at: int = 1) -> Complex:
     """The oriented crossing complexes: + is q^2 e -> q 1 at degrees (-1, 0);
     - is q^-1 e -> q^-2 1 at degrees (0, 1)."""
-    assert sign in (1, -1)
+    if sign not in (1, -1):
+        raise ValueError(f"crossing sign must be +1 or -1, not {sign!r}")
     return braid_letter_complex(1, parallel=(sign > 0), n=n, at=at)
 
 
@@ -47,7 +47,8 @@ def braid_letter_complex(eps: int, parallel: bool, n: int = 2, at: int = 1) -> C
     Sigma-letters resolve as (e, 1) with the saddle e -> 1; inverse letters
     swap the two resolutions.
     """
-    assert eps in (1, -1)
+    if eps not in (1, -1):
+        raise ValueError(f"braid letter chirality must be +1 or -1, not {eps!r}")
     e = FlatTangle.e(at, n)
     one = FlatTangle.identity(n)
     b, a = (e, one) if eps > 0 else (one, e)
@@ -62,8 +63,7 @@ def braid_letter_complex(eps: int, parallel: bool, n: int = 2, at: int = 1) -> C
     return Complex(n, objs, diff)
 
 
-def khovanov_bracket(n: int, word: list, boxes: dict | None = None,
-                     incremental: bool = True) -> Complex:
+def khovanov_bracket(n: int, word: list, boxes: dict | None = None) -> Complex:
     """Fold a word of square slices bottom-to-top, simplifying along the way.
 
     Slice vocabulary: an integer +-i is the braid letter sigma_i^{+-1} with
@@ -74,7 +74,8 @@ def khovanov_bracket(n: int, word: list, boxes: dict | None = None,
     for item in word:
         if isinstance(item, int):
             i = abs(item)
-            assert 1 <= i <= n - 1, f"bad crossing index {item}"
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"bad crossing index {item} on {n} strands")
             sl = pad_columns(braid_letter_complex(1 if item > 0 else -1, True), i, n)
         elif item[0] == "e":
             sl = Complex.generator_complex(item[1], n)
@@ -85,16 +86,16 @@ def khovanov_bracket(n: int, word: list, boxes: dict | None = None,
             sl = pad_columns(boxes[item[1]], offset + 1, n)
         else:
             raise ValueError(f"unknown slice {item!r}")
-        cur = tensor(sl, cur)
-        if incremental:
-            cur, _ = simplify(cur)
+        cur, _ = simplify(tensor(sl, cur))
     return cur
 
 
 def pad_columns(c: Complex, at: int, n: int) -> Complex:
     """Pad a complex to n strands so that it occupies columns at..at+width-1."""
     left, right = at - 1, n - c.n - (at - 1)
-    assert left >= 0 and right >= 0, "slice does not fit"
+    if left < 0 or right < 0:
+        raise ValueError(f"a {c.n}-strand slice at column {at} does not fit "
+                         f"in {n} strands")
     out = c
     if left:
         out = juxtapose_complexes(Complex.identity_complex(left), out)
@@ -173,7 +174,8 @@ def _hook_tangles(n: int):
         st = stack_tangles(tangles[-1], hook)
         if k == n - 1:
             kind, val = st.arc_map[("B", frozenset((n + lo, n + lo + 1)))]
-            assert kind == "arc"
+            if kind != "arc":
+                raise InvariantError("the deepest hook's cap closed into a circle")
             cap_arc = val
         tangles.append(st.tangle)
     if n == 2:
@@ -184,62 +186,32 @@ def _hook_tangles(n: int):
 
 def symmetric_sequence(k_complex: Complex, n: int):
     """The 2n-term homotopy chain complex relative to a turnback-killing
-    complex on n-1 strands: returns (pieces, alphas) in homological order,
-    the last piece at shift zero."""
-    assert k_complex.n == n - 1
+    complex K on n-1 strands: returns (pieces, alphas) in homological order,
+    the last piece at shift zero.
+
+    Piece k is (K u 1) over the hook cascade D_d, d = min(k, 2n-1-k),
+    q-shifted, and delooped; alpha_k is id (x) g_k transported through the
+    deloopings, with g_k the saddle between consecutive hooks or, between
+    the two copies of the deepest hook, its cap-dot minus its cup-dot.
+    """
+    if k_complex.n != n - 1:
+        raise InvariantError("a symmetric sequence needs K on n - 1 strands")
     hooks, cup_arc, cap_arc = _hook_tangles(n)
     k1 = juxtapose_complexes(k_complex, Complex.identity_complex(1))
-
-    raw_pieces, infos, d_indices = [], [], []
-    for k in range(2 * n):
-        d_idx = k if k <= n - 1 else 2 * n - 1 - k
-        qs = 2 * n - k if k <= n - 1 else 2 * n - 1 - k
-        hook_cx = Complex.from_object(GradedObject(hooks[d_idx], 0), n)
-        raw, _ = tensor_indexed(k1, hook_cx)
-        raw_pieces.append(shift(raw, 0, qs))
-        d_indices.append(d_idx)
-
-    def stacked_map(src: Complex, k: int, tgt: Complex, morph_for) -> ChainMap:
-        comps = {}
-        for h, objs in src.objects.items():
-            comps[h] = {}
-            for i, obj in enumerate(objs):
-                box = k1.objects[h][i].tangle
-                comps[h][(i, i)] = morph_for(box, obj)
-        return ChainMap(src, tgt, 0, 0, comps)
-
-    raw_alphas = []
+    depth = [min(k, 2 * n - 1 - k) for k in range(2 * n)]
+    ends = [Complex.from_object(GradedObject(hooks[d], 2 * n - k if k < n else d), n)
+            for k, d in enumerate(depth)]
+    raw = [tensor_indexed(k1, end) for end in ends]
+    pieces, sdrs = zip(*(deloop(r, track_sdr=True) for r in raw))
+    alphas = []
     for k in range(2 * n - 1):
-        src, tgt = raw_pieces[k], raw_pieces[k + 1]
-        di, dj = d_indices[k], d_indices[k + 1]
-        if di != dj:
-            saddle = CobMorphism.canonical(hooks[di], hooks[dj])
-
-            def morph(box, obj, saddle=saddle):
-                return stack_morphism(CobMorphism.identity(box), saddle)
-        else:
-            def morph(box, obj, di=di):
-                st = stack_tangles(box, hooks[di])
-                assert st.tangle == obj.tangle
-                top = _arc_in(st, cap_arc)
-                bot = _arc_in(st, cup_arc)
-                return _dotted(obj.tangle, top) - _dotted(obj.tangle, bot)
-        raw_alphas.append(stacked_map(src, k, tgt, morph))
-
-    pieces, sdrs = [], []
-    for raw in raw_pieces:
-        piece, sdr = deloop(raw, track_sdr=True)
-        pieces.append(piece)
-        sdrs.append(sdr)
-    alphas = [sdrs[k].sigma.then(raw_alphas[k]).then(sdrs[k + 1].pi)
-              for k in range(2 * n - 1)]
-    return pieces, alphas
-
-
-def _arc_in(st, arc):
-    kind, val = st.arc_map[("B", arc)]
-    assert kind == "arc"
-    return val
+        hook, nxt = hooks[depth[k]], hooks[depth[k + 1]]
+        g = (CobMorphism.canonical(hook, nxt) if hook != nxt
+             else _dotted(hook, cap_arc) - _dotted(hook, cup_arc))
+        g_k = ChainMap(ends[k], ends[k + 1], 0, 0, {0: {(0, 0): g}})
+        alpha = product_map(raw[k], raw[k + 1], k1, g_k)
+        alphas.append(sdrs[k].sigma.then(alpha).then(sdrs[k + 1].pi))
+    return list(pieces), alphas
 
 
 @dataclass
@@ -367,36 +339,20 @@ def truncated_pn(n: int, window: int = 12) -> TruncatedProjector:
     if n == 3:
         p2 = truncated_pn(2, window)
         per3, u3per = _periodic_model(q3(), 3, window)
-        left = juxtapose_complexes(p2.complex, Complex.identity_complex(1))
-        raw, index = tensor_indexed(left, per3)
-        u2raw = tensor_endomorphism(_pad_right(p2.u_maps[2], left), None,
-                                    left, per3, raw, index)
-        u3raw = tensor_endomorphism(None, u3per, left, per3, raw, index)
-        delooped, dsdr = deloop(raw, track_sdr=True)
-        u2d = transport_endomorphism(u2raw, dsdr)
-        u3d = transport_endomorphism(u3raw, dsdr)
-        simp, sdr = simplify(delooped, track_sdr=True)
-        u2 = transport_endomorphism(u2d, sdr)
-        u3 = transport_endomorphism(u3d, sdr)
+        strand = Complex.identity_complex(1)
+        left = juxtapose_complexes(p2.complex, strand)
+        raw = tensor_indexed(left, per3)
+        u2left = product_map(left, left, p2.u_maps[2], strand)  # u_2 u 1
+        u2raw = product_map(raw, raw, u2left, per3)
+        u3raw = product_map(raw, raw, left, u3per)
+        simp, sdr = simplify(raw, track_sdr=True)  # retract from the delooping on
+        u2 = transport_endomorphism(u2raw, sdr)
+        u3 = transport_endomorphism(u3raw, sdr)
         proj = TruncatedProjector(3, window, simp, _bare_unit(simp, 3),
                                   {1: _u1_map(simp), 2: u2, 3: u3})
         proj.check()
         return proj
     raise ValueError("truncated_pn supports n <= 3 at desk scale")
-
-
-def _pad_right(f: ChainMap, padded: Complex) -> ChainMap:
-    """Extend an endomorphism of `original` to `original u 1` by the identity.
-
-    Object order in juxtapose_complexes with a one-object factor matches the
-    original's object order degree by degree.
-    """
-    comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    from .cobordism import juxtapose as juxtapose_morphism
-    strand = CobMorphism.identity(FlatTangle.identity(1))
-    for h, entries in f.components.items():
-        comps[h] = {k: juxtapose_morphism(m, strand) for k, m in entries.items()}
-    return ChainMap(padded, padded, f.dh, f.dq, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,15 @@ from .series import DEFAULT_PRECISION, PrecisionError, TruncatedSeries
 if TYPE_CHECKING:  # pragma: no cover
     from .complexes import Complex
 
+
+class InvariantError(AssertionError):
+    """An engine invariant (d^2 = 0, chain map, SDR identity) failed.
+
+    Raised explicitly rather than by `assert`, so the checks still run under
+    `python -O`; it subclasses AssertionError for callers that catch that.
+    Defined here, in the lowest module that raises it.
+    """
+
 Arc = frozenset  # frozenset({p, q}) of boundary labels, within one diagram
 
 
@@ -71,7 +80,8 @@ class Matching:
     @classmethod
     def e(cls, i: int, n: int) -> Matching:
         """Cup-cap generator joining strands i, i+1 (1-indexed, 1 <= i <= n-1)."""
-        assert 1 <= i <= n - 1, f"e_{i} undefined in TL_{n}"
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"e_{i} undefined in TL_{n}")
         pairing = list((p + n) % (2 * n) for p in range(2 * n))
         a, b = i - 1, i
         pairing[a], pairing[b] = b, a
@@ -150,7 +160,8 @@ class StackInfo:
 
 @lru_cache(maxsize=None)
 def stack_matchings(top: Matching, bottom: Matching) -> StackInfo:
-    assert top.n == bottom.n, "strand count mismatch"
+    if top.n != bottom.n:
+        raise InvariantError("strand count mismatch")
     n = top.n
     # Middle identification: bottom's top point (n+j) == top's bottom point j.
     visited_mid = [False] * n  # indexed by j
@@ -228,7 +239,8 @@ class TraceInfo:
 @lru_cache(maxsize=None)
 def trace_matching(m: Matching) -> TraceInfo:
     n = m.n
-    assert n >= 1, "cannot trace on zero strands"
+    if n < 1:
+        raise InvariantError("cannot trace on zero strands")
     lo, hi = n - 1, 2 * n - 1
 
     def relabel(p: int) -> int:
@@ -301,7 +313,8 @@ class TLElement:
         self.precision = precision
         self.terms: dict[Matching, TruncatedSeries] = {}
         for m, s in sorted((terms or {}).items()):
-            assert m.n == n, "mixed strand counts in TL element"
+            if m.n != n:
+                raise InvariantError("mixed strand counts in TL element")
             if not s.is_zero():
                 self.terms[m] = s
 
@@ -324,7 +337,8 @@ class TLElement:
         return self.terms.get(m, TruncatedSeries.zero(self.precision))
 
     def __add__(self, other: TLElement) -> TLElement:
-        assert self.n == other.n
+        if self.n != other.n:
+            raise InvariantError("adding TL elements on different strand counts")
         acc = dict(self.terms)
         for m, s in other.terms.items():
             acc[m] = acc[m] + s if m in acc else s
@@ -401,7 +415,8 @@ def jw(n: int, precision: int = DEFAULT_PRECISION) -> TLElement:
 
 
 def juxtapose_tl(a: TLElement, b: TLElement) -> TLElement:
-    assert a.precision == b.precision
+    if a.precision != b.precision:
+        raise InvariantError("juxtaposing TL elements of different precisions")
     acc: dict[Matching, TruncatedSeries] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():

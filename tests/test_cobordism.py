@@ -169,6 +169,24 @@ def test_bihomogeneity_enforced():
         CobMorphism(one2, one2, {0: 1, 1: 1})  # identity plus dot
 
 
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_adding_cobordisms_with_different_ends_raises_under_optimize_flag(
+        run_python, optimize):
+    # 1_2 -> 1_2 plus e_1 -> e_1 once returned the 1_2 -> 1_2 morphism {0: 2}
+    # when python -O stripped the endpoint check
+    script = """
+from catsl2.cobordism import CobMorphism, FlatTangle, InvariantError
+one2, e = FlatTangle.identity(2), FlatTangle.e(1, 2)
+try:
+    print(CobMorphism.identity(one2) + CobMorphism.canonical(e, e))
+except InvariantError as exc:
+    print("rejected:", exc)
+"""
+    out = run_python("-c", script, optimize=optimize)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected: adding cobordisms with different ends"
+
+
 def test_morphism_json_roundtrip_shape():
     e = FlatTangle.e(1, 2)
     td = CobMorphism.dotted_identity(e, 2)

@@ -1,11 +1,12 @@
 import pytest
 
-from catsl2.cobordism import CobMorphism, FlatTangle, GradedObject
+from catsl2.cobordism import CobMorphism, FlatTangle, GradedObject, InvariantError
 from catsl2.complexes import (ChainMap, Complex, SDRData, _Workspace, cone,
-                              convolution_complete, deloop, direct_sum, dual,
-                              gauss, hom_complex, juxtapose_complexes,
-                              partial_trace_complex, shift, simplify,
-                              tautological_complex, tensor)
+                              convolution_complete, deloop, differential_map,
+                              direct_sum, dual, gauss, hom_complex,
+                              juxtapose_complexes, partial_trace_complex,
+                              product_map, shift, simplify,
+                              tautological_complex, tensor, tensor_indexed)
 from catsl2.homology import integer_homology
 from catsl2.projectors import braid_letter_complex, crossing_complex, q1, q2
 from catsl2.series import TruncatedSeries
@@ -77,6 +78,24 @@ def test_juxtapose_euler_characteristic(rng):
     j.check()
     assert euler_characteristic(j) == \
         juxtapose_tl(euler_characteristic(a), euler_characteristic(b))
+
+
+@pytest.mark.parametrize("product", [tensor_indexed, juxtapose_complexes],
+                         ids=["stacked", "juxtaposed"])
+def test_product_differential_is_sum_of_factor_maps(product):
+    # d = d_a (x) 1 + (-1)^ha 1 (x) d_b; the right factor's map has odd dh,
+    # which no u-map golden reaches
+    xp, xm = crossing_complex(1), braid_letter_complex(-1, True)
+    for a, b in [(q2(), xp), (xm, shift(q2(), 1, 2)), (q2(), q2())]:
+        c = product(a, b)
+        assert c.total_objects() == a.total_objects() * b.total_objects()
+        c.check()  # the Koszul sign makes d^2 = 0
+        d = (product_map(c, c, differential_map(a), b)
+             + product_map(c, c, a, differential_map(b)))
+        assert d == differential_map(c)
+        assert not d.is_zero()
+    with pytest.raises(InvariantError):  # src is not the product of a and b
+        product_map(shift(c, 0, 1), c, differential_map(a), b)
 
 
 def test_partial_trace_examples():

@@ -28,7 +28,7 @@ def test_khovanov_bracket_flat_slice():
     assert b.graded_ranks() == {(0, 0): 1}
     assert euler_characteristic(b) == TLElement.generator(1, 2)
     # e then e stacks to (q + q^-1) e, delooped into two shifted objects
-    b2 = khovanov_bracket(2, [("e", 1), ("e", 1)], incremental=False)
+    b2 = khovanov_bracket(2, [("e", 1), ("e", 1)])
     assert b2.graded_ranks() == {(0, 1): 1, (0, -1): 1}
 
 

@@ -1,5 +1,9 @@
 """Byte-for-byte goldens for the block complexes: sums, cones, convolutions, HOM.
 
+The symmetric-sequence goldens (the pieces and connecting maps fed to the
+convolution solver) were written before those maps were built by the
+product of complexes instead of by hand.
+
 The files under tests/goldens/ were written by the engine before the block
 layouts (direct sum, cone, convolution total complex, periodic model), the
 block products and the basis-column loops of HOM and the convolution solver
@@ -17,8 +21,8 @@ from pathlib import Path
 import pytest
 
 from catsl2.cli import main
-from catsl2.complexes import cone, direct_sum, hom_complex, shift
-from catsl2.projectors import q2, truncated_pn
+from catsl2.complexes import Complex, cone, direct_sum, hom_complex, shift
+from catsl2.projectors import q2, symmetric_sequence, truncated_pn
 
 GOLDENS = Path(__file__).parent / "goldens"
 CLI_CASES = {"qn2.json": ["proj", "qn", "--n", "2"],
@@ -55,8 +59,23 @@ def _cone_u2() -> str:
     return json.dumps(c.to_json(), indent=1, sort_keys=True) + "\n"
 
 
+def _symmetric_sequence(k_complex: Complex, n: int) -> str:
+    pieces, alphas = symmetric_sequence(k_complex, n)
+    payload = {"pieces": [p.to_json() for p in pieces],
+               "alphas": [{"dh": f.dh, "dq": f.dq,
+                           "components": [{"h": h, "row": i, "col": j,
+                                           "morphism": m.to_json()}
+                                          for h, entries in sorted(f.components.items())
+                                          for (i, j), m in sorted(entries.items())]}
+                          for f in alphas]}
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
 TEXT_CASES = {"hom_q2_q2.json": _hom_q2, "hom_p2_w6.json": _hom_p2,
-              "direct_sum_q2.json": _direct_sum, "cone_u2_p2_w6.json": _cone_u2}
+              "direct_sum_q2.json": _direct_sum, "cone_u2_p2_w6.json": _cone_u2,
+              "symseq_n2.json": lambda: _symmetric_sequence(Complex.identity_complex(1), 2),
+              "symseq_p2_w6_n3.json":
+                  lambda: _symmetric_sequence(truncated_pn(2, 6).complex, 3)}
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))

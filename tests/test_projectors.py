@@ -40,6 +40,22 @@ def test_khovanov_bracket_single_crossing_and_r2():
         khovanov_bracket(2, [("box", "missing")])
 
 
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_bad_crossing_index_is_value_error_under_optimize_flag(run_python, optimize):
+    # once an AssertionError in a plain run and, under python -O, a
+    # ValueError about the pairing length from deeper down
+    script = """
+from catsl2.projectors import khovanov_bracket
+try:
+    khovanov_bracket(2, [3])
+except ValueError as exc:
+    print("rejected:", exc)
+"""
+    out = run_python("-c", script, optimize=optimize)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected: bad crossing index 3 on 2 strands"
+
+
 def test_khovanov_bracket_unknot_rank_two():
     c = khovanov_bracket(2, [1])
     closed = closure_complex(c)
