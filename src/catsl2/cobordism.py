@@ -14,9 +14,10 @@ implements.  Composition, vertical stacking and partial trace are one gluing
 computation: each builds a plan (a factor's curve count, the `unions` of
 disks along shared boundary, the `incidences` of disks on output curves),
 `_merge` turns it into connected pieces once per tangles, and `_glue_terms`
-places each term pair's dots on the pieces and expands them into disks.
+places each term pair's dots on the pieces and expands them into disks,
+memoized per plan by the pair's combined dot mask.
 Juxtaposition and the symmetries only relabel curves (`_curve_table`,
-`_remap`); the identity-like constructors share `CobMorphism._sheets`.
+`_remap`); the identity-like constructors share the cached `_sheets`.
 
 Only the combinatorics of an embedded surface is tracked (component/curve
 incidence, genus, dots).  For composites of the elementary pieces this engine
@@ -30,8 +31,9 @@ The q-degree of a cobordism S: q^i T -> q^j T' is n + j - i - chi(S) + 2*dots;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from .tl import (InvariantError, Matching, juxtapose_matchings, stack_matchings,
                  trace_matching)
 
@@ -41,12 +43,18 @@ class FlatTangle:
     n: int
     matching: Matching
     circles: int = 0
+    # the kernel's caches are keyed by tangles: hash each one once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.matching.n != self.n or self.circles < 0:
             raise InvariantError(f"bad flat tangle: {self.n} strands, "
                                  f"{self.matching.n}-strand matching, "
                                  f"{self.circles} circles")
+        object.__setattr__(self, "_hash", hash((self.n, self.matching, self.circles)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def identity(cls, n: int) -> FlatTangle:
@@ -181,13 +189,17 @@ def reduce_components(components) -> list[tuple[int, int]]:
 
 
 class CobMorphism:
-    """Integer combination of canonical dotted-disk cobordisms src -> tgt."""
+    """Integer combination of canonical dotted-disk cobordisms src -> tgt.
+
+    `terms` (dot mask -> coefficient) is a read-only view, so a morphism can
+    be shared: the identity-like constructors return cached instances.
+    """
 
     __slots__ = ("src", "tgt", "terms")
 
     def __init__(self, src: FlatTangle, tgt: FlatTangle, terms: dict[int, int]):
         self.src, self.tgt = src, tgt
-        self.terms = {m: c for m, c in sorted(terms.items()) if c}
+        self.terms = MappingProxyType({m: c for m, c in sorted(terms.items()) if c})
         if len(self.terms) > 1 and len({m.bit_count() for m in self.terms}) > 1:
             raise InvariantError("morphism is not bihomogeneous")
 
@@ -198,42 +210,8 @@ class CobMorphism:
         return cls(src, tgt, {})
 
     @classmethod
-    def from_components(cls, src, tgt, components, coeff: int = 1) -> CobMorphism:
-        terms: dict[int, int] = {}
-        for mask, c in reduce_components(components):
-            terms[mask] = terms.get(mask, 0) + c * coeff
-        return cls(src, tgt, terms)
-
-    @classmethod
-    def _sheets(cls, src: FlatTangle, tgt: FlatTangle, dot=None,
-                lone: bool | None = None) -> CobMorphism:
-        """The identity-like cobordism src -> tgt, built sheet by sheet.
-
-        One sheet per strand curve of glue(src, tgt), one cylinder per circle
-        that src and tgt share and, when `lone` is not None, one disk (dotted
-        if `lone`) on the last circle of the side that has one more.  `dot`
-        puts a dot on the sheet meeting a boundary point, an Arc of src, or
-        ('circle', i) for circle i of src.
-        """
-        info = glue(src, tgt)
-        if dot is not None:
-            dot = {**info.point_curve, **info.arc_src_curve,
-                   **{("circle", i): c for i, c in info.circle_src_curve.items()}}[dot]
-        comps = [((idx,), int(idx == dot), 1)
-                 for idx, c in enumerate(info.curves) if c.ref[0] == "pts"]
-        for i in range(min(src.circles, tgt.circles)):
-            pair = tuple(sorted((info.circle_src_curve[i], info.circle_tgt_curve[i])))
-            comps.append((pair, int(dot in pair), 0))
-        if lone is not None:
-            last = (info.circle_src_curve[src.circles - 1]
-                    if src.circles > tgt.circles
-                    else info.circle_tgt_curve[tgt.circles - 1])
-            comps.append(((last,), int(lone), 1))
-        return cls.from_components(src, tgt, comps)
-
-    @classmethod
     def identity(cls, t: FlatTangle) -> CobMorphism:
-        return cls._sheets(t, t)
+        return _sheets(t, t, None, None)
 
     @classmethod
     def canonical(cls, src: FlatTangle, tgt: FlatTangle) -> CobMorphism:
@@ -247,17 +225,17 @@ class CobMorphism:
         `where` is a boundary point, an Arc of the matching, or ('circle', i)
         referring to a circle of t (the dot lands on the source-side sheet).
         """
-        return cls._sheets(t, t, dot=where)
+        return _sheets(t, t, where, None)
 
     @classmethod
     def cap_circle(cls, src: FlatTangle, dotted: bool) -> CobMorphism:
         """Cap off the last circle of src: a morphism src -> src minus circle."""
-        return cls._sheets(src, src.drop_circle(), lone=dotted)
+        return _sheets(src, src.drop_circle(), None, dotted)
 
     @classmethod
     def cup_circle(cls, tgt: FlatTangle, dotted: bool) -> CobMorphism:
         """Birth of the last circle of tgt: a morphism tgt minus circle -> tgt."""
-        return cls._sheets(tgt.drop_circle(), tgt, lone=dotted)
+        return _sheets(tgt.drop_circle(), tgt, None, dotted)
 
     # -- linear structure ---------------------------------------------------
 
@@ -323,6 +301,34 @@ class CobMorphism:
         }
 
 
+@lru_cache(maxsize=None)
+def _sheets(src: FlatTangle, tgt: FlatTangle, dot, lone: bool | None) -> CobMorphism:
+    """The identity-like cobordism src -> tgt, built sheet by sheet.
+
+    One sheet per strand curve of glue(src, tgt), one cylinder per circle
+    that src and tgt share and, when `lone` is not None, one disk (dotted if
+    `lone`) on the last circle of the side that has one more.  `dot` (None:
+    no dot) puts a dot on the sheet meeting a boundary point, an Arc of src,
+    or ('circle', i) for circle i of src.  Cached, so the result is shared.
+    """
+    info = glue(src, tgt)
+    if dot is not None:
+        dot = {**info.point_curve, **info.arc_src_curve,
+               **{("circle", i): c for i, c in info.circle_src_curve.items()}}[dot]
+    comps = [((idx,), int(idx == dot), 1)
+             for idx, c in enumerate(info.curves) if c.ref[0] == "pts"]
+    for i in range(min(src.circles, tgt.circles)):
+        pair = tuple(sorted((info.circle_src_curve[i], info.circle_tgt_curve[i])))
+        comps.append((pair, int(dot in pair), 0))
+    if lone is not None:
+        last = (info.circle_src_curve[src.circles - 1]
+                if src.circles > tgt.circles
+                else info.circle_tgt_curve[tgt.circles - 1])
+        comps.append(((last,), int(lone), 1))
+    # the components meet disjoint curves, so no two products share a mask
+    return CobMorphism(src, tgt, dict(reduce_components(comps)))
+
+
 # ---------------------------------------------------------------------------
 # The gluing engine
 # ---------------------------------------------------------------------------
@@ -353,23 +359,28 @@ def _merge(unions, incidences):
 @lru_cache(maxsize=None)
 def _merged_plan(build, *tangles: FlatTangle):
     """Merge the plan `build(*tangles)` = (n_f, unions, incidences) into
-    (n_f, pieces); cached per builder and tangles."""
+    (n_f, pieces, memo); cached per builder and tangles.  `memo` maps the
+    combined dot mask of a term pair to its expansion, filled by
+    `_glue_terms`; it lives in this cache entry and is cleared with it."""
     n_f, unions, incidences = build(*tangles)
-    return n_f, tuple(_merge(unions, incidences))
+    return n_f, tuple(_merge(unions, incidences)), {}
 
 
 def _glue_terms(plan, f: CobMorphism, g: CobMorphism | None = None) -> dict[int, int]:
     """Glue every term pair of f and g (f alone when g is None) along a
     merged plan; g's disks follow the n_f disks of f."""
-    n_f, pieces = plan
+    n_f, pieces, memo = plan
     acc: dict[int, int] = {}
     g_terms = g.terms.items() if g is not None else ((0, 1),)
     for mf, cf in f.terms.items():
         for mg, cg in g_terms:
             dots = mf | mg << n_f
-            comps = [(outer, (dots & disks).bit_count(), chi)
-                     for outer, disks, chi in pieces]
-            for mask, c in reduce_components(comps):
+            expansion = memo.get(dots)
+            if expansion is None:
+                expansion = memo[dots] = tuple(reduce_components(
+                    [(outer, (dots & disks).bit_count(), chi)
+                     for outer, disks, chi in pieces]))
+            for mask, c in expansion:
                 acc[mask] = acc.get(mask, 0) + c * cf * cg
     return acc
 

@@ -5,7 +5,10 @@ and a sparse differential matrix of CobMorphisms.  Shift conventions: the
 upward shift t flips the sign of the differential, and tensor differentials
 follow the Koszul rule d(a x b) = d(a) x b + (-1)^deg(a) a x d(b).
 
-Everything here returns new complexes; values are immutable by convention.
+Everything here returns new complexes; their dicts are left unchanged by
+convention.  The terms of their morphisms cannot be changed at all:
+`CobMorphism.terms` is a read-only view, which is what lets complexes share
+the cached identity-like morphisms.
 """
 
 from __future__ import annotations
@@ -28,6 +31,14 @@ class EngineLimitError(RuntimeError):
 
 def object_ceiling() -> int:
     return int(os.environ.get("QPE_MAX_OBJECTS", "200000"))
+
+
+def _check_ceiling(stage: str, h: int, count: int) -> None:
+    """Stop `stage` once it holds more than object_ceiling() objects at
+    degree h, saying so on one line."""
+    if count > object_ceiling():
+        raise EngineLimitError(f"{stage} exceeded object ceiling at degree {h} "
+                               f"with {count} objects")
 
 
 class Complex:
@@ -462,8 +473,7 @@ def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None
                                      obj.qshift + sum(signs)))
                     exp.append((idx, pi, sigma))
             expansion[h].append(exp)
-        if len(new_objects[h]) > object_ceiling():
-            raise EngineLimitError(f"deloop exceeded ceiling at degree {h}")
+        _check_ceiling("deloop", h, len(new_objects[h]))
 
     new_diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
     for h, entries in c.diff.items():
@@ -668,8 +678,7 @@ def _place(a: Complex, b: Complex, tangle_op):
                     index[(ha, ia, hb, ib)] = len(lst)
                     lst.append(GradedObject(tangle_op(oa.tangle, ob.tangle),
                                             oa.qshift + ob.qshift))
-            if len(lst) > object_ceiling():
-                raise EngineLimitError("product exceeded object ceiling")
+            _check_ceiling("product", ha + hb, len(lst))
     return objects, index
 
 

@@ -150,7 +150,8 @@ sys.exit(main(["colored", "homology", {str(path)!r}]))
 """
     out = run_python("-c", script, optimize=optimize)
     assert out.returncode == 1 and out.stdout == ""
-    assert out.stderr == "error: product exceeded object ceiling (QPE_MAX_OBJECTS=5)\n"
+    assert out.stderr == ("error: product exceeded object ceiling at degree 0 "
+                          "with 6 objects (QPE_MAX_OBJECTS=5)\n")
 
 
 def test_verify_single_suite(capsys):

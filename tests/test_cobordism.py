@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
-from catsl2.cobordism import (CobMorphism, FlatTangle, compose, dual, glue,
-                              glue_curves, juxtapose, partial_trace,
+from catsl2.cobordism import (CobMorphism, FlatTangle, _compose_plan, _merge,
+                              _merged_plan, _stack_plan, _trace_plan, compose,
+                              dual, glue, glue_curves, juxtapose, partial_trace,
                               reduce_components, reflect, rotate, stack,
-                              stack_tangles)
+                              stack_tangles, trace_tangle)
 from catsl2.tl import Matching, all_matchings
 
 
@@ -17,6 +20,15 @@ def rand_basis(rng, src, tgt):
         if rng.random() < 0.35:
             mask |= 1 << i
     return CobMorphism(src, tgt, {mask: rng.choice([1, -1, 2])})
+
+
+def rand_multi(rng, src, tgt, max_terms=3):
+    """A bihomogeneous morphism with up to max_terms basis terms."""
+    curves = len(glue(src, tgt))
+    k = rng.randrange(curves + 1)
+    masks = {sum(1 << i for i in rng.sample(range(curves), k))
+             for _ in range(max_terms)}
+    return CobMorphism(src, tgt, {m: rng.choice([1, -1, 2, 3]) for m in masks})
 
 
 def test_glue_curves_examples():
@@ -131,6 +143,88 @@ def test_partial_trace_functorial(rng):
         tf = partial_trace(f)
         if not tf.is_zero():
             assert tf.deg_raw() == f.deg_raw()
+
+
+def fresh_glue(build, tangles, f, g=None) -> dict[int, int]:
+    """Reference gluing without any memo: a freshly merged plan, and every
+    term pair of f and g run through its pieces and reduce_components."""
+    n_f, unions, incidences = build(*tangles)
+    pieces = _merge(unions, incidences)
+    acc: dict[int, int] = {}
+    for mf, cf in f.terms.items():
+        for mg, cg in (g.terms.items() if g is not None else [(0, 1)]):
+            dots = mf | mg << n_f
+            comps = [(outer, (dots & disks).bit_count(), chi)
+                     for outer, disks, chi in pieces]
+            for mask, c in reduce_components(comps):
+                acc[mask] = acc.get(mask, 0) + c * cf * cg
+    return acc
+
+
+def test_glue_memo_matches_fresh_reduction(rng):
+    for _ in range(150):
+        n = rng.randrange(1, 4)
+        a, b, c, d = (rand_tangle(rng, n) for _ in range(4))
+        _merged_plan.cache_clear()
+        assert _merged_plan(_compose_plan, a, b, c)[2] == {}
+        stacked = (stack_tangles(a, c).tangle, stack_tangles(b, d).tangle)
+        traced = (trace_tangle(a).tangle, trace_tangle(b).tangle)
+        triples = [(rand_multi(rng, a, b), rand_multi(rng, b, c),
+                    rand_multi(rng, c, d)) for _ in range(3)]
+        # the first triple meets cold plans; the others, and the first once
+        # more, meet the same plans with other term pairs in their memos
+        for f, g, h in triples + triples[:1]:
+            assert compose(g, f) == CobMorphism(
+                a, c, fresh_glue(_compose_plan, (a, b, c), f, g))
+            assert stack(f, h) == CobMorphism(
+                *stacked, fresh_glue(_stack_plan, (a, b, c, d), f, h))
+            assert partial_trace(f) == CobMorphism(
+                *traced, fresh_glue(_trace_plan, (a, b), f))
+        assert _merged_plan(_trace_plan, a, b)[2]
+
+
+def test_terms_are_read_only_and_identities_shared():
+    e, looped = FlatTangle.e(1, 2), FlatTangle(2, Matching.identity(2), 1)
+    for t in (e, looped):
+        ident = CobMorphism.identity(t)
+        assert ident is CobMorphism.identity(t)
+        assert CobMorphism.dotted_identity(t, 0) is CobMorphism.dotted_identity(t, 0)
+        with pytest.raises(TypeError):
+            ident.terms[0] = 5
+        before = dict(ident.terms)
+        dot = CobMorphism.dotted_identity(t, 0)
+        for m in (ident + ident, ident - ident, -ident, ident.scale(3),
+                  ident.scale(0), compose(ident, ident), compose(dot, ident),
+                  compose(ident, dot), stack(ident, ident)):
+            assert m is not ident
+        assert dict(ident.terms) == before
+        assert CobMorphism.identity(t).terms == before
+    circle = FlatTangle(0, Matching(0, ()), 1)
+    assert CobMorphism.cap_circle(circle, True) is CobMorphism.cap_circle(circle, True)
+    assert CobMorphism.cup_circle(circle, False) is CobMorphism.cup_circle(circle, False)
+
+
+def test_flat_tangle_hash_is_cached_and_invisible():
+    m = Matching.e(1, 2)
+    t1, t2 = FlatTangle(2, m, 1), FlatTangle.e(1, 2).add_circles(1)
+    assert t1 is not t2 and t1 == t2 and hash(t1) == hash(t2)
+    assert {t1: "x"}[t2] == "x"
+    assert repr(t1) == f"FlatTangle(n=2, matching={m!r}, circles=1)"
+    # a different cached value changes the hash and nothing else
+    object.__setattr__(t2, "_hash", hash(t1) + 1)
+    assert t1 == t2 and t1 <= t2 and t2 <= t1 and not t1 < t2 and not t2 < t1
+    assert repr(t2) == repr(t1)
+    m1, m2 = CobMorphism.canonical(t1, t1), CobMorphism.canonical(t2, t2)
+    assert m1 == m2 and json.dumps(m1.to_json()) == json.dumps(m2.to_json())
+    assert str(hash(t1)) not in json.dumps(m1.to_json())
+    tangles = [FlatTangle(n, mt, c) for n in (1, 2, 3)
+               for mt in all_matchings(n) for c in (0, 1)]
+    for x in tangles:
+        twin = FlatTangle(x.n, Matching(x.n, x.matching.pairing), x.circles)
+        assert twin == x and hash(twin) == hash(x)
+        for y in tangles:
+            fx, fy = (x.n, x.matching, x.circles), (y.n, y.matching, y.circles)
+            assert (x < y) == (fx < fy) and (x == y) == (fx == fy)
 
 
 def test_symmetries(rng):

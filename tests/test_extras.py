@@ -82,3 +82,18 @@ def test_object_ceiling_guard(monkeypatch):
     with pytest.raises(EngineLimitError):
         tensor(q2(), q2())
     monkeypatch.delenv("QPE_MAX_OBJECTS")
+
+
+def test_deloop_ceiling_names_stage_degree_and_count(monkeypatch):
+    from catsl2.cobordism import FlatTangle, GradedObject
+    from catsl2.complexes import EngineLimitError, deloop
+    from catsl2.tl import Matching
+    # two circles at degree 1 deloop into four objects
+    two_circles = GradedObject(FlatTangle(0, Matching(0, ()), 2), 0)
+    c = Complex(0, {1: [two_circles]}, {})
+    monkeypatch.setenv("QPE_MAX_OBJECTS", "4")
+    assert len(deloop(c)[0].objects[1]) == 4
+    monkeypatch.setenv("QPE_MAX_OBJECTS", "3")
+    with pytest.raises(EngineLimitError) as exc:
+        deloop(c)
+    assert str(exc.value) == "deloop exceeded object ceiling at degree 1 with 4 objects"
