@@ -843,15 +843,19 @@ class ZComplex:
         return m
 
     def check(self) -> None:
+        """d^2 = 0, over the nonzeros of each pair of consecutive matrices."""
         for (i, j), m in self.diffs.items():
-            nxt = self.matrix(i + 1, j)
-            cols = self.rank(i, j)
-            rows2 = self.rank(i + 2, j)
-            for cidx in range(cols):
-                col = [m[r][cidx] for r in range(len(m))]
-                out = [sum(nxt[r][k] * col[k] for k in range(len(col)))
-                       for r in range(rows2)]
-                if any(out):
+            nxt = self.diffs.get((i + 1, j))
+            if nxt is None:
+                continue
+            # nonzeros of nxt by column: r -> [(s, nxt[s][r])]
+            nxt_cols = [[(s, y) for s, y in enumerate(col) if y] for col in zip(*nxt)]
+            for col in zip(*m):
+                out: dict[int, int] = {}
+                for r, x in [(r, x) for r, x in enumerate(col) if x]:
+                    for s, y in nxt_cols[r]:
+                        out[s] = out.get(s, 0) + x * y
+                if any(out.values()):
                     raise InvariantError(f"d^2 != 0 at {(i, j)}")
 
 

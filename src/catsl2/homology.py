@@ -9,6 +9,14 @@ first row and then the first column in the current order (to limit entry
 growth).  U and V are results, not only D: the factorization performs exactly
 the elementary operations of the dense row-major algorithm it replaced, in the
 same order, and tests/goldens/snf.json pins (U, D, V) entry for entry.
+
+Bigraded homology comes from invariant factors: for C_{i-1} --A--> C_i --B-->
+C_{i+1} with BA = 0, H_i = Z^(n_i - rank B - rank A) plus Z/d for each
+invariant factor d > 1 of A, because ker B is a saturated sublattice that
+contains im A.  `integer_homology` therefore factors each nonzero differential
+once.  Ranks and factors exist for any pair of matrices, so it checks d^2 = 0
+first.  `homology_generators`, which needs generators and not only orders,
+takes kernel mod image in its one bidegree.
 """
 
 from __future__ import annotations
@@ -244,37 +252,25 @@ class BigradedGroups:
         return "{" + "; ".join(bits) + "}"
 
 
-def _cycles_mod_boundaries(z: ZComplex, i: int, j: int):
-    """Kernel basis and cyclic decomposition of the homology at (i, j).
-
-    Returns (kb, u, orders): the columns of kb are a basis of the cycles,
-    and the columns of kb u^-1 generate cyclic summands of the orders given
-    (0 = free, 1 = trivial); u is None when it is the identity.
-    """
-    n = z.rank(i, j)
-    b_out = z.diffs.get((i, j))
-    kb = kernel_basis(b_out) if b_out else _identity(n)
-    kdim = len(kb[0]) if kb else 0
-    a_in = z.diffs.get((i - 1, j))
-    if kdim == 0 or not a_in:
-        return kb, None, [0] * kdim
-    # express the image inside the kernel lattice: kb * X = a_in
-    solve = _solver(kb)
-    x = [solve([row[c] for row in a_in]) for c in range(len(a_in[0]))]
-    if any(col is None for col in x):
-        raise InvariantError("image not contained in kernel (d^2 != 0?)")
-    xm = [[col[r] for col in x] for r in range(kdim)]
-    u, d, _ = smith_normal_form(xm)
-    return kb, u, [d[c][c] if c < min(kdim, len(x)) else 0 for c in range(kdim)]
-
-
 def integer_homology(z: ZComplex) -> BigradedGroups:
-    """Kernel mod image per bidegree, with torsion via Smith normal form."""
+    """Homology per bidegree, read off the invariant factors of the differentials.
+
+    For C_{i-1} --A--> C_i --B--> C_{i+1} with BA = 0, ker B is a saturated
+    sublattice of C_i containing im A, so H_i = Z^(n_i - rank B - rank A)
+    plus Z/d for each invariant factor d > 1 of A.  One Smith normal form per
+    nonzero differential serves both bidegrees it touches.  The formula reads
+    only ranks and factors, so it would return groups for a non-complex too:
+    d^2 = 0 is checked first.
+    """
+    z.check()
+    factors = {}
+    for key, m in z.diffs.items():
+        d = smith_normal_form(m)[1]
+        factors[key] = [d[k][k] for k in range(min(len(d), len(d[0]))) if d[k][k]]
     out = BigradedGroups()
     for (i, j) in sorted(z.groups):
-        _, _, orders = _cycles_mod_boundaries(z, i, j)
-        factors = [f for f in orders if f]
-        out.set(i, j, len(orders) - len(factors), tuple(f for f in factors if f > 1))
+        a, b = factors.get((i - 1, j), ()), factors.get((i, j), ())
+        out.set(i, j, z.rank(i, j) - len(a) - len(b), tuple(f for f in a if f > 1))
     return out
 
 
@@ -465,11 +461,25 @@ def taut_chain_map(f: ChainMap, src_z: ZComplex, tgt_z: ZComplex):
 
 
 def homology_generators(z: ZComplex, key: tuple[int, int]):
-    """Generators of H at `key` as chain vectors plus their orders (0 = free)."""
-    kb, u, orders = _cycles_mod_boundaries(z, *key)
-    kdim = len(orders)
-    if u is not None:
-        # new kernel basis: with U X V = D, take kb' = kb U^{-1}
+    """Generators of H at `key` as chain vectors plus their orders (0 = free).
+
+    Kernel mod image: the columns of a kernel basis kb span the cycles; with
+    the image solved inside them as kb X and U X V = D, the columns of
+    kb U^-1 generate cyclic summands of orders diag(D) (1 = trivial, dropped).
+    """
+    i, j = key
+    b_out = z.diffs.get((i, j))
+    kb = kernel_basis(b_out) if b_out else _identity(z.rank(i, j))
+    kdim = len(kb[0]) if kb else 0
+    a_in = z.diffs.get((i - 1, j))
+    orders = [0] * kdim
+    if kdim and a_in:
+        solve = _solver(kb)
+        x = [solve([row[c] for row in a_in]) for c in range(len(a_in[0]))]
+        if any(col is None for col in x):
+            raise InvariantError(f"image not contained in kernel at {key} (d^2 != 0?)")
+        u, d, _ = smith_normal_form([[col[r] for col in x] for r in range(kdim)])
+        orders = [d[c][c] if c < min(kdim, len(x)) else 0 for c in range(kdim)]
         uinv = matrix_inverse_unimodular(u)
         kb = [[sum(row[k] * uinv[k][c] for k in range(kdim)) for c in range(kdim)]
               for row in kb]

@@ -1,12 +1,13 @@
 import pytest
 
 from catsl2.cobordism import CobMorphism, FlatTangle, GradedObject, InvariantError
-from catsl2.complexes import (ChainMap, Complex, SDRData, _Workspace, cone,
-                              convolution_complete, deloop, differential_map,
-                              direct_sum, dual, gauss, hom_complex,
-                              juxtapose_complexes, partial_trace_complex,
-                              product_map, shift, simplify,
-                              tautological_complex, tensor, tensor_indexed)
+from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
+                              cone, convolution_complete, deloop,
+                              differential_map, direct_sum, dual, gauss,
+                              hom_complex, juxtapose_complexes,
+                              partial_trace_complex, product_map, shift,
+                              simplify, tautological_complex, tensor,
+                              tensor_indexed)
 from catsl2.homology import integer_homology
 from catsl2.projectors import braid_letter_complex, crossing_complex, q1, q2
 from catsl2.series import TruncatedSeries
@@ -379,6 +380,15 @@ def test_hom_complex_differential_squares_to_zero(rng):
         b = random_braid_complex(rng, 2, 2)
         z = hom_complex(a, b)
         z.check()
+
+
+def test_zcomplex_check_sums_over_the_middle_degree():
+    # Z --(1, 1)--> Z^2 --(1 -1)--> Z: both products are nonzero, their sum is
+    # not; with (1 1) instead the composite is 2 and the check names (0, 2)
+    groups = {(0, 2): ["a"], (1, 2): ["b", "c"], (2, 2): ["d"], (5, 0): ["e"]}
+    ZComplex(groups, {(0, 2): [[1], [1]], (1, 2): [[1, -1]]}).check()
+    with pytest.raises(InvariantError, match=r"d\^2 != 0 at \(0, 2\)"):
+        ZComplex(groups, {(0, 2): [[1], [1]], (1, 2): [[1, 1]]}).check()
 
 
 def test_convolution_two_term_is_cone():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catsl2.homology as homology
 from catsl2.complexes import (ChainMap, Complex, ZComplex, hom_complex,
                               partial_trace_complex, shift, simplify,
                               tautological_complex, tensor)
@@ -15,6 +16,7 @@ from catsl2.homology import (BigradedGroups, _solver, adjunction_reduce,
 from catsl2.projectors import q2, truncated_pn
 from catsl2.series import TruncatedSeries
 from catsl2.tl import closure_evaluate, euler_characteristic
+from test_complexes import random_braid_complex
 
 
 def bareiss_det(m):
@@ -138,6 +140,132 @@ def test_integer_homology_toy_cases():
     assert integer_homology(z).groups == {(1, 0): (0, (2,))}
     z = ZComplex({(0, 0): ["a"], (1, 0): ["b"]}, {})
     assert integer_homology(z).groups == {(0, 0): (1, ()), (1, 0): (1, ())}
+
+
+def reference_homology(z: ZComplex) -> BigradedGroups:
+    """Kernel mod image in every bidegree, the way integer_homology computed it
+    before it read the groups off invariant factors: a kernel basis of the
+    outgoing differential, the incoming image solved inside it, and the orders
+    from a second Smith normal form."""
+    out = BigradedGroups()
+    for (i, j) in sorted(z.groups):
+        b_out = z.diffs.get((i, j))
+        kb = kernel_basis(b_out) if b_out else \
+            [[int(r == c) for c in range(z.rank(i, j))] for r in range(z.rank(i, j))]
+        kdim = len(kb[0]) if kb else 0
+        a_in = z.diffs.get((i - 1, j))
+        orders = [0] * kdim
+        if kdim and a_in:
+            solve = _solver(kb)
+            x = [solve(list(col)) for col in zip(*a_in)]
+            assert all(col is not None for col in x), "image not in kernel"
+            d = smith_normal_form([[col[r] for col in x] for r in range(kdim)])[1]
+            orders = [d[c][c] if c < min(kdim, len(x)) else 0 for c in range(kdim)]
+        factors = [f for f in orders if f]
+        out.set(i, j, len(orders) - len(factors), tuple(f for f in factors if f > 1))
+    return out
+
+
+def random_torsion_complex(rng):
+    """A direct sum of pieces Z at (h, q) and Z --d--> Z from (h, q) to
+    (h + 1, q), seen through a random unimodular change of basis in every
+    bidegree, so d^2 = 0 by construction.  Returns the ZComplex and, per
+    bidegree, the free rank and the product of the torsion orders."""
+    basis: dict[tuple[int, int], list[str]] = {}
+    arrows = []  # (h, q, source index, target index, d)
+    expect: dict[tuple[int, int], list[int]] = {}
+    for p in range(rng.randrange(3, 13)):
+        h, q = rng.randrange(-1, 2), rng.choice((0, 2))
+        src = basis.setdefault((h, q), [])
+        src.append(f"p{p}")
+        if rng.random() < 0.3:
+            expect.setdefault((h, q), [0, 1])[0] += 1
+            continue
+        d = rng.choice((1, 1, 2, 3, 4, 6, 12))
+        tgt = basis.setdefault((h + 1, q), [])
+        tgt.append(f"p{p}'")
+        arrows.append((h, q, len(src) - 1, len(tgt) - 1, d))
+        expect.setdefault((h + 1, q), [0, 1])[1] *= d
+    change = {}  # (h, q) -> (P, P^-1), built from elementary row operations
+    for key, labels in basis.items():
+        n = len(labels)
+        pm = [[int(r == c) for c in range(n)] for r in range(n)]
+        pinv = [row[:] for row in pm]
+        for _ in range(2 * n if n > 1 else 0):
+            a, b = rng.sample(range(n), 2)
+            k = rng.choice((-2, -1, 1, 2))
+            pm[b] = [x + k * y for x, y in zip(pm[b], pm[a])]  # row b += k row a
+            for row in pinv:  # column a -= k column b
+                row[a] -= k * row[b]
+        change[key] = (pm, pinv)
+    diffs = {}
+    for (h, q), tgt in basis.items():
+        src = basis.get((h - 1, q))
+        if not src:
+            continue
+        m = [[0] * len(src) for _ in tgt]
+        for h0, q0, s, t, d in arrows:
+            if (h0 + 1, q0) == (h, q):
+                m[t][s] = d
+        pm, pinv = change[(h, q)][0], change[(h - 1, q)][1]
+        pm_m = [[sum(pm[r][k] * m[k][c] for k in range(len(tgt)))
+                 for c in range(len(src))] for r in range(len(tgt))]
+        diffs[(h - 1, q)] = [[sum(row[k] * pinv[k][c] for k in range(len(src)))
+                              for c in range(len(src))] for row in pm_m]
+    return ZComplex(basis, diffs), expect
+
+
+def test_integer_homology_agrees_with_kernel_mod_image_on_torsion_complexes(
+        rng, monkeypatch):
+    snf_calls = []
+    snf = homology.smith_normal_form
+    monkeypatch.setattr(homology, "smith_normal_form",
+                        lambda m: snf_calls.append(1) or snf(m))
+    torsion_seen = 0
+    for _ in range(80):
+        z, expect = random_torsion_complex(rng)
+        z.check()
+        del snf_calls[:]
+        got = integer_homology(z)
+        assert len(snf_calls) == len(z.diffs)  # one per nonzero differential
+        assert got.groups == reference_homology(z).groups
+        for key in set(expect) | set(got.groups):
+            rank, order = expect.get(key, (0, 1))
+            assert got.rank(*key) == rank, key
+            product = 1
+            for f in got.torsion(*key):
+                product *= f
+            assert product == order, key
+        torsion_seen += sum(len(t) > 0 for _, t in got.groups.values())
+    assert torsion_seen > 40
+
+
+def test_integer_homology_agrees_with_kernel_mod_image_on_hom_complexes(rng):
+    for n, length in ((2, 2), (2, 3), (3, 1), (3, 2)):
+        z = hom_complex(random_braid_complex(rng, n, length),
+                        random_braid_complex(rng, n, length))
+        assert z.diffs
+        assert integer_homology(z).groups == reference_homology(z).groups
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_integer_homology_rejects_a_non_complex_even_under_optimize_flag(
+        run_python, optimize):
+    # ranks and invariant factors alone would give H = 0 here: the d^2 check
+    # must come first, and must survive python -O
+    script = """
+from catsl2.complexes import InvariantError, ZComplex
+from catsl2.homology import integer_homology
+z = ZComplex({(0, 0): ["a"], (1, 0): ["b"], (2, 0): ["c"]},
+             {(0, 0): [[1]], (1, 0): [[1]]})
+try:
+    print("accepted:", integer_homology(z))
+except InvariantError as exc:
+    print("rejected:", exc)
+"""
+    out = run_python("-c", script, optimize=optimize)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected: d^2 != 0 at (0, 0)"
 
 
 def test_unknot_via_unsimplified_cube():
