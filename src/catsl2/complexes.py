@@ -431,68 +431,60 @@ def transport_endomorphism(f: ChainMap, sdr: SDRData) -> ChainMap:
 # ---------------------------------------------------------------------------
 
 def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None]:
-    """Replace every circle by the pair of q-shifted circle-free objects."""
+    """Replace every circle by the pair of q-shifted circle-free objects.
+
+    An object with circles 0..k-1 becomes one circle-free summand per sign
+    vector s, in `product((1, -1), repeat=k)` order, q-shifted by sum(s).
+    Nothing is glued: glue(src, tgt) orders its curves as the p point curves,
+    the source circles, then the target circles, and in the disk basis each
+    circle bounds its own disk, which the delooping's cap or cup closes to a
+    sphere (1 with exactly one dot, else 0).  So pi is the one term dotting
+    circle k where s_k = -1, sigma the one dotting it where s_k = +1, and
+    entry (b, a) of the delooped differential keeps the terms of m that dot
+    source circle k exactly where a_k = -1 and target circle k exactly where
+    b_k = +1, each as its mask below bit p with its coefficient.
+    """
     if all(o.tangle.circles == 0 for objs in c.objects.values() for o in objs):
         return c, (SDRData.identity(c) if track_sdr else None)
 
     new_objects: dict[int, list[GradedObject]] = {}
-    # per degree, per old index: list of (new index, pi morphism, sigma morphism)
-    expansion: dict[int, list[list[tuple[int, CobMorphism, CobMorphism]]]] = {}
+    # per degree, per old index: [(new index, mask of the circles signed -1)]
+    expansion: dict[int, list[list[tuple[int, int]]]] = {}
     for h, objs in c.objects.items():
-        new_objects[h] = []
-        expansion[h] = []
+        new_objects[h], expansion[h] = [], []
         for obj in objs:
             t = obj.tangle
-            cnum = t.circles
+            bare = FlatTangle(t.n, t.matching, 0) if t.circles else t
             exp = []
-            if cnum == 0:
-                idx = len(new_objects[h])
-                new_objects[h].append(obj)
-                exp.append((idx, CobMorphism.identity(t), CobMorphism.identity(t)))
-            else:
-                for signs in product((1, -1), repeat=cnum):
-                    # pi: cap circles from the last down to index 0
-                    # (undotted cap lands in the q+1 summand, dotted in q-1)
-                    pi = None
-                    cur = t
-                    for k in range(cnum - 1, -1, -1):
-                        cap = CobMorphism.cap_circle(cur, dotted=(signs[k] == -1))
-                        pi = cap if pi is None else compose(cap, pi)
-                        cur = cur.drop_circle()
-                    # sigma: cup the circles back, dotted from the q+1 summand
-                    sigma = None
-                    cur = FlatTangle(t.n, t.matching, 0)
-                    for k in range(0, cnum):
-                        grown = cur.add_circles(1)
-                        cup = CobMorphism.cup_circle(grown, dotted=(signs[k] == 1))
-                        sigma = cup if sigma is None else compose(cup, sigma)
-                        cur = grown
-                    idx = len(new_objects[h])
-                    new_objects[h].append(
-                        GradedObject(FlatTangle(t.n, t.matching, 0),
-                                     obj.qshift + sum(signs)))
-                    exp.append((idx, pi, sigma))
+            for signs in product((1, -1), repeat=t.circles):
+                exp.append((len(new_objects[h]),
+                            sum(1 << k for k, s in enumerate(signs) if s < 0)))
+                new_objects[h].append(GradedObject(bare, obj.qshift + sum(signs))
+                                      if signs else obj)
             expansion[h].append(exp)
         _check_ceiling("deloop", h, len(new_objects[h]))
 
     new_diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
     for h, entries in c.diff.items():
-        out: dict[tuple[int, int], CobMorphism] = {}
+        out = new_diff[h] = {}
         for (i, j), m in entries.items():
-            if (c.objects[h][j].tangle.circles == 0
-                    and c.objects[h + 1][i].tangle.circles == 0):
-                key = (expansion[h + 1][i][0][0], expansion[h][j][0][0])
-                out[key] = out[key] + m if key in out else m
+            cs, ct = m.src.circles, m.tgt.circles
+            src_exp, tgt_exp = expansion[h][j], expansion[h + 1][i]
+            if cs == ct == 0:
+                out[(tgt_exp[0][0], src_exp[0][0])] = m
                 continue
-            for (aj, _, sig) in expansion[h][j]:
-                m_sig = compose(m, sig)
-                for (bi, pi, _) in expansion[h + 1][i]:
-                    r = compose(pi, m_sig)
-                    if r.is_zero():
-                        continue
-                    key = (bi, aj)
-                    out[key] = out[key] + r if key in out else r
-        new_diff[h] = out
+            # the terms of m by their circle bits, source circles lowest
+            p = len(glue(m.src, m.tgt)) - cs - ct
+            by_circles: dict[int, dict[int, int]] = {}
+            for mask, coeff in m.terms.items():
+                by_circles.setdefault(mask >> p, {})[mask & ((1 << p) - 1)] = coeff
+            src = new_objects[h][src_exp[0][0]].tangle
+            tgt = new_objects[h + 1][tgt_exp[0][0]].tangle
+            for aj, a_neg in src_exp:
+                for bi, b_neg in tgt_exp:
+                    terms = by_circles.get(a_neg | ((1 << ct) - 1 ^ b_neg) << cs)
+                    if terms:
+                        out[(bi, aj)] = CobMorphism(src, tgt, terms)
 
     result = Complex(c.n, new_objects, new_diff)
     if not track_sdr:
@@ -500,12 +492,15 @@ def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None
     pi_comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
     sg_comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
     for h, rows in expansion.items():
-        pi_comps[h] = {}
-        sg_comps[h] = {}
+        pi_comps[h], sg_comps[h] = {}, {}
         for j, exp in enumerate(rows):
-            for (idx, pi, sig) in exp:
-                pi_comps[h][(idx, j)] = pi
-                sg_comps[h][(j, idx)] = sig
+            t = c.objects[h][j].tangle
+            for idx, neg in exp:
+                bare = new_objects[h][idx].tangle
+                # glue(t, bare) has one point curve per arc, t.n in all
+                pi_comps[h][(idx, j)] = CobMorphism(t, bare, {neg << t.n: 1})
+                sg_comps[h][(j, idx)] = CobMorphism(
+                    bare, t, {((1 << t.circles) - 1 ^ neg) << t.n: 1})
     sdr = SDRData(ChainMap(c, result, 0, 0, pi_comps),
                   ChainMap(result, c, 0, 0, sg_comps),
                   ChainMap.zero(c, c, -1, 0))

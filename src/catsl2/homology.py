@@ -22,6 +22,7 @@ takes kernel mod image in its one bidegree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .complexes import (ChainMap, Complex, InvariantError, ZComplex,
                         _add_composites, _lines, hom_complex,
@@ -507,14 +508,14 @@ def induced_map_on_homology(z_src: ZComplex, z_tgt: ZComplex,
     the coordinates of the image of the c-th source generator over the target
     generators (well-defined modulo the target orders; order 0 means free).
     """
+    generators = cache(homology_generators)  # once per (complex, bidegree)
     out = {}
     for key, mat in matrices.items():
-        i, j = key
-        key_t = (i + dh, j + dq)
-        gens_s, ord_s = homology_generators(z_src, key)
-        gens_t, ord_t = homology_generators(z_tgt, key_t)
+        key_t = (key[0] + dh, key[1] + dq)
+        gens_s, ord_s = generators(z_src, key)
         if not gens_s:
             continue
+        gens_t, ord_t = generators(z_tgt, key_t)
         n_t = z_tgt.rank(*key_t)
         a_in = z_tgt.diffs.get((key_t[0] - 1, key_t[1]))
         g = len(gens_t)

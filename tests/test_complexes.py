@@ -1,6 +1,9 @@
+from itertools import combinations, product
+
 import pytest
 
-from catsl2.cobordism import CobMorphism, FlatTangle, GradedObject, InvariantError
+from catsl2.cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantError,
+                              compose, glue)
 from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
                               cone, convolution_complete, deloop,
                               differential_map, direct_sum, dual, gauss,
@@ -11,7 +14,7 @@ from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
 from catsl2.homology import integer_homology
 from catsl2.projectors import braid_letter_complex, crossing_complex, q1, q2
 from catsl2.series import TruncatedSeries
-from catsl2.tl import euler_characteristic, jw, TLElement
+from catsl2.tl import all_matchings, euler_characteristic, jw, TLElement
 
 
 def xplus():
@@ -116,16 +119,139 @@ def test_partial_trace_euler_characteristic(rng):
         partial_trace_tl(euler_characteristic(a))
 
 
+def reference_deloop(c, track_sdr=False):
+    """Reference: the delooping glued from cap and cup chains.  pi caps the
+    circles from the last down to index 0 (undotted into the q+1 summand,
+    dotted into q-1), sigma cups them back (dotted from the q+1 summand), and
+    each delooped entry is pi o m o sigma."""
+    if all(o.tangle.circles == 0 for objs in c.objects.values() for o in objs):
+        return c, (SDRData.identity(c) if track_sdr else None)
+    new_objects, expansion = {}, {}
+    for h, objs in c.objects.items():
+        new_objects[h], expansion[h] = [], []
+        for obj in objs:
+            t = obj.tangle
+            if t.circles == 0:
+                expansion[h].append([(len(new_objects[h]), CobMorphism.identity(t),
+                                      CobMorphism.identity(t))])
+                new_objects[h].append(obj)
+                continue
+            exp = []
+            for signs in product((1, -1), repeat=t.circles):
+                pi, cur = None, t
+                for k in range(t.circles - 1, -1, -1):
+                    cap = CobMorphism.cap_circle(cur, dotted=(signs[k] == -1))
+                    pi = cap if pi is None else compose(cap, pi)
+                    cur = cur.drop_circle()
+                sigma, cur = None, FlatTangle(t.n, t.matching, 0)
+                for k in range(t.circles):
+                    grown = cur.add_circles(1)
+                    cup = CobMorphism.cup_circle(grown, dotted=(signs[k] == 1))
+                    sigma = cup if sigma is None else compose(cup, sigma)
+                    cur = grown
+                exp.append((len(new_objects[h]), pi, sigma))
+                new_objects[h].append(GradedObject(FlatTangle(t.n, t.matching, 0),
+                                                   obj.qshift + sum(signs)))
+            expansion[h].append(exp)
+    new_diff = {}
+    for h, entries in c.diff.items():
+        out = new_diff[h] = {}
+        for (i, j), m in entries.items():
+            for aj, _, sig in expansion[h][j]:
+                for bi, pi, _ in expansion[h + 1][i]:
+                    r = compose(pi, compose(m, sig))
+                    if not r.is_zero():
+                        out[(bi, aj)] = r
+    result = Complex(c.n, new_objects, new_diff)
+    if not track_sdr:
+        return result, None
+    pi_comps = {h: {(idx, j): pi for j, exp in enumerate(rows) for idx, pi, _ in exp}
+                for h, rows in expansion.items()}
+    sg_comps = {h: {(j, idx): sg for j, exp in enumerate(rows) for idx, _, sg in exp}
+                for h, rows in expansion.items()}
+    return result, SDRData(ChainMap(c, result, 0, 0, pi_comps),
+                           ChainMap(result, c, 0, 0, sg_comps),
+                           ChainMap.zero(c, c, -1, 0))
+
+
+def assert_deloop_matches_reference(c):
+    for track in (False, True):
+        d, sdr = deloop(c, track_sdr=track)
+        ref, ref_sdr = reference_deloop(c, track_sdr=track)
+        assert d.to_json() == ref.to_json()
+        assert [list(e) for e in d.diff.values()] == [list(e) for e in ref.diff.values()]
+        if not track:
+            assert sdr is None
+            continue
+        for mine, theirs in ((sdr.pi, ref_sdr.pi), (sdr.sigma, ref_sdr.sigma),
+                             (sdr.homotopy, ref_sdr.homotopy)):
+            assert (mine.dh, mine.dq) == (theirs.dh, theirs.dq)
+            assert mine.components == theirs.components
+        sdr.verify()
+    return d
+
+
+def random_circled_complex(rng):
+    """Three degrees of random tangles with 0-3 circles each, and a random
+    bihomogeneous combination of dotted-disk terms in most entries."""
+    n = rng.randrange(1, 3)
+    objects = {h: [GradedObject(FlatTangle(n, rng.choice(all_matchings(n)),
+                                           rng.randrange(4)), rng.randrange(-3, 4))
+                   for _ in range(rng.randrange(1, 4))] for h in range(3)}
+    diff = {}
+    for h in (0, 1):
+        diff[h] = {}
+        for (i, b), (j, a) in product(enumerate(objects[h + 1]), enumerate(objects[h])):
+            if rng.random() < 0.2:
+                continue
+            nc = len(glue(a.tangle, b.tangle))
+            masks = [sum(1 << k for k in combo)
+                     for combo in combinations(range(nc), rng.randrange(nc + 1))]
+            chosen = rng.sample(masks, min(len(masks), rng.randrange(1, 7)))
+            diff[h][(i, j)] = CobMorphism(a.tangle, b.tangle,
+                                          {m: rng.choice([1, -1, 2, -3]) for m in chosen})
+    return Complex(n, objects, diff)
+
+
+def test_deloop_matches_reference_on_random_circled_complexes(rng):
+    seen = set()
+    for _ in range(40):
+        c = random_circled_complex(rng)
+        assert_deloop_matches_reference(c)
+        seen |= {(m.src.circles > 0, m.tgt.circles > 0)
+                 for entries in c.diff.values() for m in entries.values()}
+    # entries with circles on the source only, the target only, both, neither
+    assert seen == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_deloop_matches_reference_on_braid_products(rng):
+    most = 0
+    for _ in range(4):
+        a, b = random_braid_complex(rng, 3, 2), random_braid_complex(rng, 3, 1)
+        prod = tensor(a, b, delooped=False)
+        for raw in (prod, partial_trace_complex(prod, delooped=False)):
+            d = assert_deloop_matches_reference(raw)
+            d.check()
+            most = max(most, max(o.tangle.circles for objs in raw.objects.values()
+                                 for o in objs))
+    assert most >= 2
+
+
 def test_deloop_object_with_circle():
-    t = FlatTangle(1, FlatTangle.identity(1).matching, 1)
-    c = Complex.from_object(GradedObject(t, 0), 1)
-    d, sdr = deloop(c, track_sdr=True)
-    assert d.graded_ranks() == {(0, 1): 1, (0, -1): 1}
-    sdr.verify()
+    # k circles deloop into (q + q^-1)^k, with the reference's pi and sigma
+    # on every matching of up to 3 strands
+    for k, ranks in ((1, {(0, 1): 1, (0, -1): 1}),
+                     (2, {(0, 2): 1, (0, 0): 2, (0, -2): 1}),
+                     (3, {(0, 3): 1, (0, 1): 3, (0, -1): 3, (0, -3): 1})):
+        for n in (1, 2, 3):
+            for matching in all_matchings(n):
+                c = Complex.from_object(GradedObject(FlatTangle(n, matching, k), 0), n)
+                d = assert_deloop_matches_reference(c)
+                assert d.graded_ranks() == ranks
     # circle-free input is unchanged with the identity retract
     c2 = Complex.identity_complex(2)
     d2, sdr2 = deloop(c2, track_sdr=True)
-    assert d2.graded_ranks() == c2.graded_ranks()
+    assert d2 is c2
     sdr2.verify()
     assert sdr2.homotopy.is_zero()
 

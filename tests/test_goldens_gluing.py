@@ -2,7 +2,8 @@
 
 The files under tests/goldens/ were written by the engine before gluing,
 relabelling, the sheet constructors and the products of complexes were each
-folded into one code path; none of these outputs may change.  Regenerate
+folded into one code path, and colored_unknot3.json before delooping read its
+entries off the dot masks; none of these outputs may change.  Regenerate
 (only when a change is meant to alter these outputs) with
 
     PYTHONPATH=src python tests/test_goldens_gluing.py
@@ -35,7 +36,11 @@ COLORED = {
                                   "colors": [1]},
     "colored_plat_trefoil.json": {"braid": {"strands": 4, "word": [2, 2, 2]},
                                   "closure": "plat", "colors": [1]},
+    # the one-crossing unknot colored 3, boxed by Q3: the heaviest delooping
+    "colored_unknot3.json": {"braid": {"strands": 2, "word": [1]},
+                             "colors": [3], "family": {"3": {"indices": [3]}}},
 }
+WINDOW = {"colored_unknot3.json": 8}
 
 
 def _tangle(rng, n):
@@ -138,7 +143,7 @@ def tensor_text(tmp: Path) -> str:
 def colored_text(tmp: Path, name: str) -> str:
     path = tmp / name
     path.write_text(json.dumps(COLORED[name]))
-    return _cli(["colored", "homology", str(path)])
+    return _cli(["--window", str(WINDOW.get(name, 12)), "colored", "homology", str(path)])
 
 
 def u_action_text() -> str:

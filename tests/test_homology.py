@@ -351,6 +351,20 @@ def test_u_action_matches_module_structure():
     assert so == [0] and to == [2] and cols[0][0] % 2 == 1
 
 
+def test_induced_map_finds_each_generating_set_once(monkeypatch):
+    # one homology_generators call per (complex, bidegree), and none for a
+    # target whose source has no generators: 31 calls where recomputing per
+    # matrix made 56 for 32 bidegrees
+    calls = []
+    find = homology.homology_generators
+    monkeypatch.setattr(homology, "homology_generators",
+                        lambda z, key: calls.append(key) or find(z, key))
+    _, action = u_action_on_homology(truncated_pn(2, 12), 2)
+    assert len(calls) == len(set(calls)) == 31
+    # u_2 has bidegree (-2, 4): each source with generators, and its target
+    assert set(action) | {(h - 2, q + 4) for h, q in action} <= set(calls)
+
+
 def test_taut_chain_map_keys_are_the_bidegrees_it_reaches():
     # a zero map reaches no bidegree; the identity reaches every one, as the
     # identity matrix

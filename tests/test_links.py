@@ -1,4 +1,10 @@
+import importlib.util
+from functools import cache
+from pathlib import Path
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from catsl2.links import (CabledWord, ColoredDiagram, bracket_colored, cable,
                           framing_check, full_twist_word, invariance_spotcheck,
@@ -238,6 +244,63 @@ def test_two_colored_trefoil_categorifies_tl_invariant():
             acc = tl_mul(pad(box, col, w.total_width), acc)
     val = closure_evaluate(acc)
     assert chi == dict(val.coeffs.items())
+
+
+@cache
+def _tl_colored_invariant():
+    """The benchmark's Temperley-Lieb fold (perfbench/oracles.py), by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles.tl_colored_invariant
+
+
+def _component_count(strands, word):
+    perm = list(range(strands))
+    for x in word:
+        i = abs(x) - 1
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    seen, count = set(), 0
+    for p in range(strands):
+        count += p not in seen
+        while p not in seen:
+            seen.add(p)
+            p = perm[p]
+    return count
+
+
+@st.composite
+def small_trace_closures(draw):
+    """At most 3 strands and 4 letters, colors at most 2, random orientations.
+
+    The cable is at most 5 strands wide: a 3-strand knot colored 2 (width 6)
+    takes 2-12 s, against at most about 0.8 s here."""
+    strands = draw(st.integers(2, 3))
+    word = tuple(draw(st.lists(st.integers(1, strands - 1).flatmap(
+        lambda i: st.sampled_from((i, -i))), max_size=4)))
+    k = _component_count(strands, word)
+    colors = tuple(draw(st.lists(st.integers(1, 2), min_size=k, max_size=k)))
+    orientations = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=k,
+                                       max_size=k)))
+    d = ColoredDiagram(strands, word, "trace", colors, (0,) * k, (1,) * k,
+                       tuple((c, (c,)) for c in sorted(set(colors))), orientations)
+    assume(cable(d).total_width <= 5)
+    return d
+
+
+@given(small_trace_closures())
+@settings(max_examples=40, deadline=None)
+def test_euler_characteristic_is_the_tl_colored_invariant(d):
+    groups, exact = link_homology(d)
+    assert exact
+    chi: dict[int, int] = {}
+    for (h, q), (rank, _) in groups.groups.items():
+        chi[q] = chi.get(q, 0) + (-rank if h % 2 else rank)
+    chi = {q: c for q, c in chi.items() if c}
+    val = _tl_colored_invariant()(d)
+    assert max(chi, default=0) <= val.precision
+    assert chi == dict(val.items())
 
 
 def test_torus_links_stabilize_onto_projector_closure():
