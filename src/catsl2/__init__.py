@@ -12,9 +12,9 @@ from .complexes import (ChainMap, Complex, SDRData, ZComplex, cone, deloop,
                         partial_trace_complex, shift, simplify,
                         tautological_complex, tensor, convolution_complete)
 from .config import Config
-from .homology import (BigradedGroups, adjunction_reduce, ext_groups,
-                       integer_homology, poincare_polynomial,
-                       smith_normal_form, u_action_on_homology)
+from .homology import (BigradedGroups, ext_groups, integer_homology,
+                       poincare_polynomial, smith_normal_form,
+                       u_action_on_homology)
 from .links import (ColoredDiagram, bracket_colored, cable, framing_check,
                     invariance_spotcheck, link_homology, merging_check)
 from .projectors import (TruncatedProjector, build_qn, crossing_complex,

@@ -73,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--precision", type=int, default=d(DEFAULT_PRECISION))
         p.add_argument("--window", type=int, default=d(12))
         p.add_argument("--seed", type=int, default=d(0))
-        p.add_argument("--jobs", type=int, default=d(1))
         p.add_argument("--out", type=str, default=d(None))
         p.add_argument("--format", choices=("json", "table"), default=d("json"))
         return p
@@ -132,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = Config(precision=args.precision, window=args.window, seed=args.seed,
-                     jobs=args.jobs, format=args.format)
+                     format=args.format)
         return _dispatch(args, cfg)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

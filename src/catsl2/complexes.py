@@ -33,11 +33,12 @@ def object_ceiling() -> int:
     return int(os.environ.get("QPE_MAX_OBJECTS", "200000"))
 
 
-def _check_ceiling(stage: str, h: int, count: int) -> None:
+def _check_ceiling(stage: str, h: int | None, count: int) -> None:
     """Stop `stage` once it holds more than object_ceiling() objects at
-    degree h, saying so on one line."""
+    degree h (in all, for h None), saying so on one line."""
     if count > object_ceiling():
-        raise EngineLimitError(f"{stage} exceeded object ceiling at degree {h} "
+        at = "" if h is None else f" at degree {h}"
+        raise EngineLimitError(f"{stage} exceeded object ceiling{at} "
                                f"with {count} objects")
 
 
@@ -772,6 +773,59 @@ def partial_trace_complex(c: Complex, delooped: bool = True) -> Complex:
             for h, entries in c.diff.items()}
     out = Complex(c.n - 1, objects, diff)
     return deloop(out)[0] if delooped else out
+
+
+@dataclass(frozen=True)
+class Slice:
+    """A `fold` step stacking `complex` over the accumulator, or under it
+    when `under`, with endomorphisms `maps` of `complex` carried along."""
+
+    complex: Complex
+    under: bool = False
+    maps: tuple[ChainMap, ...] = ()
+
+
+CLOSE = "close"  # the `fold` step that closes the accumulator's rightmost strand
+
+
+def fold(cur: Complex, steps, maps=(),
+         cancel: bool = True) -> tuple[Complex, list[ChainMap]]:
+    """Apply `steps` to `cur` in order, carrying its endomorphisms `maps`.
+
+    A `Slice` step takes the undelooped product with the slice on top,
+    `tensor_indexed(slice, cur)`, or below it when `under`; a CLOSE step
+    takes `partial_trace_complex(cur, delooped=False)` and traces every
+    component of each map.  The result is simplified, or only delooped
+    when not `cancel`, tracking the retract only when maps travel; each map
+    moves by `product_map` (on its factor) and `transport_endomorphism`.
+    Returns (complex, maps): the given maps, then the slices' maps in step
+    order.  The engine functions are module globals looked up at each step,
+    so a tracer that rebinds them sees every one.
+    """
+    maps = list(maps)
+    for step in steps:
+        if step is CLOSE:
+            raw = partial_trace_complex(cur, delooped=False)
+            maps = [ChainMap(raw, raw, f.dh, f.dq,
+                             {h: {k: trace_morphism(m) for k, m in e.items()}
+                              for h, e in f.components.items()})
+                    for f in maps]
+        else:
+            factors = (cur, step.complex) if step.under else (step.complex, cur)
+            raw = tensor_indexed(*factors)
+            mine = 0 if step.under else 1  # the accumulator's factor
+            maps = ([_on_factor(raw, factors, mine, f) for f in maps]
+                    + [_on_factor(raw, factors, 1 - mine, g) for g in step.maps])
+        cur, sdr = (simplify if cancel else deloop)(raw, track_sdr=bool(maps))
+        maps = [transport_endomorphism(f, sdr) for f in maps]
+    return cur, maps
+
+
+def _on_factor(raw: Complex, factors: tuple, k: int, f: ChainMap) -> ChainMap:
+    """The endomorphism f of factors[k], as one of their product raw."""
+    args = list(factors)
+    args[k] = f
+    return product_map(raw, raw, *args)
 
 
 def shift(c: Complex, dh: int, dq: int) -> Complex:

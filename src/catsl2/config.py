@@ -12,7 +12,6 @@ class Config:
     precision: int = DEFAULT_PRECISION   # series truncation window
     window: int = 12                     # homological truncation depth
     seed: int = 0                        # RNG seed for property checks
-    jobs: int = 1                        # parallel verification tasks
     format: str = "json"                 # 'json' | 'table'
 
     def __post_init__(self):
@@ -20,7 +19,5 @@ class Config:
             raise ValueError("precision must be at least 4")
         if self.window < 4:
             raise ValueError("window must be at least 4")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         if self.format not in ("json", "table"):
             raise ValueError("format must be 'json' or 'table'")

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .complexes import (ChainMap, Complex, InvariantError, ZComplex,
-                        _add_composites, _lines, hom_complex,
-                        partial_trace_complex, shift, tautological_complex)
+from .complexes import (CLOSE, ChainMap, Complex, InvariantError, ZComplex,
+                        _add_composites, _lines, fold, hom_complex, shift,
+                        tautological_complex)
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -333,41 +333,21 @@ def poincare_string(coeffs: dict[tuple[int, int], int]) -> str:
 # Ext groups and the partial-trace adjunction
 # ---------------------------------------------------------------------------
 
-def adjunction_reduce(m: Complex, n: Complex) -> tuple[Complex, Complex]:
-    """Rewrite HOM_n(m u 1, n) as HOM_{n-1}(m, q T(n)): returns the new pair."""
-    if n.n < 1:
-        raise ValueError("nothing to trace on the right argument")
-    return m, shift(partial_trace_complex(n), 0, 1)
-
-
 def closure_complex(c: Complex) -> Complex:
     """q^n T^n(c): the HOM(1_n, c) computation pushed down to Cob_0."""
-    cur = c
-    while cur.n > 0:
-        cur = shift(partial_trace_complex(cur), 0, 1)
-    return cur
+    return closure_with_transport(c, [])[0]
 
 
 def closure_with_transport(c: Complex, maps: list[ChainMap]):
     """Close all strands while transporting endomorphisms of c along.
 
-    Each strand closure traces every component, then conjugates through the
-    delooping retract; returns (closed complex, transported endomorphisms).
+    One `fold` of c.n strand closures that deloop without cancelling, then
+    the q^n as one shift at the end (a q-shift commutes with tracing and
+    delooping); returns (closed complex, transported endomorphisms).
     """
-    from .cobordism import partial_trace as trace_morphism
-    from .complexes import deloop, transport_endomorphism
-    cur, fs = c, list(maps)
-    while cur.n > 0:
-        raw = partial_trace_complex(cur, delooped=False)
-        fs = [ChainMap(raw, raw, f.dh, f.dq,
-                       {h: {k: trace_morphism(m) for k, m in e.items()}
-                        for h, e in f.components.items()})
-              for f in fs]
-        dl, sdr = deloop(raw, track_sdr=True)
-        fs = [transport_endomorphism(f, sdr) for f in fs]
-        cur = shift(dl, 0, 1)
-        fs = [ChainMap(cur, cur, f.dh, f.dq, f.components) for f in fs]
-    return cur, fs
+    closed, fs = fold(c, [CLOSE] * c.n, maps, cancel=False)
+    closed = shift(closed, 0, c.n)
+    return closed, [ChainMap(closed, closed, f.dh, f.dq, f.components) for f in fs]
 
 
 def u_action_on_homology(proj, k: int):

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cobordism import FlatTangle, GradedObject
-from .complexes import (Complex, InvariantError, partial_trace_complex, simplify,
-                        tautological_complex, tensor)
+from .complexes import (CLOSE, Complex, InvariantError, Slice, fold, simplify,
+                        tautological_complex)
 from .homology import BigradedGroups, integer_homology
 from .projectors import (QnBuild, braid_letter_complex, quasi_projector,
                          pad_columns)
@@ -239,22 +239,19 @@ def bracket_colored(d: ColoredDiagram, window: int = 12) -> tuple[Complex, bool]
         if boxes[color].valid_h_min is not None:
             exact = False
 
-    cur = Complex.identity_complex(width)
-    for sl in cabled.slices:
-        if sl[0] == "x":
-            _, col, eps, parallel = sl
-            piece = pad_columns(braid_letter_complex(eps, parallel), col + 1, width)
-        else:
-            _, col, color = sl
-            piece = pad_columns(boxes[color].complex, col + 1, width)
-        cur, _ = simplify(tensor(piece, cur))
-
+    steps = [Slice(_crossing(sl, width) if sl[0] == "x"
+                   else pad_columns(boxes[sl[2]].complex, sl[1] + 1, width))
+             for sl in cabled.slices]
     if d.closure == "plat":
-        cur = tensor(_rainbows(d, width), cur)
-        cur, _ = simplify(cur)
-    while cur.n > 0:
-        cur, _ = simplify(partial_trace_complex(cur))
+        steps.append(Slice(_rainbows(d, width)))
+    cur, _ = fold(Complex.identity_complex(width), steps + [CLOSE] * width)
     return cur, exact
+
+
+def _crossing(sl: tuple, width: int) -> Complex:
+    """The complex of a cabled crossing slice ('x', column, eps, parallel)."""
+    _, col, eps, parallel = sl
+    return pad_columns(braid_letter_complex(eps, parallel), col + 1, width)
 
 
 def _rainbows(d: ColoredDiagram, width: int) -> Complex:
@@ -309,15 +306,8 @@ def framing_check(n: int, spec: tuple[int, ...] = (), window: int = 12) -> dict:
     k, _ = simplify(build.complex)
     tw = ColoredDiagram(strands=1, word=(), colors=(n,), framings=(1,),
                         marks=(1,), family=((n, tuple(spec)),))
-    cabled = cable(tw)
-    cur = Complex.identity_complex(n)
-    for sl in cabled.slices:
-        if sl[0] != "x":
-            continue
-        _, col, eps, parallel = sl
-        cur = tensor(pad_columns(braid_letter_complex(eps, parallel), col + 1, n), cur)
-        cur, _ = simplify(cur)
-    twisted, _ = simplify(tensor(cur, k))
+    twist = [Slice(_crossing(sl, n)) for sl in cable(tw).slices if sl[0] == "x"]
+    twisted, _ = fold(Complex.identity_complex(n), twist + [Slice(k, under=True)])
     ranks = twisted.graded_ranks()
     expected = {(h + g[0], q + g[1]): r for (h, q), r in k.graded_ranks().items()}
     if build.valid_h_min is not None:

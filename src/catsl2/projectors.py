@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cobordism import CobMorphism, FlatTangle, GradedObject, stack_tangles
-from .complexes import (ChainMap, Complex, InvariantError, _assemble, cone,
-                        convolution_complete, deloop, juxtapose_complexes,
-                        product_map, shift, simplify, tensor, tensor_indexed,
-                        transport_endomorphism)
+from .complexes import (ChainMap, Complex, InvariantError, Slice, _assemble,
+                        _check_ceiling, cone, convolution_complete, deloop,
+                        fold, juxtapose_complexes, product_map, shift, simplify,
+                        tensor, tensor_indexed, transport_endomorphism)
 
 # extra projector depth used when feeding a truncated projector into the
 # convolution solver, keeping the guarded equations clear of its artifacts
@@ -70,7 +70,7 @@ def khovanov_bracket(n: int, word: list, boxes: dict | None = None) -> Complex:
     parallel (upward) orientations; ('e', i) the flat cup-cap generator;
     ('box', label, offset) splices in boxes[label] starting at that column.
     """
-    cur = Complex.identity_complex(n)
+    slices = []
     for item in word:
         if isinstance(item, int):
             i = abs(item)
@@ -86,8 +86,8 @@ def khovanov_bracket(n: int, word: list, boxes: dict | None = None) -> Complex:
             sl = pad_columns(boxes[item[1]], offset + 1, n)
         else:
             raise ValueError(f"unknown slice {item!r}")
-        cur, _ = simplify(tensor(sl, cur))
-    return cur
+        slices.append(Slice(sl))
+    return fold(Complex.identity_complex(n), slices)[0]
 
 
 def pad_columns(c: Complex, at: int, n: int) -> Complex:
@@ -276,12 +276,10 @@ def _periodic_model(block: Complex, n: int, window: int):
     commutes with the differential exactly, and d^2 = 0 holds everywhere.
     """
     dh, dq = 2 - 2 * n, 2 * n
-    span = -block.h_min()
-    copies = 1
     # the deepest copy's own objects are truncation artifacts; overshoot so
     # that degrees >= -window agree with the untruncated projector
-    while (copies - 1) * (-dh) + span < window + span:
-        copies += 1
+    copies = 1 + max(0, -(window // dh))
+    _check_ceiling("periodic model", None, copies * block.total_objects())
     bottom = block.objects[block.h_min()]
     if len(bottom) != 1:
         raise InvariantError("block bottom is not a single object")
@@ -341,13 +339,9 @@ def truncated_pn(n: int, window: int = 12) -> TruncatedProjector:
         per3, u3per = _periodic_model(q3(), 3, window)
         strand = Complex.identity_complex(1)
         left = juxtapose_complexes(p2.complex, strand)
-        raw = tensor_indexed(left, per3)
         u2left = product_map(left, left, p2.u_maps[2], strand)  # u_2 u 1
-        u2raw = product_map(raw, raw, u2left, per3)
-        u3raw = product_map(raw, raw, left, u3per)
-        simp, sdr = simplify(raw, track_sdr=True)  # retract from the delooping on
-        u2 = transport_endomorphism(u2raw, sdr)
-        u3 = transport_endomorphism(u3raw, sdr)
+        simp, (u2, u3) = fold(left, [Slice(per3, under=True, maps=(u3per,))],
+                              [u2left])
         proj = TruncatedProjector(3, window, simp, _bare_unit(simp, 3),
                                   {1: _u1_map(simp), 2: u2, 3: u3})
         proj.check()
@@ -394,16 +388,13 @@ def quasi_projector(n: int, indices: tuple[int, ...] | list[int],
     if not indices:
         proj = truncated_pn(n, window)
         return QnBuild(proj.complex, None if n == 1 else -window + 2)
-    cur = None
-    for k in indices:
-        piece = _q_piece(k, n)
-        cur = piece if cur is None else tensor(cur, piece)
-        cur, _ = simplify(cur)
-    if n in indices:
-        return QnBuild(cur, None)
-    proj = truncated_pn(n, window)
-    cur, _ = simplify(tensor(cur, proj.complex))
-    return QnBuild(cur, -window + 4)
+    # each piece goes under the product of those before it; the bounded
+    # blocks have no +-identity entry, so the first piece needs no simplify
+    pieces = [_q_piece(k, n) for k in indices]
+    if n not in indices:
+        pieces.append(truncated_pn(n, window).complex)
+    cur, _ = fold(pieces[0], [Slice(p, under=True) for p in pieces[1:]])
+    return QnBuild(cur, None if n in indices else -window + 4)
 
 
 def turnback_check(c: Complex, valid_h_min: int | None = None) -> dict:

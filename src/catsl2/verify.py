@@ -337,21 +337,8 @@ def run_suite(cfg: Config | None = None, only: str | None = None,
         raise ValueError(f"unknown suite {only!r}; "
                          f"choose from {[c[0] for c in CRITERIA]} "
                          f"or aliases {sorted(SUITE_ALIASES)}")
-    results = []
-    if cfg.jobs > 1 and len(chosen) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_run_one, name, cfg)
-                       for (name, _, _, _) in chosen]
-            results = [f.result() for f in futures]
-    else:
-        for name, desc, budget, fn in chosen:
-            results.append(_check(name, desc, budget, lambda fn=fn: fn(cfg)))
+    results = [_check(name, desc, budget, lambda fn=fn: fn(cfg))
+               for name, desc, budget, fn in chosen]
     for r in results:
         out(r.line())
     return results
-
-
-def _run_one(name: str, cfg: Config) -> CheckResult:
-    entry = next(c for c in CRITERIA if c[0] == name)
-    return _check(entry[0], entry[1], entry[2], lambda: entry[3](cfg))

@@ -97,7 +97,6 @@ def test_field_q_is_rejected(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["proj", "pn", "--n", "2", "--window", "0"], "window must be at least 4"),
     (["--precision", "-1", "tl", "jw", "--n", "2"], "precision must be at least 4"),
-    (["--jobs", "0", "verify"], "jobs must be at least 1"),
     (["proj", "quasi", "--n", "2", "--indices", "3"], "indices must lie in 1..2"),
 ])
 def test_bad_values_are_usage_errors_even_under_optimize_flag(run_python, argv,
@@ -152,6 +151,18 @@ sys.exit(main(["colored", "homology", {str(path)!r}]))
     assert out.returncode == 1 and out.stdout == ""
     assert out.stderr == ("error: product exceeded object ceiling at degree 0 "
                           "with 6 objects (QPE_MAX_OBJECTS=5)\n")
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("command, n", [("pn", "2"), ("qn", "3"), ("quasi", "2")])
+def test_unbounded_window_is_one_line(run_python, command, n, optimize):
+    # the periodic model is refused before any copy is built, although each
+    # of its degrees would hold only a few objects
+    out = run_python("-m", "catsl2.cli", "proj", command, "--n", n,
+                     "--window", "2000000", optimize=optimize)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("error: periodic model exceeded object ceiling")
+    assert "QPE_MAX_OBJECTS=" in out.stderr and out.stderr.count("\n") == 1
 
 
 def test_verify_single_suite(capsys):

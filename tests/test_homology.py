@@ -3,11 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catsl2.homology as homology
-from catsl2.complexes import (ChainMap, Complex, ZComplex, hom_complex,
-                              partial_trace_complex, shift, simplify,
-                              tautological_complex, tensor)
-from catsl2.homology import (BigradedGroups, _solver, adjunction_reduce,
-                             closure_complex, ext_groups, homology_mod_p,
+from catsl2.complexes import (CLOSE, ChainMap, Complex, ZComplex, fold,
+                              hom_complex, partial_trace_complex, shift,
+                              tautological_complex)
+from catsl2.homology import (BigradedGroups, _solver, closure_complex, ext_groups, homology_mod_p,
                              integer_homology, kernel_basis,
                              matrix_inverse_unimodular, poincare_polynomial,
                              poincare_string, projector_end_complex,
@@ -289,9 +288,10 @@ def test_adjunction_reduce_matches_direct_hom():
     p2 = truncated_pn(2, 6)
     one2 = Complex.identity_complex(2)
     direct = integer_homology(hom_complex(one2, p2.complex))
-    m, reduced_target = adjunction_reduce(Complex.identity_complex(1),
-                                          p2.complex)
-    once = integer_homology(hom_complex(m, reduced_target))
+    # q T(P): one strand closure of the fold, then the q-shift
+    reduced_target = shift(fold(p2.complex, [CLOSE], cancel=False)[0], 0, 1)
+    once = integer_homology(hom_complex(Complex.identity_complex(1),
+                                        reduced_target))
     taut = integer_homology(projector_end_complex(p2.complex))
     safe = p2.complex.h_min() + 2
     for groups in (direct, once):

@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from catsl2.cobordism import CobMorphism, FlatTangle, glue
-from catsl2.complexes import (Complex, ObstructionError, _deg0_basis, cone,
-                              simplify, tautological_complex, tensor)
+from catsl2.complexes import (CLOSE, ChainMap, Complex, ObstructionError, Slice,
+                              _deg0_basis, cone, fold, simplify,
+                              tautological_complex, tensor)
 from catsl2.homology import closure_complex, integer_homology
 from catsl2.projectors import (DEPTH_MARGIN, braid_letter_complex, build_qn,
                                crossing_complex, khovanov_bracket, q1, q2, q3,
@@ -238,6 +239,18 @@ def test_partial_trace_of_p2_has_two_dot_tower():
     t, _ = simplify(partial_trace_complex(truncated_pn(2, 7).complex))
     two_dots = [m.terms for entries in t.diff.values() for m in entries.values()]
     assert two_dots and all(terms == {1: 2} for terms in two_dots)
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["over", "under"])
+def test_fold_carries_accumulator_then_slice_maps(under):
+    p2 = truncated_pn(2, 6)
+    slice_ = Slice(q2(), under=under, maps=(ChainMap.identity(q2()),))
+    c, (u2, ident) = fold(p2.complex, [slice_], [p2.u_maps[2]])
+    assert (u2.dh, u2.dq) == (-2, 4) and u2.src is c and u2.is_cycle()
+    # pi o sigma = 1, so the slice's identity arrives as the identity of c
+    assert ident == ChainMap.identity(c)
+    closed, (u2c,) = fold(c, [CLOSE, CLOSE], [u2], cancel=False)
+    assert closed.n == 0 and u2c.src is closed and u2c.is_cycle()
 
 
 def test_cone_of_u3_has_q3_ranks_in_window():
