@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -7,7 +8,7 @@ from catsl2.cobordism import (CobMorphism, FlatTangle, _compose_plan, _merge,
                               dual, glue, glue_curves, juxtapose, partial_trace,
                               reduce_components, reflect, rotate, stack,
                               stack_tangles, trace_tangle)
-from catsl2.tl import Matching, all_matchings
+from catsl2.tl import Matching, all_matchings, stack_matchings, trace_matching
 
 
 def rand_tangle(rng, n, circ_max=1):
@@ -38,6 +39,81 @@ def test_glue_curves_examples():
     assert glue_curves(e, one2) == [[0, 1, 2, 3]]
     with pytest.raises(AssertionError):
         glue_curves(one2, FlatTangle.identity(3))
+
+
+# layer keys and circle lookups of the provenance that stack_tangles and
+# trace_tangle return
+TOP, BOTTOM = "T", "B"
+
+
+def stacked_circle(st, layer, i):
+    return st.circle_map[(layer, i)]
+
+
+def traced_circle(tr, i):
+    return tr.circle_map[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_glue_against_union_find_oracle(n):
+    """Curves of glue(S, T) against the classes of the boundary points under
+    the arcs of both matchings, ordered by smallest point, then S's circles,
+    then T's circles."""
+    tangles = [FlatTangle(n, mt, c) for mt in all_matchings(n) for c in (0, 1)]
+    for s, t in itertools.product(tangles, repeat=2):
+        parent = list(range(2 * n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for pairing in (s.matching.pairing, t.matching.pairing):
+            for p, q in enumerate(pairing):
+                parent[find(p)] = find(q)
+        classes: dict[int, list[int]] = {}
+        for p in range(2 * n):
+            classes.setdefault(find(p), []).append(p)
+        curves = sorted(classes.values())
+        index = {p: k for k, pts in enumerate(curves) for p in pts}
+        k = len(curves)
+        info = glue(s, t)
+        assert len(info) == k + s.circles + t.circles
+        assert glue_curves(s, t) == curves + [[]] * (s.circles + t.circles)
+        assert info.point_curve == index
+        assert info.arc_src_curve == {a: index[min(a)] for a in s.matching.arcs()}
+        assert info.arc_tgt_curve == {a: index[min(a)] for a in t.matching.arcs()}
+        assert info.circle_src_curve == {i: k + i for i in range(s.circles)}
+        assert info.circle_tgt_curve == {i: k + s.circles + i
+                                         for i in range(t.circles)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_and_traced_tangles_keep_matching_provenance(n):
+    """A stacked tangle's circles are the middle loops, then the bottom's
+    circles, then the top's; a traced tangle's are the closed strand, if
+    any, then the old ones.  Arcs go where the matchings' provenance says."""
+    tangles = [FlatTangle(n, mt, c) for mt in all_matchings(n) for c in (0, 1)]
+    for top, bottom in itertools.product(tangles, repeat=2):
+        st = stack_tangles(top, bottom)
+        info = stack_matchings(top.matching, bottom.matching)
+        loops = info.circles
+        assert st.tangle == FlatTangle(n, info.result,
+                                       loops + bottom.circles + top.circles)
+        assert dict(st.arc_map) == dict(info.arc_map)
+        for i in range(bottom.circles):
+            assert stacked_circle(st, BOTTOM, i) == loops + i
+        for i in range(top.circles):
+            assert stacked_circle(st, TOP, i) == loops + bottom.circles + i
+        assert len(st.circle_map) == bottom.circles + top.circles
+    for t in tangles:
+        tr, info = trace_tangle(t), trace_matching(t.matching)
+        closed = int(("circle", 0) in info.arc_map.values())
+        assert tr.tangle == FlatTangle(n - 1, info.result, t.circles + closed)
+        assert dict(tr.arc_map) == dict(info.arc_map)
+        assert [traced_circle(tr, i) for i in range(t.circles)] == \
+            [closed + i for i in range(t.circles)]
+        assert len(tr.circle_map) == t.circles
 
 
 def test_reduce_neck_cutting_rules():

@@ -6,14 +6,37 @@ from catsl2.series import TruncatedSeries
 from catsl2.tl import (Matching, TLElement, all_matchings, closure_evaluate,
                        euler_characteristic, is_planar_matching, jw,
                        juxtapose_tl, partial_trace_tl, stack_matchings,
-                       through_degree, tl_mul)
+                       through_degree, tl_mul, trace_matching)
 
 
-def brute_force_stack(top: Matching, bottom: Matching):
-    """Independent stacking oracle: union-find over the glued point set."""
-    n = top.n
-    size = 4 * n  # bottom diagram's 2n points then top diagram's 2n points
-    parent = list(range(size))
+# layer keys and lookups of the provenance that stack_matchings and
+# trace_matching return
+TOP, BOTTOM = "T", "B"
+
+
+def stack_where(info, layer, arc):
+    return info.arc_map[(layer, arc)]
+
+
+def trace_where(info, arc):
+    return info.arc_map[arc]
+
+
+def trace_loops(info):
+    return int(info.closed_circle)
+
+
+def union_find_oracle(layers, joins, ends, middle):
+    """Independent gluing oracle: union-find over the points of all layers.
+
+    Point p of layer i is node i * m + p (m points per layer); `joins` are
+    the glued node pairs, `ends` the nodes that become result labels 0, 1,
+    ... in order, and loops are numbered by the first node of `middle` they
+    contain.  Returns (result pairing, loop count, where) with where(node)
+    the ('arc', result arc) or ('circle', k) that node's strand lies in.
+    """
+    m = len(layers[0])
+    parent = list(range(m * len(layers)))
 
     def find(x):
         while parent[x] != x:
@@ -21,39 +44,63 @@ def brute_force_stack(top: Matching, bottom: Matching):
             x = parent[x]
         return x
 
-    def union(a, b):
+    arcs = [(i * m + p, i * m + q) for i, pairing in enumerate(layers)
+            for p, q in enumerate(pairing)]
+    for a, b in arcs + list(joins):
         parent[find(a)] = find(b)
+    labels: dict[int, list[int]] = {}
+    for label, node in enumerate(ends):
+        labels.setdefault(find(node), []).append(label)
+    pairing = [None] * len(ends)
+    for a, b in labels.values():
+        pairing[a], pairing[b] = b, a
+    loops = []
+    for node in middle:
+        root = find(node)
+        if root not in labels and root not in loops:
+            loops.append(root)
 
-    for p, q in enumerate(bottom.pairing):
-        union(p, q)
-    for p, q in enumerate(top.pairing):
-        union(2 * n + p, 2 * n + q)
-    for j in range(n):
-        union(n + j, 2 * n + j)  # bottom's top point to top's bottom point
-    boundary = list(range(n)) + [2 * n + n + t for t in range(n)]
-    pairing = [None] * (2 * n)
-
-    def out_label(node):
-        return node if node < n else n + (node - 2 * n - n)
-
-    for i, a in enumerate(boundary):
-        for b in boundary[i + 1:]:
-            if find(a) == find(b):
-                pairing[out_label(a)] = out_label(b)
-                pairing[out_label(b)] = out_label(a)
-    classes = {find(x) for x in range(size)}
-    boundary_classes = {find(b) for b in boundary}
-    circles = len(classes - boundary_classes)
-    return tuple(pairing), circles
+    def where(node):
+        root = find(node)
+        if root in labels:
+            return ("arc", frozenset(labels[root]))
+        return ("circle", loops.index(root))
+    return tuple(pairing), len(loops), where
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_stacking_against_union_find_oracle(n):
+    m = 2 * n
     for top, bottom in itertools.product(all_matchings(n), repeat=2):
         info = stack_matchings(top, bottom)
-        pairing, circles = brute_force_stack(top, bottom)
+        # top's points are nodes 0..m-1 and bottom's m..2m-1; top's bottom
+        # point j meets bottom's top point n + j, and the loops are numbered
+        # by their smallest middle point j
+        pairing, loops, where = union_find_oracle(
+            (top.pairing, bottom.pairing), [(j, m + n + j) for j in range(n)],
+            [m + p for p in range(n)] + [n + t for t in range(n)], range(n))
         assert info.result.pairing == pairing
-        assert info.circles == circles
+        assert info.circles == loops
+        assert len(info.arc_map) == 2 * n
+        for layer, mt, base in ((TOP, top, 0), (BOTTOM, bottom, m)):
+            for arc in mt.arcs():
+                assert stack_where(info, layer, arc) == where(base + min(arc))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trace_against_union_find_oracle(n):
+    lo, hi = n - 1, 2 * n - 1
+    for mt in all_matchings(n):
+        info = trace_matching(mt)
+        # bottom point n-1 meets top point 2n-1; the others keep their order
+        pairing, loops, where = union_find_oracle(
+            (mt.pairing,), [(lo, hi)],
+            [p for p in range(2 * n) if p not in (lo, hi)], [lo])
+        assert info.result.pairing == pairing
+        assert trace_loops(info) == loops
+        assert len(info.arc_map) == n
+        for arc in mt.arcs():
+            assert trace_where(info, arc) == where(min(arc))
 
 
 def test_matching_counts_are_catalan():
