@@ -15,7 +15,11 @@ computation: each builds a plan (a factor's curve count, the `unions` of
 disks along shared boundary, the `incidences` of disks on output curves),
 `_merge` turns it into connected pieces once per tangles, and `_glue_terms`
 places each term pair's dots on the pieces and expands them into disks,
-memoized per plan by the pair's combined dot mask.
+memoized per plan by the pair's combined dot mask.  The curves of a glued
+diagram (`glue`) and the provenance of stacked and traced tangles
+(`GluedTangle`: where each (layer, arc) and (layer, circle) went) both come
+from the one strand walker `tl.follow`, and `_incidences` reads every
+stacked or traced side of a plan through that one format.
 Juxtaposition and the symmetries only relabel curves (`_curve_table`,
 `_remap`); the identity-like constructors share the cached `_sheets`.
 
@@ -34,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from .tl import (InvariantError, Matching, juxtapose_matchings, stack_matchings,
-                 trace_matching)
+from .tl import (Glued, InvariantError, Matching, follow, juxtapose_matchings,
+                 stack_matchings, trace_matching)
 
 
 @dataclass(frozen=True, order=True)
@@ -82,58 +86,35 @@ class GradedObject:
         return GradedObject(self.tangle, self.qshift + j)
 
 
-@dataclass(frozen=True, slots=True)
-class Curve:
-    """One closed curve of a glued diagram S u mirror(T)."""
-
-    points: frozenset     # boundary labels (may be empty)
-    arcs_src: frozenset   # arcs of the source matching
-    arcs_tgt: frozenset   # arcs of the target matching
-    ref: tuple            # ('pts', min point) | ('S', i) | ('T', i)
-
-
 class GlueInfo:
-    """Curves of glue(S, T), canonically ordered, with lookup tables.
+    """Curves of glue(S, T), canonically ordered, as lookup tables.
 
-    Order: point-curves by smallest boundary point, then source circles,
-    then target circles.
+    Order: point-curves by smallest boundary point (the loops of `follow`
+    started from each source point in turn), then source circles, then
+    target circles.
     """
 
-    __slots__ = ("src", "tgt", "curves", "point_curve", "arc_src_curve",
+    __slots__ = ("src", "tgt", "size", "point_curve", "arc_src_curve",
                  "arc_tgt_curve", "circle_src_curve", "circle_tgt_curve")
 
     def __init__(self, src: FlatTangle, tgt: FlatTangle):
         if src.n != tgt.n:
             raise InvariantError("boundary mismatch")
-        sp, tp = src.matching.pairing, tgt.matching.pairing
+        m = 2 * src.n
         self.src, self.tgt = src, tgt
-        self.curves: list[Curve] = []
-        self.point_curve, self.arc_src_curve, self.arc_tgt_curve = {}, {}, {}
-        for start in range(2 * src.n):
-            if start in self.point_curve:
-                continue
-            idx = len(self.curves)
-            arcs_s, arcs_t = [], []
-            p = start
-            while p not in self.point_curve:
-                q = sp[p]
-                self.point_curve[p] = self.point_curve[q] = idx
-                arcs_s.append(frozenset((p, q)))
-                p = tp[q]
-                arcs_t.append(frozenset((q, p)))
-            self.arc_src_curve.update(dict.fromkeys(arcs_s, idx))
-            self.arc_tgt_curve.update(dict.fromkeys(arcs_t, idx))
-            self.curves.append(Curve(frozenset().union(*arcs_s), frozenset(arcs_s),
-                                     frozenset(arcs_t), ("pts", start)))
-        first = len(self.curves)
-        self.circle_src_curve = {i: first + i for i in range(src.circles)}
-        self.circle_tgt_curve = {i: first + src.circles + i for i in range(tgt.circles)}
-        refs = [("S", i) for i in range(src.circles)]
-        refs += [("T", i) for i in range(tgt.circles)]
-        self.curves += [Curve(frozenset(), frozenset(), frozenset(), ref) for ref in refs]
+        # source point p (layer 0) meets target point p (layer 1)
+        _, loops, where = follow((src.matching.pairing, tgt.matching.pairing),
+                                 [(p, m + p) for p in range(m)], (), range(m))
+        sides = self.arc_src_curve, self.arc_tgt_curve = {}, {}
+        for (layer, arc), (_, k) in where.items():
+            sides[layer][arc] = k
+        self.point_curve = {p: k for arc, k in self.arc_src_curve.items() for p in arc}
+        self.circle_src_curve = {i: loops + i for i in range(src.circles)}
+        self.circle_tgt_curve = {i: loops + src.circles + i for i in range(tgt.circles)}
+        self.size = loops + src.circles + tgt.circles
 
     def __len__(self):
-        return len(self.curves)
+        return self.size
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +125,10 @@ def glue(src: FlatTangle, tgt: FlatTangle) -> GlueInfo:
 def glue_curves(bottom: FlatTangle, top: FlatTangle) -> list[list[int]]:
     """Curves of bottom u mirror(top), each as its sorted boundary-point set."""
     info = glue(bottom, top)
-    return [sorted(c.points) for c in info.curves]
+    curves: list[list[int]] = [[] for _ in range(len(info))]
+    for p, k in sorted(info.point_curve.items()):
+        curves[k].append(p)
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +300,7 @@ def _sheets(src: FlatTangle, tgt: FlatTangle, dot, lone: bool | None) -> CobMorp
         dot = {**info.point_curve, **info.arc_src_curve,
                **{("circle", i): c for i, c in info.circle_src_curve.items()}}[dot]
     comps = [((idx,), int(idx == dot), 1)
-             for idx, c in enumerate(info.curves) if c.ref[0] == "pts"]
+             for idx in range(len(info) - src.circles - tgt.circles)]
     for i in range(min(src.circles, tgt.circles)):
         pair = tuple(sorted((info.circle_src_curve[i], info.circle_tgt_curve[i])))
         comps.append((pair, int(dot in pair), 0))
@@ -386,32 +370,30 @@ def _glue_terms(plan, f: CobMorphism, g: CobMorphism | None = None) -> dict[int,
 
 
 # a side of a factor that carries over unchanged into the output tangle
-_KEEP = (lambda arc: ("arc", arc), lambda i: i)
+_KEEP = ()
 
 
 def _incidences(info: GlueInfo, out: GlueInfo, src_side, tgt_side) -> list[set[int]]:
     """Output curves met by each curve of one factor's glued diagram `info`.
 
-    A side is None when the factor is glued along it; otherwise it is a pair
-    of lookups sending the factor's arcs on that side to ('arc', arc) or
-    ('circle', i), and its circles there to circle indices, both in the
-    output tangle on the same side.
+    A side is None when the factor is glued along it, `_KEEP` when it
+    carries over unchanged, and otherwise (glued, layer): the output tangle
+    on that side is the GluedTangle `glued`, with the factor's tangle there
+    as its `layer`.
     """
-    table = []
-    for c in info.curves:
-        inc = set()
-        for side, arcs, ref, arc_curve, circle_curve in (
-                (src_side, c.arcs_src, "S", out.arc_src_curve, out.circle_src_curve),
-                (tgt_side, c.arcs_tgt, "T", out.arc_tgt_curve, out.circle_tgt_curve)):
-            if side is None:
-                continue
-            arc_map, circle_map = side
-            for a in arcs:
-                kind, val = arc_map(a)
-                inc.add(arc_curve[val] if kind == "arc" else circle_curve[val])
-            if c.ref[0] == ref:
-                inc.add(circle_curve[circle_map(c.ref[1])])
-        table.append(inc)
+    table: list[set[int]] = [set() for _ in range(len(info))]
+    for side, arc_curve, circle_curve, out_arc, out_circle in (
+            (src_side, info.arc_src_curve, info.circle_src_curve,
+             out.arc_src_curve, out.circle_src_curve),
+            (tgt_side, info.arc_tgt_curve, info.circle_tgt_curve,
+             out.arc_tgt_curve, out.circle_tgt_curve)):
+        if side is None:
+            continue
+        for arc, k in arc_curve.items():
+            kind, val = side[0].arc_map[side[1], arc] if side else ("arc", arc)
+            table[k].add(out_arc[val] if kind == "arc" else out_circle[val])
+        for i, k in circle_curve.items():
+            table[k].add(out_circle[side[0].circle_map[side[1], i] if side else i])
     return table
 
 
@@ -451,13 +433,8 @@ def _stack_plan(f_src: FlatTangle, f_tgt: FlatTangle,
     # glue at the n middle points: f's bottom point p meets g's top point n+p
     unions = [(info_f.point_curve[p], nf + info_g.point_curve[n + p], 1)
               for p in range(n)]
-
-    def layer(st: StackedTangle, name: str):
-        return (lambda a: st.arc_map[(name, a)], lambda i: st.circle_map[(name, i)])
-
-    return (nf, unions,
-            _incidences(info_f, out, layer(src, "T"), layer(tgt, "T"))
-            + _incidences(info_g, out, layer(src, "B"), layer(tgt, "B")))
+    return (nf, unions, _incidences(info_f, out, (src, 0), (tgt, 0))
+            + _incidences(info_g, out, (src, 1), (tgt, 1)))
 
 
 def stack(f: CobMorphism, g: CobMorphism) -> CobMorphism:
@@ -471,29 +448,33 @@ def stack(f: CobMorphism, g: CobMorphism) -> CobMorphism:
 
 
 @dataclass(frozen=True, eq=False)
-class StackedTangle:
-    """A stacked flat tangle plus provenance of its arcs and circles.
-
-    arc_map: ('T'|'B', constituent arc) -> ('arc', arc) | ('circle', idx)
-    circle_map: ('T'|'B', old circle idx) -> new circle idx
+class GluedTangle:
+    """A stacked or traced flat tangle, and where the parts of its layers
+    went: `arc_map` (the matchings' `Glued.arc_map`) sends (layer, arc) to
+    ('arc', arc) or ('circle', i), and `circle_map` sends (layer, circle)
+    to a circle index.  Both are read-only views, since results are cached
+    and shared.  Circles come in the order: new loops, then the circles of
+    each layer from the last (the bottom) up.
     """
 
     tangle: FlatTangle
-    arc_map: dict
-    circle_map: dict
+    arc_map: MappingProxyType
+    circle_map: MappingProxyType
+
+    @classmethod
+    def of(cls, info: Glued, *layers: FlatTangle) -> GluedTangle:
+        circle_map, k = {}, info.circles
+        for layer in reversed(range(len(layers))):
+            for i in range(layers[layer].circles):
+                circle_map[layer, i], k = k, k + 1
+        return cls(FlatTangle(info.result.n, info.result, k), info.arc_map,
+                   MappingProxyType(circle_map))
 
 
 @lru_cache(maxsize=None)
-def stack_tangles(top: FlatTangle, bottom: FlatTangle) -> StackedTangle:
-    info = stack_matchings(top.matching, bottom.matching)
-    new_mid = info.circles
-    circle_map = {}
-    for i in range(bottom.circles):
-        circle_map[("B", i)] = new_mid + i
-    for i in range(top.circles):
-        circle_map[("T", i)] = new_mid + bottom.circles + i
-    tangle = FlatTangle(top.n, info.result, new_mid + bottom.circles + top.circles)
-    return StackedTangle(tangle, dict(info.arc_map), circle_map)
+def stack_tangles(top: FlatTangle, bottom: FlatTangle) -> GluedTangle:
+    """`top` (layer 0) on `bottom` (layer 1)."""
+    return GluedTangle.of(stack_matchings(top.matching, bottom.matching), top, bottom)
 
 
 def juxtapose(f: CobMorphism, g: CobMorphism) -> CobMorphism:
@@ -525,9 +506,8 @@ def _trace_plan(f_src: FlatTangle, f_tgt: FlatTangle):
     src, tgt = trace_tangle(f_src), trace_tangle(f_tgt)
     info = glue(f_src, f_tgt)
     unions = [(info.point_curve[n - 1], info.point_curve[2 * n - 1], 1)]
-    return (len(info), unions, _incidences(info, glue(src.tangle, tgt.tangle),
-                                              (src.arc_map.get, src.circle_map.get),
-                                              (tgt.arc_map.get, tgt.circle_map.get)))
+    return (len(info), unions,
+            _incidences(info, glue(src.tangle, tgt.tangle), (src, 0), (tgt, 0)))
 
 
 def partial_trace(f: CobMorphism) -> CobMorphism:
@@ -539,21 +519,10 @@ def partial_trace(f: CobMorphism) -> CobMorphism:
                        _glue_terms(plan, f))
 
 
-@dataclass(frozen=True, eq=False)
-class TracedTangle:
-    tangle: FlatTangle
-    arc_map: dict      # old arc -> ('arc', new arc) | ('circle', new idx)
-    circle_map: dict   # old circle idx -> new circle idx
-
-
 @lru_cache(maxsize=None)
-def trace_tangle(t: FlatTangle) -> TracedTangle:
-    info = trace_matching(t.matching)
-    extra = 1 if info.closed_circle else 0
-    arc_map = dict(info.arc_map)  # new circle, if any, already has index 0
-    circle_map = {i: extra + i for i in range(t.circles)}
-    tangle = FlatTangle(t.n - 1, info.result, t.circles + extra)
-    return TracedTangle(tangle, arc_map, circle_map)
+def trace_tangle(t: FlatTangle) -> GluedTangle:
+    """`t` (layer 0) with its rightmost strand closed."""
+    return GluedTangle.of(trace_matching(t.matching), t)
 
 
 # ---------------------------------------------------------------------------
@@ -564,22 +533,20 @@ def _curve_table(info: GlueInfo, info_out: GlueInfo, point_map=None,
                  swap_sides: bool = False, circle_offsets=(0, 0)) -> list[int]:
     """Where each curve of `info` lands among the curves of `info_out`.
 
-    A point-curve goes to the curve of its smallest boundary point under
+    A point-curve goes to the curve of its boundary points under
     `point_map` (None: unchanged); source and target circles keep their
     index plus `circle_offsets`, and trade sides when `swap_sides`.
     """
     src_curve, tgt_curve = info_out.circle_src_curve, info_out.circle_tgt_curve
     if swap_sides:
         src_curve, tgt_curve = tgt_curve, src_curve
-    table = []
-    for c in info.curves:
-        kind, i = c.ref
-        if kind == "pts":
-            table.append(info_out.point_curve[point_map(i) if point_map else i])
-        elif kind == "S":
-            table.append(src_curve[i + circle_offsets[0]])
-        else:
-            table.append(tgt_curve[i + circle_offsets[1]])
+    table = [0] * len(info)
+    for p, k in info.point_curve.items():
+        table[k] = info_out.point_curve[point_map(p) if point_map else p]
+    for i, k in info.circle_src_curve.items():
+        table[k] = src_curve[i + circle_offsets[0]]
+    for i, k in info.circle_tgt_curve.items():
+        table[k] = tgt_curve[i + circle_offsets[1]]
     return table
 
 

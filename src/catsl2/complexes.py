@@ -106,14 +106,7 @@ class Complex:
 
     def check(self) -> None:
         """Validate entry endpoints and degrees, and d^2 = 0."""
-        for h, entries in self.diff.items():
-            for (i, j), m in entries.items():
-                src = self.objects[h][j]
-                tgt = self.objects[h + 1][i]
-                if m.src != src.tangle or m.tgt != tgt.tangle:
-                    raise InvariantError(f"entry endpoints at h={h} ({i},{j})")
-                if m.deg_raw() != src.qshift - tgt.qshift:
-                    raise InvariantError(f"entry degree at h={h} ({i},{j})")
+        differential_map(self).check_degrees()
         for h, entries in _block_product(self.diff, self.diff, 1).items():
             key, m = next(iter(entries.items()))
             raise InvariantError(f"d^2 != 0 at h={h} {key}: {m}")
@@ -654,10 +647,10 @@ def simplify(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | No
 # Functors
 # ---------------------------------------------------------------------------
 
-def tensor(a: Complex, b: Complex, delooped: bool = True) -> Complex:
-    """Vertical stacking (a on top of b) with the Koszul sign on d_b."""
-    raw = tensor_indexed(a, b)
-    return deloop(raw)[0] if delooped else raw
+def tensor(a: Complex, b: Complex) -> Complex:
+    """Vertical stacking (a on top of b) with the Koszul sign on d_b,
+    delooped; `tensor_indexed` is the undelooped product."""
+    return deloop(tensor_indexed(a, b))[0]
 
 
 def _place(a: Complex, b: Complex, tangle_op):
@@ -763,7 +756,9 @@ def juxtapose_complexes(a: Complex, b: Complex) -> Complex:
     return deloop(_product_complex(a.n + b.n, a, b))[0]
 
 
-def partial_trace_complex(c: Complex, delooped: bool = True) -> Complex:
+def partial_trace_complex(c: Complex) -> Complex:
+    """Close the rightmost strand of every object and entry; the circles
+    this makes are kept (`deloop` removes them)."""
     if c.n < 1:
         raise ValueError("partial trace needs at least one strand")
     objects = {h: [GradedObject(trace_tangle(o.tangle).tangle, o.qshift)
@@ -771,8 +766,7 @@ def partial_trace_complex(c: Complex, delooped: bool = True) -> Complex:
                for h, objs in c.objects.items()}
     diff = {h: {k: trace_morphism(m) for k, m in entries.items()}
             for h, entries in c.diff.items()}
-    out = Complex(c.n - 1, objects, diff)
-    return deloop(out)[0] if delooped else out
+    return Complex(c.n - 1, objects, diff)
 
 
 @dataclass(frozen=True)
@@ -794,8 +788,8 @@ def fold(cur: Complex, steps, maps=(),
 
     A `Slice` step takes the undelooped product with the slice on top,
     `tensor_indexed(slice, cur)`, or below it when `under`; a CLOSE step
-    takes `partial_trace_complex(cur, delooped=False)` and traces every
-    component of each map.  The result is simplified, or only delooped
+    takes `partial_trace_complex(cur)` and traces every component of each
+    map.  The result is simplified, or only delooped
     when not `cancel`, tracking the retract only when maps travel; each map
     moves by `product_map` (on its factor) and `transport_endomorphism`.
     Returns (complex, maps): the given maps, then the slices' maps in step
@@ -805,7 +799,7 @@ def fold(cur: Complex, steps, maps=(),
     maps = list(maps)
     for step in steps:
         if step is CLOSE:
-            raw = partial_trace_complex(cur, delooped=False)
+            raw = partial_trace_complex(cur)
             maps = [ChainMap(raw, raw, f.dh, f.dq,
                              {h: {k: trace_morphism(m) for k, m in e.items()}
                               for h, e in f.components.items()})

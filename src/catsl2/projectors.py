@@ -173,13 +173,11 @@ def _hook_tangles(n: int):
         hook = FlatTangle.e(n - k, n)
         st = stack_tangles(tangles[-1], hook)
         if k == n - 1:
-            kind, val = st.arc_map[("B", frozenset((n + lo, n + lo + 1)))]
+            kind, val = st.arc_map[1, frozenset((n + lo, n + lo + 1))]
             if kind != "arc":
                 raise InvariantError("the deepest hook's cap closed into a circle")
             cap_arc = val
         tangles.append(st.tangle)
-    if n == 2:
-        cap_arc = frozenset((2, 3))
     cup_arc = frozenset((0, 1))
     return tangles, cup_arc, cap_arc
 

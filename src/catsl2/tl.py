@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator
 
 from .series import DEFAULT_PRECISION, PrecisionError, TruncatedSeries
@@ -141,141 +142,92 @@ def all_matchings(n: int) -> tuple[Matching, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Stacking and partial trace, with enough bookkeeping for the cobordism layer.
+# Gluing matchings at points: one strand walker for stacking, partial trace
+# and the curves of the cobordism layer, with the provenance of every arc.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StackInfo:
-    """Result of gluing diagram `top` onto diagram `bottom`.
+def follow(layers, joins, ends, inner) -> tuple[tuple[int, ...], int, dict]:
+    """Follow strands through matchings glued at points.
 
-    arc_map sends a constituent arc, keyed by ('T'|'B', arc), to its location
-    in the result: ('arc', arc) or ('circle', index).  Indices enumerate the
-    loops created in the middle, ordered by their smallest middle point.
+    `layers` are pairings of m points each; point p of layer i is coded as
+    the int i * m + p.  `joins` lists the coded point pairs glued together.
+    A strand runs between two of the `ends`, which become the result's
+    labels 0, 1, ... in order; every other curve is a closed loop, numbered
+    in the order of the first of the `inner` points on it.  Returns the
+    result pairing, the loop count and a dict sending each (layer, arc) to
+    ('arc', result arc) or ('circle', k).
+    """
+    m = len(layers[0])
+    mate = [i * m + q for i, pairing in enumerate(layers) for q in pairing]
+    hop = [-1] * len(mate)
+    for a, b in joins:
+        hop[a], hop[b] = b, a
+    label = dict(zip(ends, range(len(ends))))
+    pairing = [0] * len(ends)
+    done = [False] * len(mate)
+    where: dict = {}
+    loops = 0
+    for start in (*ends, *inner):
+        if done[start]:
+            continue
+        arcs, p = [], start
+        while True:
+            q = mate[p]
+            done[p] = done[q] = True
+            layer = p // m
+            arcs.append((layer, Arc((p - layer * m, q - layer * m))))
+            p = hop[q]
+            if p < 0 or p == start:
+                break
+        if p < 0:
+            a, b = label[start], label[q]
+            pairing[a], pairing[b] = b, a
+            place = ("arc", Arc((a, b)))
+        else:
+            place, loops = ("circle", loops), loops + 1
+        where.update(dict.fromkeys(arcs, place))
+    return tuple(pairing), loops, where
+
+
+@dataclass(frozen=True, eq=False)
+class Glued:
+    """The matching made by gluing matchings, and where their arcs went.
+
+    `arc_map`, a read-only view (results are cached and shared), sends
+    (layer, arc) to ('arc', arc of `result`) or ('circle', k), k < circles.
     """
 
     result: Matching
     circles: int
-    arc_map: dict  # ('T'|'B', Arc) -> ('arc', Arc) | ('circle', int)
+    arc_map: MappingProxyType
 
 
 @lru_cache(maxsize=None)
-def stack_matchings(top: Matching, bottom: Matching) -> StackInfo:
+def stack_matchings(top: Matching, bottom: Matching) -> Glued:
+    """`top` (layer 0) on `bottom` (layer 1); loops are numbered by their
+    smallest middle point."""
     if top.n != bottom.n:
         raise InvariantError("strand count mismatch")
-    n = top.n
-    # Middle identification: bottom's top point (n+j) == top's bottom point j.
-    visited_mid = [False] * n  # indexed by j
-    pairing = [-1] * (2 * n)
-    arc_owner: dict[tuple[str, Arc], list] = {}
-
-    def walk(layer: str, point: int):
-        """Follow the strand from (layer, point) to its exit, collecting arcs."""
-        arcs = []
-        while True:
-            m = bottom if layer == "B" else top
-            mate = m.pairing[point]
-            arcs.append((layer, frozenset((point, mate))))
-            if layer == "B":
-                if mate < n:
-                    return ("B", mate), arcs
-                visited_mid[mate - n] = True
-                layer, point = "T", mate - n
-            else:
-                if mate >= n:
-                    return ("T", mate), arcs
-                visited_mid[mate] = True
-                layer, point = "B", n + mate
-
-    arc_map: dict = {}
-    seen_start = set()
-    starts = [("B", p) for p in range(n)] + [("T", n + t) for t in range(n)]
-    for layer, point in starts:
-        if (layer, point) in seen_start:
-            continue
-        (l2, p2), arcs = walk(layer, point)
-        a, b = point, p2  # boundary labels agree between layers and result
-        seen_start.add((layer, point))
-        seen_start.add((l2, p2))
-        pairing[a] = b
-        pairing[b] = a
-        res_arc = frozenset((a, b))
-        for key in arcs:
-            arc_map[key] = ("arc", res_arc)
-
-    circles = 0
-    for j in range(n):
-        if visited_mid[j]:
-            continue
-        # trace the loop through middle point j
-        arcs = []
-        layer, point = "T", j
-        while True:
-            visited_mid[point if layer == "T" else point - n] = True
-            m = top if layer == "T" else bottom
-            mate = m.pairing[point]
-            arcs.append((layer, frozenset((point, mate))))
-            if layer == "T":
-                layer, point = "B", n + mate
-            else:
-                layer, point = "T", mate - n
-            if layer == "T" and point == j:
-                break
-        for key in arcs:
-            arc_map[key] = ("circle", circles)
-        circles += 1
-
-    return StackInfo(Matching(n, tuple(pairing)), circles, arc_map)
-
-
-@dataclass(frozen=True)
-class TraceInfo:
-    """Closing the rightmost strand: connect bottom point n-1 to top point 2n-1."""
-
-    result: Matching
-    closed_circle: bool  # True when the traced strand was the arc {n-1, 2n-1}
-    arc_map: dict  # Arc -> ('arc', Arc) | ('circle', 0)
+    n, m = top.n, 2 * top.n
+    # top's bottom point j meets bottom's top point n + j; the result keeps
+    # bottom's bottom points and top's top points
+    pairing, loops, where = follow(
+        (top.pairing, bottom.pairing), [(j, m + n + j) for j in range(n)],
+        [*range(m, m + n), *range(n, m)], range(n))
+    return Glued(Matching(n, pairing), loops, MappingProxyType(where))
 
 
 @lru_cache(maxsize=None)
-def trace_matching(m: Matching) -> TraceInfo:
+def trace_matching(m: Matching) -> Glued:
+    """Close the rightmost strand (layer 0): bottom point n-1 meets top point
+    2n-1, and the other labels keep their order."""
     n = m.n
     if n < 1:
         raise InvariantError("cannot trace on zero strands")
     lo, hi = n - 1, 2 * n - 1
-
-    def relabel(p: int) -> int:
-        return p if p < n - 1 else p - 1  # labels n-1 and 2n-1 are dropped
-
-    arc_map: dict = {}
-    if m.pairing[lo] == hi:
-        pairing = []
-        for p in range(2 * n):
-            if p in (lo, hi):
-                continue
-            pairing.append(relabel(m.pairing[p]))
-        for a in m.arcs():
-            arc_map[a] = ("circle", 0) if a == frozenset((lo, hi)) else ("arc",
-                frozenset(relabel(p) for p in a))
-        return TraceInfo(Matching(n - 1, tuple(pairing)), True, arc_map)
-
-    x, y = m.pairing[lo], m.pairing[hi]
-    joined = frozenset((relabel(x), relabel(y)))
-    pairing = [0] * (2 * n - 2)
-    for p in range(2 * n):
-        if p in (lo, hi):
-            continue
-        q = m.pairing[p]
-        if q == lo:
-            q = y
-        elif q == hi:
-            q = x
-        pairing[relabel(p)] = relabel(q)
-    for a in m.arcs():
-        if lo in a or hi in a:
-            arc_map[a] = ("arc", joined)
-        else:
-            arc_map[a] = ("arc", frozenset(relabel(p) for p in a))
-    return TraceInfo(Matching(n - 1, tuple(pairing)), False, arc_map)
+    pairing, loops, where = follow((m.pairing,), [(lo, hi)],
+                                   [*range(lo), *range(n, hi)], (lo,))
+    return Glued(Matching(n - 1, pairing), loops, MappingProxyType(where))
 
 
 def juxtapose_matchings(left: Matching, right: Matching) -> tuple[Matching, dict]:
@@ -435,7 +387,7 @@ def closure_evaluate(a: TLElement) -> TruncatedSeries:
         cur = m
         for _ in range(m.n):
             info = trace_matching(cur)
-            loops += 1 if info.closed_circle else 0
+            loops += info.circles
             cur = info.result
         val = c
         for _ in range(loops):
@@ -452,7 +404,7 @@ def partial_trace_tl(a: TLElement) -> TLElement:
     acc: dict[Matching, TruncatedSeries] = {}
     for m, c in a.terms.items():
         info = trace_matching(m)
-        val = c * circle if info.closed_circle else c
+        val = c * circle if info.circles else c
         r = info.result
         acc[r] = acc[r] + val if r in acc else val
     return TLElement(a.n - 1, acc, a.precision)

@@ -43,7 +43,7 @@ def test_glue_curves_examples():
 
 # layer keys and circle lookups of the provenance that stack_tangles and
 # trace_tangle return
-TOP, BOTTOM = "T", "B"
+TOP, BOTTOM = 0, 1
 
 
 def stacked_circle(st, layer, i):
@@ -51,7 +51,7 @@ def stacked_circle(st, layer, i):
 
 
 def traced_circle(tr, i):
-    return tr.circle_map[i]
+    return tr.circle_map[0, i]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -278,6 +278,20 @@ def test_terms_are_read_only_and_identities_shared():
     circle = FlatTangle(0, Matching(0, ()), 1)
     assert CobMorphism.cap_circle(circle, True) is CobMorphism.cap_circle(circle, True)
     assert CobMorphism.cup_circle(circle, False) is CobMorphism.cup_circle(circle, False)
+
+
+def test_cached_provenance_is_read_only():
+    e1, e2 = FlatTangle.e(1, 3), FlatTangle.e(2, 3).add_circles(1)
+    st, tr = stack_tangles(e1, e2), trace_tangle(e2)
+    assert st is stack_tangles(e1, e2) and tr is trace_tangle(e2)
+    # the tangle-level arc maps are the matchings' cached ones, not copies
+    assert st.arc_map is stack_matchings(e1.matching, e2.matching).arc_map
+    assert tr.arc_map is trace_matching(e2.matching).arc_map
+    for mapping in (st.arc_map, st.circle_map, tr.arc_map, tr.circle_map):
+        before = dict(mapping)
+        with pytest.raises(TypeError):
+            mapping[0, frozenset((0, 1))] = ("circle", 9)
+        assert dict(mapping) == before
 
 
 def test_flat_tangle_hash_is_cached_and_invisible():

@@ -103,7 +103,7 @@ def test_product_differential_is_sum_of_factor_maps(product):
 
 
 def test_partial_trace_examples():
-    t = partial_trace_complex(Complex.identity_complex(3))
+    t = deloop(partial_trace_complex(Complex.identity_complex(3)))[0]
     assert t.graded_ranks() == {(0, 1): 1, (0, -1): 1}
     t2 = partial_trace_complex(Complex.generator_complex(2, 3))
     assert t2.graded_ranks() == {(0, 0): 1}
@@ -228,8 +228,8 @@ def test_deloop_matches_reference_on_braid_products(rng):
     most = 0
     for _ in range(4):
         a, b = random_braid_complex(rng, 3, 2), random_braid_complex(rng, 3, 1)
-        prod = tensor(a, b, delooped=False)
-        for raw in (prod, partial_trace_complex(prod, delooped=False)):
+        prod = tensor_indexed(a, b)
+        for raw in (prod, partial_trace_complex(prod)):
             d = assert_deloop_matches_reference(raw)
             d.check()
             most = max(most, max(o.tangle.circles for objs in raw.objects.values()
@@ -346,7 +346,7 @@ def test_simplify_retract_equals_folded_gauss_retracts(rng):
     cases = [_periodic_model(q2(), 2, 6)[0]]
     for _ in range(4):
         c = random_braid_complex(rng, 3, 3)
-        cases += [c, partial_trace_complex(c, delooped=False)]
+        cases += [c, partial_trace_complex(c)]
     widest = []
     for c in cases:
         ref_c, ref, w = folded_retract(c)
@@ -367,7 +367,7 @@ def test_workspace_pivots_follow_reference_scan(rng):
     cases = []
     for _ in range(6):
         c = random_braid_complex(rng, 3, 4)
-        cases += [c, partial_trace_complex(c, delooped=False)]
+        cases += [c, partial_trace_complex(c)]
     from_fill_in = 0
     for c in cases:
         start, _ = deloop(c)
@@ -400,8 +400,7 @@ def test_tracer_counts_every_elimination():
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    c = partial_trace_complex(tensor(xplus(), tensor(xplus(), xplus())),
-                              delooped=False)
+    c = partial_trace_complex(tensor(xplus(), tensor(xplus(), xplus())))
     delooped = deloop(c)[0].total_objects()
     tracer = spans.Tracer()
     tracer.install("simplify")
@@ -419,11 +418,11 @@ def test_simplify_preserves_homology_of_closures(rng):
     # trefoil cube without any simplification versus fully simplified
     raw = Complex.identity_complex(2)
     for _ in range(3):
-        raw = tensor(xplus(), raw, delooped=False)
+        raw = tensor_indexed(xplus(), raw)
     raw = deloop(raw)[0]
     closed_raw = raw
     while closed_raw.n:
-        closed_raw = partial_trace_complex(closed_raw)
+        closed_raw = deloop(partial_trace_complex(closed_raw))[0]
     h_raw = integer_homology(tautological_complex(closed_raw))
     simp, _ = simplify(raw)
     closed_s = simp

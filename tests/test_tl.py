@@ -11,7 +11,7 @@ from catsl2.tl import (Matching, TLElement, all_matchings, closure_evaluate,
 
 # layer keys and lookups of the provenance that stack_matchings and
 # trace_matching return
-TOP, BOTTOM = "T", "B"
+TOP, BOTTOM = 0, 1
 
 
 def stack_where(info, layer, arc):
@@ -19,11 +19,11 @@ def stack_where(info, layer, arc):
 
 
 def trace_where(info, arc):
-    return info.arc_map[arc]
+    return info.arc_map[0, arc]
 
 
 def trace_loops(info):
-    return int(info.closed_circle)
+    return info.circles
 
 
 def union_find_oracle(layers, joins, ends, middle):
