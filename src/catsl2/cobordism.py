@@ -42,23 +42,34 @@ from .tl import (Glued, InvariantError, Matching, follow, juxtapose_matchings,
                  stack_matchings, trace_matching)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class FlatTangle:
+    """A matching plus `circles` closed loops; interned like `Matching`
+    (one instance per value while `_flat_tangle`'s cache lives, checked and
+    hashed once), with equality falling back to the fields."""
+
     n: int
     matching: Matching
     circles: int = 0
     # the kernel's caches are keyed by tangles: hash each one once
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.matching.n != self.n or self.circles < 0:
-            raise InvariantError(f"bad flat tangle: {self.n} strands, "
-                                 f"{self.matching.n}-strand matching, "
-                                 f"{self.circles} circles")
-        object.__setattr__(self, "_hash", hash((self.n, self.matching, self.circles)))
+    def __new__(cls, n: int, matching: Matching, circles: int = 0) -> FlatTangle:
+        return _flat_tangle(n, matching, circles)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FlatTangle:
+            return NotImplemented
+        return (self.n == other.n and self.circles == other.circles
+                and self.matching == other.matching)
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):  # copies and unpickled values are interned too
+        return FlatTangle, (self.n, self.matching, self.circles)
 
     @classmethod
     def identity(cls, n: int) -> FlatTangle:
@@ -75,6 +86,21 @@ class FlatTangle:
 
     def add_circles(self, k: int) -> FlatTangle:
         return FlatTangle(self.n, self.matching, self.circles + k)
+
+
+@lru_cache(maxsize=None)
+def _flat_tangle(n: int, matching: Matching, circles: int) -> FlatTangle:
+    """The interned FlatTangle(n, matching, circles), checked when first built."""
+    if matching.n != n or circles < 0:
+        raise InvariantError(f"bad flat tangle: {n} strands, "
+                             f"{matching.n}-strand matching, {circles} circles")
+    t = object.__new__(FlatTangle)
+    # frozen; setting attributes one by one keeps the compact shared-key dict
+    object.__setattr__(t, "n", n)
+    object.__setattr__(t, "matching", matching)
+    object.__setattr__(t, "circles", circles)
+    object.__setattr__(t, "_hash", hash((n, matching, circles)))
+    return t
 
 
 @dataclass(frozen=True)
@@ -176,16 +202,28 @@ class CobMorphism:
     """Integer combination of canonical dotted-disk cobordisms src -> tgt.
 
     `terms` (dot mask -> coefficient) is a read-only view, so a morphism can
-    be shared: the identity-like constructors return cached instances.
+    be shared: the identity-like constructors return cached instances.  The
+    public constructor puts any dict of terms in canonical form (masks in
+    order, no zero coefficient) and checks bihomogeneity; `_from_canonical`
+    skips both for terms that are canonical already.
     """
 
     __slots__ = ("src", "tgt", "terms")
 
     def __init__(self, src: FlatTangle, tgt: FlatTangle, terms: dict[int, int]):
         self.src, self.tgt = src, tgt
-        self.terms = MappingProxyType({m: c for m, c in sorted(terms.items()) if c})
+        items = sorted(terms.items()) if len(terms) > 1 else terms.items()
+        self.terms = MappingProxyType({m: c for m, c in items if c})
         if len(self.terms) > 1 and len({m.bit_count() for m in self.terms}) > 1:
             raise InvariantError("morphism is not bihomogeneous")
+
+    @classmethod
+    def _from_canonical(cls, src: FlatTangle, tgt: FlatTangle,
+                        terms: dict[int, int]) -> CobMorphism:
+        """A morphism on `terms` as given: nonzero, ordered and homogeneous."""
+        f = object.__new__(cls)
+        f.src, f.tgt, f.terms = src, tgt, MappingProxyType(terms)
+        return f
 
     # -- constructors -----------------------------------------------------
 
@@ -238,12 +276,14 @@ class CobMorphism:
         return self + (-other)
 
     def __neg__(self) -> CobMorphism:
-        return CobMorphism(self.src, self.tgt, {m: -c for m, c in self.terms.items()})
+        return CobMorphism._from_canonical(self.src, self.tgt,
+                                           {m: -c for m, c in self.terms.items()})
 
     def scale(self, k: int) -> CobMorphism:
         if k == 0:
             return CobMorphism.zero(self.src, self.tgt)
-        return CobMorphism(self.src, self.tgt, {m: k * c for m, c in self.terms.items()})
+        return CobMorphism._from_canonical(self.src, self.tgt,
+                                           {m: k * c for m, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CobMorphism):
@@ -324,20 +364,26 @@ def _merge(unions, incidences):
     unions [(a, b, chi_cost)] join disks.  Returns [(outer_curves, disks,
     chi)] with each piece's disks as a bit mask.
     """
-    label = list(range(len(incidences)))  # disk -> its piece, per union
+    parent = list(range(len(incidences)))  # union-find forest of disks
+
+    def find(d: int) -> int:
+        while parent[d] != d:
+            parent[d] = d = parent[parent[d]]
+        return d
+
     for a, b, _ in unions:
-        old, new = label[b], label[a]
-        label = [new if x == old else x for x in label]
-    groups: dict[int, list[int]] = {}
-    for d, root in enumerate(label):
-        groups.setdefault(root, []).append(d)
-    pieces = []
-    for root, disks in groups.items():
-        outer = set().union(*(incidences[d] for d in disks))
-        # every gluing lies inside one piece and lowers its chi by its cost
-        chi = len(disks) - sum(c for a, _, c in unions if label[a] == root)
-        pieces.append((tuple(sorted(outer)), sum(1 << d for d in disks), chi))
-    return pieces
+        parent[find(b)] = find(a)
+    # pieces in the order of their first disk: [outer curves, disks, chi]
+    pieces: dict[int, list] = {}
+    for d, curves in enumerate(incidences):
+        piece = pieces.setdefault(find(d), [set(), 0, 0])
+        piece[0].update(curves)
+        piece[1] |= 1 << d
+        piece[2] += 1
+    # every gluing lies inside one piece and lowers its chi by its cost
+    for a, _, cost in unions:
+        pieces[find(a)][2] -= cost
+    return [(tuple(sorted(outer)), disks, chi) for outer, disks, chi in pieces.values()]
 
 
 @lru_cache(maxsize=None)

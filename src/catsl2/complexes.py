@@ -616,8 +616,11 @@ def gauss(ws: _Workspace, h: int, i: int, j: int) -> None:
     for s, a in ins.items():
         col = out[s]
         for t, b in outs.items():
-            m = compose(b, a).scale(-eps)
-            m = col[t] + m if t in col else m
+            # col[t] - eps b a, its terms summed in one dict
+            acc = dict(col[t].terms) if t in col else {}
+            for mask, c in compose(b, a).terms.items():
+                acc[mask] = acc.get(mask, 0) - eps * c
+            m = CobMorphism(a.src, b.tgt, acc)
             if not m.is_zero():
                 col[t] = into[t][s] = m
                 if m.is_identity_entry():  # fill-in: a new candidate at degree h

@@ -11,7 +11,7 @@ middle contributes a factor (q + q^-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator
@@ -59,19 +59,34 @@ def is_planar_matching(pairing: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Matching:
-    """A crossingless matching of the 2n boundary points."""
+    """A crossingless matching of the 2n boundary points.
+
+    Interned: `Matching(n, pairing)` returns the one instance of that value
+    held by `_matching`, so it is validated and hashed once per value.  The
+    cache can be cleared, so equality still falls back to the fields.
+    """
 
     n: int
     pairing: tuple[int, ...]
+    _hash: int = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        # explicit raises, not asserts, so the checks survive `python -O`
-        if len(self.pairing) != 2 * self.n:
-            raise ValueError("pairing length must be 2n")
-        if not is_planar_matching(self.pairing):
-            raise ValueError(f"non-planar pairing {self.pairing}")
+    def __new__(cls, n: int, pairing: tuple[int, ...]) -> Matching:
+        return _matching(n, pairing)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Matching:
+            return NotImplemented
+        return self.n == other.n and self.pairing == other.pairing
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # copies and unpickled values are interned too
+        return Matching, (self.n, self.pairing)
 
     @classmethod
     def identity(cls, n: int) -> Matching:
@@ -112,6 +127,22 @@ class Matching:
         for p, q in enumerate(self.pairing):
             pairing[rho(p)] = rho(q)
         return Matching(n, tuple(pairing))
+
+
+@lru_cache(maxsize=None)
+def _matching(n: int, pairing: tuple[int, ...]) -> Matching:
+    """The interned Matching(n, pairing), checked when first built."""
+    # explicit raises, not asserts, so the checks survive `python -O`
+    if len(pairing) != 2 * n:
+        raise ValueError("pairing length must be 2n")
+    if not is_planar_matching(pairing):
+        raise ValueError(f"non-planar pairing {pairing}")
+    m = object.__new__(Matching)
+    # frozen; setting attributes one by one keeps the compact shared-key dict
+    object.__setattr__(m, "n", n)
+    object.__setattr__(m, "pairing", pairing)
+    object.__setattr__(m, "_hash", hash((n, pairing)))
+    return m
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from catsl2 import cobordism, tl
 from catsl2.cobordism import (CobMorphism, FlatTangle, _compose_plan, _merge,
                               _merged_plan, _stack_plan, _trace_plan, compose,
                               dual, glue, glue_curves, juxtapose, partial_trace,
@@ -294,13 +295,25 @@ def test_cached_provenance_is_read_only():
         assert dict(mapping) == before
 
 
+def clear_intern_caches():
+    tl._matching.cache_clear()
+    cobordism._flat_tangle.cache_clear()
+
+
 def test_flat_tangle_hash_is_cached_and_invisible():
     m = Matching.e(1, 2)
-    t1, t2 = FlatTangle(2, m, 1), FlatTangle.e(1, 2).add_circles(1)
+    t1 = FlatTangle(2, m, 1)
+    # equal values built while the intern caches live are one object
+    assert FlatTangle.e(1, 2).add_circles(1) is t1
+    # an equal twin from fresh caches is a distinct instance
+    clear_intern_caches()
+    t2 = FlatTangle.e(1, 2).add_circles(1)
     assert t1 is not t2 and t1 == t2 and hash(t1) == hash(t2)
     assert {t1: "x"}[t2] == "x"
     assert repr(t1) == f"FlatTangle(n=2, matching={m!r}, circles=1)"
-    # a different cached value changes the hash and nothing else
+    # a different cached value changes the hash and nothing else; clear the
+    # caches first, so that no later build is handed the corrupted instance
+    clear_intern_caches()
     object.__setattr__(t2, "_hash", hash(t1) + 1)
     assert t1 == t2 and t1 <= t2 and t2 <= t1 and not t1 < t2 and not t2 < t1
     assert repr(t2) == repr(t1)
@@ -311,7 +324,7 @@ def test_flat_tangle_hash_is_cached_and_invisible():
                for mt in all_matchings(n) for c in (0, 1)]
     for x in tangles:
         twin = FlatTangle(x.n, Matching(x.n, x.matching.pairing), x.circles)
-        assert twin == x and hash(twin) == hash(x)
+        assert twin is x and twin == x and hash(twin) == hash(x)
         for y in tangles:
             fx, fy = (x.n, x.matching, x.circles), (y.n, y.matching, y.circles)
             assert (x < y) == (fx < fy) and (x == y) == (fx == fy)

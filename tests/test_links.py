@@ -3,7 +3,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catsl2.links import (CabledWord, ColoredDiagram, bracket_colored, cable,
@@ -291,6 +291,8 @@ def small_trace_closures(draw):
 
 @given(small_trace_closures())
 @settings(max_examples=40, deadline=None)
+@example(ColoredDiagram(3, (2, 2, 2, 2), "trace", (1, 2, 2), (0, 0, 0), (1, 1, 1),
+                        ((1, (1,)), (2, (2,))), (1, 1, 1)))
 def test_euler_characteristic_is_the_tl_colored_invariant(d):
     groups, exact = link_homology(d)
     assert exact
@@ -298,7 +300,9 @@ def test_euler_characteristic_is_the_tl_colored_invariant(d):
     for (h, q), (rank, _) in groups.groups.items():
         chi[q] = chi.get(q, 0) + (-rank if h % 2 else rank)
     chi = {q: c for q, c in chi.items() if c}
-    val = _tl_colored_invariant()(d)
+    # the oracle's series lose precision to negative q-powers: at its default
+    # (40) the example above is known only up to q^26, while chi reaches q^27
+    val = _tl_colored_invariant()(d, 60)
     assert max(chi, default=0) <= val.precision
     assert chi == dict(val.items())
 
