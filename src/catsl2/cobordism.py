@@ -454,19 +454,28 @@ def _compose_plan(src: FlatTangle, mid: FlatTangle, tgt: FlatTangle):
             + _incidences(info_g, out, None, _KEEP))
 
 
-def compose(g: CobMorphism, f: CobMorphism) -> CobMorphism:
-    """g after f (vertical gluing along the middle tangle f.tgt == g.src)."""
+def _compose_terms(g: CobMorphism, f: CobMorphism):
+    """The terms of g after f, as (terms, k): k times the canonical terms of
+    a factor when the other is k times an identity, else the glued terms
+    with k None (unordered, possibly with zero coefficients)."""
     if f.tgt != g.src:
         raise ValueError("boundary mismatch in composition")
     mid = f.tgt
     if mid.circles == 0:
         # on a circle-free tangle the undotted disks (mask 0) are the identity
         if len(g.terms) == 1 and 0 in g.terms and g.tgt == mid:
-            return f.scale(g.terms[0])
+            return f.terms, g.terms[0]
         if len(f.terms) == 1 and 0 in f.terms and f.src == mid:
-            return g.scale(f.terms[0])
-    plan = _merged_plan(_compose_plan, f.src, mid, g.tgt)
-    return CobMorphism(f.src, g.tgt, _glue_terms(plan, f, g))
+            return g.terms, f.terms[0]
+    return _glue_terms(_merged_plan(_compose_plan, f.src, mid, g.tgt), f, g), None
+
+
+def compose(g: CobMorphism, f: CobMorphism) -> CobMorphism:
+    """g after f (vertical gluing along the middle tangle f.tgt == g.src)."""
+    terms, k = _compose_terms(g, f)
+    if k is None:
+        return CobMorphism(f.src, g.tgt, terms)
+    return CobMorphism._from_canonical(f.src, g.tgt, {m: k * c for m, c in terms.items()})
 
 
 def _stack_plan(f_src: FlatTangle, f_tgt: FlatTangle,

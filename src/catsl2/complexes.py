@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from itertools import product
 
 from .cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantError,
-                        compose, dual as dual_morphism, glue,
+                        _compose_terms, compose, dual as dual_morphism, glue,
                         juxtapose as juxtapose_morphism, juxtapose_tangles,
                         partial_trace as trace_morphism, flip_tangle, stack,
                         stack_tangles, trace_tangle)
@@ -255,14 +255,16 @@ def _add_composites(matrix, col: int, x: CobMorphism, line, after: bool,
     {index: m} of a block (see `_lines`) into column `col` of a matrix:
     m o x along a block column when `after`, else x o m along a row.  Each
     term (mask, c) adds scale * c at row rows[label(index, mask)] when that
-    label is in the basis.  Returns whether any entry was touched."""
+    label is in the basis; terms come off `_compose_terms` (no morphism is
+    built).  Returns whether any entry was touched; zeros touch nothing."""
     touched = False
     for idx, m in line.items():
-        r = compose(m, x) if after else compose(x, m)
-        for mask, c in r.terms.items():
+        terms, k = _compose_terms(m, x) if after else _compose_terms(x, m)
+        k = scale if k is None else scale * k
+        for mask, c in terms.items():
             row = rows.get(label(idx, mask))
-            if row is not None:
-                matrix[row][col] += scale * c
+            if row is not None and c:
+                matrix[row][col] += k * c
                 touched = True
     return touched
 
@@ -467,7 +469,8 @@ def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None
             if cs == ct == 0:
                 out[(tgt_exp[0][0], src_exp[0][0])] = m
                 continue
-            # the terms of m by their circle bits, source circles lowest
+            # the terms of m by their circle bits, source circles lowest (each
+            # group is canonical: m's order, nonzero, one dot count)
             p = len(glue(m.src, m.tgt)) - cs - ct
             by_circles: dict[int, dict[int, int]] = {}
             for mask, coeff in m.terms.items():
@@ -478,7 +481,7 @@ def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None
                 for bi, b_neg in tgt_exp:
                     terms = by_circles.get(a_neg | ((1 << ct) - 1 ^ b_neg) << cs)
                     if terms:
-                        out[(bi, aj)] = CobMorphism(src, tgt, terms)
+                        out[(bi, aj)] = CobMorphism._from_canonical(src, tgt, terms)
 
     result = Complex(c.n, new_objects, new_diff)
     if not track_sdr:

@@ -1,14 +1,17 @@
 """Integer homological algebra: Smith normal form and bigraded homology.
 
 Matrices enter and leave as dense lists of lists of Python ints (arbitrary
-precision).  Inside `smith_normal_form` rows are stored sparsely: each row of
-D is a dict from column to nonzero entry and carries its row of U, V is kept
-as dict columns, and row and column swaps only permute position arrays.  The
-pivot is the smallest nonzero |x| of the remaining block, ties going to the
-first row and then the first column in the current order (to limit entry
-growth).  U and V are results, not only D: the factorization performs exactly
-the elementary operations of the dense row-major algorithm it replaced, in the
-same order, and tests/goldens/snf.json pins (U, D, V) entry for entry.
+precision).  Every factorization is one `_eliminate` over sparse rows of D
+(dicts from column to nonzero entry; swaps only permute position arrays).
+The pivot is the smallest nonzero |x| of the remaining block, ties going to
+the first row and then the first column in the current order (to limit entry
+growth).  Pivots depend on D alone; each row (column) operation also acts on
+that row's (column's) companion, so callers carry only what they read:
+`smith_normal_form` U's rows and V's columns, `invariant_factors` nothing,
+`kernel_basis` V's columns, and `solve_all` V's columns and its right-hand
+sides as row companions (U B without U).  U and V stay exact results: the
+operations are those of the dense row-major algorithm the sparse one
+replaced, in its order, and tests/goldens/snf.json pins (U, D, V).
 
 Bigraded homology comes from invariant factors: for C_{i-1} --A--> C_i --B-->
 C_{i+1} with BA = 0, H_i = Z^(n_i - rank B - rank A) plus Z/d for each
@@ -29,36 +32,33 @@ from .complexes import (CLOSE, ChainMap, Complex, InvariantError, ZComplex,
                         tautological_complex)
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _add_to(dst: dict, src: dict, k: int) -> None:  # dst += k * src
+    if not k:
+        return
+    for key, x in src.items():
+        y = dst.get(key, 0) + k * x
+        if y:
+            dst[key] = y
+        else:
+            del dst[key]
 
 
-def smith_normal_form(matrix: list[list[int]]):
-    """Return (U, D, V) with U*M*V = D diagonal, d1 | d2 | ..., U, V unimodular.
+def _eliminate(matrix: list[list[int]], u: list[dict] | None = None,
+               v: list[dict] | None = None):
+    """Diagonalize M, as sparse rows d, with d1 | d2 | ... .
 
     Step t moves the pivot to (t, t), clears row and column t against it by
     floor-quotient row and column additions (re-picking the pivot whenever a
     nonzero residue is left), then, if the pivot fails to divide the rest of
-    the block, adds the first such row to row t and clears again.
+    the block, adds the first such row to row t and clears again.  Row r's
+    operations also act on the companion u[r], column c's on v[c] (None:
+    nothing rides along).  Returns (d, row_at, col_at, rank): the rows, the
+    row and column at each position, and the number of pivots, which sit at
+    d[row_at[t]][col_at[t]].
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    # D row r and U row r are dicts keyed by original column / U column; V
-    # column c is a dict keyed by V row.  Swaps only permute the positions.
     d = [{c: int(x) for c, x in enumerate(row) if x} for row in matrix]
-    u = [{r: 1} for r in range(rows)]
-    v = [{c: 1} for c in range(cols)]
+    rows, cols = len(d), len(matrix[0]) if matrix else 0
     row_at, col_at, col_pos = list(range(rows)), list(range(cols)), list(range(cols))
-
-    def add_to(dst: dict, src: dict, k: int) -> None:  # dst += k * src
-        if not k:
-            return
-        for key, x in src.items():
-            y = dst.get(key, 0) + k * x
-            if y:
-                dst[key] = y
-            else:
-                del dst[key]
 
     def move_best_pivot(t: int) -> bool:
         # the dense row-major scan's first smallest entry of the block: the
@@ -93,8 +93,9 @@ def smith_normal_form(matrix: list[list[int]]):
             support = [i for i in row_at[t + 1:] if c in d[i]]
             for i in support:
                 k = -(d[i][c] // p)
-                add_to(d[i], d[r], k)
-                add_to(u[i], u[r], k)
+                _add_to(d[i], d[r], k)
+                if u is not None:
+                    _add_to(u[i], u[r], k)
             col = [(d[i], d[i][c]) for i in [r, *support] if c in d[i]]
             dirty = len(col) > 1
             for j, x in list(d[r].items()):
@@ -102,8 +103,9 @@ def smith_normal_form(matrix: list[list[int]]):
                     continue
                 k = -(x // p)
                 for row, y in col:  # column j += k * column c
-                    add_to(row, {j: y}, k)
-                add_to(v[j], v[c], k)
+                    _add_to(row, {j: y}, k)
+                if v is not None:
+                    _add_to(v[j], v[c], k)
                 dirty |= j in d[r]
             if dirty:
                 move_best_pivot(t)
@@ -116,81 +118,74 @@ def smith_normal_form(matrix: list[list[int]]):
                             if any(x % p for x in d[i].values())), None)
             if culprit is None:
                 break
-            add_to(d[r], d[culprit], 1)
-            add_to(u[r], u[culprit], 1)
+            _add_to(d[r], d[culprit], 1)
+            if u is not None:
+                _add_to(u[r], u[culprit], 1)
         if d[r][c] < 0:
             d[r] = {j: -x for j, x in d[r].items()}
-            u[r] = {k: -x for k, x in u[r].items()}
+            if u is not None:
+                u[r] = {k: -x for k, x in u[r].items()}
         t += 1
-    dense_u = [[0] * rows for _ in range(rows)]
-    dense_d = [[0] * cols for _ in range(rows)]
-    dense_v = [[0] * cols for _ in range(cols)]
-    for i, r in enumerate(row_at):
-        for k, x in u[r].items():
-            dense_u[i][k] = x
-        for j, x in d[r].items():
-            dense_d[i][col_pos[j]] = x
-    for j, c in enumerate(col_at):
-        for k, x in v[c].items():
-            dense_v[k][j] = x
-    return dense_u, dense_d, dense_v
+    return d, row_at, col_at, t
+
+
+def smith_normal_form(matrix: list[list[int]]):
+    """Return (U, D, V) with U*M*V = D diagonal, d1 | d2 | ..., U, V unimodular."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    # U row r is keyed by U column; V column c is keyed by V row
+    u = [{r: 1} for r in range(rows)]
+    v = [{c: 1} for c in range(cols)]
+    d, row_at, col_at, _ = _eliminate(matrix, u, v)
+    return ([[u[r].get(k, 0) for k in range(rows)] for r in row_at],
+            [[d[r].get(c, 0) for c in col_at] for r in row_at],
+            [[v[c].get(k, 0) for c in col_at] for k in range(cols)])
+
+
+def invariant_factors(matrix: list[list[int]]) -> list[int]:
+    """The nonzero diagonal of the Smith normal form, d1 | d2 | ... ."""
+    d, row_at, col_at, rank = _eliminate(matrix)
+    return [d[row_at[t]][col_at[t]] for t in range(rank)]
 
 
 def kernel_basis(matrix: list[list[int]]) -> list[list[int]]:
     """Columns generating ker(M) over Z (a primitive basis, via SNF)."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    u, d, v = smith_normal_form(matrix)
-    r = sum(1 for i in range(min(rows, cols)) if d[i][i])
-    return [[v[i][j] for j in range(r, cols)] for i in range(cols)]
+    cols = len(matrix[0]) if matrix else 0
+    v = [{c: 1} for c in range(cols)]
+    _, _, col_at, rank = _eliminate(matrix, None, v)
+    return [[v[col_at[j]].get(i, 0) for j in range(rank, cols)] for i in range(cols)]
 
 
-def _solver(matrix: list[list[int]]):
-    """Solve M x = b over Z for any number of b, with one Smith normal form.
+def solve_all(matrix: list[list[int]], rhs_list: list[list[int]]) -> list[list[int] | None]:
+    """For each b of `rhs_list`, one integer solution of M x = b, or None.
 
-    Returns a function b -> one integer solution (free parameters zero), or
-    None when there is none.  U b runs over the nonzeros of b; each column
-    of U is reduced to its nonzeros once, when a b first needs it.
+    One elimination serves every b.  With U M V = D, y = D^-1 U b has free
+    parameters zero and x = V y; U b rides along as the row companions, V as
+    sparse columns, so neither is formed densely.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if rows == 0:
-        return lambda rhs: [0] * cols
-    if cols == 0:
-        return lambda rhs: None if any(rhs) else []
-    u, d, v = smith_normal_form(matrix)
-    u_cols: dict[int, list[tuple[int, int]]] = {}  # k -> nonzeros (i, U[i][k])
-
-    def solve(rhs: list[int]) -> list[int] | None:
-        ub = [0] * rows
-        for k, x in enumerate(rhs):
-            if x:
-                if k not in u_cols:
-                    u_cols[k] = [(i, row[k]) for i, row in enumerate(u) if row[k]]
-                for i, y in u_cols[k]:
-                    ub[i] += y * x
-        y = [0] * cols
-        for i in range(rows):
-            di = d[i][i] if i < min(rows, cols) else 0
-            if di:
-                if ub[i] % di:
-                    return None
-                y[i] = ub[i] // di
-            elif ub[i]:
-                return None
-        y_nz = [(k, x) for k, x in enumerate(y) if x]
-        return [sum(v[i][k] * x for k, x in y_nz) for i in range(cols)]
-
-    return solve
+    cols = len(matrix[0]) if matrix else 0
+    ub = [{s: b[r] for s, b in enumerate(rhs_list) if b[r]} for r in range(len(matrix))]
+    v = [{c: 1} for c in range(cols)]
+    d, row_at, col_at, rank = _eliminate(matrix, ub, v)
+    out = []
+    for s in range(len(rhs_list)):
+        x = [0] * cols
+        for i, r in enumerate(row_at):
+            b = ub[r].get(s)
+            if b:
+                di = d[r][col_at[i]] if i < rank else 0
+                if not di or b % di:
+                    x = None
+                    break
+                for k, vk in v[col_at[i]].items():
+                    x[k] += vk * (b // di)
+        out.append(x)
+    return out
 
 
 def solve_integer(matrix: list[list[int]], rhs: list[int]) -> list[int] | None:
     """One integer solution of M x = b, or None; free parameters are zero."""
-    return _solver(matrix)(rhs)
+    return solve_all(matrix, [rhs])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +259,7 @@ def integer_homology(z: ZComplex) -> BigradedGroups:
     d^2 = 0 is checked first.
     """
     z.check()
-    factors = {}
-    for key, m in z.diffs.items():
-        d = smith_normal_form(m)[1]
-        factors[key] = [d[k][k] for k in range(min(len(d), len(d[0]))) if d[k][k]]
+    factors = {key: invariant_factors(m) for key, m in z.diffs.items()}
     out = BigradedGroups()
     for (i, j) in sorted(z.groups):
         a, b = factors.get((i - 1, j), ()), factors.get((i, j), ())
@@ -450,13 +442,12 @@ def homology_generators(z: ZComplex, key: tuple[int, int]):
     """
     i, j = key
     b_out = z.diffs.get((i, j))
-    kb = kernel_basis(b_out) if b_out else _identity(z.rank(i, j))
+    kb = kernel_basis(b_out or [[0] * z.rank(i, j)])
     kdim = len(kb[0]) if kb else 0
     a_in = z.diffs.get((i - 1, j))
     orders = [0] * kdim
     if kdim and a_in:
-        solve = _solver(kb)
-        x = [solve([row[c] for row in a_in]) for c in range(len(a_in[0]))]
+        x = solve_all(kb, [list(col) for col in zip(*a_in)])
         if any(col is None for col in x):
             raise InvariantError(f"image not contained in kernel at {key} (d^2 != 0?)")
         u, d, _ = smith_normal_form([[col[r] for col in x] for r in range(kdim)])
@@ -501,15 +492,11 @@ def induced_map_on_homology(z_src: ZComplex, z_tgt: ZComplex,
         g = len(gens_t)
         # img = sum y_i * G_i + boundary; generators + boundaries span cycles
         big_cols = g + (len(a_in[0]) if a_in else 0)
-        solve = _solver([[(gens_t[c][r] if c < g else a_in[r][c - g])
-                          for c in range(big_cols)] for r in range(n_t)])
-        cols = []
-        for gen in gens_s:
-            img = [sum(mat[r][c] * gen[c] for c in range(len(gen)))
-                   for r in range(len(mat))]
-            sol = solve(img)
-            if sol is None:
-                raise InvariantError("image of a cycle is not a cycle")
-            cols.append(sol[:g])
-        out[key] = (cols, ord_s, ord_t)
+        imgs = [[sum(mat[r][c] * gen[c] for c in range(len(gen)))
+                 for r in range(len(mat))] for gen in gens_s]
+        sols = solve_all([[(gens_t[c][r] if c < g else a_in[r][c - g])
+                           for c in range(big_cols)] for r in range(n_t)], imgs)
+        if any(sol is None for sol in sols):
+            raise InvariantError("image of a cycle is not a cycle")
+        out[key] = ([sol[:g] for sol in sols], ord_s, ord_t)
     return out

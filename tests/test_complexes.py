@@ -5,7 +5,7 @@ import pytest
 from catsl2.cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantError,
                               compose, glue)
 from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
-                              cone, convolution_complete, deloop,
+                              _add_composites, cone, convolution_complete, deloop,
                               differential_map, direct_sum, dual, gauss,
                               hom_complex, juxtapose_complexes,
                               partial_trace_complex, product_map, shift,
@@ -497,6 +497,25 @@ def test_hom_complex_end_of_identity_strand():
 def test_hom_complex_with_zero_target():
     z = hom_complex(Complex.identity_complex(1), Complex.zero(1))
     assert not z.groups
+
+
+def test_add_composites_leaves_zero_composites_untouched():
+    # through a circle on one strand, g o f cancels: the two term pairs that
+    # survive both dot the strand once, with coefficients 1 and -1, so the
+    # glued terms hold a zero; a dot composed with a dot has no terms at all
+    strand = FlatTangle.identity(1)
+    circled = strand.add_circles(1)
+    f = CobMorphism(strand, circled, {0b01: 1, 0b10: -1})
+    g = CobMorphism(circled, strand, {0b01: 1, 0b10: 1})
+    dot = CobMorphism.dotted_identity(strand, 0)
+    assert compose(g, f).is_zero() and compose(dot, dot).is_zero()
+    rows = {(idx, mask): idx for idx in range(2) for mask in range(2)}
+    for x, line, after in ((f, {0: g}, True), (g, {1: f}, False),
+                           (dot, {0: dot, 1: dot}, True)):
+        matrix = [[0, 0] for _ in range(2)]
+        assert not _add_composites(matrix, 1, x, line, after, rows,
+                                   lambda idx, mask: (idx, mask), 3)
+        assert matrix == [[0, 0], [0, 0]]
 
 
 def test_hom_complex_differential_squares_to_zero(rng):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,12 +9,12 @@ import catsl2.homology as homology
 from catsl2.complexes import (CLOSE, ChainMap, Complex, ZComplex, deloop, fold,
                               hom_complex, partial_trace_complex, shift,
                               tautological_complex)
-from catsl2.homology import (BigradedGroups, _solver, closure_complex, ext_groups, homology_mod_p,
-                             integer_homology, kernel_basis,
+from catsl2.homology import (BigradedGroups, closure_complex, ext_groups, homology_mod_p,
+                             integer_homology, invariant_factors, kernel_basis,
                              matrix_inverse_unimodular, poincare_polynomial,
                              poincare_string, projector_end_complex,
-                             smith_normal_form, solve_integer, taut_chain_map,
-                             u_action_on_homology)
+                             smith_normal_form, solve_all, solve_integer,
+                             taut_chain_map, u_action_on_homology)
 from catsl2.projectors import q2, truncated_pn
 from catsl2.series import TruncatedSeries
 from catsl2.tl import closure_evaluate, euler_characteristic
@@ -84,6 +87,71 @@ def test_snf_forty_by_forty(rng):
             assert diag[i + 1] % diag[i] == 0
 
 
+def reference_solver(matrix: list[list[int]]):
+    """Solve M x = b over Z for any number of b, the way the engine did
+    before its elimination carried right-hand sides along: the dense U and V
+    of one Smith normal form, U b over the nonzeros of b, and free parameters
+    zero.  Returns a function b -> one integer solution, or None."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if rows == 0:
+        return lambda rhs: [0] * cols
+    if cols == 0:
+        return lambda rhs: None if any(rhs) else []
+    u, d, v = smith_normal_form(matrix)
+    u_cols: dict[int, list[tuple[int, int]]] = {}  # k -> nonzeros (i, U[i][k])
+
+    def solve(rhs: list[int]) -> list[int] | None:
+        ub = [0] * rows
+        for k, x in enumerate(rhs):
+            if x:
+                if k not in u_cols:
+                    u_cols[k] = [(i, row[k]) for i, row in enumerate(u) if row[k]]
+                for i, y in u_cols[k]:
+                    ub[i] += y * x
+        y = [0] * cols
+        for i in range(rows):
+            di = d[i][i] if i < min(rows, cols) else 0
+            if di:
+                if ub[i] % di:
+                    return None
+                y[i] = ub[i] // di
+            elif ub[i]:
+                return None
+        y_nz = [(k, x) for k, x in enumerate(y) if x]
+        return [sum(v[i][k] * x for k, x in y_nz) for i in range(cols)]
+
+    return solve
+
+
+def assert_solves_like_reference(m, rhs_list):
+    """solve_all gives the reference's very solution (or None) for every b,
+    and its invariant factors are the nonzero diagonal of D."""
+    solve = reference_solver(m)
+    assert solve_all(m, rhs_list) == [solve(b) for b in rhs_list]
+    d = smith_normal_form(m)[1]
+    assert invariant_factors(m) == [row[k] for k, row in enumerate(d)
+                                    if k < len(row) and row[k]]
+
+
+def test_solve_all_matches_reference_on_snf_goldens(rng):
+    golden = json.loads((Path(__file__).parent / "goldens" / "snf.json").read_text())
+    unsolvable = 0
+    for case in golden["random"]:
+        m = case["m"]
+        rows, cols = len(m), len(m[0]) if m else 0
+        rhs = [[sum(a * x for a, x in zip(row, xs)) for row in m]
+               for xs in ([rng.randrange(-4, 5) for _ in range(cols)] for _ in range(3))]
+        rhs += [[rng.randrange(-9, 10) for _ in range(rows)] for _ in range(2)]
+        rhs += [[int(i == r) for i in range(rows)] for r in range(rows)]
+        sols = solve_all(m, rhs)
+        unsolvable += sols.count(None)
+        for b, x in zip(rhs, sols):
+            assert x is None or [sum(a * y for a, y in zip(row, x)) for row in m] == b
+        assert_solves_like_reference(m, rhs)
+    assert unsolvable > 300
+
+
 def test_kernel_and_solve(rng):
     # one factorization serves many right-hand sides: square, wide and tall
     # matrices, rank-deficient ones (products through a smaller dimension)
@@ -109,19 +177,18 @@ def test_kernel_and_solve(rng):
             m = [[g * x for x in row] for row in m]
         for v in columns(kernel_basis(m)):
             assert not any(apply(m, v))
-        solve = _solver(m)
-        for _ in range(4):
-            b = apply(m, [rng.randrange(-4, 5) for _ in range(c)])
-            sol = solve(b)
+        images = [apply(m, [rng.randrange(-4, 5) for _ in range(c)]) for _ in range(4)]
+        for b, sol in zip(images, solve_all(m, images)):
             assert sol is not None and apply(m, sol) == b
         # y with y^T M = 0 is no image: y.y = y.(M x) = 0 would force y = 0
-        for y in columns(kernel_basis([list(col) for col in zip(*m)])):
+        misses = columns(kernel_basis([list(col) for col in zip(*m)]))
+        for y in misses:
             assert not any(apply(list(zip(*m)), y))
-            assert solve(y) is None
-            unsolvable += 1
         if g > 1:
-            assert solve([1] + [0] * (r - 1)) is None
-            unsolvable += 1
+            misses.append([1] + [0] * (r - 1))
+        assert solve_all(m, misses) == [None] * len(misses)
+        unsolvable += len(misses)
+        assert_solves_like_reference(m, images + misses)
     assert unsolvable > 60
     assert solve_integer([[2]], [1]) is None
 
@@ -155,7 +222,7 @@ def reference_homology(z: ZComplex) -> BigradedGroups:
         a_in = z.diffs.get((i - 1, j))
         orders = [0] * kdim
         if kdim and a_in:
-            solve = _solver(kb)
+            solve = reference_solver(kb)
             x = [solve(list(col)) for col in zip(*a_in)]
             assert all(col is not None for col in x), "image not in kernel"
             d = smith_normal_form([[col[r] for col in x] for r in range(kdim)])[1]
@@ -216,17 +283,17 @@ def random_torsion_complex(rng):
 
 def test_integer_homology_agrees_with_kernel_mod_image_on_torsion_complexes(
         rng, monkeypatch):
-    snf_calls = []
-    snf = homology.smith_normal_form
-    monkeypatch.setattr(homology, "smith_normal_form",
-                        lambda m: snf_calls.append(1) or snf(m))
+    factor_calls = []
+    factor = homology.invariant_factors
+    monkeypatch.setattr(homology, "invariant_factors",
+                        lambda m: factor_calls.append(1) or factor(m))
     torsion_seen = 0
     for _ in range(80):
         z, expect = random_torsion_complex(rng)
         z.check()
-        del snf_calls[:]
+        del factor_calls[:]
         got = integer_homology(z)
-        assert len(snf_calls) == len(z.diffs)  # one per nonzero differential
+        assert len(factor_calls) == len(z.diffs)  # one per nonzero differential
         assert got.groups == reference_homology(z).groups
         for key in set(expect) | set(got.groups):
             rank, order = expect.get(key, (0, 1))
