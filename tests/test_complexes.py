@@ -3,9 +3,11 @@ from itertools import combinations, product
 import pytest
 
 from catsl2.cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantError,
-                              compose, glue)
+                              compose, glue, juxtapose, juxtapose_tangles, stack,
+                              stack_tangles)
 from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
-                              _add_composites, cone, convolution_complete, deloop,
+                              _add_composites, _place, _product, cone,
+                              convolution_complete, deloop,
                               differential_map, direct_sum, dual, gauss,
                               hom_complex, juxtapose_complexes,
                               partial_trace_complex, product_map, shift,
@@ -254,6 +256,223 @@ def test_deloop_object_with_circle():
     assert d2 is c2
     sdr2.verify()
     assert sdr2.homotopy.is_zero()
+
+
+def reference_add(slot, key, m):
+    """Reference: slot[key] += m with `+`, dropping an entry whose sum
+    cancels (a later composite there comes back at the end)."""
+    if key in slot:
+        m = slot[key] + m
+    if m.is_zero():
+        slot.pop(key, None)
+    else:
+        slot[key] = m
+
+
+def reference_block_product(g, f, f_dh):
+    """Reference: g o f for sparse blocks {h: {(i, j): m}}, keyed by f's
+    degrees, with one `compose` per composite summed by `reference_add`."""
+    g_cols = {}
+    for h, entries in g.items():
+        for (i, j), m in entries.items():
+            g_cols.setdefault(h, {}).setdefault(j, {})[i] = m
+    out = {}
+    for h, entries in f.items():
+        cols = g_cols.get(h + f_dh, {})
+        slot = {}
+        for (i, j), m in entries.items():
+            for k, m2 in cols.get(i, {}).items():
+                reference_add(slot, (k, j), compose(m2, m))
+        if slot:
+            out[h] = slot
+    return out
+
+
+def reference_then(f, g):
+    return ChainMap(f.src, g.tgt, f.dh + g.dh, f.dq + g.dq,
+                    reference_block_product(g.components, f.components, f.dh))
+
+
+def reference_product(n, a, b, left=None, right=None):
+    """Reference: the components of f (x) 1 + 1 (x) g on the product of a
+    and b (see `_product`), one stack or juxtaposition per entry."""
+    if a.n == b.n == n:
+        tangle_op, op = (lambda s, t: stack_tangles(s, t).tangle), stack
+    else:
+        tangle_op, op = (lambda s, t: juxtapose_tangles(s, t)[0]), juxtapose
+    _, index = _place(a, b, tangle_op)
+    _, tgt_index = _place(left.tgt if left else a, right.tgt if right else b,
+                          tangle_op)
+    comps = {}
+    for (ha, ia, hb, ib), idx in index.items():
+        slot = comps.setdefault(ha + hb, {})
+        for (i2, j), m in (left.components.get(ha, {}) if left else {}).items():
+            if j == ia:
+                ob = b.objects[hb][ib].tangle
+                reference_add(slot, (tgt_index[(ha + left.dh, i2, hb, ib)], idx),
+                              op(m, CobMorphism.identity(ob)))
+        sign = -1 if right and (ha * right.dh) % 2 else 1
+        for (i2, j), m in (right.components.get(hb, {}) if right else {}).items():
+            if j == ib:
+                oa = a.objects[ha][ia].tangle
+                reference_add(slot, (tgt_index[(ha, ia, hb + right.dh, i2)], idx),
+                              op(CobMorphism.identity(oa), m).scale(sign))
+    return comps
+
+
+def block_json(block):
+    """A block {h: {(i, j): m}} in its degree and entry order, as JSON."""
+    return [(h, [(k, m.to_json()) for k, m in entries.items()])
+            for h, entries in block.items()]
+
+
+def random_map(rng, src, tgt, dh, dq):
+    """Random components src -> tgt of bidegree (dh, dq): most pairs of
+    objects with room for that degree get a combination of basis terms."""
+    comps = {}
+    for h, objs in src.objects.items():
+        for (i, b), (j, a) in product(enumerate(tgt.objects.get(h + dh, [])),
+                                      enumerate(objs)):
+            nc = len(glue(a.tangle, b.tangle))
+            dots2 = a.qshift + dq - b.qshift - src.n + nc
+            if dots2 % 2 or not 0 <= dots2 // 2 <= nc or rng.random() < 0.3:
+                continue
+            masks = [sum(1 << k for k in combo)
+                     for combo in combinations(range(nc), dots2 // 2)]
+            chosen = rng.sample(masks, min(len(masks), rng.randrange(1, 4)))
+            comps.setdefault(h, {})[(i, j)] = CobMorphism(
+                a.tangle, b.tangle, {m: rng.choice([1, -1, 2]) for m in chosen})
+    return ChainMap(src, tgt, dh, dq, comps)
+
+
+def test_then_matches_reference_block_product(rng):
+    composed = 0
+    for _ in range(6):
+        c = random_braid_complex(rng, 3, 3)
+        s, sdr = simplify(c, track_sdr=True)
+        d_c, d_s = differential_map(c), differential_map(s)
+        pairs = [(sdr.sigma, sdr.pi), (sdr.pi, sdr.sigma), (sdr.homotopy, d_c),
+                 (d_c, sdr.homotopy), (sdr.homotopy, sdr.homotopy),
+                 (sdr.sigma, sdr.homotopy), (d_c, d_c), (sdr.pi, d_s)]
+        for dh, dq in product((-1, 0, 1), (-2, 0, 2)):
+            r = random_map(rng, c, c, dh, dq)
+            pairs += [(r, d_c), (d_c, r), (r, sdr.pi), (sdr.sigma, r),
+                      (r, random_map(rng, c, c, -dh, 0)), (r, r)]
+        for f, g in pairs:
+            mine, ref = f.then(g), reference_then(f, g)
+            assert (mine.dh, mine.dq) == (ref.dh, ref.dq)
+            assert block_json(mine.components) == block_json(ref.components)
+            composed += not mine.is_zero()
+        sdr.verify()
+        # the retract's identities, summed by the reference, are exact
+        one_c, one_s = ChainMap.identity(c), ChainMap.identity(s)
+        assert (reference_then(sdr.sigma, sdr.pi) - one_s).is_zero()
+        assert (one_c - reference_then(sdr.pi, sdr.sigma)
+                - reference_then(sdr.homotopy, d_c)
+                - reference_then(d_c, sdr.homotopy)).is_zero()
+        for f, g in ((sdr.homotopy, sdr.pi), (sdr.sigma, sdr.homotopy),
+                     (sdr.homotopy, sdr.homotopy)):
+            assert reference_then(f, g).is_zero()
+    assert composed > 50
+
+
+def test_block_sums_that_cancel_match_reference():
+    # one object A, three middle objects and two outputs: into output 0 the
+    # composites are y x, -y x and then y' x, so the reference drops that
+    # entry and adds it back after output 1's; through a circle, g o f
+    # has glued terms that sum to zero
+    one = FlatTangle.identity(2)
+    cup = FlatTangle.e(1, 2)
+    a = Complex(2, {0: [GradedObject(one, 0)]}, {})
+    mid = Complex(2, {0: [GradedObject(one, 0)] * 3}, {})
+    tgt = Complex(2, {0: [GradedObject(one, 0), GradedObject(cup, 1)]}, {})
+    x = CobMorphism.identity(one)
+    y = CobMorphism.dotted_identity(one, 0)
+    z = CobMorphism.canonical(one, cup)
+    f = ChainMap(a, mid, 0, 0, {0: {(0, 0): x, (1, 0): x, (2, 0): x}})
+    g = ChainMap(mid, tgt, 0, 0, {0: {(0, 0): y, (0, 1): -y, (1, 1): z,
+                                       (0, 2): CobMorphism.dotted_identity(one, 1)}})
+    mine, ref = f.then(g), reference_then(f, g)
+    assert list(ref.components[0]) == [(1, 0), (0, 0)]
+    assert block_json(mine.components) == block_json(ref.components)
+    g2 = ChainMap(mid, tgt, 0, 0, {0: {(0, 0): y, (0, 1): -y}})
+    assert f.then(g2).is_zero() and reference_then(f, g2).is_zero()
+    strand = FlatTangle.identity(1)
+    circled = strand.add_circles(1)
+    s1 = Complex(1, {0: [GradedObject(strand, 0)]}, {})
+    s2 = Complex(1, {0: [GradedObject(circled, 0)]}, {})
+    f3 = ChainMap(s1, s2, 0, 0, {0: {(0, 0): CobMorphism(strand, circled,
+                                                         {0b01: 1, 0b10: -1})}})
+    g3 = ChainMap(s2, s1, 0, 0, {0: {(0, 0): CobMorphism(circled, strand,
+                                                         {0b01: 1, 0b10: 1})}})
+    assert f3.then(g3).is_zero() and reference_then(f3, g3).is_zero()
+
+
+def test_check_matches_reference_block_product(rng):
+    # braid complexes pass; with one entry scaled by -1 or 2, most fail at
+    # the first entry of d o d that the reference finds
+    failed = 0
+    for _ in range(12):
+        c = random_braid_complex(rng, 3, 3)
+        assert not reference_block_product(c.diff, c.diff, 1)
+        c.check()
+        diff = {h: dict(e) for h, e in c.diff.items()}
+        h = rng.choice(list(diff))
+        key = rng.choice(list(diff[h]))
+        diff[h][key] = diff[h][key].scale(rng.choice([-1, 2]))
+        c = Complex(c.n, c.objects, diff)
+        bad = reference_block_product(c.diff, c.diff, 1)
+        if not bad:
+            c.check()
+            continue
+        h, entries = next(iter(bad.items()))
+        key, m = next(iter(entries.items()))
+        with pytest.raises(InvariantError) as exc:
+            c.check()
+        assert str(exc.value) == f"d^2 != 0 at h={h} {key}: {m}"
+        failed += 1
+    assert failed > 5
+
+
+def test_product_maps_match_reference(rng):
+    xp, xm = crossing_complex(1), braid_letter_complex(-1, True)
+    cases = [(q2(), xp), (xm, shift(q2(), 1, 2)), (q2(), q2()),
+             (random_braid_complex(rng, 2, 2), random_braid_complex(rng, 2, 1))]
+    for a, b in cases:
+        for n in (a.n, a.n + b.n):
+            maps = [(differential_map(a), differential_map(b))]
+            for dh, dq in product((-1, 0, 1, 2), (-2, 0, 2)):
+                maps += [(random_map(rng, a, a, dh, dq), None),
+                         (None, random_map(rng, b, b, dh, dq)),
+                         (None, random_map(rng, b, shift(b, 1, 0), dh, dq))]
+            for left, right in maps:
+                mine = _product(n, a, b, left, right)[2]
+                ref = reference_product(n, a, b, left, right)
+                assert block_json(mine) == block_json(ref)
+
+
+def test_is_cycle_koszul_sign_on_both_parities(rng):
+    # odd dh: the identity c -> t c, whose differential is -d, is a cycle
+    # since d_tgt f - (-1)^dh f d_src = -d + d; negating one component
+    # that meets the differential breaks it
+    for c in (q2(), random_braid_complex(rng, 3, 2)):
+        t = shift(c, 1, 0)
+        comps = {h: {(i, i): CobMorphism.identity(o.tangle)
+                     for i, o in enumerate(objs)}
+                 for h, objs in c.objects.items()}
+        f = ChainMap(c, t, 1, 0, comps)
+        assert f.is_cycle()
+        (i, j), _ = next(iter(c.diff[c.h_min()].items()))
+        comps[c.h_min()][(j, j)] = comps[c.h_min()][(j, j)].scale(-1)
+        assert not ChainMap(c, t, 1, 0, comps).is_cycle()
+    # a tracked homotopy has dh = -1 and [d, h] = dh + hd = 1 - sigma pi,
+    # which is not zero; 1 - sigma pi itself (dh = 0) is a cycle
+    c = random_braid_complex(rng, 3, 3)
+    s, sdr = simplify(c, track_sdr=True)
+    rest = ChainMap.identity(c) - sdr.pi.then(sdr.sigma)
+    assert not rest.is_zero() and not sdr.homotopy.is_zero()
+    assert not sdr.homotopy.is_cycle()
+    assert rest.is_cycle() and sdr.pi.is_cycle() and sdr.sigma.is_cycle()
 
 
 def reference_pivot(c):
