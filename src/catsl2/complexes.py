@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from itertools import product
 
 from .cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantError,
-                        _compose_terms, compose, dual as dual_morphism, glue,
+                        _compose_terms, dual as dual_morphism, glue,
                         juxtapose as juxtapose_morphism, juxtapose_tangles,
                         partial_trace as trace_morphism, flip_tangle, stack,
                         stack_tangles, trace_tangle)
@@ -33,10 +33,10 @@ def object_ceiling() -> int:
     return int(os.environ.get("QPE_MAX_OBJECTS", "200000"))
 
 
-def _check_ceiling(stage: str, h: int | None, count: int) -> None:
-    """Stop `stage` once it holds more than object_ceiling() objects at
-    degree h (in all, for h None), saying so on one line."""
-    if count > object_ceiling():
+def _check_ceiling(stage: str, h: int | None, count: int, ceiling: int) -> None:
+    """Stop `stage` once it holds more than `ceiling` objects at degree h
+    (in all, for h None), saying so on one line."""
+    if count > ceiling:
         at = "" if h is None else f" at degree {h}"
         raise EngineLimitError(f"{stage} exceeded object ceiling{at} "
                                f"with {count} objects")
@@ -107,9 +107,10 @@ class Complex:
     def check(self) -> None:
         """Validate entry endpoints and degrees, and d^2 = 0."""
         differential_map(self).check_degrees()
-        for h, entries in _block_product(self.diff, self.diff, 1).items():
-            key, m = next(iter(entries.items()))
-            raise InvariantError(f"d^2 != 0 at h={h} {key}: {m}")
+        for h, entries in _block_terms((self.diff, self.diff, 1, 1)).items():
+            key, (src, tgt, terms) = next(iter(entries.items()))
+            raise InvariantError(f"d^2 != 0 at h={h} {key}: "
+                                 f"{CobMorphism(src, tgt, terms)}")
 
     def truncate_below(self, h_cut: int) -> Complex:
         """Brutal truncation keeping degrees >= h_cut (d^2 = 0 is preserved)."""
@@ -179,17 +180,6 @@ class Complex:
 # Block matrices: one layout, one product, one basis-column routine
 # ---------------------------------------------------------------------------
 
-def _accumulate(slot: dict, key, m: CobMorphism) -> None:
-    """slot[key] += m, keeping no zero entries."""
-    if key in slot:
-        m = slot[key] + m
-        if m.is_zero():
-            del slot[key]
-            return
-    if not m.is_zero():
-        slot[key] = m
-
-
 def _lines(block: dict, by_row: bool = False) -> dict[int, dict]:
     """Block entries {h: {(i, j): m}} grouped by column, {h: {j: {i: m}}},
     or by row, {h: {i: {j: m}}}; each line keeps the entry order."""
@@ -202,24 +192,46 @@ def _lines(block: dict, by_row: bool = False) -> dict[int, dict]:
     return out
 
 
-def _block_product(g: dict, f: dict, f_dh: int) -> dict:
-    """g o f for sparse blocks {h: {(i, j): m}}, keyed by f's degrees.
+def _add_terms(acc: dict[int, int], g: CobMorphism, f: CobMorphism, k: int) -> dict:
+    """acc += k (g o f), off `_compose_terms`; zero coefficients may stay."""
+    terms, k2 = _compose_terms(g, f)
+    k = k if k2 is None else k * k2
+    for mask, c in terms.items():
+        acc[mask] = acc.get(mask, 0) + k * c
+    return acc
 
-    f goes out of degree h and g out of degree h + f_dh.  g is grouped by
-    source column once per degree, so each entry of f meets only the entries
-    of g it composes with; sums that vanish are dropped.
-    """
-    out = {}
-    g_cols = _lines(g)
-    for h, entries in f.items():
-        cols = g_cols.get(h + f_dh, {})
-        slot: dict[tuple[int, int], CobMorphism] = {}
-        for (i, j), m in entries.items():
-            for k, m2 in cols.get(i, {}).items():
-                _accumulate(slot, (k, j), compose(m2, m))
-        if slot:
-            out[h] = slot
-    return out
+
+def _add_composite(line: dict, key, g: CobMorphism, f: CobMorphism, k: int) -> CobMorphism:
+    """line[key] += k (g o f), built as one morphism and returned; a zero
+    sum removes the entry."""
+    old = line.get(key)
+    m = CobMorphism(f.src, g.tgt, _add_terms(dict(old.terms) if old else {}, g, f, k))
+    if m.terms:
+        line[key] = m
+    else:
+        line.pop(key, None)
+    return m
+
+
+def _block_terms(*products) -> dict:
+    """Sum products k (g o f) of sparse blocks {h: {(i, j): m}}, each given
+    as (g, f, f_dh, k) with f out of degree h and g out of h + f_dh, into
+    term sums {h: {(i, j): (src, tgt, terms)}} keyed by f's degrees; callers
+    build morphisms only from the entries they keep.  g is grouped by source
+    column once, so each entry of f meets only the entries of g it composes
+    with.  An entry is dropped as soon as its terms cancel, so one that a
+    later composite revives comes last, as when summing morphisms."""
+    out: dict[int, dict] = {}
+    for g, f, f_dh, k in products:
+        g_cols = _lines(g)
+        for h, entries in f.items():
+            cols, slot = g_cols.get(h + f_dh, {}), out.setdefault(h, {})
+            for (i, j), m in entries.items():
+                for row, m2 in cols.get(i, {}).items():
+                    entry = slot.setdefault((row, j), (m.src, m2.tgt, {}))
+                    if not any(_add_terms(entry[2], m2, m, k).values()):
+                        del slot[(row, j)]
+    return {h: slot for h, slot in out.items() if slot}
 
 
 def _assemble(n: int, parts: list[Complex], blocks=()) -> tuple[Complex, dict]:
@@ -245,7 +257,8 @@ def _assemble(n: int, parts: list[Complex], blocks=()) -> tuple[Complex, dict]:
         for h, entries in comps.items():
             slot = diff.setdefault(h, {})
             for (i, j), m in entries.items():
-                _accumulate(slot, (place[(k2, h + 1, i)], place[(k1, h, j)]), m)
+                key = (place[(k2, h + 1, i)], place[(k1, h, j)])
+                slot[key] = slot[key] + m if key in slot else m
     return Complex(n, objects, diff), place
 
 
@@ -338,8 +351,10 @@ class ChainMap:
         """other after self (self first)."""
         if not (self.tgt is other.src or self.tgt.objects == other.src.objects):
             raise InvariantError("composing chain maps through different complexes")
+        block = _block_terms((other.components, self.components, self.dh, 1))
         return ChainMap(self.src, other.tgt, self.dh + other.dh, self.dq + other.dq,
-                        _block_product(other.components, self.components, self.dh))
+                        {h: {key: CobMorphism(*entry) for key, entry in slot.items()}
+                         for h, slot in block.items()})
 
     def is_zero(self) -> bool:
         return not self.components
@@ -350,15 +365,12 @@ class ChainMap:
         return ((self.dh, self.dq) == (other.dh, other.dq)
                 and (self - other).is_zero())
 
-    def commutator(self) -> ChainMap:
-        """[d, f] = d_tgt o f - (-1)^dh f o d_src (zero iff f is a chain map)."""
-        left = self.then(differential_map(self.tgt))
-        right = differential_map(self.src).then(self)
-        sign = -1 if self.dh % 2 else 1
-        return left - right.scale(sign)
-
     def is_cycle(self) -> bool:
-        return self.commutator().is_zero()
+        """Whether [d, f] = d_tgt o f - (-1)^dh f o d_src is zero, with both
+        products summed as terms into one block."""
+        sign = 1 if self.dh % 2 else -1
+        return not _block_terms((self.tgt.diff, self.components, self.dh, 1),
+                                (self.components, self.src.diff, 1, sign))
 
 
 def differential_map(c: Complex) -> ChainMap:
@@ -443,6 +455,7 @@ def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None
     if all(o.tangle.circles == 0 for objs in c.objects.values() for o in objs):
         return c, (SDRData.identity(c) if track_sdr else None)
 
+    ceiling = object_ceiling()
     new_objects: dict[int, list[GradedObject]] = {}
     # per degree, per old index: [(new index, mask of the circles signed -1)]
     expansion: dict[int, list[list[tuple[int, int]]]] = {}
@@ -458,7 +471,7 @@ def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None
                 new_objects[h].append(GradedObject(bare, obj.qshift + sum(signs))
                                       if signs else obj)
             expansion[h].append(exp)
-        _check_ceiling("deloop", h, len(new_objects[h]))
+        _check_ceiling("deloop", h, len(new_objects[h]), ceiling)
 
     new_diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
     for h, entries in c.diff.items():
@@ -603,33 +616,28 @@ def gauss(ws: _Workspace, h: int, i: int, j: int) -> None:
         row_i, col_j = ws.pi[h + 1].pop(i), ws.sigma[h].pop(j)
         del ws.pi[h][j], ws.sigma[h + 1][i]
         for t, b in outs.items():
-            b, row = b.scale(-eps), ws.pi[h + 1][t]
+            row = ws.pi[h + 1][t]
             for mm, p in row_i.items():
-                _accumulate(row, mm, compose(b, p))
+                _add_composite(row, mm, b, p, -eps)
         for s, a in ins.items():
-            a, col = a.scale(-eps), ws.sigma[h][s]
+            col = ws.sigma[h][s]
             for y, q in col_j.items():
-                _accumulate(col, y, compose(q, a))
+                _add_composite(col, y, q, a, -eps)
         hom = ws.hom.setdefault(h + 1, {})
         for y, q in col_j.items():
-            q = q.scale(eps)
             for mm, p in row_i.items():
-                _accumulate(hom, (y, mm), compose(q, p))
+                _add_composite(hom, (y, mm), q, p, eps)
 
     for s, a in ins.items():
         col = out[s]
         for t, b in outs.items():
-            # col[t] - eps b a, its terms summed in one dict
-            acc = dict(col[t].terms) if t in col else {}
-            for mask, c in compose(b, a).terms.items():
-                acc[mask] = acc.get(mask, 0) - eps * c
-            m = CobMorphism(a.src, b.tgt, acc)
-            if not m.is_zero():
-                col[t] = into[t][s] = m
+            m = _add_composite(col, t, b, a, -eps)  # col[t] - eps b a
+            if m.terms:
+                into[t][s] = m
                 if m.is_identity_entry():  # fill-in: a new candidate at degree h
                     heappush(ws.heaps[h], (s, t))
-            elif t in col:
-                del col[t], into[t][s]
+            else:
+                into[t].pop(s, None)
 
 
 def simplify(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None]:
@@ -663,6 +671,7 @@ def _place(a: Complex, b: Complex, tangle_op):
     """The objects of the product of a and b and index[(ha, ia, hb, ib)], the
     position at degree ha + hb of tangle_op(oa, ob) with q-shift qa + qb;
     the objects of a degree are ordered by (ha, hb, ia, ib)."""
+    ceiling = object_ceiling()
     index: dict[tuple[int, int, int, int], int] = {}
     objects: dict[int, list[GradedObject]] = {}
     for ha, objas in a.objects.items():
@@ -673,7 +682,7 @@ def _place(a: Complex, b: Complex, tangle_op):
                     index[(ha, ia, hb, ib)] = len(lst)
                     lst.append(GradedObject(tangle_op(oa.tangle, ob.tangle),
                                             oa.qshift + ob.qshift))
-            _check_ceiling("product", ha + hb, len(lst))
+            _check_ceiling("product", ha + hb, len(lst), ceiling)
     return objects, index
 
 
@@ -708,18 +717,27 @@ def _product(n: int, a: Complex, b: Complex, left: ChainMap | None = None,
 
     # components[h][(i, j)] of each side as cols[h][j] = {i: m}, in order
     cols_l, cols_r = (_lines(f.components) if f else {} for f in (left, right))
+    # Each product with an identity is built once per (component, tangle,
+    # sign; 0 for f) and shared; components stay alive in their maps, so
+    # id() names them.  No entry gets two products: f lands at degrees
+    # (ha + f.dh, hb), g at (ha, hb + g.dh), and both come only for the
+    # differential, so summing would only filter zeros.
+    made: dict[tuple, CobMorphism] = {}
     comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
     for (ha, ia, hb, ib), idx in index.items():
         slot = comps.setdefault(ha + hb, {})
+        oa, ob = a.objects[ha][ia].tangle, b.objects[hb][ib].tangle
         for i2, m in cols_l.get(ha, {}).get(ia, {}).items():
-            ob = b.objects[hb][ib].tangle
-            _accumulate(slot, (tgt_index[(ha + left.dh, i2, hb, ib)], idx),
-                        morphism_op(m, CobMorphism.identity(ob)))
+            p = made.get(key := (id(m), ob, 0)) or made.setdefault(
+                key, morphism_op(m, CobMorphism.identity(ob)))
+            if p.terms:
+                slot[(tgt_index[(ha + left.dh, i2, hb, ib)], idx)] = p
         sign = -1 if right and (ha * right.dh) % 2 else 1
         for i2, m in cols_r.get(hb, {}).get(ib, {}).items():
-            oa = a.objects[ha][ia].tangle
-            _accumulate(slot, (tgt_index[(ha, ia, hb + right.dh, i2)], idx),
-                        morphism_op(CobMorphism.identity(oa), m).scale(sign))
+            p = made.get(key := (id(m), oa, sign)) or made.setdefault(
+                key, morphism_op(CobMorphism.identity(oa), m).scale(sign))
+            if p.terms:
+                slot[(tgt_index[(ha, ia, hb + right.dh, i2)], idx)] = p
     return objects, tgt_objects, comps
 
 
@@ -1072,19 +1090,17 @@ def _attach_piece(pieces, offs, comps, k, min_total_degree):
 
     def add_rhs(j, h, entries_map):
         """Accumulate -(entries) into the rhs at rows (j, h, ...)."""
-        for (i, jj), mm in entries_map.items():
-            for mask, coeff in mm.terms.items():
+        for (i, jj), (_, _, terms) in entries_map.items():
+            for mask, coeff in terms.items():
                 ridx = epos.get((j, h, jj, i, mask))
-                if ridx is None:
-                    if min_total_degree is None:
-                        raise ObstructionError(j - k, offs[k],
-                                               "obstruction outside basis")
-                    continue
-                rhs[ridx] -= coeff
+                if ridx is not None:
+                    rhs[ridx] -= coeff
+                elif coeff and min_total_degree is None:
+                    raise ObstructionError(j - k, offs[k], "obstruction outside basis")
 
     # fixed contribution: D_{j,k+1} o alpha_k
     for j in range(k + 2, m):
-        fixed = _block_product(comps.get((j, k + 1), {}), comps[(k + 1, k)], 0)
+        fixed = _block_terms((comps.get((j, k + 1), {}), comps[(k + 1, k)], 0, 1))
         for h, acc in fixed.items():
             add_rhs(j, h, acc)
     if not any(rhs):

@@ -18,9 +18,9 @@ from functools import lru_cache
 
 from .cobordism import CobMorphism, FlatTangle, GradedObject, stack_tangles
 from .complexes import (ChainMap, Complex, InvariantError, Slice, _assemble,
-                        _check_ceiling, cone, convolution_complete, deloop,
-                        fold, juxtapose_complexes, product_map, shift, simplify,
-                        tensor, tensor_indexed, transport_endomorphism)
+                        _check_ceiling, cone, convolution_complete, deloop, fold,
+                        juxtapose_complexes, object_ceiling, product_map, shift,
+                        simplify, tensor, tensor_indexed, transport_endomorphism)
 
 # extra projector depth used when feeding a truncated projector into the
 # convolution solver, keeping the guarded equations clear of its artifacts
@@ -277,7 +277,8 @@ def _periodic_model(block: Complex, n: int, window: int):
     # the deepest copy's own objects are truncation artifacts; overshoot so
     # that degrees >= -window agree with the untruncated projector
     copies = 1 + max(0, -(window // dh))
-    _check_ceiling("periodic model", None, copies * block.total_objects())
+    _check_ceiling("periodic model", None, copies * block.total_objects(),
+                   object_ceiling())
     bottom = block.objects[block.h_min()]
     if len(bottom) != 1:
         raise InvariantError("block bottom is not a single object")
