@@ -148,15 +148,6 @@ def glue(src: FlatTangle, tgt: FlatTangle) -> GlueInfo:
     return GlueInfo(src, tgt)
 
 
-def glue_curves(bottom: FlatTangle, top: FlatTangle) -> list[list[int]]:
-    """Curves of bottom u mirror(top), each as its sorted boundary-point set."""
-    info = glue(bottom, top)
-    curves: list[list[int]] = [[] for _ in range(len(info))]
-    for p, k in sorted(info.point_curve.items()):
-        curves[k].append(p)
-    return curves
-
-
 # ---------------------------------------------------------------------------
 # Reduction to the disk basis
 # ---------------------------------------------------------------------------

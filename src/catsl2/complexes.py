@@ -42,6 +42,13 @@ def _check_ceiling(stage: str, h: int | None, count: int, ceiling: int) -> None:
                                f"with {count} objects")
 
 
+def _json_int(value, name: str) -> int:
+    """An integer input field; a bool, float or string raises ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
 class Complex:
     __slots__ = ("n", "objects", "diff")
 
@@ -134,43 +141,49 @@ class Complex:
 
     @classmethod
     def from_json(cls, data: dict) -> Complex:
-        """Read `to_json` output; entries that cannot be a differential's
+        """Read `to_json` output.  Non-integer n, h, qshift, circles, row, col,
+        dots or coeff, a degree listed twice, and entries that cannot be a differential's
         (indices out of range, no degree h+1, dots off the glued diagram,
         wrong degree) raise ValueError."""
         from .tl import Matching
-        n = data["n"]
+        n = _json_int(data["n"], "n")
         objects = {}
         for row in data["degrees"]:
+            h = _json_int(row["h"], "degree h")
+            if h in objects:
+                raise ValueError(f"degree h={h} is listed twice")
             objs = []
             for o in row["objects"]:
-                if o.get("circles", 0) < 0:
+                circles = _json_int(o.get("circles", 0), "circles")
+                if circles < 0:
                     raise ValueError("circles must be >= 0")
-                tangle = FlatTangle(n, Matching(n, tuple(o["matching"])),
-                                    o.get("circles", 0))
-                objs.append(GradedObject(tangle, o["qshift"]))
-            objects[row["h"]] = objs
+                tangle = FlatTangle(n, Matching(n, tuple(o["matching"])), circles)
+                objs.append(GradedObject(tangle, _json_int(o["qshift"], "qshift")))
+            objects[h] = objs
         diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
         for row in data.get("differential", []):
-            h = row["h"]
+            h = _json_int(row["h"], "differential h")
+            if h in diff:
+                raise ValueError(f"differential at h={h} is listed twice")
             if h not in objects or h + 1 not in objects:
                 raise ValueError(f"differential at h={h} needs objects at h={h} "
                                  f"and h={h + 1}")
             entries = {}
             for e in row["entries"]:
-                i, j = e["row"], e["col"]
+                i, j = _json_int(e["row"], "row"), _json_int(e["col"], "col")
                 if not (0 <= j < len(objects[h]) and 0 <= i < len(objects[h + 1])):
                     raise ValueError(f"entry ({i},{j}) at h={h} is out of range")
                 src, tgt = objects[h][j], objects[h + 1][i]
                 curves = len(glue(src.tangle, tgt.tangle))
                 terms = {}
                 for t in e["morphism"]["terms"]:
-                    dots = set(t["dots"])
+                    dots = {_json_int(c, "dots") for c in t["dots"]}
                     if not all(0 <= c < curves for c in dots):
                         raise ValueError(f"entry ({i},{j}) at h={h}: a dot is off "
                                          f"the {curves} curves of the glued diagram")
                     if n - curves + 2 * len(dots) != src.qshift - tgt.qshift:
                         raise ValueError(f"entry ({i},{j}) at h={h} has the wrong degree")
-                    terms[sum(1 << c for c in dots)] = t["coeff"]
+                    terms[sum(1 << c for c in dots)] = _json_int(t["coeff"], "coeff")
                 entries[(i, j)] = CobMorphism(src.tangle, tgt.tangle, terms)
             diff[h] = entries
         return cls(n, objects, diff)

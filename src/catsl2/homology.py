@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .complexes import (CLOSE, ChainMap, Complex, InvariantError, ZComplex,
-                        _add_composites, _lines, fold, hom_complex, shift,
+                        _add_composites, _lines, fold, shift,
                         tautological_complex)
 
 
@@ -359,24 +359,11 @@ def u_action_on_homology(proj, k: int):
 
 
 def projector_end_complex(c: Complex) -> ZComplex:
-    """Integer complex computing HOM(1_n, c) via the partial-trace adjunction."""
+    """Integer complex computing HOM(1_n, c) via the partial-trace adjunction.
+    Use it, valid when c kills turnbacks, for self-Ext of a window-truncated
+    projector: there HOM(c, c) has cycles near the cut that corrupt fixed
+    bidegrees for every window, while this is exact above the cut."""
     return tautological_complex(closure_complex(c))
-
-
-def ext_groups(a: Complex, b: Complex,
-               safe: "SafeWindow | None" = None) -> BigradedGroups:
-    """Homology of HOM(a, b); with `safe` given, restricted to its region.
-
-    For self-Ext of a window-truncated projector do not use this directly:
-    cycle maps supported near the cut corrupt fixed bidegrees for every
-    finite window.  Use projector_end_complex (the unit reduction, valid for
-    complexes that kill turnbacks), whose homology is provably exact above
-    the truncation depth.
-    """
-    groups = integer_homology(hom_complex(a, b))
-    if safe is not None:
-        return groups.restrict(safe.contains)
-    return groups
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cobordism import FlatTangle, GradedObject
-from .complexes import (CLOSE, Complex, InvariantError, Slice, fold, simplify,
-                        tautological_complex)
+from .complexes import (CLOSE, Complex, InvariantError, Slice, _json_int, fold,
+                        simplify, tautological_complex)
 from .homology import BigradedGroups, integer_homology
 from .projectors import (QnBuild, braid_letter_complex, quasi_projector,
                          pad_columns)
@@ -123,10 +123,9 @@ class ColoredDiagram:
     @classmethod
     def from_json(cls, data: dict) -> ColoredDiagram:
         def ints(value, name: str) -> tuple[int, ...]:
-            if not (isinstance(value, list) and all(
-                    isinstance(x, int) and not isinstance(x, bool) for x in value)):
+            if not isinstance(value, list):
                 raise ValueError(f"{name}: expected a list of integers, got {value!r}")
-            return tuple(value)
+            return tuple(_json_int(x, name) for x in value)
 
         family = data.get("family", {})
         if not (isinstance(family, dict)
@@ -136,10 +135,7 @@ class ColoredDiagram:
                            for k, v in family.items()))
         colors = ints(data["colors"], "colors")
         orientations = data.get("orientations")
-        strands = data["braid"]["strands"]
-        if not isinstance(strands, int) or isinstance(strands, bool):
-            raise ValueError(f"braid strands: expected an integer, got {strands!r}")
-        return cls(strands=strands,
+        return cls(strands=_json_int(data["braid"]["strands"], "braid strands"),
                    word=ints(data["braid"]["word"], "braid word"),
                    closure=data.get("closure", "trace"),
                    colors=colors,
@@ -157,9 +153,6 @@ class CabledWord:
     total_width: int
     slices: list = field(default_factory=list)
     # ('x', column, eps, parallel) or ('box', column, color)
-
-    def crossing_count(self) -> int:
-        return sum(1 for s in self.slices if s[0] == "x")
 
 
 def full_twist_word(n: int, power: int) -> list[int]:

@@ -28,19 +28,12 @@ DEPTH_MARGIN = 8
 
 
 # ---------------------------------------------------------------------------
-# Crossings and brackets
+# Crossings
 # ---------------------------------------------------------------------------
 
-def crossing_complex(sign: int, n: int = 2, at: int = 1) -> Complex:
-    """The oriented crossing complexes: + is q^2 e -> q 1 at degrees (-1, 0);
-    - is q^-1 e -> q^-2 1 at degrees (0, 1)."""
-    if sign not in (1, -1):
-        raise ValueError(f"crossing sign must be +1 or -1, not {sign!r}")
-    return braid_letter_complex(1, parallel=(sign > 0), n=n, at=at)
-
-
-def braid_letter_complex(eps: int, parallel: bool, n: int = 2, at: int = 1) -> Complex:
-    """Khovanov complex of one braid letter with given strand orientations.
+def braid_letter_complex(eps: int, parallel: bool) -> Complex:
+    """Khovanov complex of one braid letter on 2 strands, oriented as given;
+    `pad_columns` places it among more strands.
 
     eps is the letter's chirality (+1 for sigma, -1 for its inverse); the
     crossing sign is eps for parallel strands and -eps for antiparallel.
@@ -49,8 +42,7 @@ def braid_letter_complex(eps: int, parallel: bool, n: int = 2, at: int = 1) -> C
     """
     if eps not in (1, -1):
         raise ValueError(f"braid letter chirality must be +1 or -1, not {eps!r}")
-    e = FlatTangle.e(at, n)
-    one = FlatTangle.identity(n)
+    e, one = FlatTangle.e(1, 2), FlatTangle.identity(2)
     b, a = (e, one) if eps > 0 else (one, e)
     sad = CobMorphism.canonical(b, a)
     sign = eps if parallel else -eps
@@ -60,34 +52,7 @@ def braid_letter_complex(eps: int, parallel: bool, n: int = 2, at: int = 1) -> C
     else:
         objs = {0: [GradedObject(b, -1)], 1: [GradedObject(a, -2)]}
         diff = {0: {(0, 0): sad}}
-    return Complex(n, objs, diff)
-
-
-def khovanov_bracket(n: int, word: list, boxes: dict | None = None) -> Complex:
-    """Fold a word of square slices bottom-to-top, simplifying along the way.
-
-    Slice vocabulary: an integer +-i is the braid letter sigma_i^{+-1} with
-    parallel (upward) orientations; ('e', i) the flat cup-cap generator;
-    ('box', label, offset) splices in boxes[label] starting at that column.
-    """
-    slices = []
-    for item in word:
-        if isinstance(item, int):
-            i = abs(item)
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"bad crossing index {item} on {n} strands")
-            sl = pad_columns(braid_letter_complex(1 if item > 0 else -1, True), i, n)
-        elif item[0] == "e":
-            sl = Complex.generator_complex(item[1], n)
-        elif item[0] == "box":
-            if boxes is None or item[1] not in boxes:
-                raise ValueError(f"unknown box label {item[1]!r}")
-            offset = item[2] if len(item) > 2 else 0
-            sl = pad_columns(boxes[item[1]], offset + 1, n)
-        else:
-            raise ValueError(f"unknown slice {item!r}")
-        slices.append(Slice(sl))
-    return fold(Complex.identity_complex(n), slices)[0]
+    return Complex(2, objs, diff)
 
 
 def pad_columns(c: Complex, at: int, n: int) -> Complex:
@@ -362,15 +327,10 @@ def q1() -> Complex:
 
 
 def _q_piece(k: int, n: int) -> Complex:
-    if k == 1:
-        base = q1()
-    elif k == 2:
-        base = q2()
-    elif k == 3:
-        base = q3()
-    else:
+    blocks = {1: q1, 2: q2, 3: q3}
+    if k not in blocks:
         raise ValueError(f"no bounded quasi-idempotent block for k = {k}")
-    return pad_columns(base, 1, n)
+    return pad_columns(blocks[k](), 1, n)
 
 
 def quasi_projector(n: int, indices: tuple[int, ...] | list[int],

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from catsl2.cli import main
+from catsl2.complexes import Complex
 from catsl2.projectors import q2
 
 
@@ -125,6 +126,8 @@ def test_missing_file_is_usage_error(capsys):
     ({"braid": {"strands": 2, "word": [1, 1, 1]}, "colors": [2],
       "family": {"2": {"indices": [2]}, "3": {"indices": [9]}}},
      "family: color 3 is not among the colors [2]"),
+    ({"braid": {"strands": 2, "word": [1, True]}, "colors": [1]},
+     "braid word: expected an integer, got True"),
 ])
 def test_colored_homology_bad_diagram_is_usage_error(tmp_path, capsys,
                                                      diagram, message):
@@ -215,6 +218,50 @@ def test_bad_complex_file_is_usage_error(tmp_path, capsys, command, edit, messag
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+def _one_object_edited(edit) -> dict:
+    data = Complex.generator_complex(1, 2, 1).to_json()
+    edit(data)
+    return data
+
+
+def _repeat_last_degree(data):
+    data["degrees"].append(dict(data["degrees"][-1]))
+
+
+_COEFF = ["differential", 0, "entries", 0, "morphism", "terms", 0, "coeff"]
+
+
+@pytest.mark.parametrize("command", [["complex", "check"], ["complex", "simplify"],
+                                     ["tl", "euler", "--complex"],
+                                     ["proj", "turnback"]],
+                         ids=["check", "simplify", "euler", "turnback"])
+@pytest.mark.parametrize("data, message", [
+    (_one_object_edited(_set(["degrees", 0, "objects", 0, "qshift"], "a")),
+     "qshift: expected an integer, got 'a'"),
+    (_one_object_edited(_set(["degrees", 0, "objects", 0, "qshift"], True)),
+     "qshift: expected an integer, got True"),
+    (_one_object_edited(_set(["degrees", 0, "h"], "0")),
+     "degree h: expected an integer, got '0'"),
+    (_one_object_edited(_set(["degrees", 0, "objects", 0, "circles"], 1.0)),
+     "circles: expected an integer, got 1.0"),
+    (_one_object_edited(_set(["n"], True)), "n: expected an integer, got True"),
+    (_q2_edited(_set(_COEFF, "1")), "coeff: expected an integer, got '1'"),
+    (_q2_edited(_set(_COEFF, 1.0)), "coeff: expected an integer, got 1.0"),
+    (_q2_edited(_set(["differential", 1, "entries", 0, "morphism", "terms", 1,
+                      "dots"], [True])), "dots: expected an integer, got True"),
+    (_q2_edited(_repeat_last_degree), "degree h=0 is listed twice"),
+], ids=["qshift-str", "qshift-bool", "h-str", "circles-float", "n-bool",
+        "coeff-str", "coeff-float", "dots-bool", "repeated-h"])
+def test_ill_typed_complex_field_is_one_line_usage_error(tmp_path, capsys, command,
+                                                         data, message):
+    # each was once accepted (some rows silently dropped) or a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_complex_check_d_squared_failure_exits_one(tmp_path, capsys):

@@ -4,11 +4,11 @@ import json
 import pytest
 
 from catsl2 import cobordism, tl
-from catsl2.cobordism import (CobMorphism, FlatTangle, _compose_plan, _merge,
-                              _merged_plan, _stack_plan, _trace_plan, compose,
-                              dual, glue, glue_curves, juxtapose, partial_trace,
-                              reduce_components, reflect, rotate, stack,
-                              stack_tangles, trace_tangle)
+from catsl2.cobordism import (CobMorphism, FlatTangle, InvariantError,
+                              _compose_plan, _merge, _merged_plan, _stack_plan,
+                              _trace_plan, compose, dual, glue, juxtapose,
+                              partial_trace, reduce_components, reflect,
+                              rotate, stack, stack_tangles, trace_tangle)
 from catsl2.tl import Matching, all_matchings, stack_matchings, trace_matching
 
 
@@ -34,12 +34,13 @@ def rand_multi(rng, src, tgt, max_terms=3):
 
 
 def test_glue_curves_examples():
+    # curves of bottom u mirror(top) are numbered by their smallest point
     one2, e = FlatTangle.identity(2), FlatTangle.e(1, 2)
-    assert glue_curves(one2, one2) == [[0, 2], [1, 3]]
-    assert glue_curves(e, e) == [[0, 1], [2, 3]]
-    assert glue_curves(e, one2) == [[0, 1, 2, 3]]
-    with pytest.raises(AssertionError):
-        glue_curves(one2, FlatTangle.identity(3))
+    assert glue(one2, one2).point_curve == {0: 0, 2: 0, 1: 1, 3: 1}
+    assert glue(e, e).point_curve == {0: 0, 1: 0, 2: 1, 3: 1}
+    assert glue(e, one2).point_curve == {0: 0, 1: 0, 2: 0, 3: 0}
+    with pytest.raises(InvariantError):
+        glue(one2, FlatTangle.identity(3))
 
 
 # layer keys and circle lookups of the provenance that stack_tangles and
@@ -80,7 +81,6 @@ def test_glue_against_union_find_oracle(n):
         k = len(curves)
         info = glue(s, t)
         assert len(info) == k + s.circles + t.circles
-        assert glue_curves(s, t) == curves + [[]] * (s.circles + t.circles)
         assert info.point_curve == index
         assert info.arc_src_curve == {a: index[min(a)] for a in s.matching.arcs()}
         assert info.arc_tgt_curve == {a: index[min(a)] for a in t.matching.arcs()}

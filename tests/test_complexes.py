@@ -14,13 +14,13 @@ from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
                               simplify, tautological_complex, tensor,
                               tensor_indexed)
 from catsl2.homology import integer_homology
-from catsl2.projectors import braid_letter_complex, crossing_complex, q1, q2
+from catsl2.projectors import braid_letter_complex, pad_columns, q1, q2
 from catsl2.series import TruncatedSeries
 from catsl2.tl import all_matchings, euler_characteristic, jw, TLElement
 
 
 def xplus():
-    return crossing_complex(1)
+    return braid_letter_complex(1, True)
 
 
 def xminus_parallel():
@@ -32,20 +32,17 @@ def random_braid_complex(rng, n, length):
     for _ in range(length):
         i = rng.randrange(1, n)
         eps = rng.choice([1, -1])
-        piece = braid_letter_complex(eps, True, 2)
-        if i > 1:
-            piece = juxtapose_complexes(Complex.identity_complex(i - 1), piece)
-        if n - i - 1 > 0:
-            piece = juxtapose_complexes(piece, Complex.identity_complex(n - i - 1))
-        c = tensor(piece, c)
+        c = tensor(pad_columns(braid_letter_complex(eps, True), i, n), c)
     return c
 
 
 def test_crossing_complexes_match_stated_objects():
-    xp = crossing_complex(1)
+    # the positive crossing is sigma on parallel strands, the negative one
+    # sigma on antiparallel strands
+    xp = braid_letter_complex(1, parallel=True)
     assert xp.graded_ranks() == {(-1, 2): 1, (0, 1): 1}
     assert xp.objects[-1][0].tangle == FlatTangle.e(1, 2)
-    xm = crossing_complex(-1)
+    xm = braid_letter_complex(1, parallel=False)
     assert xm.graded_ranks() == {(0, -1): 1, (1, -2): 1}
     assert xm.objects[0][0].tangle == FlatTangle.e(1, 2)
 
@@ -91,7 +88,7 @@ def test_juxtapose_euler_characteristic(rng):
 def test_product_differential_is_sum_of_factor_maps(product):
     # d = d_a (x) 1 + (-1)^ha 1 (x) d_b; the right factor's map has odd dh,
     # which no u-map golden reaches
-    xp, xm = crossing_complex(1), braid_letter_complex(-1, True)
+    xp, xm = xplus(), xminus_parallel()
     for a, b in [(q2(), xp), (xm, shift(q2(), 1, 2)), (q2(), q2())]:
         c = product(a, b)
         assert c.total_objects() == a.total_objects() * b.total_objects()
@@ -435,7 +432,7 @@ def test_check_matches_reference_block_product(rng):
 
 
 def test_product_maps_match_reference(rng):
-    xp, xm = crossing_complex(1), braid_letter_complex(-1, True)
+    xp, xm = xplus(), xminus_parallel()
     cases = [(q2(), xp), (xm, shift(q2(), 1, 2)), (q2(), q2()),
              (random_braid_complex(rng, 2, 2), random_braid_complex(rng, 2, 1))]
     for a, b in cases:

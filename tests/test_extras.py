@@ -3,20 +3,21 @@ import json
 import pytest
 
 from catsl2.cli import main
-from catsl2.complexes import Complex, simplify, tautological_complex, tensor
-from catsl2.homology import (SafeWindow, closure_complex, ext_groups,
-                             integer_homology)
-from catsl2.projectors import khovanov_bracket, q2
+from catsl2.complexes import (Complex, hom_complex, simplify,
+                              tautological_complex, tensor)
+from catsl2.homology import SafeWindow, closure_complex, integer_homology
+from catsl2.projectors import braid_letter_complex, q2
 from catsl2.tl import euler_characteristic
 from catsl2.verify import run_suite
 from catsl2.config import Config
+from test_projectors import bracket
 
 
 def test_khovanov_bracket_with_box():
     # splice the 2-strand quasi-idempotent into a twist pair; closure must
     # match the plain boxed unknot
-    b1 = khovanov_bracket(2, [("box", "K")], boxes={"K": q2()})
-    b2 = khovanov_bracket(2, [1, ("box", "K"), -1], boxes={"K": q2()})
+    b1 = bracket(2, q2())
+    b2 = bracket(2, braid_letter_complex(1, True), q2(), braid_letter_complex(-1, True))
     h1 = integer_homology(tautological_complex(closure_complex(b1)))
     h2 = integer_homology(tautological_complex(closure_complex(b2)))
     assert h1 == h2
@@ -24,11 +25,12 @@ def test_khovanov_bracket_with_box():
 
 def test_khovanov_bracket_flat_slice():
     from catsl2.tl import TLElement
-    b = khovanov_bracket(2, [("e", 1)])
+    e = Complex.generator_complex(1, 2)
+    b = bracket(2, e)
     assert b.graded_ranks() == {(0, 0): 1}
     assert euler_characteristic(b) == TLElement.generator(1, 2)
     # e then e stacks to (q + q^-1) e, delooped into two shifted objects
-    b2 = khovanov_bracket(2, [("e", 1), ("e", 1)])
+    b2 = bracket(2, e, e)
     assert b2.graded_ranks() == {(0, 1): 1, (0, -1): 1}
 
 
@@ -41,7 +43,7 @@ def test_simplify_preserves_euler_characteristic():
 def test_ext_groups_safe_window_refusal():
     one = Complex.identity_complex(1)
     safe = SafeWindow(h_min=-3)
-    groups = ext_groups(one, one, safe)
+    groups = integer_homology(hom_complex(one, one)).restrict(safe.contains)
     assert groups.groups == {(0, 0): (1, ()), (0, 2): (1, ())}
     with pytest.raises(ValueError):
         safe.require(-5, 0)

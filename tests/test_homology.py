@@ -9,13 +9,13 @@ import catsl2.homology as homology
 from catsl2.complexes import (CLOSE, ChainMap, Complex, ZComplex, deloop, fold,
                               hom_complex, partial_trace_complex, shift,
                               tautological_complex)
-from catsl2.homology import (BigradedGroups, closure_complex, ext_groups, homology_mod_p,
+from catsl2.homology import (BigradedGroups, closure_complex, homology_mod_p,
                              integer_homology, invariant_factors, kernel_basis,
                              matrix_inverse_unimodular, poincare_polynomial,
                              poincare_string, projector_end_complex,
                              smith_normal_form, solve_all, solve_integer,
                              taut_chain_map, u_action_on_homology)
-from catsl2.projectors import q2, truncated_pn
+from catsl2.projectors import braid_letter_complex, q2, truncated_pn
 from catsl2.series import TruncatedSeries
 from catsl2.tl import closure_evaluate, euler_characteristic
 from test_complexes import random_braid_complex
@@ -335,8 +335,7 @@ except InvariantError as exc:
 
 
 def test_unknot_via_unsimplified_cube():
-    from catsl2.projectors import crossing_complex
-    raw = crossing_complex(1)
+    raw = braid_letter_complex(1, True)
     closed = raw
     while closed.n:
         closed = deloop(partial_trace_complex(closed))[0]
@@ -346,7 +345,7 @@ def test_unknot_via_unsimplified_cube():
 
 def test_ext_groups_of_identity_strand():
     one = Complex.identity_complex(1)
-    h = ext_groups(one, one)
+    h = integer_homology(hom_complex(one, one))
     assert h.groups == {(0, 0): (1, ()), (0, 2): (1, ())}
 
 

@@ -46,7 +46,7 @@ def test_cable_examples():
     d2 = ColoredDiagram(2, (1,), "trace", (2,), (0,), (1,), FAM2)
     w2 = cable(d2)
     assert w2.total_width == 4
-    assert w2.crossing_count() == 4
+    assert sum(s[0] == "x" for s in w2.slices) == 4
     # alternating orientations: same-parity substrand pairs are parallel
     kinds = [(col, parallel) for (_, col, _, parallel) in
              [s for s in w2.slices if s[0] == "x"]]

@@ -2,15 +2,14 @@ import itertools
 
 import pytest
 
-from catsl2.cobordism import CobMorphism, FlatTangle, glue
+from catsl2.cobordism import CobMorphism, FlatTangle, GradedObject, glue
 from catsl2.complexes import (CLOSE, ChainMap, Complex, ObstructionError, Slice,
                               _deg0_basis, cone, fold, simplify,
                               tautological_complex, tensor)
 from catsl2.homology import closure_complex, integer_homology
 from catsl2.projectors import (DEPTH_MARGIN, braid_letter_complex, build_qn,
-                               crossing_complex, khovanov_bracket, q1, q2, q3,
-                               quasi_projector, symmetric_sequence, truncated_pn,
-                               turnback_check)
+                               pad_columns, q1, q2, q3, quasi_projector,
+                               symmetric_sequence, truncated_pn, turnback_check)
 from catsl2.series import TruncatedSeries
 from catsl2.tl import euler_characteristic, jw
 
@@ -19,10 +18,15 @@ def one_minus_q2n(n, prec=30):
     return TruncatedSeries.one(prec) - TruncatedSeries.monomial(2 * n, 1, prec)
 
 
+def bracket(n, *slices):
+    """The slices stacked bottom to top over the n-strand identity."""
+    return fold(Complex.identity_complex(n), [Slice(s) for s in slices])[0]
+
+
 def test_crossing_complex_objects():
-    xp = crossing_complex(1)
+    xp = braid_letter_complex(1, parallel=True)
     assert xp.graded_ranks() == {(-1, 2): 1, (0, 1): 1}
-    xm = crossing_complex(-1)
+    xm = braid_letter_complex(1, parallel=False)
     assert xm.graded_ranks() == {(0, -1): 1, (1, -2): 1}
     chi = euler_characteristic(xp)
     # q 1_2 - q^2 e
@@ -32,33 +36,53 @@ def test_crossing_complex_objects():
     assert chi == expect
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_padded_crossing_matches_hand_built_crossing(n):
+    # sigma resolves as e_at -> 1_n, its inverse as 1_n -> e_at, one
+    # canonical saddle either way; the crossing sign places the pair
+    one = FlatTangle.identity(n)
+    for at, eps, parallel in itertools.product(range(1, n), (1, -1), (True, False)):
+        e = FlatTangle.e(at, n)
+        b, a = (e, one) if eps > 0 else (one, e)
+        if (eps if parallel else -eps) > 0:
+            objs, h = {-1: [GradedObject(b, 2)], 0: [GradedObject(a, 1)]}, -1
+        else:
+            objs, h = {0: [GradedObject(b, -1)], 1: [GradedObject(a, -2)]}, 0
+        expect = Complex(n, objs, {h: {(0, 0): CobMorphism.canonical(b, a)}})
+        got = pad_columns(braid_letter_complex(eps, parallel), at, n)
+        assert got.to_json() == expect.to_json()
+
+
 def test_khovanov_bracket_single_crossing_and_r2():
-    b = khovanov_bracket(2, [1])
-    assert b.graded_ranks() == crossing_complex(1).graded_ranks()
-    r2 = khovanov_bracket(2, [1, -1])
+    xp, xm = braid_letter_complex(1, True), braid_letter_complex(-1, True)
+    assert bracket(2, xp).graded_ranks() == xp.graded_ranks()
+    # Reidemeister II: sigma sigma^-1 folds to the identity
+    r2 = bracket(2, xp, xm)
     assert r2.graded_ranks() == {(0, 0): 1}
-    with pytest.raises(ValueError):
-        khovanov_bracket(2, [("box", "missing")])
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
 def test_bad_crossing_index_is_value_error_under_optimize_flag(run_python, optimize):
-    # once an AssertionError in a plain run and, under python -O, a
-    # ValueError about the pairing length from deeper down
+    # a crossing placed off the strands, by slice or by braid word
     script = """
-from catsl2.projectors import khovanov_bracket
-try:
-    khovanov_bracket(2, [3])
-except ValueError as exc:
-    print("rejected:", exc)
+from catsl2.links import ColoredDiagram
+from catsl2.projectors import braid_letter_complex, pad_columns
+for place in (lambda: pad_columns(braid_letter_complex(1, True), 3, 2),
+              lambda: ColoredDiagram(2, (3,))):
+    try:
+        place()
+    except ValueError as exc:
+        print("rejected:", exc)
 """
     out = run_python("-c", script, optimize=optimize)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "rejected: bad crossing index 3 on 2 strands"
+    assert out.stdout.splitlines() == [
+        "rejected: a 2-strand slice at column 3 does not fit in 2 strands",
+        "rejected: braid generator 3 out of range for 2 strands"]
 
 
 def test_khovanov_bracket_unknot_rank_two():
-    c = khovanov_bracket(2, [1])
+    c = bracket(2, braid_letter_complex(1, True))
     closed = closure_complex(c)
     h = integer_homology(tautological_complex(closed))
     assert h.total_rank() == 2
@@ -228,7 +252,7 @@ def test_quasi_idempotency_closure_homology():
 def test_turnback_check_reports_nonzero():
     rep = turnback_check(Complex.identity_complex(2))
     assert not rep["kills_turnbacks"]
-    rep2 = turnback_check(crossing_complex(1))
+    rep2 = turnback_check(braid_letter_complex(1, True))
     assert not rep2["kills_turnbacks"]
 
 
