@@ -84,9 +84,6 @@ class FlatTangle:
             raise InvariantError("no circle to drop")
         return FlatTangle(self.n, self.matching, self.circles - 1)
 
-    def add_circles(self, k: int) -> FlatTangle:
-        return FlatTangle(self.n, self.matching, self.circles + k)
-
 
 @lru_cache(maxsize=None)
 def _flat_tangle(n: int, matching: Matching, circles: int) -> FlatTangle:
@@ -107,9 +104,6 @@ def _flat_tangle(n: int, matching: Matching, circles: int) -> FlatTangle:
 class GradedObject:
     tangle: FlatTangle
     qshift: int
-
-    def shifted(self, j: int) -> GradedObject:
-        return GradedObject(self.tangle, self.qshift + j)
 
 
 class GlueInfo:

@@ -9,6 +9,10 @@ Everything here returns new complexes; their dicts are left unchanged by
 convention.  The terms of their morphisms cannot be changed at all:
 `CobMorphism.terms` is a read-only view, which is what lets complexes share
 the cached identity-like morphisms.
+
+Integer matrices over the dotted-disk basis (HOM complexes, the maps that
+chain maps induce on them, the convolution solver's systems) take their
+labels from `_hom_basis` and their columns from `_hom_columns`.
 """
 
 from __future__ import annotations
@@ -80,10 +84,6 @@ class Complex:
     def empty_diagram(cls) -> Complex:
         return cls.identity_complex(0)
 
-    @classmethod
-    def zero(cls, n: int) -> Complex:
-        return cls(n, {}, {})
-
     # -- inspection ----------------------------------------------------------
 
     def degrees(self) -> list[int]:
@@ -141,8 +141,8 @@ class Complex:
 
     @classmethod
     def from_json(cls, data: dict) -> Complex:
-        """Read `to_json` output.  Non-integer n, h, qshift, circles, row, col,
-        dots or coeff, a degree listed twice, and entries that cannot be a differential's
+        """Read `to_json` output.  Non-integer n, h, qshift, circles, matching,
+        row, col, dots or coeff, a degree listed twice, and entries that cannot be a differential's
         (indices out of range, no degree h+1, dots off the glued diagram,
         wrong degree) raise ValueError."""
         from .tl import Matching
@@ -157,7 +157,8 @@ class Complex:
                 circles = _json_int(o.get("circles", 0), "circles")
                 if circles < 0:
                     raise ValueError("circles must be >= 0")
-                tangle = FlatTangle(n, Matching(n, tuple(o["matching"])), circles)
+                pairing = tuple(_json_int(p, "matching") for p in o["matching"])
+                tangle = FlatTangle(n, Matching(n, pairing), circles)
                 objs.append(GradedObject(tangle, _json_int(o["qshift"], "qshift")))
             objects[h] = objs
         diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
@@ -190,7 +191,7 @@ class Complex:
 
 
 # ---------------------------------------------------------------------------
-# Block matrices: one layout, one product, one basis-column routine
+# Block matrices: one layout, one product
 # ---------------------------------------------------------------------------
 
 def _lines(block: dict, by_row: bool = False) -> dict[int, dict]:
@@ -275,26 +276,6 @@ def _assemble(n: int, parts: list[Complex], blocks=()) -> tuple[Complex, dict]:
     return Complex(n, objects, diff), place
 
 
-def _add_composites(matrix, col: int, x: CobMorphism, line, after: bool,
-                    rows: dict, label, scale: int = 1) -> bool:
-    """Add the composites of a one-term basis morphism x with one line
-    {index: m} of a block (see `_lines`) into column `col` of a matrix:
-    m o x along a block column when `after`, else x o m along a row.  Each
-    term (mask, c) adds scale * c at row rows[label(index, mask)] when that
-    label is in the basis; terms come off `_compose_terms` (no morphism is
-    built).  Returns whether any entry was touched; zeros touch nothing."""
-    touched = False
-    for idx, m in line.items():
-        terms, k = _compose_terms(m, x) if after else _compose_terms(x, m)
-        k = scale if k is None else scale * k
-        for mask, c in terms.items():
-            row = rows.get(label(idx, mask))
-            if row is not None and c:
-                matrix[row][col] += k * c
-                touched = True
-    return touched
-
-
 # ---------------------------------------------------------------------------
 # Chain maps and deformation retracts
 # ---------------------------------------------------------------------------
@@ -324,9 +305,6 @@ class ChainMap:
                      for i, o in enumerate(objs)}
                  for h, objs in c.objects.items()}
         return cls(c, c, 0, 0, comps)
-
-    def component(self, h: int, i: int, j: int) -> CobMorphism | None:
-        return self.components.get(h, {}).get((i, j))
 
     def check_degrees(self) -> None:
         for h, entries in self.components.items():
@@ -913,15 +891,6 @@ class ZComplex:
     def rank(self, i: int, j: int) -> int:
         return len(self.groups.get((i, j), []))
 
-    def matrix(self, i: int, j: int) -> list[list[int]]:
-        """Matrix of d: (i, j) -> (i+1, j); rows indexed by target basis."""
-        rows = self.rank(i + 1, j)
-        cols = self.rank(i, j)
-        m = self.diffs.get((i, j))
-        if m is None:
-            return [[0] * cols for _ in range(rows)]
-        return m
-
     def check(self) -> None:
         """d^2 = 0, over the nonzeros of each pair of consecutive matrices."""
         for (i, j), m in self.diffs.items():
@@ -939,34 +908,56 @@ class ZComplex:
                     raise InvariantError(f"d^2 != 0 at {(i, j)}")
 
 
-def _dot_masks(nc: int) -> list[list[int]]:
-    """Dot masks on nc curves, listed by their number of dots."""
-    out: list[list[int]] = [[] for _ in range(nc + 1)]
-    for mask in range(1 << nc):
-        out[mask.bit_count()].append(mask)
-    return out
-
-
-def _hom_basis(a: Complex, b: Complex):
-    """Basis of HOM(a, b): labels (k, ia, ib, mask) grouped by bidegree (i, j)."""
+def _hom_basis(a: Complex, b: Complex, only: tuple[int, int] | None = None):
+    """Basis of HOM(a, b): labels (k, ia, ib, mask) grouped by bidegree (i, j),
+    each group in label order; with only=(i, j), that group alone, read off
+    degree k + i of b only."""
     groups: dict[tuple[int, int], list] = {}
     for k, objas in a.objects.items():
-        for kb, objbs in b.objects.items():
-            i = kb - k
+        targets = (b.objects.items() if only is None
+                   else [(k + only[0], b.objects.get(k + only[0], ()))])
+        for kb, objbs in targets:
             for ia, oa in enumerate(objas):
                 for ib, ob in enumerate(objbs):
                     nc = len(glue(oa.tangle, ob.tangle))
-                    base = a.n - nc  # deg_raw with no dots
-                    for dots, masks in enumerate(_dot_masks(nc)):
-                        deg_raw = base + 2 * dots
-                        # f in HOM^{i,j} maps q^j A -> B, so each component
-                        # q^(j+qa) S -> q^(qb) T has deg_raw + qb - qa - j = 0
-                        j = deg_raw + ob.qshift - oa.qshift
-                        groups.setdefault((i, j), []).extend(
-                            [(k, ia, ib, mask) for mask in masks])
-    for lst in groups.values():
-        lst.sort()
-    return groups
+                    # f in HOM^{i,j} maps q^j A -> B, so each component q^(j+qa)
+                    # S -> q^(qb) T has deg_raw = n - nc + 2 dots = j + qa - qb
+                    j0 = a.n - nc + ob.qshift - oa.qshift
+                    for mask in range(1 << nc):
+                        key = (kb - k, j0 + 2 * mask.bit_count())
+                        if only is None or key == only:
+                            groups.setdefault(key, []).append((k, ia, ib, mask))
+    return groups if only is None else groups.get(only, [])
+
+
+def _hom_columns(matrix, col0: int, a: Complex, b: Complex, i: int, basis,
+                 after=(), before=()) -> bool:
+    """Add to column col0 + c of a matrix the composites of the c-th label
+    (k, ia, ib, mask) of HOM^i(a, b), read as a one-term morphism x.  Each
+    side is (lines, rows, scale): `after` lines are block columns (see
+    `_lines`), and each g on the one out of x's target adds scale (g o x) at
+    rows (k, ia, row of g, mask); `before` lines are block rows, and each g
+    on the one into x's source adds scale (x o g) at rows (k - 1, column of
+    g, ib, mask).  Labels not in rows are skipped.  Terms come off
+    `_compose_terms`.  Returns whether any entry was touched; zero terms
+    touch nothing."""
+    touched = False
+    for c, (k, ia, ib, mask) in enumerate(basis, col0):
+        x = CobMorphism(a.objects[k][ia].tangle, b.objects[k + i][ib].tangle, {mask: 1})
+        composites = [((k, ia, i2), rows, scale, _compose_terms(g, x))
+                      for lines, rows, scale in after
+                      for i2, g in lines.get(k + i, {}).get(ib, {}).items()]
+        composites += [((k - 1, j2, ib), rows, scale, _compose_terms(x, g))
+                       for lines, rows, scale in before
+                       for j2, g in lines.get(k - 1, {}).get(ia, {}).items()]
+        for head, rows, scale, (terms, factor) in composites:
+            factor = scale if factor is None else scale * factor
+            for mask2, coeff in terms.items():
+                row = rows.get((*head, mask2))
+                if row is not None and coeff:
+                    matrix[row][c] += factor * coeff
+                    touched = True
+    return touched
 
 
 def hom_complex(a: Complex, b: Complex) -> ZComplex:
@@ -975,23 +966,15 @@ def hom_complex(a: Complex, b: Complex) -> ZComplex:
     The differential is f -> d_b o f - (-1)^deg_h(f) f o d_a.
     """
     groups = _hom_basis(a, b)
-    pos = {key: {lab: r for r, lab in enumerate(lst)} for key, lst in groups.items()}
     b_cols, a_rows = _lines(b.diff), _lines(a.diff, by_row=True)
     diffs: dict[tuple[int, int], list[list[int]]] = {}
     for (i, j), basis in groups.items():
-        tgt_basis = groups.get((i + 1, j))
-        if not tgt_basis:
+        tgt = {lab: r for r, lab in enumerate(groups.get((i + 1, j), ()))}
+        if not tgt:
             continue
-        matrix = [[0] * len(basis) for _ in range(len(tgt_basis))]
-        tgt_pos = pos[(i + 1, j)]
-        sign = -1 if i % 2 else 1
-        for cidx, (k, ia, ib, mask) in enumerate(basis):
-            oa, ob = a.objects[k][ia], b.objects[k + i][ib]
-            f = CobMorphism(oa.tangle, ob.tangle, {mask: 1})
-            _add_composites(matrix, cidx, f, b_cols.get(k + i, {}).get(ib, {}), True,
-                            tgt_pos, lambda i2, mask2: (k, ia, i2, mask2))
-            _add_composites(matrix, cidx, f, a_rows.get(k - 1, {}).get(ia, {}), False,
-                            tgt_pos, lambda j2, mask2: (k - 1, j2, ib, mask2), -sign)
+        matrix = [[0] * len(basis) for _ in range(len(tgt))]
+        _hom_columns(matrix, 0, a, b, i, basis, [(b_cols, tgt, 1)],
+                     [(a_rows, tgt, 1 if i % 2 else -1)])
         diffs[(i, j)] = matrix
     return ZComplex(groups, diffs)
 
@@ -1057,101 +1040,66 @@ def convolution_complete(pieces: list[Complex], alphas: list[ChainMap],
     return _assemble(pieces[0].n, parts, blocks)[0]
 
 
-def _deg0_basis(src_obj: GradedObject, tgt_obj: GradedObject, n: int):
-    """Dot masks of degree-zero disk morphisms between two graded objects."""
-    nc = len(glue(src_obj.tangle, tgt_obj.tangle))
-    need2 = nc - n + src_obj.qshift - tgt_obj.qshift
-    if need2 < 0 or need2 % 2 or need2 // 2 > nc:
-        return []
-    return _dot_masks(nc)[need2 // 2]
-
-
 def _attach_piece(pieces, offs, comps, k, min_total_degree):
     """Solve jointly for all components D_{j,k}, j >= k+2, attaching E_k;
     returns the nonzero blocks {j: D_{j,k}}.
 
     The constraints are (D^2)_{j,k} = 0 for j = k+2..m-1:
         sign_j d X_j + sign_k X_j d + sum_{k<mid<j} D_{j,mid} X_{mid} = 0
-    with X_{k+1} = alpha_k fixed.  Linear over Z in the X's.
+    with X_{k+1} = alpha_k fixed.  Linear over Z in the X's: X_j runs over
+    the HOM^{k+1-j,0}(E_k, E_j) basis and its equations over the
+    HOM^{k+2-j,0} one from min_total_degree up, concatenated piece by piece.
     """
     from .homology import solve_integer
 
-    src = pieces[k]
-    n, m = src.n, len(pieces)
+    src, m = pieces[k], len(pieces)
     sign_k = -1 if offs[k] % 2 else 1
-    unknowns: list[tuple[int, int, int, int, int]] = []  # (j, h, ia, ib, mask)
-    equations: list[tuple[int, int, int, int, int]] = []
+    unknowns, rows, n_rows = {}, {}, 0
     for j in range(k + 2, m):
-        tgt = pieces[j]
-        length = j - k
-        for h, objas in src.objects.items():
-            for ia, oa in enumerate(objas):
-                for ib, ob in enumerate(tgt.objects.get(h + 1 - length, [])):
-                    for mask in _deg0_basis(oa, ob, n):
-                        unknowns.append((j, h, ia, ib, mask))
-                tot = h + offs[j] + 2 - length
-                if min_total_degree is not None and tot < min_total_degree:
-                    continue
-                for ib, ob in enumerate(tgt.objects.get(h + 2 - length, [])):
-                    for mask in _deg0_basis(oa, ob, n):
-                        equations.append((j, h, ia, ib, mask))
-    unknowns.sort()
-    equations.sort()
-    epos = {e: idx for idx, e in enumerate(equations)}
-    rows, cols = len(equations), len(unknowns)
-    rhs = [0] * rows
+        unknowns[j] = _hom_basis(src, pieces[j], (k + 1 - j, 0))
+        eqs = [lab for lab in _hom_basis(src, pieces[j], (k + 2 - j, 0))
+               if min_total_degree is None or lab[0] + offs[k] + 2 >= min_total_degree]
+        rows[j] = {lab: n_rows + r for r, lab in enumerate(eqs)}
+        n_rows += len(eqs)
 
-    def add_rhs(j, h, entries_map):
-        """Accumulate -(entries) into the rhs at rows (j, h, ...)."""
-        for (i, jj), (_, _, terms) in entries_map.items():
-            for mask, coeff in terms.items():
-                ridx = epos.get((j, h, jj, i, mask))
-                if ridx is not None:
-                    rhs[ridx] -= coeff
-                elif coeff and min_total_degree is None:
-                    raise ObstructionError(j - k, offs[k], "obstruction outside basis")
-
-    # fixed contribution: D_{j,k+1} o alpha_k
+    # fixed contribution: D_{j,k+1} o alpha_k, moved to the right-hand side
+    rhs = [0] * n_rows
     for j in range(k + 2, m):
         fixed = _block_terms((comps.get((j, k + 1), {}), comps[(k + 1, k)], 0, 1))
-        for h, acc in fixed.items():
-            add_rhs(j, h, acc)
+        for h, entries in fixed.items():
+            for (i, jj), (_, _, terms) in entries.items():
+                for mask, coeff in terms.items():
+                    row = rows[j].get((h, jj, i, mask))
+                    if row is not None:
+                        rhs[row] -= coeff
+                    elif coeff and min_total_degree is None:
+                        raise ObstructionError(j - k, offs[k], "obstruction outside basis")
     if not any(rhs):
         return {}
 
-    # the entries composed with each unknown, grouped once: columns of d on
-    # each target piece and of each block D_{j2,j}, and the rows of d_src
-    d_cols = {j: _lines(pieces[j].diff) for j in range(k + 2, m)}
-    block_cols = {key: _lines(block) for key, block in comps.items() if key[1] >= k + 2}
+    # X_j meets d on E_j and each block D_{j2,j} after it, d on E_k before
+    matrix = [[0] * sum(map(len, unknowns.values())) for _ in range(n_rows)]
     src_rows = _lines(src.diff, by_row=True)
-    matrix = [[0] * cols for _ in range(rows)]
-    for cidx, (j, h, ia, ib, mask) in enumerate(unknowns):
-        hb = h + 1 - (j - k)
-        sign_j = -1 if offs[j] % 2 else 1
-        x = CobMorphism(src.objects[h][ia].tangle, pieces[j].objects[hb][ib].tangle,
-                        {mask: 1})
-        # sign_j * d_tgt o X_j
-        _add_composites(matrix, cidx, x, d_cols[j].get(hb, {}).get(ib, {}), True,
-                        epos, lambda i2, mask2: (j, h, ia, i2, mask2), sign_j)
-        # sign_k * X_j o d_src  (lands in equations at source degree h-1)
-        _add_composites(matrix, cidx, x, src_rows.get(h - 1, {}).get(ia, {}), False,
-                        epos, lambda j2, mask2: (j, h - 1, j2, ib, mask2), sign_k)
-        # D_{j2,j} o X_j for j2 > j
-        for j2 in range(j + 1, m):
-            line = block_cols.get((j2, j), {}).get(hb, {}).get(ib, {})
-            _add_composites(matrix, cidx, x, line, True, epos,
-                            lambda i2, mask2: (j2, h, ia, i2, mask2))
+    col0 = 0
+    for j, basis in unknowns.items():
+        after = [(_lines(pieces[j].diff), rows[j], -1 if offs[j] % 2 else 1)]
+        after += [(_lines(comps[(j2, j)]), rows[j2], 1)
+                  for j2 in range(j + 1, m) if (j2, j) in comps]
+        _hom_columns(matrix, col0, src, pieces[j], k + 1 - j, basis, after,
+                     [(src_rows, rows[j], sign_k)])
+        col0 += len(basis)
     sol = solve_integer(matrix, rhs)
     if sol is None:
         raise ObstructionError(m - 1 - k, offs[k])
-    acc: dict[tuple[int, int, int, int], dict[int, int]] = {}
-    for val, (j, h, ia, ib, mask) in zip(sol, unknowns):
-        if val:
-            acc.setdefault((j, h, ia, ib), {})[mask] = val
     out: dict[int, dict[int, dict[tuple[int, int], CobMorphism]]] = {}
-    for (j, h, ia, ib), terms in acc.items():
-        oa = src.objects[h][ia]
-        ob = pieces[j].objects[h + 1 - (j - k)][ib]
-        out.setdefault(j, {}).setdefault(h, {})[(ib, ia)] = \
-            CobMorphism(oa.tangle, ob.tangle, terms)
+    vals = iter(sol)
+    for j, basis in unknowns.items():
+        acc: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (h, ia, ib, mask), val in zip(basis, vals):
+            if val:
+                acc.setdefault((h, ia, ib), {})[mask] = val
+        for (h, ia, ib), terms in acc.items():
+            out.setdefault(j, {}).setdefault(h, {})[(ib, ia)] = CobMorphism(
+                src.objects[h][ia].tangle, pieces[j].objects[h + k + 1 - j][ib].tangle,
+                terms)
     return out

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .complexes import (CLOSE, ChainMap, Complex, InvariantError, ZComplex,
-                        _add_composites, _lines, fold, shift,
+                        _hom_columns, _lines, fold, shift,
                         tautological_complex)
 
 
@@ -204,12 +204,6 @@ class BigradedGroups:
 
     def rank(self, h: int, q: int) -> int:
         return self.groups.get((h, q), (0, ()))[0]
-
-    def torsion(self, h: int, q: int) -> tuple[int, ...]:
-        return self.groups.get((h, q), (0, ()))[1]
-
-    def total_rank(self) -> int:
-        return sum(r for r, _ in self.groups.values())
 
     def is_zero(self) -> bool:
         return not self.groups
@@ -388,34 +382,23 @@ class SafeWindow:
 def taut_chain_map(f: ChainMap, src_z: ZComplex, tgt_z: ZComplex):
     """Matrices of taut(f) between tautological complexes of Cob_0 complexes.
 
-    Basis labels are (k, 0, ib, mask) as produced by hom_complex against the
-    empty diagram; returns dict (i, j) -> matrix into (i + dh, j + dq).
+    Basis labels are (0, 0, ib, mask) as produced by hom_complex against the
+    empty diagram; returns dict (i, j) -> matrix into (i + dh, j + dq) for
+    the bidegrees where some composite with f is nonzero.
     """
-    from .cobordism import CobMorphism, FlatTangle
-    from .tl import Matching
-    empty = FlatTangle(0, Matching(0, ()), 0)
-    out: dict[tuple[int, int], list[list[int]]] = {}
-    tgt_pos = {key: {lab: r for r, lab in enumerate(lst)}
-               for key, lst in tgt_z.groups.items()}
+    empty = Complex.empty_diagram()
     f_cols = _lines(f.components)
+    out: dict[tuple[int, int], list[list[int]]] = {}
     for (i, j), basis in src_z.groups.items():
-        key_t = (i + f.dh, j + f.dq)
-        tbasis = tgt_z.groups.get(key_t)
+        tbasis = tgt_z.groups.get((i + f.dh, j + f.dq))
         if not tbasis:
             continue
-        mat = [[0] * len(basis) for _ in range(len(tbasis))]
-        nonzero = False
-        for cidx, (k, _ia, ib, mask) in enumerate(basis):
-            # labels carry the empty-diagram degree k = 0; the chain lives at
-            # degree i of the target complex
+        for k, *_ in basis:  # the chain lives at degree i of f.src
             if k != 0:
-                raise InvariantError(
-                    f"basis label at degree {k}, not the empty diagram's 0")
-            x = CobMorphism(empty, f.src.objects[i][ib].tangle, {mask: 1})
-            line = f_cols.get(i, {}).get(ib, {})
-            nonzero |= _add_composites(mat, cidx, x, line, True, tgt_pos[key_t],
-                                       lambda i2, mask2: (0, 0, i2, mask2))
-        if nonzero:
+                raise InvariantError(f"basis label at degree {k}, not the empty diagram's 0")
+        mat = [[0] * len(basis) for _ in range(len(tbasis))]
+        rows = {lab: r for r, lab in enumerate(tbasis)}
+        if _hom_columns(mat, 0, empty, f.src, i, basis, [(f_cols, rows, 1)]):
             out[(i, j)] = mat
     return out
 

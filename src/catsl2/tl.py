@@ -409,24 +409,6 @@ def juxtapose_tl(a: TLElement, b: TLElement) -> TLElement:
     return TLElement(a.n + b.n, acc, a.precision)
 
 
-def closure_evaluate(a: TLElement) -> TruncatedSeries:
-    """Markov-trace closure: close all strands, each loop contributing q+q^-1."""
-    circle = TruncatedSeries.circle(a.precision)
-    total = TruncatedSeries.zero(a.precision)
-    for m, c in a.terms.items():
-        loops = 0
-        cur = m
-        for _ in range(m.n):
-            info = trace_matching(cur)
-            loops += info.circles
-            cur = info.result
-        val = c
-        for _ in range(loops):
-            val = val * circle
-        total = total + val
-    return total
-
-
 def partial_trace_tl(a: TLElement) -> TLElement:
     """Close only the rightmost strand."""
     if a.n < 1:
@@ -439,6 +421,13 @@ def partial_trace_tl(a: TLElement) -> TLElement:
         r = info.result
         acc[r] = acc[r] + val if r in acc else val
     return TLElement(a.n - 1, acc, a.precision)
+
+
+def closure_evaluate(a: TLElement) -> TruncatedSeries:
+    """Markov-trace closure: close all strands, each loop contributing q+q^-1."""
+    for _ in range(a.n):
+        a = partial_trace_tl(a)
+    return a.coefficient(Matching(0, ()))
 
 
 def euler_characteristic(complex_: "Complex", precision: int = DEFAULT_PRECISION) -> TLElement:

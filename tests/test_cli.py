@@ -209,7 +209,8 @@ def _drop_last_degree(data):
      "a dot is off the 2 curves"),
     (_drop_last_degree, "needs objects at h=-1 and h=0"),
     (_set(["degrees", 0, "objects", 0, "matching"], [0, 1, 2, 3]), "non-planar"),
-    (_set(["degrees", 0, "objects", 0, "matching"], ["a", 0, 3, 2]), "malformed"),
+    pytest.param(_set(["degrees", 0, "objects", 0, "matching"], ["a", 0, 3, 2]),
+                 "matching: expected an integer, got 'a'", id="edit-matching-str"),
 ])
 def test_bad_complex_file_is_usage_error(tmp_path, capsys, command, edit, message):
     path = tmp_path / "bad.json"
@@ -231,6 +232,7 @@ def _repeat_last_degree(data):
 
 
 _COEFF = ["differential", 0, "entries", 0, "morphism", "terms", 0, "coeff"]
+_MATCHING = ["degrees", 0, "objects", 0, "matching"]
 
 
 @pytest.mark.parametrize("command", [["complex", "check"], ["complex", "simplify"],
@@ -252,8 +254,11 @@ _COEFF = ["differential", 0, "entries", 0, "morphism", "terms", 0, "coeff"]
     (_q2_edited(_set(["differential", 1, "entries", 0, "morphism", "terms", 1,
                       "dots"], [True])), "dots: expected an integer, got True"),
     (_q2_edited(_repeat_last_degree), "degree h=0 is listed twice"),
+    (_q2_edited(_set(_MATCHING, [True, 0, 3, 2])), "matching: expected an integer, got True"),
+    (_q2_edited(_set(_MATCHING, [1.0, 0, 3, 2])), "matching: expected an integer, got 1.0"),
 ], ids=["qshift-str", "qshift-bool", "h-str", "circles-float", "n-bool",
-        "coeff-str", "coeff-float", "dots-bool", "repeated-h"])
+        "coeff-str", "coeff-float", "dots-bool", "repeated-h", "matching-bool",
+        "matching-float"])
 def test_ill_typed_complex_field_is_one_line_usage_error(tmp_path, capsys, command,
                                                          data, message):
     # each was once accepted (some rows silently dropped) or a traceback

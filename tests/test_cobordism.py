@@ -282,7 +282,7 @@ def test_terms_are_read_only_and_identities_shared():
 
 
 def test_cached_provenance_is_read_only():
-    e1, e2 = FlatTangle.e(1, 3), FlatTangle.e(2, 3).add_circles(1)
+    e1, e2 = FlatTangle.e(1, 3), FlatTangle(3, Matching.e(2, 3), 1)
     st, tr = stack_tangles(e1, e2), trace_tangle(e2)
     assert st is stack_tangles(e1, e2) and tr is trace_tangle(e2)
     # the tangle-level arc maps are the matchings' cached ones, not copies
@@ -304,10 +304,10 @@ def test_flat_tangle_hash_is_cached_and_invisible():
     m = Matching.e(1, 2)
     t1 = FlatTangle(2, m, 1)
     # equal values built while the intern caches live are one object
-    assert FlatTangle.e(1, 2).add_circles(1) is t1
+    assert FlatTangle(2, Matching.e(1, 2), 1) is t1
     # an equal twin from fresh caches is a distinct instance
     clear_intern_caches()
-    t2 = FlatTangle.e(1, 2).add_circles(1)
+    t2 = FlatTangle(2, Matching.e(1, 2), 1)
     assert t1 is not t2 and t1 == t2 and hash(t1) == hash(t2)
     assert {t1: "x"}[t2] == "x"
     assert repr(t1) == f"FlatTangle(n=2, matching={m!r}, circles=1)"

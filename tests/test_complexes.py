@@ -3,10 +3,10 @@ from itertools import combinations, product
 import pytest
 
 from catsl2.cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantError,
-                              compose, glue, juxtapose, juxtapose_tangles, stack,
-                              stack_tangles)
+                              _compose_terms, compose, glue, juxtapose,
+                              juxtapose_tangles, stack, stack_tangles)
 from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
-                              _add_composites, _place, _product, cone,
+                              _hom_basis, _hom_columns, _place, _product, cone,
                               convolution_complete, deloop,
                               differential_map, direct_sum, dual, gauss,
                               hom_complex, juxtapose_complexes,
@@ -14,7 +14,8 @@ from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
                               simplify, tautological_complex, tensor,
                               tensor_indexed)
 from catsl2.homology import integer_homology
-from catsl2.projectors import braid_letter_complex, pad_columns, q1, q2
+from catsl2.projectors import (DEPTH_MARGIN, braid_letter_complex, pad_columns, q1,
+                               q2, symmetric_sequence, truncated_pn)
 from catsl2.series import TruncatedSeries
 from catsl2.tl import all_matchings, euler_characteristic, jw, TLElement
 
@@ -144,7 +145,7 @@ def reference_deloop(c, track_sdr=False):
                     cur = cur.drop_circle()
                 sigma, cur = None, FlatTangle(t.n, t.matching, 0)
                 for k in range(t.circles):
-                    grown = cur.add_circles(1)
+                    grown = FlatTangle(cur.n, cur.matching, cur.circles + 1)
                     cup = CobMorphism.cup_circle(grown, dotted=(signs[k] == 1))
                     sigma = cup if sigma is None else compose(cup, sigma)
                     cur = grown
@@ -395,7 +396,7 @@ def test_block_sums_that_cancel_match_reference():
     g2 = ChainMap(mid, tgt, 0, 0, {0: {(0, 0): y, (0, 1): -y}})
     assert f.then(g2).is_zero() and reference_then(f, g2).is_zero()
     strand = FlatTangle.identity(1)
-    circled = strand.add_circles(1)
+    circled = FlatTangle(1, strand.matching, 1)
     s1 = Complex(1, {0: [GradedObject(strand, 0)]}, {})
     s2 = Complex(1, {0: [GradedObject(circled, 0)]}, {})
     f3 = ChainMap(s1, s2, 0, 0, {0: {(0, 0): CobMorphism(strand, circled,
@@ -711,27 +712,55 @@ def test_hom_complex_end_of_identity_strand():
 
 
 def test_hom_complex_with_zero_target():
-    z = hom_complex(Complex.identity_complex(1), Complex.zero(1))
+    z = hom_complex(Complex.identity_complex(1), Complex(1, {}, {}))
     assert not z.groups
 
 
-def test_add_composites_leaves_zero_composites_untouched():
-    # through a circle on one strand, g o f cancels: the two term pairs that
-    # survive both dot the strand once, with coefficients 1 and -1, so the
-    # glued terms hold a zero; a dot composed with a dot has no terms at all
-    strand = FlatTangle.identity(1)
-    circled = strand.add_circles(1)
-    f = CobMorphism(strand, circled, {0b01: 1, 0b10: -1})
-    g = CobMorphism(circled, strand, {0b01: 1, 0b10: 1})
+def test_hom_columns_leaves_zero_composites_untouched():
+    # a dot on either strand of 1_2 slides onto the one curve that the
+    # undotted disk x between e and 1_2 has there, so with g = x_1 - x_2 the
+    # glued terms of g o x and of x o g hold a zero; a dot composed with a
+    # dot has no terms at all
+    cup_cap, two, strand = FlatTangle.e(1, 2), FlatTangle.identity(2), FlatTangle.identity(1)
+    g = CobMorphism(two, two, {0b01: 1, 0b10: -1})
     dot = CobMorphism.dotted_identity(strand, 0)
-    assert compose(g, f).is_zero() and compose(dot, dot).is_zero()
-    rows = {(idx, mask): idx for idx in range(2) for mask in range(2)}
-    for x, line, after in ((f, {0: g}, True), (g, {1: f}, False),
-                           (dot, {0: dot, 1: dot}, True)):
+    up, down = CobMorphism(cup_cap, two, {0: 1}), CobMorphism(two, cup_cap, {0: 1})
+    assert 0 in _compose_terms(g, up)[0].values() and compose(g, up).is_zero()
+    assert 0 in _compose_terms(down, g)[0].values() and compose(down, g).is_zero()
+    assert compose(dot, dot).is_zero()
+
+    def one(t, degrees=(0,)):
+        return Complex(t.n, {h: [GradedObject(t, 0)] for h in degrees}, {})
+
+    cases = [  # (a, b, basis label, after lines, before lines, row label prefix)
+        (one(cup_cap), one(two), (0, 0, 0, 0), {0: {0: {0: g}}}, {}, (0, 0)),
+        (one(two, (-1, 0)), one(cup_cap), (0, 0, 0, 0), {}, {-1: {0: {0: g}}},
+         (-1, 0)),
+        (one(strand), one(strand), (0, 0, 0, 1), {0: {0: {0: dot, 1: dot}}}, {},
+         (0, 0)),
+    ]
+    for a, b, label, after, before, prefix in cases:
+        rows = {(*prefix, idx, mask): idx for idx in range(2) for mask in range(2)}
         matrix = [[0, 0] for _ in range(2)]
-        assert not _add_composites(matrix, 1, x, line, after, rows,
-                                   lambda idx, mask: (idx, mask), 3)
+        assert not _hom_columns(matrix, 1, a, b, 0, [label], [(after, rows, 3)],
+                                [(before, rows, 3)])
         assert matrix == [[0, 0], [0, 0]]
+
+
+def test_hom_basis_of_one_bidegree_is_that_group(rng):
+    # only=(i, j) reads one target degree per source degree; the group must
+    # be the full enumeration's, in the same order, and empty off its keys
+    pieces, _ = symmetric_sequence(truncated_pn(2, 4 + DEPTH_MARGIN).complex, 3)
+    pairs = [(random_braid_complex(rng, 3, 2), random_braid_complex(rng, 3, 2))
+             for _ in range(3)]
+    pairs += [(a, b) for a in pieces for b in pieces]
+    for a, b in pairs:
+        groups = _hom_basis(a, b)
+        assert groups
+        keys = set(groups) | {(i + di, j + dj) for i, j in groups
+                              for di, dj in ((0, 1), (1, 0), (-1, 0))}
+        for key in keys:
+            assert _hom_basis(a, b, key) == groups.get(key, []), key
 
 
 def test_hom_complex_differential_squares_to_zero(rng):

@@ -299,7 +299,7 @@ def test_integer_homology_agrees_with_kernel_mod_image_on_torsion_complexes(
             rank, order = expect.get(key, (0, 1))
             assert got.rank(*key) == rank, key
             product = 1
-            for f in got.torsion(*key):
+            for f in got.groups.get(key, (0, ()))[1]:
                 product *= f
             assert product == order, key
         torsion_seen += sum(len(t) > 0 for _, t in got.groups.values())

@@ -221,4 +221,4 @@ def test_juxtapose_counts_strands():
 
 def test_euler_characteristic_of_zero_complex():
     from catsl2.complexes import Complex
-    assert euler_characteristic(Complex.zero(2)).is_zero()
+    assert euler_characteristic(Complex(2, {}, {})).is_zero()

@@ -68,7 +68,7 @@ def test_each_pairing_is_validated_once(monkeypatch):
 
 def test_copies_and_pickles_are_the_interned_value():
     clear_catsl2_caches()  # so that t.matching is the interned matching
-    t = FlatTangle.e(1, 3).add_circles(1)
+    t = FlatTangle(3, Matching.e(1, 3), 1)
     for same in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         assert same(t) is t and same(t.matching) is t.matching
     data = pickle.dumps(t)
