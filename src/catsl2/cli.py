@@ -183,7 +183,11 @@ def _dispatch(args, cfg: Config) -> int:
             payload["window"] = proj.window
             _write(args, payload)
         elif args.proj_command == "quasi":
-            indices = tuple(int(x) for x in args.indices.split(",") if x)
+            try:
+                indices = tuple(map(int, args.indices.split(","))) if args.indices else ()
+            except ValueError:
+                raise ValueError("indices: expected comma-separated integers, "
+                                 f"got {args.indices!r}") from None
             built = quasi_projector(args.n, indices, cfg.window)
             payload = built.complex.to_json()
             payload["valid_h_min"] = built.valid_h_min
@@ -195,9 +199,9 @@ def _dispatch(args, cfg: Config) -> int:
 
     if args.command == "homology":
         c = _load_complex(args.file)
-        c, _ = simplify(c)
         if c.n != 0:
             raise ValueError("homology needs a closed (0-strand) complex")
+        c, _ = simplify(c)
         zc = tautological_complex(c)
         groups = integer_homology(zc)
         _write(args, _homology_payload(groups, args.field, zc))

@@ -374,18 +374,10 @@ class SDRData:
     """Strong deformation retract: pi: M -> N, sigma: N -> M, h: M -> M (-1,0).
 
     The identities are pi sigma = 1, 1 - sigma pi = dh + hd, pi h = 0,
-    h sigma = 0 and h^2 = 0.  `simplify` carries its retract by local
-    updates instead of `then`, with pi rows and sigma columns keyed by the
-    stable object ids of its `_Workspace`: eliminating the pivot (h, i, j)
-    of N with unit eps, a_s = d[i, s] and b_t = d[t, j], `gauss` does
-
-        pi row t@h+1       += -eps b_t o (row i of pi at h+1)
-        sigma column s@h   += -eps (column j of sigma at h) o a_s
-        h                  += eps (column j of sigma at h) o (row i of pi at h+1)
-
-    and drops rows j@h, i@h+1 of pi and the same columns of sigma; no other
-    id moves.  This equals `self.then(step)` with `step` the one-step
-    retract of the same `gauss` on a workspace started from the identity.
+    h sigma = 0 and h^2 = 0, and `verify` checks all five.  The engine
+    builds no retract: `deloop` and `gauss` move maps through directly.
+    The tests build the delooping and one-step `gauss` retracts and fold
+    them with `then`, as the reference that the carried maps must equal.
     """
 
     pi: ChainMap
@@ -420,58 +412,48 @@ class SDRData:
                        self.homotopy + self.pi.then(other.homotopy).then(self.sigma))
 
 
-def transport_endomorphism(f: ChainMap, sdr: SDRData) -> ChainMap:
-    """Conjugate an endomorphism of sdr's source through the retract."""
-    return sdr.sigma.then(f).then(sdr.pi)
-
-
 # ---------------------------------------------------------------------------
 # Delooping
 # ---------------------------------------------------------------------------
 
-def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None]:
-    """Replace every circle by the pair of q-shifted circle-free objects.
-
-    An object with circles 0..k-1 becomes one circle-free summand per sign
-    vector s, in `product((1, -1), repeat=k)` order, q-shifted by sum(s).
-    Nothing is glued: glue(src, tgt) orders its curves as the p point curves,
-    the source circles, then the target circles, and in the disk basis each
-    circle bounds its own disk, which the delooping's cap or cup closes to a
-    sphere (1 with exactly one dot, else 0).  So pi is the one term dotting
-    circle k where s_k = -1, sigma the one dotting it where s_k = +1, and
-    entry (b, a) of the delooped differential keeps the terms of m that dot
-    source circle k exactly where a_k = -1 and target circle k exactly where
-    b_k = +1, each as its mask below bit p with its coefficient.
-    """
-    if all(o.tangle.circles == 0 for objs in c.objects.values() for o in objs):
-        return c, (SDRData.identity(c) if track_sdr else None)
-
+def _expansion(c: Complex):
+    """The delooped objects of c per degree, and per degree and object of c
+    its circle-free tangle and [(new index, mask of the circles signed -1)]."""
     ceiling = object_ceiling()
-    new_objects: dict[int, list[GradedObject]] = {}
-    # per degree, per old index: [(new index, mask of the circles signed -1)]
-    expansion: dict[int, list[list[tuple[int, int]]]] = {}
+    objects: dict[int, list[GradedObject]] = {}
+    expansion: dict[int, list[tuple[FlatTangle, list[tuple[int, int]]]]] = {}
     for h, objs in c.objects.items():
-        new_objects[h], expansion[h] = [], []
+        objects[h], expansion[h] = [], []
         for obj in objs:
             t = obj.tangle
             bare = FlatTangle(t.n, t.matching, 0) if t.circles else t
             exp = []
             for signs in product((1, -1), repeat=t.circles):
-                exp.append((len(new_objects[h]),
+                exp.append((len(objects[h]),
                             sum(1 << k for k, s in enumerate(signs) if s < 0)))
-                new_objects[h].append(GradedObject(bare, obj.qshift + sum(signs))
-                                      if signs else obj)
-            expansion[h].append(exp)
-        _check_ceiling("deloop", h, len(new_objects[h]), ceiling)
+                objects[h].append(GradedObject(bare, obj.qshift + sum(signs))
+                                  if signs else obj)
+            expansion[h].append((bare, exp))
+        _check_ceiling("deloop", h, len(objects[h]), ceiling)
+    return objects, expansion
 
-    new_diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    for h, entries in c.diff.items():
-        out = new_diff[h] = {}
+
+def _split(block: dict, dh: int, src_exp: dict, tgt_exp: dict) -> dict:
+    """The block {h: {(i, j): m}}, out of degree h into h + dh, between the
+    delooped summands that src_exp and tgt_exp list (see `_expansion`).
+
+    Entry (b, a) of m keeps the terms that dot source circle k exactly where
+    a_k = -1 and target circle k exactly where b_k = +1, each as its mask
+    below bit p with its coefficient; nothing is composed.
+    """
+    out_block: dict[int, dict[tuple[int, int], CobMorphism]] = {}
+    for h, entries in block.items():
+        out = out_block[h] = {}
         for (i, j), m in entries.items():
+            (src, s_exp), (tgt, t_exp) = src_exp[h][j], tgt_exp[h + dh][i]
             cs, ct = m.src.circles, m.tgt.circles
-            src_exp, tgt_exp = expansion[h][j], expansion[h + 1][i]
             if cs == ct == 0:
-                out[(tgt_exp[0][0], src_exp[0][0])] = m
+                out[(t_exp[0][0], s_exp[0][0])] = m
                 continue
             # the terms of m by their circle bits, source circles lowest (each
             # group is canonical: m's order, nonzero, one dot count)
@@ -479,33 +461,44 @@ def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None
             by_circles: dict[int, dict[int, int]] = {}
             for mask, coeff in m.terms.items():
                 by_circles.setdefault(mask >> p, {})[mask & ((1 << p) - 1)] = coeff
-            src = new_objects[h][src_exp[0][0]].tangle
-            tgt = new_objects[h + 1][tgt_exp[0][0]].tangle
-            for aj, a_neg in src_exp:
-                for bi, b_neg in tgt_exp:
+            for aj, a_neg in s_exp:
+                for bi, b_neg in t_exp:
                     terms = by_circles.get(a_neg | ((1 << ct) - 1 ^ b_neg) << cs)
                     if terms:
                         out[(bi, aj)] = CobMorphism._from_canonical(src, tgt, terms)
+    return out_block
 
-    result = Complex(c.n, new_objects, new_diff)
-    if not track_sdr:
-        return result, None
-    pi_comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    sg_comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    for h, rows in expansion.items():
-        pi_comps[h], sg_comps[h] = {}, {}
-        for j, exp in enumerate(rows):
-            t = c.objects[h][j].tangle
-            for idx, neg in exp:
-                bare = new_objects[h][idx].tangle
-                # glue(t, bare) has one point curve per arc, t.n in all
-                pi_comps[h][(idx, j)] = CobMorphism(t, bare, {neg << t.n: 1})
-                sg_comps[h][(j, idx)] = CobMorphism(
-                    bare, t, {((1 << t.circles) - 1 ^ neg) << t.n: 1})
-    sdr = SDRData(ChainMap(c, result, 0, 0, pi_comps),
-                  ChainMap(result, c, 0, 0, sg_comps),
-                  ChainMap.zero(c, c, -1, 0))
-    return result, sdr
+
+def deloop(c: Complex, maps=()) -> tuple[Complex, list[ChainMap]]:
+    """Replace every circle by the pair of q-shifted circle-free objects,
+    carrying the endomorphisms `maps` of c along; returns (complex, maps).
+
+    An object with circles 0..k-1 becomes one circle-free summand per sign
+    vector s, in `product((1, -1), repeat=k)` order, q-shifted by sum(s).
+    Nothing is glued: glue(src, tgt) orders its curves as the p point curves,
+    the source circles, then the target circles, and in the disk basis each
+    circle bounds its own disk, which the delooping's cap or cup closes to a
+    sphere (1 with exactly one dot, else 0).  So the retract's pi dots
+    circle k where s_k = -1 and its sigma where s_k = +1, and conjugating
+    any morphism by them only selects terms (`_split`): the differential and
+    each map are split by that one rule.
+    """
+    for f in maps:
+        if not all(x is c or x.objects == c.objects for x in (f.src, f.tgt)):
+            raise InvariantError("a carried map must be an endomorphism of the complex")
+    if all(o.tangle.circles == 0 for objs in c.objects.values() for o in objs):
+        return c, list(maps)
+    objects, exp = _expansion(c)
+    result = Complex(c.n, objects, _split(c.diff, 1, exp, exp))
+    return result, [ChainMap(result, result, f.dh, f.dq,
+                             _split(f.components, f.dh, exp, exp)) for f in maps]
+
+
+def _deloop_map(f: ChainMap, src: Complex, tgt: Complex) -> ChainMap:
+    """f: M -> N as a map between the deloopings src of M and tgt of N."""
+    return ChainMap(src, tgt, f.dh, f.dq, _split(f.components, f.dh,
+                                                 _expansion(f.src)[1],
+                                                 _expansion(f.tgt)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -513,32 +506,29 @@ def deloop(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """A complex, and optionally a retract onto it, simplified in place.
+    """A complex, and endomorphisms of it, simplified in place.
 
     Every object keeps a stable id, its index in the complex the workspace
     is built from; objects[h] maps ids to objects in id order, and deleting
     an id keeps the order of the rest, so the lowest (j, i) in ids is the
     lowest in current indices.  The differential at degree h is kept as
     columns out[h][j] = {i: d[i, j]} and rows into[h][i] = {j: d[i, j]}
-    (see `_lines`).  heaps[h] holds (j, i) for every entry at degree h that
-    was +-identity when last written; a candidate is checked when it reaches
-    the top.  A retract from M keeps pi as rows pi[h][id] and sigma as
-    columns sigma[h][id], keyed by M index, and the homotopy as hom[h] =
-    {(row, col) in M: m} out of degree h of M.  `export` builds one Complex.
+    (see `_lines`), and each carried map f the same way, as
+    maps[k] = (dh, dq, columns, rows) keyed by source degree.  heaps[h]
+    holds (j, i) for every entry at degree h that was +-identity when last
+    written; a candidate is checked when it reaches the top.  `export`
+    builds one Complex and one ChainMap per map.
     """
 
-    def __init__(self, c: Complex, sdr: SDRData | None = None):
-        self.c, self.sdr, self.eliminated = c, sdr, False
+    def __init__(self, c: Complex, maps=()):
+        self.c, self.given, self.eliminated = c, list(maps), False
         self.objects = {h: dict(enumerate(objs)) for h, objs in c.objects.items()}
         self.out, self.into = _lines(c.diff), _lines(c.diff, by_row=True)
         self.heaps = {h: sorted((j, i) for (i, j), m in entries.items()
                                 if m.is_identity_entry())  # sorted is a heap
                       for h, entries in c.diff.items()}
-        self.pi = self.sigma = self.hom = None
-        if sdr is not None:
-            self.pi = _lines(sdr.pi.components, by_row=True)
-            self.sigma = _lines(sdr.sigma.components)
-            self.hom = {h: dict(e) for h, e in sdr.homotopy.components.items()}
+        self.maps = [(f.dh, f.dq, _lines(f.components), _lines(f.components, by_row=True))
+                     for f in maps]
 
     def pivot(self) -> tuple[int, int, int] | None:
         """The +-identity entry (h, i, j) of lowest degree, then lowest (j, i).
@@ -552,26 +542,34 @@ class _Workspace:
                 heappop(heap)
         return None
 
-    def export(self) -> tuple[Complex, SDRData | None]:
-        """The simplified complex and retract (the inputs if none cancelled)."""
+    def export(self) -> tuple[Complex, list[ChainMap]]:
+        """The simplified complex and maps (the inputs if none cancelled)."""
         if not self.eliminated:
-            return self.c, self.sdr
+            return self.c, self.given
         pos = {h: {x: k for k, x in enumerate(objs)} for h, objs in self.objects.items()}
-        diff = {h: {(pos[h + 1][i], pos[h][j]): m
-                    for j, col in cols.items() for i, m in col.items()}
-                for h, cols in self.out.items()}
+
+        def block(cols: dict, dh: int) -> dict:
+            return {h: {(pos[h + dh][x], pos[h][y]): m
+                        for y, col in lines.items() for x, m in col.items()}
+                    for h, lines in cols.items()}
+
         result = Complex(self.c.n, {h: list(objs.values())
-                                    for h, objs in self.objects.items()}, diff)
-        if self.sdr is None:
-            return result, None
-        src = self.sdr.pi.src
-        pi = {h: {(pos[h][r], m): p for r, row in rows.items() for m, p in row.items()}
-              for h, rows in self.pi.items()}
-        sigma = {h: {(y, pos[h][s]): q for s, col in cols.items() for y, q in col.items()}
-                 for h, cols in self.sigma.items()}
-        return result, SDRData(ChainMap(src, result, 0, 0, pi),
-                               ChainMap(result, src, 0, 0, sigma),
-                               ChainMap(src, src, -1, 0, self.hom))
+                                    for h, objs in self.objects.items()},
+                         block(self.out, 1))
+        return result, [ChainMap(result, result, dh, dq, block(cols, dh))
+                        for dh, dq, cols, _ in self.maps]
+
+
+def _add_entry(col: dict, rows: dict, x: int, y: int, g: CobMorphism,
+               f: CobMorphism, k: int) -> CobMorphism:
+    """Entry (x, y) += k (g o f) of a block kept as lines: col is column y,
+    rows the rows of the same degree (see `_add_composite`)."""
+    m = _add_composite(col, x, g, f, k)
+    if m.terms:
+        rows.setdefault(x, {})[y] = m
+    else:
+        rows.get(x, {}).pop(y, None)
+    return m
 
 
 def gauss(ws: _Workspace, h: int, i: int, j: int) -> None:
@@ -579,11 +577,18 @@ def gauss(ws: _Workspace, h: int, i: int, j: int) -> None:
 
     With pivot eps (= +-1), a_s = d[i, s] for the other entries into row i
     and b_t = d[t, j] for the other entries out of column j, the surviving
-    differential is d[t, s] - eps b_t a_s, and a tracked retract gets the
-    local update stated in `SDRData`.  Every elimination goes through this
-    module-level function, so a tracer that rebinds `complexes.gauss`
-    counts each one.  A one-step retract is `_Workspace(c,
-    SDRData.identity(c))`, one `gauss` and `export`.
+    differential is d[t, s] - eps b_t a_s.  Each carried map f is conjugated
+    by the one-step retract (pi adds -eps b_t o row i, sigma adds column j
+    o -eps a_s): for survivors x, y,
+
+        f'[x, y] = f[x, y] - eps b_x f[i, y]   (x at h+1)
+                           - eps f[x, j] a_y   (y at h)
+                           + b_x f[i, j] a_y   (both, and only for dh = 1),
+
+    applied as the row update into column j as well, then the column update
+    with that column j, so the last term costs no composite of its own.
+    Every elimination goes through this module-level function, so a tracer
+    that rebinds `complexes.gauss` counts each one.
     """
     pivot = ws.out.get(h, {}).get(j, {}).get(i)
     if pivot is None or not pivot.is_identity_entry():
@@ -603,46 +608,46 @@ def gauss(ws: _Workspace, h: int, i: int, j: int) -> None:
     del ws.objects[h][j], ws.objects[h + 1][i]
     ws.eliminated = True
 
-    if ws.pi is not None:
-        row_i, col_j = ws.pi[h + 1].pop(i), ws.sigma[h].pop(j)
-        del ws.pi[h][j], ws.sigma[h + 1][i]
-        for t, b in outs.items():
-            row = ws.pi[h + 1][t]
-            for mm, p in row_i.items():
-                _add_composite(row, mm, b, p, -eps)
-        for s, a in ins.items():
-            col = ws.sigma[h][s]
-            for y, q in col_j.items():
-                _add_composite(col, y, q, a, -eps)
-        hom = ws.hom.setdefault(h + 1, {})
-        for y, q in col_j.items():
-            for mm, p in row_i.items():
-                _add_composite(hom, (y, mm), q, p, eps)
+    for dh, _, cols, rows in ws.maps:
+        # drop column i@h+1 and row j@h, then take out row i and column j
+        for x in cols.get(h + 1, {}).pop(i, ()):
+            del rows[h + 1][x][i]
+        for y in rows.get(h - dh, {}).pop(j, ()):
+            del cols[h - dh][y][j]
+        row_i = rows.get(h + 1 - dh, {}).pop(i, {})
+        for y, g in row_i.items():
+            del cols[h + 1 - dh][y][i]
+            col, lines = cols[h + 1 - dh][y], rows[h + 1 - dh]
+            for x, b in outs.items():
+                _add_entry(col, lines, x, y, b, g, -eps)
+        col_j = cols.get(h, {}).pop(j, {})
+        for x in col_j:
+            del rows[h][x][j]
+        for y, a in ins.items():
+            col, lines = cols.setdefault(h, {}).setdefault(y, {}), rows.setdefault(h, {})
+            for x, g in col_j.items():
+                _add_entry(col, lines, x, y, g, a, -eps)
 
     for s, a in ins.items():
         col = out[s]
         for t, b in outs.items():
-            m = _add_composite(col, t, b, a, -eps)  # col[t] - eps b a
-            if m.terms:
-                into[t][s] = m
-                if m.is_identity_entry():  # fill-in: a new candidate at degree h
-                    heappush(ws.heaps[h], (s, t))
-            else:
-                into[t].pop(s, None)
+            m = _add_entry(col, into, t, s, b, a, -eps)  # col[t] - eps b a
+            if m.is_identity_entry():  # fill-in: a new candidate at degree h
+                heappush(ws.heaps[h], (s, t))
 
 
-def simplify(c: Complex, track_sdr: bool = False) -> tuple[Complex, SDRData | None]:
-    """Deloop, then cancel +-identity entries until none remain.
+def simplify(c: Complex, maps=()) -> tuple[Complex, list[ChainMap]]:
+    """Deloop, then cancel +-identity entries until none remain, carrying
+    the endomorphisms `maps` of c along; returns (complex, maps).
 
     Pivots are taken at the lowest degree first, then the lowest (j, i), from
     the heaps of one `_Workspace`; each goes through `gauss`, and the one
     Complex is built at the end (the delooped complex itself when nothing
-    cancels).  With track_sdr the retract c -> result starts from the
-    delooping retract and is updated locally at each elimination (see
-    `SDRData`).  It equals folding the one-step retracts of `gauss` with
-    `SDRData.then`, and the homotopy is exact.
+    cancels).  `deloop` splits each map and every `gauss` conjugates it, so
+    it leaves as sigma o f o pi for the retract that folds the delooping's
+    and every one-step retract with `SDRData.then`; no retract is built.
     """
-    ws = _Workspace(*deloop(c, track_sdr))
+    ws = _Workspace(*deloop(c, maps))
     while (pivot := ws.pivot()) is not None:
         gauss(ws, *pivot)
     return ws.export()
@@ -804,12 +809,12 @@ def fold(cur: Complex, steps, maps=(),
     A `Slice` step takes the undelooped product with the slice on top,
     `tensor_indexed(slice, cur)`, or below it when `under`; a CLOSE step
     takes `partial_trace_complex(cur)` and traces every component of each
-    map.  The result is simplified, or only delooped
-    when not `cancel`, tracking the retract only when maps travel; each map
-    moves by `product_map` (on its factor) and `transport_endomorphism`.
-    Returns (complex, maps): the given maps, then the slices' maps in step
-    order.  The engine functions are module globals looked up at each step,
-    so a tracer that rebinds them sees every one.
+    map.  The result is simplified, or only delooped when not `cancel`; each
+    map moves by `product_map` (on its factor) and is then carried through
+    that same `simplify` or `deloop` call.  Returns (complex, maps): the
+    given maps, then the slices' maps in step order.  The engine functions
+    are module globals looked up at each step, so a tracer that rebinds
+    them sees every one.
     """
     maps = list(maps)
     for step in steps:
@@ -825,8 +830,7 @@ def fold(cur: Complex, steps, maps=(),
             mine = 0 if step.under else 1  # the accumulator's factor
             maps = ([_on_factor(raw, factors, mine, f) for f in maps]
                     + [_on_factor(raw, factors, 1 - mine, g) for g in step.maps])
-        cur, sdr = (simplify if cancel else deloop)(raw, track_sdr=bool(maps))
-        maps = [transport_endomorphism(f, sdr) for f in maps]
+        cur, maps = (simplify if cancel else deloop)(raw, maps)
     return cur, maps
 
 

@@ -202,9 +202,6 @@ class BigradedGroups:
         if rank or torsion:
             self.groups[(h, q)] = (rank, tuple(torsion))
 
-    def rank(self, h: int, q: int) -> int:
-        return self.groups.get((h, q), (0, ()))[0]
-
     def is_zero(self) -> bool:
         return not self.groups
 

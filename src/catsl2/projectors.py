@@ -18,9 +18,9 @@ from functools import lru_cache
 
 from .cobordism import CobMorphism, FlatTangle, GradedObject, stack_tangles
 from .complexes import (ChainMap, Complex, InvariantError, Slice, _assemble,
-                        _check_ceiling, cone, convolution_complete, deloop, fold,
-                        juxtapose_complexes, object_ceiling, product_map, shift,
-                        simplify, tensor, tensor_indexed, transport_endomorphism)
+                        _check_ceiling, _deloop_map, cone, convolution_complete,
+                        deloop, fold, juxtapose_complexes, object_ceiling,
+                        product_map, shift, simplify, tensor, tensor_indexed)
 
 # extra projector depth used when feeding a truncated projector into the
 # convolution solver, keeping the guarded equations clear of its artifacts
@@ -153,9 +153,10 @@ def symmetric_sequence(k_complex: Complex, n: int):
     the last piece at shift zero.
 
     Piece k is (K u 1) over the hook cascade D_d, d = min(k, 2n-1-k),
-    q-shifted, and delooped; alpha_k is id (x) g_k transported through the
-    deloopings, with g_k the saddle between consecutive hooks or, between
-    the two copies of the deepest hook, its cap-dot minus its cup-dot.
+    q-shifted, and delooped; alpha_k is id (x) g_k, split between the
+    deloopings by the rule `deloop` applies to a differential, with g_k the
+    saddle between consecutive hooks or, between the two copies of the
+    deepest hook, its cap-dot minus its cup-dot.
     """
     if k_complex.n != n - 1:
         raise InvariantError("a symmetric sequence needs K on n - 1 strands")
@@ -165,7 +166,7 @@ def symmetric_sequence(k_complex: Complex, n: int):
     ends = [Complex.from_object(GradedObject(hooks[d], 2 * n - k if k < n else d), n)
             for k, d in enumerate(depth)]
     raw = [tensor_indexed(k1, end) for end in ends]
-    pieces, sdrs = zip(*(deloop(r, track_sdr=True) for r in raw))
+    pieces = [deloop(r)[0] for r in raw]
     alphas = []
     for k in range(2 * n - 1):
         hook, nxt = hooks[depth[k]], hooks[depth[k + 1]]
@@ -173,8 +174,8 @@ def symmetric_sequence(k_complex: Complex, n: int):
              else _dotted(hook, cap_arc) - _dotted(hook, cup_arc))
         g_k = ChainMap(ends[k], ends[k + 1], 0, 0, {0: {(0, 0): g}})
         alpha = product_map(raw[k], raw[k + 1], k1, g_k)
-        alphas.append(sdrs[k].sigma.then(alpha).then(sdrs[k + 1].pi))
-    return list(pieces), alphas
+        alphas.append(_deloop_map(alpha, pieces[k], pieces[k + 1]))
+    return pieces, alphas
 
 
 @dataclass
@@ -292,8 +293,7 @@ def truncated_pn(n: int, window: int = 12) -> TruncatedProjector:
         return proj
     if n == 2:
         per, u2per = _periodic_model(q2(), 2, window)
-        simp, sdr = simplify(per, track_sdr=True)
-        u2 = transport_endomorphism(u2per, sdr)
+        simp, (u2,) = simplify(per, [u2per])
         proj = TruncatedProjector(2, window, simp, _bare_unit(simp, 2),
                                   {1: _u1_map(simp), 2: u2})
         proj.check()
@@ -310,7 +310,7 @@ def truncated_pn(n: int, window: int = 12) -> TruncatedProjector:
                                   {1: _u1_map(simp), 2: u2, 3: u3})
         proj.check()
         return proj
-    raise ValueError("truncated_pn supports n <= 3 at desk scale")
+    raise ValueError("truncated_pn supports n in 1..3 at desk scale")
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,17 @@ def test_complex_tensor_and_homology(tmp_path, capsys):
     assert t["n"] == 2
 
 
+def test_homology_checks_strands_before_simplifying(tmp_path, capsys, monkeypatch):
+    # delooping the 3-circle object would make 8 objects, over the ceiling
+    monkeypatch.setenv("QPE_MAX_OBJECTS", "4")
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({"n": 2, "degrees": [{"h": 0, "objects": [
+        {"matching": [1, 0, 3, 2], "circles": 3, "qshift": 0}]}]}))
+    assert main(["homology", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: homology needs a closed (0-strand) complex\n"
+
+
 def test_proj_turnback(tmp_path, capsys):
     _, out = run(capsys, "proj", "q2")
     path = tmp_path / "q2.json"
@@ -99,6 +110,12 @@ def test_field_q_is_rejected(capsys):
     (["proj", "pn", "--n", "2", "--window", "0"], "window must be at least 4"),
     (["--precision", "-1", "tl", "jw", "--n", "2"], "precision must be at least 4"),
     (["proj", "quasi", "--n", "2", "--indices", "3"], "indices must lie in 1..2"),
+    (["proj", "pn", "--n", "0"], "supports n in 1..3"),
+    (["proj", "quasi", "--n", "0"], "supports n in 1..3"),
+    (["proj", "quasi", "--n", "2", "--indices", ",2,"],
+     "indices: expected comma-separated integers, got ',2,'"),
+    (["proj", "quasi", "--n", "2", "--indices", "2,,1"],
+     "indices: expected comma-separated integers, got '2,,1'"),
 ])
 def test_bad_values_are_usage_errors_even_under_optimize_flag(run_python, argv,
                                                               message, optimize):

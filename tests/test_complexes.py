@@ -1,3 +1,4 @@
+import json
 from itertools import combinations, product
 
 import pytest
@@ -6,8 +7,8 @@ from catsl2.cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantEr
                               _compose_terms, compose, glue, juxtapose,
                               juxtapose_tangles, stack, stack_tangles)
 from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
-                              _hom_basis, _hom_columns, _place, _product, cone,
-                              convolution_complete, deloop,
+                              _deloop_map, _hom_basis, _hom_columns, _place,
+                              _product, cone, convolution_complete, deloop,
                               differential_map, direct_sum, dual, gauss,
                               hom_complex, juxtapose_complexes,
                               partial_trace_complex, product_map, shift,
@@ -15,7 +16,7 @@ from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
                               tensor_indexed)
 from catsl2.homology import integer_homology
 from catsl2.projectors import (DEPTH_MARGIN, braid_letter_complex, pad_columns, q1,
-                               q2, symmetric_sequence, truncated_pn)
+                               q2, q3, symmetric_sequence, truncated_pn)
 from catsl2.series import TruncatedSeries
 from catsl2.tl import all_matchings, euler_characteristic, jw, TLElement
 
@@ -119,13 +120,13 @@ def test_partial_trace_euler_characteristic(rng):
         partial_trace_tl(euler_characteristic(a))
 
 
-def reference_deloop(c, track_sdr=False):
-    """Reference: the delooping glued from cap and cup chains.  pi caps the
-    circles from the last down to index 0 (undotted into the q+1 summand,
-    dotted into q-1), sigma cups them back (dotted from the q+1 summand), and
-    each delooped entry is pi o m o sigma."""
+def reference_deloop(c):
+    """Reference: the delooping glued from cap and cup chains, and its
+    retract.  pi caps the circles from the last down to index 0 (undotted
+    into the q+1 summand, dotted into q-1), sigma cups them back (dotted from
+    the q+1 summand), and each delooped entry is pi o m o sigma."""
     if all(o.tangle.circles == 0 for objs in c.objects.values() for o in objs):
-        return c, (SDRData.identity(c) if track_sdr else None)
+        return c, SDRData.identity(c)
     new_objects, expansion = {}, {}
     for h, objs in c.objects.items():
         new_objects[h], expansion[h] = [], []
@@ -163,8 +164,6 @@ def reference_deloop(c, track_sdr=False):
                     if not r.is_zero():
                         out[(bi, aj)] = r
     result = Complex(c.n, new_objects, new_diff)
-    if not track_sdr:
-        return result, None
     pi_comps = {h: {(idx, j): pi for j, exp in enumerate(rows) for idx, pi, _ in exp}
                 for h, rows in expansion.items()}
     sg_comps = {h: {(j, idx): sg for j, exp in enumerate(rows) for idx, _, sg in exp}
@@ -174,20 +173,36 @@ def reference_deloop(c, track_sdr=False):
                            ChainMap.zero(c, c, -1, 0))
 
 
-def assert_deloop_matches_reference(c):
-    for track in (False, True):
-        d, sdr = deloop(c, track_sdr=track)
-        ref, ref_sdr = reference_deloop(c, track_sdr=track)
-        assert d.to_json() == ref.to_json()
-        assert [list(e) for e in d.diff.values()] == [list(e) for e in ref.diff.values()]
-        if not track:
-            assert sdr is None
-            continue
-        for mine, theirs in ((sdr.pi, ref_sdr.pi), (sdr.sigma, ref_sdr.sigma),
-                             (sdr.homotopy, ref_sdr.homotopy)):
-            assert (mine.dh, mine.dq) == (theirs.dh, theirs.dq)
-            assert mine.components == theirs.components
-        sdr.verify()
+def conjugate(f, src_sdr, tgt_sdr=None):
+    """Reference: f carried through retracts, sigma o f o pi, with the
+    target's retract for a map between two complexes."""
+    return src_sdr.sigma.then(f).then((tgt_sdr or src_sdr).pi)
+
+
+def map_json(f):
+    """A map's bidegree and its entries in sorted order, as JSON text."""
+    return json.dumps({"dh": f.dh, "dq": f.dq,
+                       "components": [{"h": h, "row": i, "col": j,
+                                       "morphism": m.to_json()}
+                                      for h, entries in sorted(f.components.items())
+                                      for (i, j), m in sorted(entries.items())]},
+                      sort_keys=True)
+
+
+def assert_deloop_matches_reference(c, rng=None):
+    """deloop(c) equals the reference, in entry order too; so do the
+    identity, the differential and random maps carried through it."""
+    maps = [ChainMap.identity(c), differential_map(c)]
+    if rng is not None:
+        maps += [random_map(rng, c, c, dh, dq) for dh, dq in ((0, 2), (-1, 0), (2, -2))]
+    d, carried = deloop(c, maps)
+    ref, ref_sdr = reference_deloop(c)
+    assert d.to_json() == ref.to_json()
+    assert [list(e) for e in d.diff.values()] == [list(e) for e in ref.diff.values()]
+    for f, mine in zip(maps, carried):
+        assert mine.src is d and mine.tgt is d
+        assert map_json(mine) == map_json(conjugate(f, ref_sdr))
+    ref_sdr.verify()
     return d
 
 
@@ -217,7 +232,7 @@ def test_deloop_matches_reference_on_random_circled_complexes(rng):
     seen = set()
     for _ in range(40):
         c = random_circled_complex(rng)
-        assert_deloop_matches_reference(c)
+        assert_deloop_matches_reference(c, rng)
         seen |= {(m.src.circles > 0, m.tgt.circles > 0)
                  for entries in c.diff.values() for m in entries.values()}
     # entries with circles on the source only, the target only, both, neither
@@ -230,11 +245,32 @@ def test_deloop_matches_reference_on_braid_products(rng):
         a, b = random_braid_complex(rng, 3, 2), random_braid_complex(rng, 3, 1)
         prod = tensor_indexed(a, b)
         for raw in (prod, partial_trace_complex(prod)):
-            d = assert_deloop_matches_reference(raw)
+            d = assert_deloop_matches_reference(raw, rng)
             d.check()
             most = max(most, max(o.tangle.circles for objs in raw.objects.values()
                                  for o in objs))
     assert most >= 2
+
+
+def test_deloop_map_between_two_complexes_matches_reference(rng):
+    # a map M -> N of two different circled complexes, split between their
+    # deloopings, is sigma_M o f o pi_N; as symmetric_sequence's alpha_k
+    circled = 0
+    for _ in range(4):
+        m, n = (partial_trace_complex(tensor_indexed(random_braid_complex(rng, 3, 2),
+                                                     random_braid_complex(rng, 3, 1)))
+                for _ in range(2))
+        (_, sdr_m), (_, sdr_n) = reference_deloop(m), reference_deloop(n)
+        dm, dn = deloop(m)[0], deloop(n)[0]
+        for dh, dq in product((-1, 0, 1), (-2, 0, 2)):
+            f = random_map(rng, m, n, dh, dq)
+            mine = _deloop_map(f, dm, dn)
+            assert mine.src is dm and mine.tgt is dn
+            assert map_json(mine) == map_json(conjugate(f, sdr_m, sdr_n))
+            circled += any(e.src.circles and e.tgt.circles
+                           for entries in f.components.values()
+                           for e in entries.values())
+    assert circled
 
 
 def test_deloop_object_with_circle():
@@ -248,12 +284,18 @@ def test_deloop_object_with_circle():
                 c = Complex.from_object(GradedObject(FlatTangle(n, matching, k), 0), n)
                 d = assert_deloop_matches_reference(c)
                 assert d.graded_ranks() == ranks
-    # circle-free input is unchanged with the identity retract
+    # circle-free input and its maps are unchanged, and the reference
+    # retract is the identity
     c2 = Complex.identity_complex(2)
-    d2, sdr2 = deloop(c2, track_sdr=True)
-    assert d2 is c2
+    f = ChainMap.identity(c2)
+    d2, carried = deloop(c2, [f])
+    assert d2 is c2 and carried == [f] and carried[0] is f
+    ref2, sdr2 = reference_deloop(c2)
+    assert ref2 is c2
     sdr2.verify()
     assert sdr2.homotopy.is_zero()
+    with pytest.raises(InvariantError):  # a carried map must be on c
+        deloop(c2, [ChainMap.identity(Complex.identity_complex(1))])
 
 
 def reference_add(slot, key, m):
@@ -347,7 +389,7 @@ def test_then_matches_reference_block_product(rng):
     composed = 0
     for _ in range(6):
         c = random_braid_complex(rng, 3, 3)
-        s, sdr = simplify(c, track_sdr=True)
+        s, sdr, _ = folded_retract(c)
         d_c, d_s = differential_map(c), differential_map(s)
         pairs = [(sdr.sigma, sdr.pi), (sdr.pi, sdr.sigma), (sdr.homotopy, d_c),
                  (d_c, sdr.homotopy), (sdr.homotopy, sdr.homotopy),
@@ -463,10 +505,10 @@ def test_is_cycle_koszul_sign_on_both_parities(rng):
         (i, j), _ = next(iter(c.diff[c.h_min()].items()))
         comps[c.h_min()][(j, j)] = comps[c.h_min()][(j, j)].scale(-1)
         assert not ChainMap(c, t, 1, 0, comps).is_cycle()
-    # a tracked homotopy has dh = -1 and [d, h] = dh + hd = 1 - sigma pi,
+    # a retract's homotopy has dh = -1 and [d, h] = dh + hd = 1 - sigma pi,
     # which is not zero; 1 - sigma pi itself (dh = 0) is a cycle
     c = random_braid_complex(rng, 3, 3)
-    s, sdr = simplify(c, track_sdr=True)
+    s, sdr, _ = folded_retract(c)
     rest = ChainMap.identity(c) - sdr.pi.then(sdr.sigma)
     assert not rest.is_zero() and not sdr.homotopy.is_zero()
     assert not sdr.homotopy.is_cycle()
@@ -485,10 +527,30 @@ def reference_pivot(c):
 
 
 def one_step(c, h, i, j):
-    """One gauss on a workspace over c: the complex left and its retract."""
-    ws = _Workspace(c, SDRData.identity(c))
+    """One gauss on a workspace over c: the complex left, and the reference
+    one-step retract onto it.  With eps the pivot's unit, a_s = d[i, s] and
+    b_t = d[t, j], pi is 1 on survivors plus -eps b_t at (t, i), sigma is 1
+    on survivors plus -eps a_s at (j, s), and the homotopy is eps 1 from
+    i@h+1 to j@h."""
+    ws = _Workspace(c)
     gauss(ws, h, i, j)
-    return ws.export()
+    out, _ = ws.export()
+    eps = c.entry(h, i, j).terms[0]
+    pos = {k: {x: p for p, x in enumerate(ids)} for k, ids in ws.objects.items()}
+    pi, sigma = {}, {}
+    for k, ids in pos.items():
+        for x, p in ids.items():
+            ident = CobMorphism.identity(c.objects[k][x].tangle)
+            pi.setdefault(k, {})[(p, x)] = ident
+            sigma.setdefault(k, {})[(x, p)] = ident
+    for (t, s), m in c.diff[h].items():
+        if s == j and t != i:
+            pi[h + 1][(pos[h + 1][t], i)] = m.scale(-eps)
+        if t == i and s != j:
+            sigma[h][(j, pos[h][s])] = m.scale(-eps)
+    homotopy = {h + 1: {(j, i): CobMorphism.identity(c.objects[h][j].tangle).scale(eps)}}
+    return out, SDRData(ChainMap(c, out, 0, 0, pi), ChainMap(out, c, 0, 0, sigma),
+                        ChainMap(c, c, -1, 0, homotopy))
 
 
 def test_gauss_cancels_identity_pair():
@@ -535,49 +597,59 @@ def test_gauss_preserves_d_squared_and_chi(rng):
         assert euler_characteristic(c) == chi
 
 
-def test_simplify_returns_verified_sdr(rng):
+def folded_retract(c):
+    """Reference: what simplify(c) computes, with the retract c -> result
+    that folds the delooping retract and every one-step gauss retract by
+    SDRData.then; also how many steps had both an a_s and a b_t."""
+    cur, sdr = reference_deloop(c)
+    both = 0
+    while (pivot := reference_pivot(cur)) is not None:
+        h, i, j = pivot
+        keys = [k for k in cur.diff[h] if (k[0] == i) != (k[1] == j)]
+        both += len({k[0] == i for k in keys}) == 2
+        cur, step = one_step(cur, h, i, j)
+        sdr = sdr.then(step)
+    return cur, sdr, both
+
+
+def test_reference_retract_of_simplify_verifies(rng):
     c = tensor(xplus(), xminus_parallel())
-    s, sdr = simplify(c, track_sdr=True)
+    s, sdr, _ = folded_retract(c)
     sdr.verify()
-    assert sdr.pi.src.graded_ranks() == c.graded_ranks()
+    assert s.to_json() == simplify(c)[0].to_json()
+    assert sdr.pi.src is c
     assert sdr.pi.tgt.graded_ranks() == s.graded_ranks()
 
 
-def folded_retract(c):
-    """Reference: the delooping retract folded with every one-step gauss
-    retract by SDRData.then; also the largest homotopy outer product."""
-    cur, sdr = deloop(c, track_sdr=True)
-    widest = 0
-    while (pivot := reference_pivot(cur)) is not None:
-        h, i, j = pivot
-        col_j = [k for k in sdr.sigma.components.get(h, {}) if k[1] == j]
-        row_i = [k for k in sdr.pi.components.get(h + 1, {}) if k[0] == i]
-        widest = max(widest, len(col_j) * len(row_i))
-        cur, step = one_step(cur, h, i, j)
-        sdr = sdr.then(step)
-    return cur, sdr, widest
-
-
-def test_simplify_retract_equals_folded_gauss_retracts(rng):
+def test_simplify_carries_maps_as_the_folded_retract(rng):
+    # every carried map is sigma o f o pi for the reference retract, entry
+    # for entry: the identity (dh 0), the differential (dh 1, the only
+    # degree where b f[i, j] a counts; it comes out as the new
+    # differential), random maps of other degrees, and the periodic model's
+    # u-maps (dh -2, -4), whose eliminations sit next to their entries
     from catsl2.projectors import _periodic_model
-    cases = [_periodic_model(q2(), 2, 6)[0]]
-    for _ in range(4):
-        c = random_braid_complex(rng, 3, 3)
-        cases += [c, partial_trace_complex(c)]
-    widest = []
-    for c in cases:
-        ref_c, ref, w = folded_retract(c)
-        s, sdr = simplify(c, track_sdr=True)
+    cases = [_periodic_model(q2(), 2, 6), _periodic_model(q3(), 3, 3)]
+    for _ in range(3):
+        c = random_braid_complex(rng, 3, 4)
+        cases += [(c, random_map(rng, c, c, 1, 2)),
+                  (partial_trace_complex(c), None)]
+    fill_ins = 0
+    for c, u in cases:
+        maps = [ChainMap.identity(c), differential_map(c)]
+        maps += [u] if u is not None else [random_map(rng, c, c, dh, dq)
+                                           for dh, dq in ((0, 2), (-1, 0), (2, -2))]
+        ref_c, ref, both = folded_retract(c)
+        ref.verify()
+        s, carried = simplify(c, maps)
         assert s.to_json() == ref_c.to_json()
-        for mine, theirs in ((sdr.pi, ref.pi), (sdr.sigma, ref.sigma),
-                             (sdr.homotopy, ref.homotopy)):
-            assert (mine.dh, mine.dq) == (theirs.dh, theirs.dq)
-            assert mine.components == theirs.components
-        assert sdr.pi.src is c and sdr.pi.tgt is s
-        sdr.verify()
-        widest.append(w)
-    # some homotopy update adds an outer product of more than one term
-    assert max(widest) > 1
+        assert len(carried) == len(maps)
+        for f, mine in zip(maps, carried):
+            assert mine.src is s and mine.tgt is s
+            assert map_json(mine) == map_json(conjugate(f, ref))
+        assert carried[0] == ChainMap.identity(s)
+        assert carried[1] == differential_map(s)
+        fill_ins += both
+    assert fill_ins > 20
 
 
 def test_workspace_pivots_follow_reference_scan(rng):

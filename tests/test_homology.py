@@ -297,7 +297,7 @@ def test_integer_homology_agrees_with_kernel_mod_image_on_torsion_complexes(
         assert got.groups == reference_homology(z).groups
         for key in set(expect) | set(got.groups):
             rank, order = expect.get(key, (0, 1))
-            assert got.rank(*key) == rank, key
+            assert got.groups.get(key, (0, ()))[0] == rank, key
             product = 1
             for f in got.groups.get(key, (0, ()))[1]:
                 product *= f
