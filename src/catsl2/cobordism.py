@@ -12,10 +12,12 @@ diagram S u mirror(T), each disk carrying 0 or 1 dot.  The local relations
 reduce every composite to this basis, which is what `reduce_components`
 implements.  Composition, vertical stacking and partial trace are one gluing
 computation: each builds a plan (a factor's curve count, the `unions` of
-disks along shared boundary, the `incidences` of disks on output curves),
-`_merge` turns it into connected pieces once per tangles, and `_glue_terms`
-places each term pair's dots on the pieces and expands them into disks,
-memoized per plan by the pair's combined dot mask.  The curves of a glued
+disks along shared boundary, the bit mask `incidences` of disks on output
+curves), `_merge` turns it into connected pieces once per tangles, and
+`_glue_terms` places each term pair's dots on the pieces and expands them
+into canonical disk terms, memoized per plan by the pair's combined dot
+mask.  A stack against a collar, the identity of the circle-free identity
+tangle, is the other factor and builds no plan.  The curves of a glued
 diagram (`glue`) and the provenance of stacked and traced tangles
 (`GluedTangle`: where each (layer, arc) and (layer, circle) went) both come
 from the one strand walker `tl.follow`, and `_incidences` reads every
@@ -46,13 +48,15 @@ from .tl import (Glued, InvariantError, Matching, follow, juxtapose_matchings,
 class FlatTangle:
     """A matching plus `circles` closed loops; interned like `Matching`
     (one instance per value while `_flat_tangle`'s cache lives, checked and
-    hashed once), with equality falling back to the fields."""
+    hashed once), with equality falling back to the fields.  `_bare_identity`
+    marks the circle-free identity tangle, found once per instance."""
 
     n: int
     matching: Matching
     circles: int = 0
     # the kernel's caches are keyed by tangles: hash each one once
     _hash: int = field(repr=False, compare=False)
+    _bare_identity: bool = field(repr=False, compare=False)
 
     def __new__(cls, n: int, matching: Matching, circles: int = 0) -> FlatTangle:
         return _flat_tangle(n, matching, circles)
@@ -97,6 +101,8 @@ def _flat_tangle(n: int, matching: Matching, circles: int) -> FlatTangle:
     object.__setattr__(t, "matching", matching)
     object.__setattr__(t, "circles", circles)
     object.__setattr__(t, "_hash", hash((n, matching, circles)))
+    object.__setattr__(t, "_bare_identity", circles == 0 and all(
+        q == (p + n) % (2 * n) for p, q in enumerate(matching.pairing)))
     return t
 
 
@@ -149,14 +155,14 @@ def glue(src: FlatTangle, tgt: FlatTangle) -> GlueInfo:
 def reduce_components(components) -> list[tuple[int, int]]:
     """Expand merged components into canonical dotted disks.
 
-    `components` is a list of (curve_indices, dots, chi) for the connected
-    pieces of a glued surface, with curve_indices the sorted tuple of outer
-    curves the piece meets.  Returns [(dot_mask, coefficient), ...]; an empty
-    list means the whole term vanished.
+    `components` is a list of (outer, dots, chi) for the connected pieces of
+    a glued surface, with outer the bit mask of the outer curves the piece
+    meets, walked in ascending order.  Returns [(dot_mask, coefficient),
+    ...]; an empty list means the whole term vanished.
     """
     factors: list[list[tuple[int, int]]] = []
-    for curve_idxs, dots, chi in components:
-        b = len(curve_idxs)
+    for outer, dots, chi in components:
+        b = outer.bit_count()
         genus2 = 2 - chi - b
         if genus2 < 0 or genus2 % 2:
             raise InvariantError(f"bad component chi={chi} b={b}")
@@ -170,13 +176,11 @@ def reduce_components(components) -> list[tuple[int, int]]:
                 return []
             factors.append([(0, coeff)])  # dotted sphere = 1
             continue
-        full = 0
-        for c in curve_idxs:
-            full |= 1 << c
         if dots == 1:
-            factors.append([(full, coeff)])
+            factors.append([(outer, coeff)])
         else:
-            factors.append([(full & ~(1 << c), coeff) for c in curve_idxs])
+            factors.append([(outer & ~(1 << c), coeff)
+                            for c in range(outer.bit_length()) if outer >> c & 1])
     out = [(0, 1)]
     for f in factors:
         out = [(m | m2, c * c2) for m, c in out for m2, c2 in f]
@@ -324,16 +328,16 @@ def _sheets(src: FlatTangle, tgt: FlatTangle, dot, lone: bool | None) -> CobMorp
     if dot is not None:
         dot = {**info.point_curve, **info.arc_src_curve,
                **{("circle", i): c for i, c in info.circle_src_curve.items()}}[dot]
-    comps = [((idx,), int(idx == dot), 1)
+    comps = [(1 << idx, int(idx == dot), 1)
              for idx in range(len(info) - src.circles - tgt.circles)]
     for i in range(min(src.circles, tgt.circles)):
-        pair = tuple(sorted((info.circle_src_curve[i], info.circle_tgt_curve[i])))
-        comps.append((pair, int(dot in pair), 0))
+        pair = (info.circle_src_curve[i], info.circle_tgt_curve[i])
+        comps.append((1 << pair[0] | 1 << pair[1], int(dot in pair), 0))
     if lone is not None:
         last = (info.circle_src_curve[src.circles - 1]
                 if src.circles > tgt.circles
                 else info.circle_tgt_curve[tgt.circles - 1])
-        comps.append(((last,), int(lone), 1))
+        comps.append((1 << last, int(lone), 1))
     # the components meet disjoint curves, so no two products share a mask
     return CobMorphism(src, tgt, dict(reduce_components(comps)))
 
@@ -345,9 +349,10 @@ def _sheets(src: FlatTangle, tgt: FlatTangle, dot, lone: bool | None) -> CobMorp
 def _merge(unions, incidences):
     """Connected pieces of a glued surface, before any dots are placed.
 
-    Disk d of the glued factors meets the outer curves incidences[d];
-    unions [(a, b, chi_cost)] join disks.  Returns [(outer_curves, disks,
-    chi)] with each piece's disks as a bit mask.
+    Disk d of the glued factors meets the outer curves in the bit mask
+    incidences[d]; unions [(a, b, chi_cost)] join disks.  Returns
+    [(outer, disks, chi)] with each piece's outer curves and disks as bit
+    masks.
     """
     parent = list(range(len(incidences)))  # union-find forest of disks
 
@@ -361,14 +366,14 @@ def _merge(unions, incidences):
     # pieces in the order of their first disk: [outer curves, disks, chi]
     pieces: dict[int, list] = {}
     for d, curves in enumerate(incidences):
-        piece = pieces.setdefault(find(d), [set(), 0, 0])
-        piece[0].update(curves)
+        piece = pieces.setdefault(find(d), [0, 0, 0])
+        piece[0] |= curves
         piece[1] |= 1 << d
         piece[2] += 1
     # every gluing lies inside one piece and lowers its chi by its cost
     for a, _, cost in unions:
         pieces[find(a)][2] -= cost
-    return [(tuple(sorted(outer)), disks, chi) for outer, disks, chi in pieces.values()]
+    return [tuple(piece) for piece in pieces.values()]
 
 
 @lru_cache(maxsize=None)
@@ -383,7 +388,11 @@ def _merged_plan(build, *tangles: FlatTangle):
 
 def _glue_terms(plan, f: CobMorphism, g: CobMorphism | None = None) -> dict[int, int]:
     """Glue every term pair of f and g (f alone when g is None) along a
-    merged plan; g's disks follow the n_f disks of f."""
+    merged plan; g's disks follow the n_f disks of f.  The terms come back
+    canonical (masks in order, no zero coefficient): a glued product of
+    bihomogeneous factors is bihomogeneous, so `_from_canonical` wraps them.
+    Each memoized expansion is sorted and zero-free (its pieces meet
+    disjoint curves), so a single term pair needs no sort."""
     n_f, pieces, memo = plan
     acc: dict[int, int] = {}
     g_terms = g.terms.items() if g is not None else ((0, 1),)
@@ -392,27 +401,30 @@ def _glue_terms(plan, f: CobMorphism, g: CobMorphism | None = None) -> dict[int,
             dots = mf | mg << n_f
             expansion = memo.get(dots)
             if expansion is None:
-                expansion = memo[dots] = tuple(reduce_components(
+                expansion = memo[dots] = tuple(sorted(reduce_components(
                     [(outer, (dots & disks).bit_count(), chi)
-                     for outer, disks, chi in pieces]))
+                     for outer, disks, chi in pieces])))
             for mask, c in expansion:
                 acc[mask] = acc.get(mask, 0) + c * cf * cg
-    return acc
+    if len(f.terms) == 1 and len(g_terms) == 1:
+        return acc
+    return {mask: c for mask, c in sorted(acc.items()) if c}
 
 
 # a side of a factor that carries over unchanged into the output tangle
 _KEEP = ()
 
 
-def _incidences(info: GlueInfo, out: GlueInfo, src_side, tgt_side) -> list[set[int]]:
-    """Output curves met by each curve of one factor's glued diagram `info`.
+def _incidences(info: GlueInfo, out: GlueInfo, src_side, tgt_side) -> list[int]:
+    """Output curves met by each curve of one factor's glued diagram `info`,
+    as one bit mask per curve.
 
     A side is None when the factor is glued along it, `_KEEP` when it
     carries over unchanged, and otherwise (glued, layer): the output tangle
     on that side is the GluedTangle `glued`, with the factor's tangle there
     as its `layer`.
     """
-    table: list[set[int]] = [set() for _ in range(len(info))]
+    table = [0] * len(info)
     for side, arc_curve, circle_curve, out_arc, out_circle in (
             (src_side, info.arc_src_curve, info.circle_src_curve,
              out.arc_src_curve, out.circle_src_curve),
@@ -422,9 +434,9 @@ def _incidences(info: GlueInfo, out: GlueInfo, src_side, tgt_side) -> list[set[i
             continue
         for arc, k in arc_curve.items():
             kind, val = side[0].arc_map[side[1], arc] if side else ("arc", arc)
-            table[k].add(out_arc[val] if kind == "arc" else out_circle[val])
+            table[k] |= 1 << (out_arc[val] if kind == "arc" else out_circle[val])
         for i, k in circle_curve.items():
-            table[k].add(out_circle[side[0].circle_map[side[1], i] if side else i])
+            table[k] |= 1 << out_circle[side[0].circle_map[side[1], i] if side else i]
     return table
 
 
@@ -441,9 +453,9 @@ def _compose_plan(src: FlatTangle, mid: FlatTangle, tgt: FlatTangle):
 
 def _compose_terms(g: CobMorphism, f: CobMorphism):
     """The terms of g after f, as (terms, k): k times the canonical terms of
-    a factor when the other is k times an identity, else the glued terms
-    with k None (unordered, possibly with zero coefficients)."""
-    if f.tgt != g.src:
+    a factor when the other is k times an identity, else the canonical
+    glued terms with k None."""
+    if f.tgt is not g.src and f.tgt != g.src:  # interned: mostly the same object
         raise ValueError("boundary mismatch in composition")
     mid = f.tgt
     if mid.circles == 0:
@@ -458,9 +470,9 @@ def _compose_terms(g: CobMorphism, f: CobMorphism):
 def compose(g: CobMorphism, f: CobMorphism) -> CobMorphism:
     """g after f (vertical gluing along the middle tangle f.tgt == g.src)."""
     terms, k = _compose_terms(g, f)
-    if k is None:
-        return CobMorphism(f.src, g.tgt, terms)
-    return CobMorphism._from_canonical(f.src, g.tgt, {m: k * c for m, c in terms.items()})
+    if k is not None:
+        terms = {m: k * c for m, c in terms.items()}
+    return CobMorphism._from_canonical(f.src, g.tgt, terms)
 
 
 def _stack_plan(f_src: FlatTangle, f_tgt: FlatTangle,
@@ -477,14 +489,30 @@ def _stack_plan(f_src: FlatTangle, f_tgt: FlatTangle,
             + _incidences(info_g, out, (src, 1), (tgt, 1)))
 
 
+def _is_collar(m: CobMorphism) -> bool:
+    """m is the identity of the circle-free identity tangle: the undotted
+    sheets (mask 0, coefficient 1) on the identity matching."""
+    return (m.src._bare_identity and m.tgt == m.src
+            and len(m.terms) == 1 and m.terms.get(0) == 1)
+
+
 def stack(f: CobMorphism, g: CobMorphism) -> CobMorphism:
-    """Vertical stacking f (x) g with f on top of g (both in the same Cob_n)."""
+    """Vertical stacking f (x) g with f on top of g (both in the same Cob_n).
+
+    A collar factor changes nothing: the stacked tangles are the other
+    factor's (interned, so the same objects) and so are its glued curves,
+    so the other factor itself is returned and no plan is built.
+    """
     if f.src.n != g.src.n:
         raise InvariantError("strand-count mismatch in stack")
+    if _is_collar(g):
+        return f
+    if _is_collar(f):
+        return g
     plan = _merged_plan(_stack_plan, f.src, f.tgt, g.src, g.tgt)
-    return CobMorphism(stack_tangles(f.src, g.src).tangle,
-                       stack_tangles(f.tgt, g.tgt).tangle,
-                       _glue_terms(plan, f, g))
+    return CobMorphism._from_canonical(stack_tangles(f.src, g.src).tangle,
+                                       stack_tangles(f.tgt, g.tgt).tangle,
+                                       _glue_terms(plan, f, g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,8 +583,8 @@ def partial_trace(f: CobMorphism) -> CobMorphism:
     if f.src.n < 1:
         raise InvariantError("partial trace needs at least one strand")
     plan = _merged_plan(_trace_plan, f.src, f.tgt)
-    return CobMorphism(trace_tangle(f.src).tangle, trace_tangle(f.tgt).tangle,
-                       _glue_terms(plan, f))
+    return CobMorphism._from_canonical(trace_tangle(f.src).tangle,
+                                       trace_tangle(f.tgt).tangle, _glue_terms(plan, f))
 
 
 @lru_cache(maxsize=None)

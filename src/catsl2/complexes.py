@@ -215,18 +215,6 @@ def _add_terms(acc: dict[int, int], g: CobMorphism, f: CobMorphism, k: int) -> d
     return acc
 
 
-def _add_composite(line: dict, key, g: CobMorphism, f: CobMorphism, k: int) -> CobMorphism:
-    """line[key] += k (g o f), built as one morphism and returned; a zero
-    sum removes the entry."""
-    old = line.get(key)
-    m = CobMorphism(f.src, g.tgt, _add_terms(dict(old.terms) if old else {}, g, f, k))
-    if m.terms:
-        line[key] = m
-    else:
-        line.pop(key, None)
-    return m
-
-
 def _block_terms(*products) -> dict:
     """Sum products k (g o f) of sparse blocks {h: {(i, j): m}}, each given
     as (g, f, f_dh, k) with f out of degree h and g out of h + f_dh, into
@@ -514,30 +502,66 @@ class _Workspace:
     lowest in current indices.  The differential at degree h is kept as
     columns out[h][j] = {i: d[i, j]} and rows into[h][i] = {j: d[i, j]}
     (see `_lines`), and each carried map f the same way, as
-    maps[k] = (dh, dq, columns, rows) keyed by source degree.  heaps[h]
-    holds (j, i) for every entry at degree h that was +-identity when last
-    written; a candidate is checked when it reaches the top.  `export`
-    builds one Complex and one ChainMap per map.
+    maps[k] = (dh, dq, columns, rows) keyed by source degree.
+
+    heaps[h] holds (cost, j, i) for the entries at degree h that were
+    +-identity when pushed, with their cost then, and is built when `pivot`
+    first reaches h; a candidate is checked when it reaches the top.  The
+    cost is 0 under today's key.  Under the fill-in key it is Markowitz's
+    (|column j| - 1)(|row i| - 1), the composites the elimination makes;
+    units[h] = (columns {j: {i}}, rows {i: {j}}) lists the +-identity
+    entries of each line (and perhaps a few that no longer are), and
+    `gauss` re-pushes those of the lines it changes at its degree.  Lines
+    at a degree not reached yet need no re-push: their heap is built with
+    the costs of that time.  `export` builds one Complex and one ChainMap
+    per map.
     """
 
-    def __init__(self, c: Complex, maps=()):
+    def __init__(self, c: Complex, maps=(), fill_in: bool = False):
         self.c, self.given, self.eliminated = c, list(maps), False
+        self.fill_in, self.heaps, self.units = fill_in, {}, {}
         self.objects = {h: dict(enumerate(objs)) for h, objs in c.objects.items()}
         self.out, self.into = _lines(c.diff), _lines(c.diff, by_row=True)
-        self.heaps = {h: sorted((j, i) for (i, j), m in entries.items()
-                                if m.is_identity_entry())  # sorted is a heap
-                      for h, entries in c.diff.items()}
         self.maps = [(f.dh, f.dq, _lines(f.components), _lines(f.components, by_row=True))
                      for f in maps]
 
+    def cost(self, h: int, i: int, j: int) -> int:
+        """The key of entry (i, j) at degree h (0 unless `fill_in`)."""
+        if not self.fill_in:
+            return 0
+        return (len(self.out[h][j]) - 1) * (len(self.into[h][i]) - 1)
+
+    def mark(self, h: int, i: int, j: int) -> None:
+        """List the +-identity entry (i, j) at degree h on its two lines."""
+        cols, rows = self.units[h]
+        cols.setdefault(j, set()).add(i)
+        rows.setdefault(i, set()).add(j)
+
+    def rekey(self, h: int, cols=(), rows=()) -> None:
+        """Push each listed entry of columns `cols` and rows `rows` at
+        degree h with its current cost; `pivot` drops the stale copies."""
+        by_col, by_row = self.units[h]
+        keys = {(j, i) for j in cols for i in by_col.get(j, ())}
+        for j, i in keys.union((j, i) for i in rows for j in by_row.get(i, ())):
+            heappush(self.heaps[h], (self.cost(h, i, j), j, i))
+
     def pivot(self) -> tuple[int, int, int] | None:
-        """The +-identity entry (h, i, j) of lowest degree, then lowest (j, i).
-        Eliminating at h adds entries only at h, so none appears below it."""
-        for h, heap in self.heaps.items():
+        """The +-identity entry (h, i, j) of lowest degree, then least
+        (cost, j, i), dropping copies with a stale cost.  Eliminating at h
+        adds entries only at h, so none appears below it."""
+        for h in self.c.diff:
+            heap = self.heaps.get(h)
+            if heap is None:  # first visit: every +-identity entry, keyed now
+                self.units[h] = ({}, {})
+                keys = [(i, j) for j, col in self.out[h].items()
+                        for i, m in col.items() if m.is_identity_entry()]
+                for i, j in keys if self.fill_in else ():
+                    self.mark(h, i, j)
+                heap = self.heaps[h] = sorted((self.cost(h, i, j), j, i) for i, j in keys)
             while heap:
-                j, i = heap[0]
+                cost, j, i = heap[0]
                 m = self.out[h].get(j, {}).get(i)
-                if m is not None and m.is_identity_entry():
+                if m is not None and m.is_identity_entry() and cost == self.cost(h, i, j):
                     return h, i, j
                 heappop(heap)
         return None
@@ -562,12 +586,19 @@ class _Workspace:
 
 def _add_entry(col: dict, rows: dict, x: int, y: int, g: CobMorphism,
                f: CobMorphism, k: int) -> CobMorphism:
-    """Entry (x, y) += k (g o f) of a block kept as lines: col is column y,
-    rows the rows of the same degree (see `_add_composite`)."""
-    m = _add_composite(col, x, g, f, k)
-    if m.terms:
-        rows.setdefault(x, {})[y] = m
+    """Entry (x, y) += k (g o f) of a block kept as lines (col is column y,
+    rows the rows of the same degree), built as one morphism and returned;
+    a zero sum removes the entry.  A new entry's terms are k times
+    canonical ones, so they need no sorting."""
+    old = col.get(x)
+    if old is None:
+        m = CobMorphism._from_canonical(f.src, g.tgt, _add_terms({}, g, f, k))
     else:
+        m = CobMorphism(f.src, g.tgt, _add_terms(dict(old.terms), g, f, k))
+    if m.terms:
+        col[x] = rows.setdefault(x, {})[y] = m
+    else:
+        col.pop(x, None)
         rows.get(x, {}).pop(y, None)
     return m
 
@@ -587,8 +618,12 @@ def gauss(ws: _Workspace, h: int, i: int, j: int) -> None:
 
     applied as the row update into column j as well, then the column update
     with that column j, so the last term costs no composite of its own.
-    Every elimination goes through this module-level function, so a tracer
-    that rebinds `complexes.gauss` counts each one.
+    Under the fill-in key it re-keys the lines it changes at h, the columns
+    that met row i and the rows that met column j, once `pivot` has
+    reached h; the rows it shortens at h+1 are keyed when `pivot` reaches
+    h+1, and no +-identity entry is left below h.  Every elimination goes
+    through this module-level function, so a tracer that rebinds
+    `complexes.gauss` counts each one.
     """
     pivot = ws.out.get(h, {}).get(j, {}).get(i)
     if pivot is None or not pivot.is_identity_entry():
@@ -628,26 +663,47 @@ def gauss(ws: _Workspace, h: int, i: int, j: int) -> None:
             for x, g in col_j.items():
                 _add_entry(col, lines, x, y, g, a, -eps)
 
+    heap = ws.heaps.get(h)  # None until `pivot` reaches h
+    if heap is not None and ws.fill_in:
+        by_col, by_row = ws.units[h]
+        for x in by_col.pop(j, ()):  # the pivot's lines are gone
+            by_row[x].discard(j)
+        for y in by_row.pop(i, ()):
+            by_col[y].discard(i)
     for s, a in ins.items():
         col = out[s]
         for t, b in outs.items():
             m = _add_entry(col, into, t, s, b, a, -eps)  # col[t] - eps b a
-            if m.is_identity_entry():  # fill-in: a new candidate at degree h
-                heappush(ws.heaps[h], (s, t))
+            if heap is None or not m.is_identity_entry():
+                continue
+            if ws.fill_in:
+                ws.mark(h, t, s)
+            else:  # a new candidate at degree h
+                heappush(heap, (0, s, t))
+    if heap is not None and ws.fill_in:  # pushes the new candidates too
+        ws.rekey(h, ins, outs)
 
 
-def simplify(c: Complex, maps=()) -> tuple[Complex, list[ChainMap]]:
+def simplify(c: Complex, maps=(), fill_in: bool = False) -> tuple[Complex, list[ChainMap]]:
     """Deloop, then cancel +-identity entries until none remain, carrying
     the endomorphisms `maps` of c along; returns (complex, maps).
 
-    Pivots are taken at the lowest degree first, then the lowest (j, i), from
-    the heaps of one `_Workspace`; each goes through `gauss`, and the one
-    Complex is built at the end (the delooped complex itself when nothing
-    cancels).  `deloop` splits each map and every `gauss` conjugates it, so
-    it leaves as sigma o f o pi for the retract that folds the delooping's
-    and every one-step retract with `SDRData.then`; no retract is built.
+    Pivots are taken at the lowest degree first, then by key, from the heaps
+    of one `_Workspace`; each goes through `gauss`, and the one Complex is
+    built at the end (the delooped complex itself when nothing cancels).
+    Today's key, the lowest (j, i), serves every caller that emits a
+    complex or a map, so each gets the same one as before: `proj pn/qn/quasi`,
+    `complex simplify`, `truncated_pn`, `build_qn` and `framing_check`.
+    `fill_in` puts the least fill-in (|column| - 1)(|row| - 1) first: fewer
+    composites, another complex, the same homology.  Only the fold of
+    `links.bracket_colored` takes it, whose complex `link_homology` (so
+    `colored homology`, `merging_check`, `invariance_spotcheck`) reads for
+    its homology alone.  `deloop` splits each map and every `gauss`
+    conjugates it, so it leaves as sigma o f o pi for the retract that
+    folds the delooping's and every one-step retract with `SDRData.then`;
+    no retract is built.
     """
-    ws = _Workspace(*deloop(c, maps))
+    ws = _Workspace(*deloop(c, maps), fill_in=fill_in)
     while (pivot := ws.pivot()) is not None:
         gauss(ws, *pivot)
     return ws.export()
@@ -731,7 +787,7 @@ def _product(n: int, a: Complex, b: Complex, left: ChainMap | None = None,
         sign = -1 if right and (ha * right.dh) % 2 else 1
         for i2, m in cols_r.get(hb, {}).get(ib, {}).items():
             p = made.get(key := (id(m), oa, sign)) or made.setdefault(
-                key, morphism_op(CobMorphism.identity(oa), m).scale(sign))
+                key, morphism_op(CobMorphism.identity(oa), m.scale(-1) if sign < 0 else m))
             if p.terms:
                 slot[(tgt_index[(ha, ia, hb + right.dh, i2)], idx)] = p
     return objects, tgt_objects, comps
@@ -802,8 +858,8 @@ class Slice:
 CLOSE = "close"  # the `fold` step that closes the accumulator's rightmost strand
 
 
-def fold(cur: Complex, steps, maps=(),
-         cancel: bool = True) -> tuple[Complex, list[ChainMap]]:
+def fold(cur: Complex, steps, maps=(), cancel: bool = True,
+         fill_in: bool = False) -> tuple[Complex, list[ChainMap]]:
     """Apply `steps` to `cur` in order, carrying its endomorphisms `maps`.
 
     A `Slice` step takes the undelooped product with the slice on top,
@@ -811,8 +867,10 @@ def fold(cur: Complex, steps, maps=(),
     takes `partial_trace_complex(cur)` and traces every component of each
     map.  The result is simplified, or only delooped when not `cancel`; each
     map moves by `product_map` (on its factor) and is then carried through
-    that same `simplify` or `deloop` call.  Returns (complex, maps): the
-    given maps, then the slices' maps in step order.  The engine functions
+    that same `simplify` or `deloop` call, on the fill-in pivot key when
+    `fill_in` (set only by `links.bracket_colored`; see `simplify`).
+    Returns (complex, maps): the given maps, then the slices' maps in step
+    order.  The engine functions
     are module globals looked up at each step, so a tracer that rebinds
     them sees every one.
     """
@@ -830,7 +888,7 @@ def fold(cur: Complex, steps, maps=(),
             mine = 0 if step.under else 1  # the accumulator's factor
             maps = ([_on_factor(raw, factors, mine, f) for f in maps]
                     + [_on_factor(raw, factors, 1 - mine, g) for g in step.maps])
-        cur, maps = (simplify if cancel else deloop)(raw, maps)
+        cur, maps = simplify(raw, maps, fill_in) if cancel else deloop(raw, maps)
     return cur, maps
 
 
@@ -943,11 +1001,12 @@ def _hom_columns(matrix, col0: int, a: Complex, b: Complex, i: int, basis,
     rows (k, ia, row of g, mask); `before` lines are block rows, and each g
     on the one into x's source adds scale (x o g) at rows (k - 1, column of
     g, ib, mask).  Labels not in rows are skipped.  Terms come off
-    `_compose_terms`.  Returns whether any entry was touched; zero terms
-    touch nothing."""
+    `_compose_terms`, canonical, so none is zero.  Returns whether any entry
+    was touched."""
     touched = False
     for c, (k, ia, ib, mask) in enumerate(basis, col0):
-        x = CobMorphism(a.objects[k][ia].tangle, b.objects[k + i][ib].tangle, {mask: 1})
+        x = CobMorphism._from_canonical(a.objects[k][ia].tangle,
+                                        b.objects[k + i][ib].tangle, {mask: 1})
         composites = [((k, ia, i2), rows, scale, _compose_terms(g, x))
                       for lines, rows, scale in after
                       for i2, g in lines.get(k + i, {}).get(ib, {}).items()]
@@ -958,7 +1017,7 @@ def _hom_columns(matrix, col0: int, a: Complex, b: Complex, i: int, basis,
             factor = scale if factor is None else scale * factor
             for mask2, coeff in terms.items():
                 row = rows.get((*head, mask2))
-                if row is not None and coeff:
+                if row is not None:
                     matrix[row][c] += factor * coeff
                     touched = True
     return touched

@@ -122,21 +122,36 @@ class ColoredDiagram:
 
     @classmethod
     def from_json(cls, data: dict) -> ColoredDiagram:
+        """Read a diagram file; a missing or ill-typed field raises
+        ValueError naming the field."""
         def ints(value, name: str) -> tuple[int, ...]:
             if not isinstance(value, list):
                 raise ValueError(f"{name}: expected a list of integers, got {value!r}")
             return tuple(_json_int(x, name) for x in value)
 
+        def need(obj: dict, key: str, name: str):
+            if isinstance(obj, dict) and key not in obj:
+                raise ValueError(f"{name}: missing field")
+            return obj[key]  # a non-dict raises TypeError: a malformed file
+
+        def color(key: str) -> int:
+            try:
+                return int(key)
+            except ValueError:
+                raise ValueError(f"family: color {key!r} is not an integer") from None
+
         family = data.get("family", {})
         if not (isinstance(family, dict)
                 and all(isinstance(v, dict) for v in family.values())):
             raise ValueError("family: expected {color: {\"indices\": [...]}}")
-        fam = tuple(sorted((int(k), ints(v.get("indices", []), "family indices"))
+        fam = tuple(sorted((color(k), ints(v.get("indices", []), "family indices"))
                            for k, v in family.items()))
-        colors = ints(data["colors"], "colors")
+        colors = ints(need(data, "colors", "colors"), "colors")
+        braid = need(data, "braid", "braid")
         orientations = data.get("orientations")
-        return cls(strands=_json_int(data["braid"]["strands"], "braid strands"),
-                   word=ints(data["braid"]["word"], "braid word"),
+        return cls(strands=_json_int(need(braid, "strands", "braid strands"),
+                                     "braid strands"),
+                   word=ints(need(braid, "word", "braid word"), "braid word"),
                    closure=data.get("closure", "trace"),
                    colors=colors,
                    framings=ints(data.get("framings", [0] * len(colors)), "framings"),
@@ -237,7 +252,9 @@ def bracket_colored(d: ColoredDiagram, window: int = 12) -> tuple[Complex, bool]
              for sl in cabled.slices]
     if d.closure == "plat":
         steps.append(Slice(_rainbows(d, width)))
-    cur, _ = fold(Complex.identity_complex(width), steps + [CLOSE] * width)
+    # only the homology of this complex is read: the fill-in key applies
+    cur, _ = fold(Complex.identity_complex(width), steps + [CLOSE] * width,
+                  fill_in=True)
     return cur, exact
 
 

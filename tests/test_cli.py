@@ -145,6 +145,12 @@ def test_missing_file_is_usage_error(capsys):
      "family: color 3 is not among the colors [2]"),
     ({"braid": {"strands": 2, "word": [1, True]}, "colors": [1]},
      "braid word: expected an integer, got True"),
+    ({"colors": [1]}, "braid: missing field"),
+    ({"braid": {"word": [1]}, "colors": [1]}, "braid strands: missing field"),
+    ({"braid": {"strands": 2}, "colors": [1]}, "braid word: missing field"),
+    ({"braid": {"strands": 2, "word": [1]}}, "colors: missing field"),
+    ({"braid": {"strands": 2, "word": [1]}, "colors": [1],
+      "family": {"x": {"indices": [1]}}}, "family: color 'x' is not an integer"),
 ])
 def test_colored_homology_bad_diagram_is_usage_error(tmp_path, capsys,
                                                      diagram, message):

@@ -118,20 +118,21 @@ def test_stacked_and_traced_tangles_keep_matching_provenance(n):
 
 
 def test_reduce_neck_cutting_rules():
+    # each piece's outer curves are a bit mask
     # undotted cylinder between two curves
-    assert reduce_components([((0, 1), 0, 0)]) == [(0b10, 1), (0b01, 1)]
+    assert reduce_components([(0b11, 0, 0)]) == [(0b10, 1), (0b01, 1)]
     # two dots annihilate
-    assert reduce_components([((0,), 2, 1)]) == []
+    assert reduce_components([(0b1, 2, 1)]) == []
     # undotted pants on three curves: all assignments with exactly two dots
-    out = reduce_components([((0, 1, 2), 0, -1)])
+    out = reduce_components([(0b111, 0, -1)])
     assert sorted(out) == [(0b011, 1), (0b101, 1), (0b110, 1)]
     # spheres
-    assert reduce_components([((), 0, 2)]) == []
-    assert reduce_components([((), 1, 2)]) == [(0, 1)]
+    assert reduce_components([(0, 0, 2)]) == []
+    assert reduce_components([(0, 1, 2)]) == [(0, 1)]
     # torus evaluates to 2
-    assert reduce_components([((), 0, 0)]) == [(0, 2)]
+    assert reduce_components([(0, 0, 0)]) == [(0, 2)]
     # genus adds a dot and a factor 2
-    assert reduce_components([((0,), 0, -1)]) == [(0b1, 2)]
+    assert reduce_components([(0b1, 0, -1)]) == [(0b1, 2)]
 
 
 def test_neck_cutting_and_sphere_relations():
@@ -258,6 +259,90 @@ def test_glue_memo_matches_fresh_reduction(rng):
             assert partial_trace(f) == CobMorphism(
                 *traced, fresh_glue(_trace_plan, (a, b), f))
         assert _merged_plan(_trace_plan, a, b)[2]
+
+
+def reference_merge(unions, incidences):
+    """The set-based merge that `_merge` replaced: each disk meets a set of
+    outer curves, and a piece's outer curves come out as a sorted tuple."""
+    parent = list(range(len(incidences)))
+
+    def find(d):
+        while parent[d] != d:
+            d = parent[d]
+        return d
+
+    for a, b, _ in unions:
+        parent[find(b)] = find(a)
+    pieces = {}
+    for d, curves in enumerate(incidences):
+        piece = pieces.setdefault(find(d), [set(), 0, 0])
+        piece[0].update(curves)
+        piece[1] |= 1 << d
+        piece[2] += 1
+    for a, _, cost in unions:
+        pieces[find(a)][2] -= cost
+    return [(tuple(sorted(outer)), disks, chi) for outer, disks, chi in pieces.values()]
+
+
+def _random_plans(rng):
+    """Plans of the three builders on random tangles, and random plans."""
+    for _ in range(40):
+        n = rng.randrange(1, 4)
+        a, b, c, d = (rand_tangle(rng, n) for _ in range(4))
+        yield _compose_plan(a, b, c)
+        yield _stack_plan(a, b, c, d)
+        yield _trace_plan(a, b)
+    for _ in range(200):
+        disks = rng.randrange(1, 9)
+        incidences = [rng.randrange(1 << 6) for _ in range(disks)]
+        unions = [(rng.randrange(disks), rng.randrange(disks), rng.randrange(2))
+                  for _ in range(rng.randrange(disks + 2))]
+        yield disks, unions, incidences
+
+
+def test_mask_merge_matches_set_based_reference(rng):
+    for _, unions, incidences in _random_plans(rng):
+        as_sets = [{c for c in range(m.bit_length()) if m >> c & 1} for m in incidences]
+        reference = [(sum(1 << c for c in outer), disks, chi)
+                     for outer, disks, chi in reference_merge(unions, as_sets)]
+        assert _merge(unions, incidences) == reference
+
+
+def test_stack_against_a_collar_returns_the_other_factor(rng):
+    for _ in range(80):
+        n = rng.randrange(4)
+        one = FlatTangle.identity(n)
+        collar = CobMorphism.identity(one)
+        assert one._bare_identity and collar.terms == {0: 1}
+        a, b = rand_tangle(rng, n), rand_tangle(rng, n)
+        m = rand_multi(rng, a, b) if len(glue(a, b)) else CobMorphism(a, b, {0: 3})
+        for top, bottom in ((collar, m), (m, collar), (collar.scale(2), m),
+                            (m, CobMorphism.dotted_identity(one, 0) if n else m)):
+            stacked = (stack_tangles(top.src, bottom.src).tangle,
+                       stack_tangles(top.tgt, bottom.tgt).tangle)
+            expected = CobMorphism(*stacked, fresh_glue(
+                _stack_plan, (top.src, top.tgt, bottom.src, bottom.tgt), top, bottom))
+            assert stack(top, bottom) == expected
+        assert stack(collar, m) is m and stack(m, collar) is m
+    # a circle or another matching is no collar
+    assert not FlatTangle(2, Matching.identity(2), 1)._bare_identity
+    assert not FlatTangle.e(1, 2)._bare_identity
+
+
+def test_glued_terms_are_canonical(rng):
+    # compose, stack and partial_trace wrap `_glue_terms` unchecked, so its
+    # terms must be what the public constructor makes of them
+    for _ in range(120):
+        n = rng.randrange(1, 4)
+        a, b, c, d = (rand_tangle(rng, n) for _ in range(4))
+        f, g, h = rand_multi(rng, a, b), rand_multi(rng, b, c), rand_multi(rng, c, d)
+        glued = (compose(g, f), stack(f, h), partial_trace(f),
+                 compose(f, CobMorphism.identity(a)))
+        for r in glued:
+            shuffled = list(r.terms.items())
+            rng.shuffle(shuffled)
+            canonical = CobMorphism(r.src, r.tgt, dict(shuffled + [(1 << 20, 0)]))
+            assert list(r.terms.items()) == list(canonical.terms.items())
 
 
 def test_terms_are_read_only_and_identities_shared():

@@ -24,6 +24,7 @@ from catsl2.cobordism import (CobMorphism, FlatTangle, compose, dual, glue,
 from catsl2.homology import u_action_on_homology
 from catsl2.projectors import truncated_pn
 from catsl2.tl import all_matchings
+from conftest import todays_pivot_key
 
 GOLDENS = Path(__file__).parent / "goldens"
 SEED = 20261017
@@ -166,6 +167,14 @@ def test_cli_tensor_golden(tmp_path):
 @pytest.mark.parametrize("name", sorted(COLORED))
 def test_colored_homology_golden(name, tmp_path):
     assert colored_text(tmp_path, name) == (GOLDENS / name).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(COLORED))
+def test_colored_homology_golden_under_todays_pivot_key(name, tmp_path):
+    # homology must not depend on the elimination order: the bracket's fold
+    # takes the fill-in key, and today's key must print the same bytes
+    with todays_pivot_key():
+        assert colored_text(tmp_path, name) == (GOLDENS / name).read_text()
 
 
 def test_u_action_golden():
