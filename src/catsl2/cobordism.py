@@ -48,8 +48,9 @@ from .tl import (Glued, InvariantError, Matching, follow, juxtapose_matchings,
 class FlatTangle:
     """A matching plus `circles` closed loops; interned like `Matching`
     (one instance per value while `_flat_tangle`'s cache lives, checked and
-    hashed once), with equality falling back to the fields.  `_bare_identity`
-    marks the circle-free identity tangle, found once per instance."""
+    hashed once), with equality rejecting on the hash and then falling back
+    to the fields.  `_bare_identity` marks the circle-free identity tangle,
+    found once per instance."""
 
     n: int
     matching: Matching
@@ -66,6 +67,8 @@ class FlatTangle:
             return True
         if other.__class__ is not FlatTangle:
             return NotImplemented
+        if self._hash != other._hash:  # equal values hash alike
+            return False
         return (self.n == other.n and self.circles == other.circles
                 and self.matching == other.matching)
 

@@ -18,6 +18,7 @@ labels from `_hom_basis` and their columns from `_hom_columns`.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product
@@ -900,11 +901,11 @@ def _on_factor(raw: Complex, factors: tuple, k: int, f: ChainMap) -> ChainMap:
 
 
 def shift(c: Complex, dh: int, dq: int) -> Complex:
-    """t^dh q^dq; the differential picks up (-1)^dh."""
-    sign = -1 if dh % 2 else 1
+    """t^dh q^dq; the differential picks up (-1)^dh (for dh even it shares
+    c's morphisms, whose terms cannot change)."""
     objects = {h + dh: [GradedObject(o.tangle, o.qshift + dq) for o in objs]
                for h, objs in c.objects.items()}
-    diff = {h + dh: {k: m.scale(sign) for k, m in entries.items()}
+    diff = {h + dh: {k: m.scale(-1) for k, m in entries.items()} if dh % 2 else entries
             for h, entries in c.diff.items()}
     return Complex(c.n, objects, diff)
 
@@ -970,11 +971,24 @@ class ZComplex:
                     raise InvariantError(f"d^2 != 0 at {(i, j)}")
 
 
+def _masks(nc: int, dots: int):
+    """The nc-bit masks with `dots` bits set, ascending (Gosper's hack)."""
+    mask = (1 << dots) - 1
+    while mask < 1 << nc:
+        yield mask
+        low = mask & -mask
+        if not low:
+            return
+        high = mask + low
+        mask = high | ((high ^ mask) >> 2) // low
+
+
 def _hom_basis(a: Complex, b: Complex, only: tuple[int, int] | None = None):
     """Basis of HOM(a, b): labels (k, ia, ib, mask) grouped by bidegree (i, j),
     each group in label order; with only=(i, j), that group alone, read off
-    degree k + i of b only."""
+    degree k + i of b only and, per object pair, the masks of its dot count."""
     groups: dict[tuple[int, int], list] = {}
+    found: list = []
     for k, objas in a.objects.items():
         targets = (b.objects.items() if only is None
                    else [(k + only[0], b.objects.get(k + only[0], ()))])
@@ -985,16 +999,21 @@ def _hom_basis(a: Complex, b: Complex, only: tuple[int, int] | None = None):
                     # f in HOM^{i,j} maps q^j A -> B, so each component q^(j+qa)
                     # S -> q^(qb) T has deg_raw = n - nc + 2 dots = j + qa - qb
                     j0 = a.n - nc + ob.qshift - oa.qshift
-                    for mask in range(1 << nc):
-                        key = (kb - k, j0 + 2 * mask.bit_count())
-                        if only is None or key == only:
-                            groups.setdefault(key, []).append((k, ia, ib, mask))
-    return groups if only is None else groups.get(only, [])
+                    if only is None:
+                        for mask in range(1 << nc):
+                            groups.setdefault((kb - k, j0 + 2 * mask.bit_count()),
+                                              []).append((k, ia, ib, mask))
+                        continue
+                    dots, odd = divmod(only[1] - j0, 2)
+                    if not odd and 0 <= dots <= nc:
+                        found += [(k, ia, ib, mask) for mask in _masks(nc, dots)]
+    return groups if only is None else found
 
 
 def _hom_columns(matrix, col0: int, a: Complex, b: Complex, i: int, basis,
                  after=(), before=()) -> bool:
-    """Add to column col0 + c of a matrix the composites of the c-th label
+    """Add to column col0 + c of a matrix (rows as dense lists or as
+    int-defaulting dicts) the composites of the c-th label
     (k, ia, ib, mask) of HOM^i(a, b), read as a one-term morphism x.  Each
     side is (lines, rows, scale): `after` lines are block columns (see
     `_lines`), and each g on the one out of x's target adds scale (g o x) at
@@ -1112,6 +1131,9 @@ def _attach_piece(pieces, offs, comps, k, min_total_degree):
     with X_{k+1} = alpha_k fixed.  Linear over Z in the X's: X_j runs over
     the HOM^{k+1-j,0}(E_k, E_j) basis and its equations over the
     HOM^{k+2-j,0} one from min_total_degree up, concatenated piece by piece.
+    `_hom_columns` fills one sparse row per equation (a dict from unknown to
+    coefficient), which `solve_integer` takes with the unknown count; no
+    dense matrix is formed.
     """
     from .homology import solve_integer
 
@@ -1140,8 +1162,9 @@ def _attach_piece(pieces, offs, comps, k, min_total_degree):
     if not any(rhs):
         return {}
 
-    # X_j meets d on E_j and each block D_{j2,j} after it, d on E_k before
-    matrix = [[0] * sum(map(len, unknowns.values())) for _ in range(n_rows)]
+    # X_j meets d on E_j and each block D_{j2,j} after it, d on E_k before;
+    # one sparse row per equation
+    matrix = [defaultdict(int) for _ in range(n_rows)]
     src_rows = _lines(src.diff, by_row=True)
     col0 = 0
     for j, basis in unknowns.items():
@@ -1151,7 +1174,7 @@ def _attach_piece(pieces, offs, comps, k, min_total_degree):
         _hom_columns(matrix, col0, src, pieces[j], k + 1 - j, basis, after,
                      [(src_rows, rows[j], sign_k)])
         col0 += len(basis)
-    sol = solve_integer(matrix, rhs)
+    sol = solve_integer(matrix, col0, rhs)
     if sol is None:
         raise ObstructionError(m - 1 - k, offs[k])
     out: dict[int, dict[int, dict[tuple[int, int], CobMorphism]]] = {}

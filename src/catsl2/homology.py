@@ -1,14 +1,17 @@
 """Integer homological algebra: Smith normal form and bigraded homology.
 
-Matrices enter and leave as dense lists of lists of Python ints (arbitrary
-precision).  Every factorization is one `_eliminate` over sparse rows of D
-(dicts from column to nonzero entry; swaps only permute position arrays).
-The pivot is the smallest nonzero |x| of the remaining block, ties going to
-the first row and then the first column in the current order (to limit entry
-growth).  Pivots depend on D alone; each row (column) operation also acts on
-that row's (column's) companion, so callers carry only what they read:
-`smith_normal_form` U's rows and V's columns, `invariant_factors` nothing,
-`kernel_basis` V's columns, and `solve_all` V's columns and its right-hand
+Every factorization is one `_eliminate`, in place, over sparse rows of D:
+dicts from column to nonzero Python int (arbitrary precision) plus a column
+count, where swaps only permute position arrays.  Dense lists of lists exist
+only at the public entry points `smith_normal_form`, `invariant_factors`,
+`kernel_basis` and `solve_all`, which convert once; `solve_integer`, the
+convolution solver's, takes sparse rows.  The pivot is the smallest nonzero
+|x| of the remaining block, ties going to the first row and then the first
+column in the current order (to limit entry growth).  Pivots depend on D
+alone; each row (column) operation also acts on that row's (column's)
+companion, so callers carry only what they read: `smith_normal_form` U's
+rows and V's columns, `invariant_factors` nothing, `kernel_basis` V's
+columns, and `solve_all` and `solve_integer` V's columns and the right-hand
 sides as row companions (U B without U).  U and V stay exact results: the
 operations are those of the dense row-major algorithm the sparse one
 replaced, in its order, and tests/goldens/snf.json pins (U, D, V).
@@ -43,21 +46,27 @@ def _add_to(dst: dict, src: dict, k: int) -> None:  # dst += k * src
             del dst[key]
 
 
-def _eliminate(matrix: list[list[int]], u: list[dict] | None = None,
+def _sparse(matrix: list[list[int]]) -> tuple[list[dict], int]:
+    """A dense matrix as the kernel takes it: sparse rows and a column count."""
+    return ([{c: int(x) for c, x in enumerate(row) if x} for row in matrix],
+            len(matrix[0]) if matrix else 0)
+
+
+def _eliminate(d: list[dict], cols: int, u: list[dict] | None = None,
                v: list[dict] | None = None):
-    """Diagonalize M, as sparse rows d, with d1 | d2 | ... .
+    """Diagonalize, in place, the sparse rows d (dicts from column to nonzero
+    entry; no stored zero) of a matrix with `cols` columns, d1 | d2 | ... .
 
     Step t moves the pivot to (t, t), clears row and column t against it by
     floor-quotient row and column additions (re-picking the pivot whenever a
     nonzero residue is left), then, if the pivot fails to divide the rest of
     the block, adds the first such row to row t and clears again.  Row r's
     operations also act on the companion u[r], column c's on v[c] (None:
-    nothing rides along).  Returns (d, row_at, col_at, rank): the rows, the
-    row and column at each position, and the number of pivots, which sit at
+    nothing rides along).  Returns (row_at, col_at, rank): the row and column
+    at each position, and the number of pivots, which sit at
     d[row_at[t]][col_at[t]].
     """
-    d = [{c: int(x) for c, x in enumerate(row) if x} for row in matrix]
-    rows, cols = len(d), len(matrix[0]) if matrix else 0
+    rows = len(d)
     row_at, col_at, col_pos = list(range(rows)), list(range(cols)), list(range(cols))
 
     def move_best_pivot(t: int) -> bool:
@@ -89,24 +98,38 @@ def _eliminate(matrix: list[list[int]], u: list[dict] | None = None,
         while True:
             # each addition changes one row (one column) by row (column) t,
             # which it leaves alone, so the order of the additions is free
-            p = d[r][c]
+            pivot_row, pivot_u = d[r], u and u[r]
+            p = pivot_row[c]
             support = [i for i in row_at[t + 1:] if c in d[i]]
-            for i in support:
-                k = -(d[i][c] // p)
-                _add_to(d[i], d[r], k)
-                if u is not None:
-                    _add_to(u[i], u[r], k)
+            for i in support:  # row i += k * row t
+                row = d[i]
+                k = -(row[c] // p)
+                if not k:
+                    continue
+                for j, x in pivot_row.items():
+                    y = row.get(j, 0) + k * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                if pivot_u:
+                    _add_to(u[i], pivot_u, k)
             col = [(d[i], d[i][c]) for i in [r, *support] if c in d[i]]
             dirty = len(col) > 1
-            for j, x in list(d[r].items()):
+            for j, x in list(pivot_row.items()):
                 if j == c:
                     continue
                 k = -(x // p)
-                for row, y in col:  # column j += k * column c
-                    _add_to(row, {j: y}, k)
-                if v is not None:
-                    _add_to(v[j], v[c], k)
-                dirty |= j in d[r]
+                if k:
+                    for row, y in col:  # column j += k * column c
+                        z = row.get(j, 0) + k * y
+                        if z:
+                            row[j] = z
+                        else:
+                            del row[j]
+                    if v is not None:
+                        _add_to(v[j], v[c], k)
+                dirty |= j in pivot_row
             if dirty:
                 move_best_pivot(t)
                 r, c = row_at[t], col_at[t]
@@ -118,7 +141,7 @@ def _eliminate(matrix: list[list[int]], u: list[dict] | None = None,
                             if any(x % p for x in d[i].values())), None)
             if culprit is None:
                 break
-            _add_to(d[r], d[culprit], 1)
+            _add_to(pivot_row, d[culprit], 1)
             if u is not None:
                 _add_to(u[r], u[culprit], 1)
         if d[r][c] < 0:
@@ -126,17 +149,17 @@ def _eliminate(matrix: list[list[int]], u: list[dict] | None = None,
             if u is not None:
                 u[r] = {k: -x for k, x in u[r].items()}
         t += 1
-    return d, row_at, col_at, t
+    return row_at, col_at, t
 
 
 def smith_normal_form(matrix: list[list[int]]):
     """Return (U, D, V) with U*M*V = D diagonal, d1 | d2 | ..., U, V unimodular."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+    d, cols = _sparse(matrix)
+    rows = len(d)
     # U row r is keyed by U column; V column c is keyed by V row
     u = [{r: 1} for r in range(rows)]
     v = [{c: 1} for c in range(cols)]
-    d, row_at, col_at, _ = _eliminate(matrix, u, v)
+    row_at, col_at, _ = _eliminate(d, cols, u, v)
     return ([[u[r].get(k, 0) for k in range(rows)] for r in row_at],
             [[d[r].get(c, 0) for c in col_at] for r in row_at],
             [[v[c].get(k, 0) for c in col_at] for k in range(cols)])
@@ -144,15 +167,16 @@ def smith_normal_form(matrix: list[list[int]]):
 
 def invariant_factors(matrix: list[list[int]]) -> list[int]:
     """The nonzero diagonal of the Smith normal form, d1 | d2 | ... ."""
-    d, row_at, col_at, rank = _eliminate(matrix)
+    d, cols = _sparse(matrix)
+    row_at, col_at, rank = _eliminate(d, cols)
     return [d[row_at[t]][col_at[t]] for t in range(rank)]
 
 
 def kernel_basis(matrix: list[list[int]]) -> list[list[int]]:
     """Columns generating ker(M) over Z (a primitive basis, via SNF)."""
-    cols = len(matrix[0]) if matrix else 0
+    d, cols = _sparse(matrix)
     v = [{c: 1} for c in range(cols)]
-    _, _, col_at, rank = _eliminate(matrix, None, v)
+    _, col_at, rank = _eliminate(d, cols, None, v)
     return [[v[col_at[j]].get(i, 0) for j in range(rank, cols)] for i in range(cols)]
 
 
@@ -163,10 +187,22 @@ def solve_all(matrix: list[list[int]], rhs_list: list[list[int]]) -> list[list[i
     parameters zero and x = V y; U b rides along as the row companions, V as
     sparse columns, so neither is formed densely.
     """
-    cols = len(matrix[0]) if matrix else 0
-    ub = [{s: b[r] for s, b in enumerate(rhs_list) if b[r]} for r in range(len(matrix))]
+    return _solve(*_sparse(matrix), rhs_list)
+
+
+def solve_integer(rows: list[dict], cols: int, rhs: list[int]) -> list[int] | None:
+    """One integer solution of M x = b, or None; free parameters are zero.
+
+    M comes as sparse rows, dicts from column to entry, with `cols` columns;
+    zero entries are dropped and the rows are left as they are.
+    """
+    return _solve([{c: x for c, x in row.items() if x} for row in rows], cols, [rhs])[0]
+
+
+def _solve(d: list[dict], cols: int, rhs_list: list[list[int]]) -> list[list[int] | None]:
+    ub = [{s: b[r] for s, b in enumerate(rhs_list) if b[r]} for r in range(len(d))]
     v = [{c: 1} for c in range(cols)]
-    d, row_at, col_at, rank = _eliminate(matrix, ub, v)
+    row_at, col_at, rank = _eliminate(d, cols, ub, v)
     out = []
     for s in range(len(rhs_list)):
         x = [0] * cols
@@ -181,11 +217,6 @@ def solve_all(matrix: list[list[int]], rhs_list: list[list[int]]) -> list[list[i
                     x[k] += vk * (b // di)
         out.append(x)
     return out
-
-
-def solve_integer(matrix: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """One integer solution of M x = b, or None; free parameters are zero."""
-    return solve_all(matrix, [rhs])[0]
 
 
 # ---------------------------------------------------------------------------

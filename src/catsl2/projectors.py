@@ -156,7 +156,9 @@ def symmetric_sequence(k_complex: Complex, n: int):
     q-shifted, and delooped; alpha_k is id (x) g_k, split between the
     deloopings by the rule `deloop` applies to a differential, with g_k the
     saddle between consecutive hooks or, between the two copies of the
-    deepest hook, its cap-dot minus its cup-dot.
+    deepest hook, its cap-dot minus its cup-dot.  Pieces k and 2n-1-k share
+    their hook and differ only in q-shift, so each product is built once,
+    for k < n, and shifted for k >= n.
     """
     if k_complex.n != n - 1:
         raise InvariantError("a symmetric sequence needs K on n - 1 strands")
@@ -165,7 +167,8 @@ def symmetric_sequence(k_complex: Complex, n: int):
     depth = [min(k, 2 * n - 1 - k) for k in range(2 * n)]
     ends = [Complex.from_object(GradedObject(hooks[d], 2 * n - k if k < n else d), n)
             for k, d in enumerate(depth)]
-    raw = [tensor_indexed(k1, end) for end in ends]
+    raw = [tensor_indexed(k1, end) for end in ends[:n]]
+    raw += [shift(raw[d], 0, 2 * d - 2 * n) for d in depth[n:]]  # q^d, not q^(2n-d)
     pieces = [deloop(r)[0] for r in raw]
     alphas = []
     for k in range(2 * n - 1):

@@ -65,7 +65,8 @@ class Matching:
 
     Interned: `Matching(n, pairing)` returns the one instance of that value
     held by `_matching`, so it is validated and hashed once per value.  The
-    cache can be cleared, so equality still falls back to the fields.
+    cache can be cleared, so equality still falls back to the fields, once
+    the hashes agree.
     """
 
     n: int
@@ -80,6 +81,8 @@ class Matching:
             return True
         if other.__class__ is not Matching:
             return NotImplemented
+        if self._hash != other._hash:  # equal values hash alike
+            return False
         return self.n == other.n and self.pairing == other.pairing
 
     def __hash__(self):

@@ -837,17 +837,25 @@ def test_hom_columns_leaves_zero_composites_untouched():
 
 
 def test_hom_basis_of_one_bidegree_is_that_group(rng):
-    # only=(i, j) reads one target degree per source degree; the group must
-    # be the full enumeration's, in the same order, and empty off its keys
+    # only=(i, j) reads one target degree per source degree and, per object
+    # pair, only the masks of its dot count; the group must be the full
+    # enumeration's, in the same order, and empty off its keys (odd q
+    # offset, more dots than curves or fewer than none, degrees past either
+    # end)
     pieces, _ = symmetric_sequence(truncated_pn(2, 4 + DEPTH_MARGIN).complex, 3)
+    p26 = truncated_pn(2, 6).complex
     pairs = [(random_braid_complex(rng, 3, 2), random_braid_complex(rng, 3, 2))
              for _ in range(3)]
     pairs += [(a, b) for a in pieces for b in pieces]
+    pairs += [(q2(), q2()), (q3(), q3()), (p26, p26), (tensor(q2(), q2()), p26)]
     for a, b in pairs:
         groups = _hom_basis(a, b)
         assert groups
+        js = [j for _, j in groups]
+        far = max(js) - min(js) + 2  # even, past every group
         keys = set(groups) | {(i + di, j + dj) for i, j in groups
-                              for di, dj in ((0, 1), (1, 0), (-1, 0))}
+                              for di, dj in ((0, 1), (1, 0), (-1, 0), (-50, 0),
+                                             (0, far), (0, -far))}
         for key in keys:
             assert _hom_basis(a, b, key) == groups.get(key, []), key
 

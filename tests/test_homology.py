@@ -1,4 +1,5 @@
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -190,7 +191,54 @@ def test_kernel_and_solve(rng):
         unsolvable += len(misses)
         assert_solves_like_reference(m, images + misses)
     assert unsolvable > 60
-    assert solve_integer([[2]], [1]) is None
+    assert solve_integer([{0: 2}], 1, [1]) is None
+
+
+def test_solve_integer_on_sparse_rows_matches_solve_all(rng):
+    # the convolution solver hands solve_integer sparse rows, int-defaulting
+    # dicts that may hold zeros; it must give solve_all's very answer on the
+    # dense matrix, None included, and leave the rows as they were
+    def apply(m, x):
+        return [sum(a * b for a, b in zip(row, x)) for row in m]
+
+    fixed = [[[2, 0], [0, 3]], [[4, 0, 0], [0, 6, 0], [0, 0, 10]],  # culprit
+             [[6, 10, 15]], [[0, 0], [0, 0]], [[0]], [[2, 4], [6, 8], [0, 0]]]
+    cases = [(m, len(m[0])) for m in fixed]
+    for idx in range(150):
+        r, c = rng.randrange(1, 25), rng.randrange(1, 18)
+        scale = (1, 2, 3, 6)[idx % 4]  # non-unit pivots, and all of them
+        m = [[scale * rng.randrange(-9, 10) if rng.random() < 0.15 else 0
+              for _ in range(c)] for _ in range(r)]
+        if idx % 5 == 0:  # a zero row and a zero column
+            m[rng.randrange(r)] = [0] * c
+            col = rng.randrange(c)
+            for row in m:
+                row[col] = 0
+        cases.append((m, c))
+    unsolvable = 0
+    for m, c in cases:
+        rhs_list = [apply(m, [rng.randrange(-4, 5) for _ in range(c)]),
+                    [rng.randrange(-3, 4) for _ in m], [0] * len(m)]
+        for rhs in rhs_list:
+            rows = []
+            for dense in m:
+                row = defaultdict(int)
+                for col, x in enumerate(dense):
+                    if x or rng.random() < 0.1:  # some stored zeros
+                        row[col] += x
+                rows.append(row)
+            before = [dict(row) for row in rows]
+            got = solve_integer(rows, c, rhs)
+            assert got == solve_all(m, [rhs])[0]
+            assert [dict(row) for row in rows] == before
+            if got is None:
+                unsolvable += 1
+            else:
+                assert apply(m, got) == rhs
+    assert unsolvable > 50
+    # no equations: every unknown is free, and set to zero
+    assert solve_integer([], 3, []) == [0, 0, 0]
+    assert solve_integer([{}, defaultdict(int, {1: 0})], 2, [0, 1]) is None
 
 
 def test_unimodular_inverse():
