@@ -10,18 +10,17 @@ diagram S u mirror(T), each disk carrying 0 or 1 dot.  The local relations
     handle = 2 dots,
 
 reduce every composite to this basis, which is what `reduce_components`
-implements.  Composition, vertical stacking and partial trace are one gluing
-computation: each builds a plan (a factor's curve count, the `unions` of
-disks along shared boundary, the bit mask `incidences` of disks on output
-curves), `_merge` turns it into connected pieces once per tangles, and
-`_glue_terms` places each term pair's dots on the pieces and expands them
-into canonical disk terms, memoized per plan by the pair's combined dot
-mask.  A stack against a collar, the identity of the circle-free identity
-tangle, is the other factor and builds no plan.  The curves of a glued
-diagram (`glue`) and the provenance of stacked and traced tangles
-(`GluedTangle`: where each (layer, arc) and (layer, circle) went) both come
-from the one strand walker `tl.follow`, and `_incidences` reads every
-stacked or traced side of a plan through that one format.
+implements.  Curves and provenance are int lists indexed by port (a
+tangle's boundary points 0..2n-1, then its circles): `glue(S, T)` gives the
+curve of each port of S and of T, and a stacked or traced `GluedTangle`
+gives the port each layer point lands on, both from the one strand walker
+`tl.follow`.  Composition, vertical stacking and partial trace each build
+their connected pieces in one walk over the factor points (`_walk`; factor
+circles are pieces of their own), once per tangles, and `_glue_terms`
+places each term pair's dots on the pieces and expands them through
+`_expand`, one cache shared by every plan, memoized per plan by the pair's
+combined dot mask.  A stack against a collar, the identity of the
+circle-free identity tangle, is the other factor and builds no plan.
 Juxtaposition and the symmetries only relabel curves (`_curve_table`,
 `_remap`); the identity-like constructors share the cached `_sheets`.
 
@@ -116,31 +115,30 @@ class GradedObject:
 
 
 class GlueInfo:
-    """Curves of glue(S, T), canonically ordered, as lookup tables.
+    """Curves of glue(S, T), canonically ordered, as one int list per side.
 
+    The ports of a flat tangle are its boundary points 0..2n-1, then its
+    circles.  `src[i]` is the curve through port i of S and `tgt[j]` the
+    curve through port j of T, so a point has the same curve on both sides.
     Order: point-curves by smallest boundary point (the loops of `follow`
     started from each source point in turn), then source circles, then
     target circles.
     """
 
-    __slots__ = ("src", "tgt", "size", "point_curve", "arc_src_curve",
-                 "arc_tgt_curve", "circle_src_curve", "circle_tgt_curve")
+    __slots__ = ("n", "src", "tgt", "size")
 
     def __init__(self, src: FlatTangle, tgt: FlatTangle):
         if src.n != tgt.n:
             raise InvariantError("boundary mismatch")
         m = 2 * src.n
-        self.src, self.tgt = src, tgt
-        # source point p (layer 0) meets target point p (layer 1)
-        _, loops, where = follow((src.matching.pairing, tgt.matching.pairing),
+        # source point p (layer 0) meets target point p (layer 1); with no
+        # ends, the port a point lands on is its loop
+        _, loops, lands = follow((src.matching.pairing, tgt.matching.pairing),
                                  [(p, m + p) for p in range(m)], (), range(m))
-        sides = self.arc_src_curve, self.arc_tgt_curve = {}, {}
-        for (layer, arc), (_, k) in where.items():
-            sides[layer][arc] = k
-        self.point_curve = {p: k for arc, k in self.arc_src_curve.items() for p in arc}
-        self.circle_src_curve = {i: loops + i for i in range(src.circles)}
-        self.circle_tgt_curve = {i: loops + src.circles + i for i in range(tgt.circles)}
-        self.size = loops + src.circles + tgt.circles
+        points, cs = list(lands[:m]), loops + src.circles
+        self.n, self.size = src.n, cs + tgt.circles
+        self.src = points + list(range(loops, cs))
+        self.tgt = points + list(range(cs, self.size))
 
     def __len__(self):
         return self.size
@@ -236,8 +234,9 @@ class CobMorphism:
     def dotted_identity(cls, t: FlatTangle, where) -> CobMorphism:
         """Identity with one dot on the sheet containing `where`.
 
-        `where` is a boundary point, an Arc of the matching, or ('circle', i)
-        referring to a circle of t (the dot lands on the source-side sheet).
+        `where` is a boundary point, an Arc of the matching (the sheet of
+        either end), or ('circle', i) referring to a circle of t (the dot
+        lands on the source-side sheet).
         """
         return _sheets(t, t, where, None)
 
@@ -327,66 +326,86 @@ def _sheets(src: FlatTangle, tgt: FlatTangle, dot, lone: bool | None) -> CobMorp
     no dot) puts a dot on the sheet meeting a boundary point, an Arc of src,
     or ('circle', i) for circle i of src.  Cached, so the result is shared.
     """
-    info = glue(src, tgt)
-    if dot is not None:
-        dot = {**info.point_curve, **info.arc_src_curve,
-               **{("circle", i): c for i, c in info.circle_src_curve.items()}}[dot]
+    info, m = glue(src, tgt), 2 * src.n
+    if dot is not None:  # the port it names: an Arc names its smaller end
+        ports = {**{p: p for p in range(m)}, **{a: min(a) for a in src.matching.arcs()},
+                 **{("circle", i): m + i for i in range(src.circles)}}
+        if dot not in ports:
+            raise ValueError(f"{dot!r} is no point, arc or circle of {src}")
+        dot = info.src[ports[dot]]
     comps = [(1 << idx, int(idx == dot), 1)
              for idx in range(len(info) - src.circles - tgt.circles)]
-    for i in range(min(src.circles, tgt.circles)):
-        pair = (info.circle_src_curve[i], info.circle_tgt_curve[i])
-        comps.append((1 << pair[0] | 1 << pair[1], int(dot in pair), 0))
+    for a, b in zip(info.src[m:], info.tgt[m:]):
+        comps.append((1 << a | 1 << b, int(dot in (a, b)), 0))
     if lone is not None:
-        last = (info.circle_src_curve[src.circles - 1]
-                if src.circles > tgt.circles
-                else info.circle_tgt_curve[tgt.circles - 1])
+        last = info.src[-1] if src.circles > tgt.circles else info.tgt[-1]
         comps.append((1 << last, int(lone), 1))
     # the components meet disjoint curves, so no two products share a mask
-    return CobMorphism(src, tgt, dict(reduce_components(comps)))
+    return CobMorphism(src, tgt, dict(_expand(tuple(comps))))
 
 
 # ---------------------------------------------------------------------------
 # The gluing engine
 # ---------------------------------------------------------------------------
 
-def _merge(unions, incidences):
-    """Connected pieces of a glued surface, before any dots are placed.
-
-    Disk d of the glued factors meets the outer curves in the bit mask
-    incidences[d]; unions [(a, b, chi_cost)] join disks.  Returns
-    [(outer, disks, chi)] with each piece's outer curves and disks as bit
-    masks.
+def _walk(src, tgt, joins, disk, outer) -> list[tuple[int, int, int]]:
+    """The connected pieces [(outer, disks, chi)] of a glued surface, in one
+    walk over the points of its factors.  The pairings `src` and `tgt` are
+    the arcs of the factors' sides, and `joins` pairs the points glued
+    together (an unglued point is its own pair), one arc join per pair.
+    Point x lies on the disks in the bit mask disk[x] and meets the output
+    curves in the mask outer[x]; a piece ORs them, and chi = disks - joins.
     """
-    parent = list(range(len(incidences)))  # union-find forest of disks
+    seen = [False] * len(disk)
+    pieces = []
+    for start in range(len(disk)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        todo, curves, disks, joined = [start], 0, 0, 0
+        for x in todo:  # grows while the walk finds points
+            curves |= outer[x]
+            disks |= disk[x]
+            y = src[x]
+            if not seen[y]:
+                seen[y] = True
+                todo.append(y)
+            y = tgt[x]
+            if not seen[y]:
+                seen[y] = True
+                todo.append(y)
+            y = joins[x]
+            if y != x:
+                joined += 1
+                if not seen[y]:
+                    seen[y] = True
+                    todo.append(y)
+        pieces.append((curves, disks, disks.bit_count() - joined // 2))
+    return pieces
 
-    def find(d: int) -> int:
-        while parent[d] != d:
-            parent[d] = d = parent[parent[d]]
-        return d
 
-    for a, b, _ in unions:
-        parent[find(b)] = find(a)
-    # pieces in the order of their first disk: [outer curves, disks, chi]
-    pieces: dict[int, list] = {}
-    for d, curves in enumerate(incidences):
-        piece = pieces.setdefault(find(d), [0, 0, 0])
-        piece[0] |= curves
-        piece[1] |= 1 << d
-        piece[2] += 1
-    # every gluing lies inside one piece and lowers its chi by its cost
-    for a, _, cost in unions:
-        pieces[find(a)][2] -= cost
-    return [tuple(piece) for piece in pieces.values()]
+def _circles(m, *sides):
+    """The factors' circles, each a piece alone: on a side (ports, shift,
+    out, base), circle i is port m + i of a factor's GlueInfo side `ports`,
+    its disk follows `shift` earlier disks, and it meets out[base + i]."""
+    return [(1 << out[base + i], 1 << shift + k, 1)
+            for ports, shift, out, base in sides for i, k in enumerate(ports[m:])]
 
 
 @lru_cache(maxsize=None)
 def _merged_plan(build, *tangles: FlatTangle):
-    """Merge the plan `build(*tangles)` = (n_f, unions, incidences) into
-    (n_f, pieces, memo); cached per builder and tangles.  `memo` maps the
-    combined dot mask of a term pair to its expansion, filled by
-    `_glue_terms`; it lives in this cache entry and is cleared with it."""
-    n_f, unions, incidences = build(*tangles)
-    return n_f, tuple(_merge(unions, incidences)), {}
+    """(n_f, pieces, memo) for the plan build(*tangles) = (n_f, pieces),
+    cached per builder and tangles.  `memo`, filled by `_glue_terms`, maps
+    the combined dot mask of a term pair to its expansion; it lives in this
+    cache entry and is cleared with it."""
+    return (*build(*tangles), {})
+
+
+@lru_cache(maxsize=None)
+def _expand(components: tuple) -> tuple[tuple[int, int], ...]:
+    """reduce_components of (outer, dots, chi) pieces, sorted; one cache for
+    every plan and `_sheets`, since many plans meet the same dotted pieces."""
+    return tuple(sorted(reduce_components(components)))
 
 
 def _glue_terms(plan, f: CobMorphism, g: CobMorphism | None = None) -> dict[int, int]:
@@ -394,8 +413,8 @@ def _glue_terms(plan, f: CobMorphism, g: CobMorphism | None = None) -> dict[int,
     merged plan; g's disks follow the n_f disks of f.  The terms come back
     canonical (masks in order, no zero coefficient): a glued product of
     bihomogeneous factors is bihomogeneous, so `_from_canonical` wraps them.
-    Each memoized expansion is sorted and zero-free (its pieces meet
-    disjoint curves), so a single term pair needs no sort."""
+    Each expansion is sorted and zero-free, so a single term pair needs no
+    sort."""
     n_f, pieces, memo = plan
     acc: dict[int, int] = {}
     g_terms = g.terms.items() if g is not None else ((0, 1),)
@@ -404,9 +423,9 @@ def _glue_terms(plan, f: CobMorphism, g: CobMorphism | None = None) -> dict[int,
             dots = mf | mg << n_f
             expansion = memo.get(dots)
             if expansion is None:
-                expansion = memo[dots] = tuple(sorted(reduce_components(
+                expansion = memo[dots] = _expand(tuple(
                     [(outer, (dots & disks).bit_count(), chi)
-                     for outer, disks, chi in pieces])))
+                     for outer, disks, chi in pieces]))
             for mask, c in expansion:
                 acc[mask] = acc.get(mask, 0) + c * cf * cg
     if len(f.terms) == 1 and len(g_terms) == 1:
@@ -414,44 +433,18 @@ def _glue_terms(plan, f: CobMorphism, g: CobMorphism | None = None) -> dict[int,
     return {mask: c for mask, c in sorted(acc.items()) if c}
 
 
-# a side of a factor that carries over unchanged into the output tangle
-_KEEP = ()
-
-
-def _incidences(info: GlueInfo, out: GlueInfo, src_side, tgt_side) -> list[int]:
-    """Output curves met by each curve of one factor's glued diagram `info`,
-    as one bit mask per curve.
-
-    A side is None when the factor is glued along it, `_KEEP` when it
-    carries over unchanged, and otherwise (glued, layer): the output tangle
-    on that side is the GluedTangle `glued`, with the factor's tangle there
-    as its `layer`.
-    """
-    table = [0] * len(info)
-    for side, arc_curve, circle_curve, out_arc, out_circle in (
-            (src_side, info.arc_src_curve, info.circle_src_curve,
-             out.arc_src_curve, out.circle_src_curve),
-            (tgt_side, info.arc_tgt_curve, info.circle_tgt_curve,
-             out.arc_tgt_curve, out.circle_tgt_curve)):
-        if side is None:
-            continue
-        for arc, k in arc_curve.items():
-            kind, val = side[0].arc_map[side[1], arc] if side else ("arc", arc)
-            table[k] |= 1 << (out_arc[val] if kind == "arc" else out_circle[val])
-        for i, k in circle_curve.items():
-            table[k] |= 1 << out_circle[side[0].circle_map[side[1], i] if side else i]
-    return table
-
-
 def _compose_plan(src: FlatTangle, mid: FlatTangle, tgt: FlatTangle):
-    info_f, info_g, out = glue(src, mid), glue(mid, tgt), glue(src, tgt)
-    nf = len(info_f)
-    unions = [(info_f.arc_tgt_curve[arc], nf + info_g.arc_src_curve[arc], 1)
-              for arc in mid.matching.arcs()]
-    unions += [(info_f.circle_tgt_curve[i], nf + info_g.circle_src_curve[i], 0)
-               for i in range(mid.circles)]
-    return (nf, unions, _incidences(info_f, out, _KEEP, None)
-            + _incidences(info_g, out, None, _KEEP))
+    """f: src -> mid under g: mid -> tgt, glued along mid's arcs; each of
+    mid's circles caps a disk of each factor off into a sphere."""
+    f, g, out = glue(src, mid), glue(mid, tgt), glue(src, tgt)
+    m, nf = 2 * src.n, len(f)
+    pieces = _walk(src.matching.pairing, tgt.matching.pairing, mid.matching.pairing,
+                   [1 << a | 1 << nf + b for a, b in zip(f.src[:m], g.src[:m])],
+                   [1 << k for k in out.src[:m]])
+    if src.circles + mid.circles + tgt.circles:
+        pieces += _circles(m, (f.src, 0, out.src, m), (g.tgt, nf, out.tgt, m))
+        pieces += [(0, 1 << a | 1 << nf + b, 2) for a, b in zip(f.tgt[m:], g.src[m:])]
+    return nf, pieces
 
 
 def _compose_terms(g: CobMorphism, f: CobMorphism):
@@ -480,16 +473,25 @@ def compose(g: CobMorphism, f: CobMorphism) -> CobMorphism:
 
 def _stack_plan(f_src: FlatTangle, f_tgt: FlatTangle,
                 g_src: FlatTangle, g_tgt: FlatTangle):
-    n = f_src.n
+    """f (layer 0) on top of g (layer 1): f's bottom point p meets g's top
+    point n + p, and a point meets the output curves its sides land on."""
+    n, m = f_src.n, 2 * f_src.n
     src, tgt = stack_tangles(f_src, g_src), stack_tangles(f_tgt, g_tgt)
-    info_f, info_g = glue(f_src, f_tgt), glue(g_src, g_tgt)
+    f, g = glue(f_src, f_tgt), glue(g_src, g_tgt)
     out = glue(src.tangle, tgt.tangle)
-    nf = len(info_f)
-    # glue at the n middle points: f's bottom point p meets g's top point n+p
-    unions = [(info_f.point_curve[p], nf + info_g.point_curve[n + p], 1)
-              for p in range(n)]
-    return (nf, unions, _incidences(info_f, out, (src, 0), (tgt, 0))
-            + _incidences(info_g, out, (src, 1), (tgt, 1)))
+    nf = len(f)
+    pieces = _walk(
+        [*f_src.matching.pairing, *[m + q for q in g_src.matching.pairing]],
+        [*f_tgt.matching.pairing, *[m + q for q in g_tgt.matching.pairing]],
+        [*range(m + n, 2 * m), *range(n, m + n), *range(n)],
+        [1 << k for k in f.src[:m]] + [1 << nf + k for k in g.src[:m]],
+        [1 << out.src[a] | 1 << out.tgt[b] for a, b in zip(src.lands, tgt.lands)])
+    if f_src.circles + f_tgt.circles + g_src.circles + g_tgt.circles:
+        pieces += _circles(m, (f.src, 0, out.src, src.circle_base[0]),
+                           (f.tgt, 0, out.tgt, tgt.circle_base[0]),
+                           (g.src, nf, out.src, src.circle_base[1]),
+                           (g.tgt, nf, out.tgt, tgt.circle_base[1]))
+    return nf, pieces
 
 
 def _is_collar(m: CobMorphism) -> bool:
@@ -520,26 +522,23 @@ def stack(f: CobMorphism, g: CobMorphism) -> CobMorphism:
 
 @dataclass(frozen=True, eq=False)
 class GluedTangle:
-    """A stacked or traced flat tangle, and where the parts of its layers
-    went: `arc_map` (the matchings' `Glued.arc_map`) sends (layer, arc) to
-    ('arc', arc) or ('circle', i), and `circle_map` sends (layer, circle)
-    to a circle index.  Both are read-only views, since results are cached
-    and shared.  Circles come in the order: new loops, then the circles of
-    each layer from the last (the bottom) up.
+    """A stacked or traced flat tangle, and where the ports of its layers
+    went: `lands` (the matchings' `Glued.lands`) gives the port of `tangle`
+    that each layer point lands on, and circle i of layer l lands on port
+    circle_base[l] + i; circles come as new loops, then each layer's from
+    the last (the bottom) up.  Tuples, since results are cached and shared.
     """
 
     tangle: FlatTangle
-    arc_map: MappingProxyType
-    circle_map: MappingProxyType
+    lands: tuple[int, ...]
+    circle_base: tuple[int, ...]
 
     @classmethod
     def of(cls, info: Glued, *layers: FlatTangle) -> GluedTangle:
-        circle_map, k = {}, info.circles
+        base, k = [0] * len(layers), info.circles
         for layer in reversed(range(len(layers))):
-            for i in range(layers[layer].circles):
-                circle_map[layer, i], k = k, k + 1
-        return cls(FlatTangle(info.result.n, info.result, k), info.arc_map,
-                   MappingProxyType(circle_map))
+            base[layer], k = 2 * info.result.n + k, k + layers[layer].circles
+        return cls(FlatTangle(info.result.n, info.result, k), info.lands, tuple(base))
 
 
 @lru_cache(maxsize=None)
@@ -573,12 +572,18 @@ def juxtapose_tangles(left: FlatTangle, right: FlatTangle):
 
 
 def _trace_plan(f_src: FlatTangle, f_tgt: FlatTangle):
-    n = f_src.n
+    """f with its rightmost strand closed: point n-1 meets point 2n-1."""
+    n, m = f_src.n, 2 * f_src.n
     src, tgt = trace_tangle(f_src), trace_tangle(f_tgt)
-    info = glue(f_src, f_tgt)
-    unions = [(info.point_curve[n - 1], info.point_curve[2 * n - 1], 1)]
-    return (len(info), unions,
-            _incidences(info, glue(src.tangle, tgt.tangle), (src, 0), (tgt, 0)))
+    info, out = glue(f_src, f_tgt), glue(src.tangle, tgt.tangle)
+    closing = [*range(n - 1), m - 1, *range(n, m - 1), n - 1]
+    pieces = _walk(f_src.matching.pairing, f_tgt.matching.pairing, closing,
+                   [1 << k for k in info.src[:m]],
+                   [1 << out.src[a] | 1 << out.tgt[b] for a, b in zip(src.lands, tgt.lands)])
+    if f_src.circles + f_tgt.circles:
+        pieces += _circles(m, (info.src, 0, out.src, src.circle_base[0]),
+                           (info.tgt, 0, out.tgt, tgt.circle_base[0]))
+    return len(info), pieces
 
 
 def partial_trace(f: CobMorphism) -> CobMorphism:
@@ -608,16 +613,12 @@ def _curve_table(info: GlueInfo, info_out: GlueInfo, point_map=None,
     `point_map` (None: unchanged); source and target circles keep their
     index plus `circle_offsets`, and trade sides when `swap_sides`.
     """
-    src_curve, tgt_curve = info_out.circle_src_curve, info_out.circle_tgt_curve
-    if swap_sides:
-        src_curve, tgt_curve = tgt_curve, src_curve
+    m, shift = 2 * info.n, 2 * info_out.n - 2 * info.n
+    sides = (info_out.tgt, info_out.src) if swap_sides else (info_out.src, info_out.tgt)
     table = [0] * len(info)
-    for p, k in info.point_curve.items():
-        table[k] = info_out.point_curve[point_map(p) if point_map else p]
-    for i, k in info.circle_src_curve.items():
-        table[k] = src_curve[i + circle_offsets[0]]
-    for i, k in info.circle_tgt_curve.items():
-        table[k] = tgt_curve[i + circle_offsets[1]]
+    for ports, out, offset in zip((info.src, info.tgt), sides, circle_offsets):
+        for p, k in enumerate(ports):  # points twice: both sides agree on them
+            table[k] = out[(point_map(p) if point_map else p) if p < m else p + shift + offset]
     return table
 
 

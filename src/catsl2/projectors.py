@@ -129,22 +129,21 @@ def q3() -> Complex:
 # ---------------------------------------------------------------------------
 
 def _hook_tangles(n: int):
-    """Cascades D_0 = 1_n, D_k = D_{k-1} over e_{n-k}; also the arcs of the
-    deepest cascade carrying the middle dot map (innermost cap and cup)."""
+    """Cascades D_0 = 1_n, D_k = D_{k-1} over e_{n-k}; also a point of the
+    deepest cascade's innermost cap, which carries the middle dot map."""
     tangles = [FlatTangle.identity(n)]
-    cap_arc = None
+    cap = None
     for k in range(1, n):
         lo = n - k - 1  # 0-indexed left foot of the new hook
         hook = FlatTangle.e(n - k, n)
         st = stack_tangles(tangles[-1], hook)
         if k == n - 1:
-            kind, val = st.arc_map[1, frozenset((n + lo, n + lo + 1))]
-            if kind != "arc":
+            # the hook is layer 1; its cap's left foot is its top point n + lo
+            cap = st.lands[2 * n + n + lo]
+            if cap >= 2 * n:
                 raise InvariantError("the deepest hook's cap closed into a circle")
-            cap_arc = val
         tangles.append(st.tangle)
-    cup_arc = frozenset((0, 1))
-    return tangles, cup_arc, cap_arc
+    return tangles, cap
 
 
 def symmetric_sequence(k_complex: Complex, n: int):
@@ -162,7 +161,7 @@ def symmetric_sequence(k_complex: Complex, n: int):
     """
     if k_complex.n != n - 1:
         raise InvariantError("a symmetric sequence needs K on n - 1 strands")
-    hooks, cup_arc, cap_arc = _hook_tangles(n)
+    hooks, cap = _hook_tangles(n)
     k1 = juxtapose_complexes(k_complex, Complex.identity_complex(1))
     depth = [min(k, 2 * n - 1 - k) for k in range(2 * n)]
     ends = [Complex.from_object(GradedObject(hooks[d], 2 * n - k if k < n else d), n)
@@ -174,7 +173,7 @@ def symmetric_sequence(k_complex: Complex, n: int):
     for k in range(2 * n - 1):
         hook, nxt = hooks[depth[k]], hooks[depth[k + 1]]
         g = (CobMorphism.canonical(hook, nxt) if hook != nxt
-             else _dotted(hook, cap_arc) - _dotted(hook, cup_arc))
+             else _dotted(hook, cap) - _dotted(hook, 0))  # 0 is on the innermost cup
         g_k = ChainMap(ends[k], ends[k + 1], 0, 0, {0: {(0, 0): g}})
         alpha = product_map(raw[k], raw[k + 1], k1, g_k)
         alphas.append(_deloop_map(alpha, pieces[k], pieces[k + 1]))
@@ -214,7 +213,7 @@ def build_qn(n: int, window: int = 12) -> QnBuild:
 @dataclass
 class TruncatedProjector:
     n: int
-    window: int                      # stored degrees reach down to -window
+    window: int                      # exact in degrees >= -window; h_min() is lower
     complex: Complex
     unit: ChainMap                   # 1_n -> complex (inclusion of the top)
     u_maps: dict[int, ChainMap]      # k -> exact cycle of bidegree (2-2k, 2k)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator
 
 from .series import DEFAULT_PRECISION, PrecisionError, TruncatedSeries
@@ -177,10 +176,10 @@ def all_matchings(n: int) -> tuple[Matching, ...]:
 
 # ---------------------------------------------------------------------------
 # Gluing matchings at points: one strand walker for stacking, partial trace
-# and the curves of the cobordism layer, with the provenance of every arc.
+# and the curves of the cobordism layer, with the provenance of every point.
 # ---------------------------------------------------------------------------
 
-def follow(layers, joins, ends, inner) -> tuple[tuple[int, ...], int, dict]:
+def follow(layers, joins, ends, inner) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """Follow strands through matchings glued at points.
 
     `layers` are pairings of m points each; point p of layer i is coded as
@@ -188,8 +187,9 @@ def follow(layers, joins, ends, inner) -> tuple[tuple[int, ...], int, dict]:
     A strand runs between two of the `ends`, which become the result's
     labels 0, 1, ... in order; every other curve is a closed loop, numbered
     in the order of the first of the `inner` points on it.  Returns the
-    result pairing, the loop count and a dict sending each (layer, arc) to
-    ('arc', result arc) or ('circle', k).
+    result pairing, the loop count and `lands`: for each coded point, the
+    port of the result its curve lands on (ports: labels, then loops), the
+    smaller label of its strand or len(ends) + k on loop k.
     """
     m = len(layers[0])
     mate = [i * m + q for i, pairing in enumerate(layers) for q in pairing]
@@ -198,42 +198,40 @@ def follow(layers, joins, ends, inner) -> tuple[tuple[int, ...], int, dict]:
         hop[a], hop[b] = b, a
     label = dict(zip(ends, range(len(ends))))
     pairing = [0] * len(ends)
-    done = [False] * len(mate)
-    where: dict = {}
+    lands: list = [None] * len(mate)
     loops = 0
-    for start in (*ends, *inner):
-        if done[start]:
+    for i, start in enumerate((*ends, *inner)):
+        if lands[start] is not None:
             continue
-        arcs, p = [], start
+        # ends come first, in label order: a walk from an end starts at its
+        # strand's smaller label, and a walk from an inner point is a loop
+        port = i if i < len(ends) else len(ends) + loops
+        p = start
         while True:
             q = mate[p]
-            done[p] = done[q] = True
-            layer = p // m
-            arcs.append((layer, Arc((p - layer * m, q - layer * m))))
+            lands[p] = lands[q] = port
             p = hop[q]
             if p < 0 or p == start:
                 break
         if p < 0:
-            a, b = label[start], label[q]
-            pairing[a], pairing[b] = b, a
-            place = ("arc", Arc((a, b)))
+            pairing[port], pairing[label[q]] = label[q], port
         else:
-            place, loops = ("circle", loops), loops + 1
-        where.update(dict.fromkeys(arcs, place))
-    return tuple(pairing), loops, where
+            loops += 1
+    return tuple(pairing), loops, tuple(lands)
 
 
 @dataclass(frozen=True, eq=False)
 class Glued:
-    """The matching made by gluing matchings, and where their arcs went.
-
-    `arc_map`, a read-only view (results are cached and shared), sends
-    (layer, arc) to ('arc', arc of `result`) or ('circle', k), k < circles.
+    """The matching made by gluing matchings, and where their points went:
+    `lands[i * m + p]` is the port of `result` that point p of layer i lands
+    on, a point of `result` (the smaller end of its strand) or, from
+    2 * result.n on, one of the `circles` new loops.  A tuple, so the cached
+    result can be shared.
     """
 
     result: Matching
     circles: int
-    arc_map: MappingProxyType
+    lands: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -245,10 +243,10 @@ def stack_matchings(top: Matching, bottom: Matching) -> Glued:
     n, m = top.n, 2 * top.n
     # top's bottom point j meets bottom's top point n + j; the result keeps
     # bottom's bottom points and top's top points
-    pairing, loops, where = follow(
+    pairing, loops, lands = follow(
         (top.pairing, bottom.pairing), [(j, m + n + j) for j in range(n)],
         [*range(m, m + n), *range(n, m)], range(n))
-    return Glued(Matching(n, pairing), loops, MappingProxyType(where))
+    return Glued(Matching(n, pairing), loops, lands)
 
 
 @lru_cache(maxsize=None)
@@ -259,9 +257,9 @@ def trace_matching(m: Matching) -> Glued:
     if n < 1:
         raise InvariantError("cannot trace on zero strands")
     lo, hi = n - 1, 2 * n - 1
-    pairing, loops, where = follow((m.pairing,), [(lo, hi)],
+    pairing, loops, lands = follow((m.pairing,), [(lo, hi)],
                                    [*range(lo), *range(n, hi)], (lo,))
-    return Glued(Matching(n - 1, pairing), loops, MappingProxyType(where))
+    return Glued(Matching(n - 1, pairing), loops, lands)
 
 
 def juxtapose_matchings(left: Matching, right: Matching) -> tuple[Matching, dict]:

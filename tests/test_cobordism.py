@@ -5,11 +5,11 @@ import pytest
 
 from catsl2 import cobordism, tl
 from catsl2.cobordism import (CobMorphism, FlatTangle, InvariantError,
-                              _compose_plan, _merge, _merged_plan, _stack_plan,
+                              _compose_plan, _merged_plan, _stack_plan,
                               _trace_plan, compose, dual, glue, juxtapose,
                               partial_trace, reduce_components, reflect,
                               rotate, stack, stack_tangles, trace_tangle)
-from catsl2.tl import Matching, all_matchings, stack_matchings, trace_matching
+from catsl2.tl import Arc, Matching, all_matchings, stack_matchings, trace_matching
 
 
 def rand_tangle(rng, n, circ_max=1):
@@ -36,24 +36,24 @@ def rand_multi(rng, src, tgt, max_terms=3):
 def test_glue_curves_examples():
     # curves of bottom u mirror(top) are numbered by their smallest point
     one2, e = FlatTangle.identity(2), FlatTangle.e(1, 2)
-    assert glue(one2, one2).point_curve == {0: 0, 2: 0, 1: 1, 3: 1}
-    assert glue(e, e).point_curve == {0: 0, 1: 0, 2: 1, 3: 1}
-    assert glue(e, one2).point_curve == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert glue(one2, one2).src == [0, 1, 0, 1]
+    assert glue(e, e).src == [0, 0, 1, 1]
+    assert glue(e, one2).src == [0, 0, 0, 0]
     with pytest.raises(InvariantError):
         glue(one2, FlatTangle.identity(3))
 
 
 # layer keys and circle lookups of the provenance that stack_tangles and
-# trace_tangle return
+# trace_tangle return: circle i of a layer lands on port circle_base + i
 TOP, BOTTOM = 0, 1
 
 
 def stacked_circle(st, layer, i):
-    return st.circle_map[(layer, i)]
+    return st.circle_base[layer] + i - 2 * st.tangle.n
 
 
 def traced_circle(tr, i):
-    return tr.circle_map[0, i]
+    return tr.circle_base[0] + i - 2 * tr.tangle.n
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -81,12 +81,13 @@ def test_glue_against_union_find_oracle(n):
         k = len(curves)
         info = glue(s, t)
         assert len(info) == k + s.circles + t.circles
-        assert info.point_curve == index
-        assert info.arc_src_curve == {a: index[min(a)] for a in s.matching.arcs()}
-        assert info.arc_tgt_curve == {a: index[min(a)] for a in t.matching.arcs()}
-        assert info.circle_src_curve == {i: k + i for i in range(s.circles)}
-        assert info.circle_tgt_curve == {i: k + s.circles + i
-                                         for i in range(t.circles)}
+        points = [index[p] for p in range(2 * n)]
+        assert info.src == points + [k + i for i in range(s.circles)]
+        assert info.tgt == points + [k + s.circles + i for i in range(t.circles)]
+        # both ends of an arc lie on the curve of its smaller end
+        for side, tangle in ((info.src, s), (info.tgt, t)):
+            for arc in tangle.matching.arcs():
+                assert {side[p] for p in arc} == {index[min(arc)]}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -101,20 +102,20 @@ def test_stacked_and_traced_tangles_keep_matching_provenance(n):
         loops = info.circles
         assert st.tangle == FlatTangle(n, info.result,
                                        loops + bottom.circles + top.circles)
-        assert dict(st.arc_map) == dict(info.arc_map)
+        assert st.lands == info.lands
         for i in range(bottom.circles):
             assert stacked_circle(st, BOTTOM, i) == loops + i
         for i in range(top.circles):
             assert stacked_circle(st, TOP, i) == loops + bottom.circles + i
-        assert len(st.circle_map) == bottom.circles + top.circles
+        assert len(st.circle_base) == 2
     for t in tangles:
         tr, info = trace_tangle(t), trace_matching(t.matching)
-        closed = int(("circle", 0) in info.arc_map.values())
+        closed = int(2 * (n - 1) in info.lands)
         assert tr.tangle == FlatTangle(n - 1, info.result, t.circles + closed)
-        assert dict(tr.arc_map) == dict(info.arc_map)
+        assert tr.lands == info.lands
         assert [traced_circle(tr, i) for i in range(t.circles)] == \
             [closed + i for i in range(t.circles)]
-        assert len(tr.circle_map) == t.circles
+        assert len(tr.circle_base) == 1
 
 
 def test_reduce_neck_cutting_rules():
@@ -223,11 +224,68 @@ def test_partial_trace_functorial(rng):
             assert tf.deg_raw() == f.deg_raw()
 
 
-def fresh_glue(build, tangles, f, g=None) -> dict[int, int]:
-    """Reference gluing without any memo: a freshly merged plan, and every
-    term pair of f and g run through its pieces and reduce_components."""
-    n_f, unions, incidences = build(*tangles)
-    pieces = _merge(unions, incidences)
+def _landing(glued, layer, port, m):
+    """The port of a stacked or traced tangle that port `port` of a layer of
+    m points lands on."""
+    if port < m:
+        return glued.lands[layer * m + port]
+    return glued.circle_base[layer] + port - m
+
+
+def reference_plan(op, tangles):
+    """(n_f, unions, incidences) of a gluing, built disk by disk: unions
+    [(a, b, chi cost)] join the factors' disks along shared boundary (an
+    arc costs 1, a circle 0), and incidences[d] is the set of output
+    curves disk d meets, read port by port off the factor sides."""
+    if op == "compose":
+        src, mid, tgt = tangles
+        f, g, out = glue(src, mid), glue(mid, tgt), glue(src, tgt)
+        m, nf = 2 * src.n, len(f)
+        unions = [(f.tgt[min(arc)], nf + g.src[min(arc)], 1)
+                  for arc in mid.matching.arcs()]
+        unions += [(f.tgt[m + i], nf + g.src[m + i], 0) for i in range(mid.circles)]
+        incidences = [set() for _ in range(nf + len(g))]
+        for p, k in enumerate(f.src):
+            incidences[k].add(out.src[p])
+        for p, k in enumerate(g.tgt):
+            incidences[nf + k].add(out.tgt[p])
+        return nf, unions, incidences
+    if op == "stack":
+        f_src, f_tgt, g_src, g_tgt = tangles
+        sides = (stack_tangles(f_src, g_src), stack_tangles(f_tgt, g_tgt))
+        factors = (glue(f_src, f_tgt), glue(g_src, g_tgt))
+    else:
+        sides = (trace_tangle(tangles[0]), trace_tangle(tangles[1]))
+        factors = (glue(*tangles),)
+    n = tangles[0].n
+    out = glue(sides[0].tangle, sides[1].tangle)
+    nf = len(factors[0])
+    if op == "stack":  # f's bottom point p meets g's top point n + p
+        unions = [(factors[0].src[p], nf + factors[1].src[n + p], 1) for p in range(n)]
+    else:  # point n-1 meets point 2n-1
+        unions = [(factors[0].src[n - 1], factors[0].src[2 * n - 1], 1)]
+    incidences = [set() for _ in range(sum(map(len, factors)))]
+    for layer, info in enumerate(factors):
+        shift = layer * nf
+        for ports, glued, out_ports in ((info.src, sides[0], out.src),
+                                        (info.tgt, sides[1], out.tgt)):
+            for p, k in enumerate(ports):
+                incidences[shift + k].add(out_ports[_landing(glued, layer, p, 2 * n)])
+    return nf, unions, incidences
+
+
+def reference_pieces(op, tangles):
+    """n_f and the pieces of a gluing from `reference_merge`, outer curves
+    as bit masks."""
+    n_f, unions, incidences = reference_plan(op, tangles)
+    return n_f, [(sum(1 << c for c in outer), disks, chi)
+                 for outer, disks, chi in reference_merge(unions, incidences)]
+
+
+def fresh_glue(op, tangles, f, g=None) -> dict[int, int]:
+    """Reference gluing without any memo: the reference pieces, and every
+    term pair of f and g run through them and reduce_components."""
+    n_f, pieces = reference_pieces(op, tangles)
     acc: dict[int, int] = {}
     for mf, cf in f.terms.items():
         for mg, cg in (g.terms.items() if g is not None else [(0, 1)]):
@@ -240,9 +298,11 @@ def fresh_glue(build, tangles, f, g=None) -> dict[int, int]:
 
 
 def test_glue_memo_matches_fresh_reduction(rng):
+    # up to 4 strands and 2 circles on every side, so the plans' circle
+    # pieces (which no benchmark plan has) are reached
     for _ in range(150):
-        n = rng.randrange(1, 4)
-        a, b, c, d = (rand_tangle(rng, n) for _ in range(4))
+        n = rng.randrange(1, 5)
+        a, b, c, d = (rand_tangle(rng, n, 2) for _ in range(4))
         _merged_plan.cache_clear()
         assert _merged_plan(_compose_plan, a, b, c)[2] == {}
         stacked = (stack_tangles(a, c).tangle, stack_tangles(b, d).tangle)
@@ -253,17 +313,17 @@ def test_glue_memo_matches_fresh_reduction(rng):
         # more, meet the same plans with other term pairs in their memos
         for f, g, h in triples + triples[:1]:
             assert compose(g, f) == CobMorphism(
-                a, c, fresh_glue(_compose_plan, (a, b, c), f, g))
+                a, c, fresh_glue("compose", (a, b, c), f, g))
             assert stack(f, h) == CobMorphism(
-                *stacked, fresh_glue(_stack_plan, (a, b, c, d), f, h))
+                *stacked, fresh_glue("stack", (a, b, c, d), f, h))
             assert partial_trace(f) == CobMorphism(
-                *traced, fresh_glue(_trace_plan, (a, b), f))
+                *traced, fresh_glue("trace", (a, b), f))
         assert _merged_plan(_trace_plan, a, b)[2]
 
 
 def reference_merge(unions, incidences):
-    """The set-based merge that `_merge` replaced: each disk meets a set of
-    outer curves, and a piece's outer curves come out as a sorted tuple."""
+    """The set-based union-find merge: each disk meets a set of outer
+    curves, and a piece's outer curves come out as a sorted tuple."""
     parent = list(range(len(incidences)))
 
     def find(d):
@@ -284,28 +344,21 @@ def reference_merge(unions, incidences):
     return [(tuple(sorted(outer)), disks, chi) for outer, disks, chi in pieces.values()]
 
 
-def _random_plans(rng):
-    """Plans of the three builders on random tangles, and random plans."""
-    for _ in range(40):
-        n = rng.randrange(1, 4)
-        a, b, c, d = (rand_tangle(rng, n) for _ in range(4))
-        yield _compose_plan(a, b, c)
-        yield _stack_plan(a, b, c, d)
-        yield _trace_plan(a, b)
-    for _ in range(200):
-        disks = rng.randrange(1, 9)
-        incidences = [rng.randrange(1 << 6) for _ in range(disks)]
-        unions = [(rng.randrange(disks), rng.randrange(disks), rng.randrange(2))
-                  for _ in range(rng.randrange(disks + 2))]
-        yield disks, unions, incidences
-
-
-def test_mask_merge_matches_set_based_reference(rng):
-    for _, unions, incidences in _random_plans(rng):
-        as_sets = [{c for c in range(m.bit_length()) if m >> c & 1} for m in incidences]
-        reference = [(sum(1 << c for c in outer), disks, chi)
-                     for outer, disks, chi in reference_merge(unions, as_sets)]
-        assert _merge(unions, incidences) == reference
+def test_plan_pieces_match_set_based_reference(rng):
+    # the one-walk pieces of each plan builder against the union-find over
+    # sets, as multisets (the walk's piece order is its own)
+    builders = {"compose": _compose_plan, "stack": _stack_plan, "trace": _trace_plan}
+    for _ in range(150):
+        n = rng.randrange(5)
+        a, b, c, d = (rand_tangle(rng, n, 2) for _ in range(4))
+        for op, tangles in (("compose", (a, b, c)), ("stack", (a, b, c, d)),
+                            ("trace", (a, b))):
+            if op == "trace" and n == 0:
+                continue
+            n_f, pieces = builders[op](*tangles)
+            ref_n_f, reference = reference_pieces(op, tangles)
+            assert n_f == ref_n_f
+            assert sorted(pieces) == sorted(reference)
 
 
 def test_stack_against_a_collar_returns_the_other_factor(rng):
@@ -321,7 +374,7 @@ def test_stack_against_a_collar_returns_the_other_factor(rng):
             stacked = (stack_tangles(top.src, bottom.src).tangle,
                        stack_tangles(top.tgt, bottom.tgt).tangle)
             expected = CobMorphism(*stacked, fresh_glue(
-                _stack_plan, (top.src, top.tgt, bottom.src, bottom.tgt), top, bottom))
+                "stack", (top.src, top.tgt, bottom.src, bottom.tgt), top, bottom))
             assert stack(top, bottom) == expected
         assert stack(collar, m) is m and stack(m, collar) is m
     # a circle or another matching is no collar
@@ -370,14 +423,40 @@ def test_cached_provenance_is_read_only():
     e1, e2 = FlatTangle.e(1, 3), FlatTangle(3, Matching.e(2, 3), 1)
     st, tr = stack_tangles(e1, e2), trace_tangle(e2)
     assert st is stack_tangles(e1, e2) and tr is trace_tangle(e2)
-    # the tangle-level arc maps are the matchings' cached ones, not copies
-    assert st.arc_map is stack_matchings(e1.matching, e2.matching).arc_map
-    assert tr.arc_map is trace_matching(e2.matching).arc_map
-    for mapping in (st.arc_map, st.circle_map, tr.arc_map, tr.circle_map):
-        before = dict(mapping)
+    # the tangle-level point arrays are the matchings' cached ones, not copies
+    assert st.lands is stack_matchings(e1.matching, e2.matching).lands
+    assert tr.lands is trace_matching(e2.matching).lands
+    for array in (st.lands, st.circle_base, tr.lands, tr.circle_base):
+        before = tuple(array)
         with pytest.raises(TypeError):
-            mapping[0, frozenset((0, 1))] = ("circle", 9)
-        assert dict(mapping) == before
+            array[0] = 9
+        assert tuple(array) == before
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_dotted_identity_at_the_public_edge(n):
+    """A point, either end of an Arc and the Arc itself dot the same sheet;
+    ('circle', i) dots circle i's cylinder; anything else is rejected."""
+    for mt in all_matchings(n):
+        for circles in (0, 1, 2):
+            t = FlatTangle(n, mt, circles)
+            info = glue(t, t)
+            for a, b in (sorted(arc) for arc in mt.arcs()):
+                dotted = CobMorphism.dotted_identity(t, a)
+                assert CobMorphism.dotted_identity(t, b) == dotted
+                assert CobMorphism.dotted_identity(t, Arc((a, b))) == dotted
+                assert dotted.deg_raw() == CobMorphism.identity(t).deg_raw() + 2
+            for i in range(circles):
+                dotted = CobMorphism.dotted_identity(t, ("circle", i))
+                cylinder = 1 << info.src[2 * n + i] | 1 << info.tgt[2 * n + i]
+                assert dotted.terms and all(m & cylinder == cylinder
+                                            for m in dotted.terms)
+            bad = [2 * n, -1, ("circle", circles), ("circle", -1)]
+            bad += [Arc((p, q)) for p in range(2 * n) for q in range(p + 1, 2 * n)
+                    if mt.pairing[p] != q]
+            for where in bad:
+                with pytest.raises(ValueError):
+                    CobMorphism.dotted_identity(t, where)
 
 
 def clear_intern_caches():

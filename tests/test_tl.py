@@ -10,16 +10,26 @@ from catsl2.tl import (Matching, TLElement, all_matchings, closure_evaluate,
 
 
 # layer keys and lookups of the provenance that stack_matchings and
-# trace_matching return
+# trace_matching return: the port a layer point lands on, read as
+# ('arc', result arc) or ('circle', k)
 TOP, BOTTOM = 0, 1
 
 
-def stack_where(info, layer, arc):
-    return info.arc_map[(layer, arc)]
+def _place(info, x):
+    port, m = info.lands[x], len(info.result.pairing)
+    if port >= m:
+        return ("circle", port - m)
+    # a strand lands on its smaller end
+    assert port < info.result.pairing[port]
+    return ("arc", frozenset((port, info.result.pairing[port])))
 
 
-def trace_where(info, arc):
-    return info.arc_map[0, arc]
+def stack_where(info, layer, p):
+    return _place(info, layer * 2 * info.result.n + p)
+
+
+def trace_where(info, p):
+    return _place(info, p)
 
 
 def trace_loops(info):
@@ -81,10 +91,10 @@ def test_stacking_against_union_find_oracle(n):
             [m + p for p in range(n)] + [n + t for t in range(n)], range(n))
         assert info.result.pairing == pairing
         assert info.circles == loops
-        assert len(info.arc_map) == 2 * n
-        for layer, mt, base in ((TOP, top, 0), (BOTTOM, bottom, m)):
-            for arc in mt.arcs():
-                assert stack_where(info, layer, arc) == where(base + min(arc))
+        assert len(info.lands) == 2 * m
+        for layer, base in ((TOP, 0), (BOTTOM, m)):
+            for p in range(m):
+                assert stack_where(info, layer, p) == where(base + p)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -98,9 +108,9 @@ def test_trace_against_union_find_oracle(n):
             [p for p in range(2 * n) if p not in (lo, hi)], [lo])
         assert info.result.pairing == pairing
         assert trace_loops(info) == loops
-        assert len(info.arc_map) == n
-        for arc in mt.arcs():
-            assert trace_where(info, arc) == where(min(arc))
+        assert len(info.lands) == 2 * n
+        for p in range(2 * n):
+            assert trace_where(info, p) == where(p)
 
 
 def test_matching_counts_are_catalan():
