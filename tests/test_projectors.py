@@ -195,7 +195,12 @@ def test_truncated_p2_normal_form_and_unit():
     assert turnback_check(p2.complex, valid_h_min=-7)["kills_turnbacks"]
 
 
-@pytest.mark.parametrize("n, window", [(2, 4), (2, 8), (2, 15), (3, 4), (3, 8)])
+def test_p2_window_grows_with_request():
+    deep = truncated_pn(2, 15)
+    assert deep.complex.h_min() <= -15
+
+
+@pytest.mark.parametrize("n, window", [(2, 4), (2, 8), (3, 4), (3, 8)])
 def test_stored_degrees_reach_below_the_window(n, window):
     # the window is where the truncation is exact; the stored whole copies
     # reach further down
