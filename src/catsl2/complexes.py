@@ -11,17 +11,17 @@ convention.  The terms of their morphisms cannot be changed at all:
 the cached identity-like morphisms.
 
 Integer matrices over the dotted-disk basis (HOM complexes, the maps that
-chain maps induce on them, the convolution solver's systems) take their
-labels from `_hom_basis` and their columns from `_hom_columns`.
+chain maps induce on them, the convolution solver's systems) are lists of
+sparse rows, dicts from column to entry; they take their labels from
+`_hom_basis` and their columns from `_hom_columns`.
 """
 
 from __future__ import annotations
 
 import os
-from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import product
+from itertools import groupby, product
 
 from .cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantError,
                         _compose_terms, dual as dual_morphism, glue,
@@ -941,32 +941,35 @@ def cone(f: ChainMap) -> Complex:
 # ---------------------------------------------------------------------------
 
 class ZComplex:
-    """Bigraded free Z-complex with differential of bidegree (1, 0)."""
+    """Bigraded free Z-complex with differential of bidegree (1, 0).
+
+    diffs[(i, j)] holds one sparse row per label of (i + 1, j), a dict from
+    column (< rank(i, j)) to nonzero int; the constructor keeps the rows
+    given, less stored zeros and all-zero matrices."""
 
     __slots__ = ("groups", "diffs")
 
     def __init__(self, groups: dict[tuple[int, int], list],
-                 diffs: dict[tuple[int, int], list[list[int]]]):
+                 diffs: dict[tuple[int, int], list[dict[int, int]]]):
         self.groups = {k: list(v) for k, v in sorted(groups.items()) if v}
-        self.diffs = {k: m for k, m in sorted(diffs.items())
-                      if any(any(row) for row in m)}
+        self.diffs = {}
+        for key, m in sorted(diffs.items()):
+            rows = [row if all(row.values()) else {c: x for c, x in row.items() if x}
+                    for row in m]
+            if any(rows):
+                self.diffs[key] = rows
 
     def rank(self, i: int, j: int) -> int:
         return len(self.groups.get((i, j), []))
 
     def check(self) -> None:
-        """d^2 = 0, over the nonzeros of each pair of consecutive matrices."""
+        """d^2 = 0: each row of the next matrix times the rows of this one."""
         for (i, j), m in self.diffs.items():
-            nxt = self.diffs.get((i + 1, j))
-            if nxt is None:
-                continue
-            # nonzeros of nxt by column: r -> [(s, nxt[s][r])]
-            nxt_cols = [[(s, y) for s, y in enumerate(col) if y] for col in zip(*nxt)]
-            for col in zip(*m):
+            for row in self.diffs.get((i + 1, j), ()):
                 out: dict[int, int] = {}
-                for r, x in [(r, x) for r, x in enumerate(col) if x]:
-                    for s, y in nxt_cols[r]:
-                        out[s] = out.get(s, 0) + x * y
+                for r, y in row.items():
+                    for c, x in m[r].items():
+                        out[c] = out.get(c, 0) + y * x
                 if any(out.values()):
                     raise InvariantError(f"d^2 != 0 at {(i, j)}")
 
@@ -1011,53 +1014,67 @@ def _hom_basis(a: Complex, b: Complex, only: tuple[int, int] | None = None):
 
 
 def _hom_columns(matrix, col0: int, a: Complex, b: Complex, i: int, basis,
-                 after=(), before=()) -> bool:
-    """Add to column col0 + c of a matrix (rows as dense lists or as
-    int-defaulting dicts) the composites of the c-th label
-    (k, ia, ib, mask) of HOM^i(a, b), read as a one-term morphism x.  Each
-    side is (lines, rows, scale): `after` lines are block columns (see
-    `_lines`), and each g on the one out of x's target adds scale (g o x) at
-    rows (k, ia, row of g, mask); `before` lines are block rows, and each g
-    on the one into x's source adds scale (x o g) at rows (k - 1, column of
-    g, ib, mask).  Labels not in rows are skipped.  Terms come off
-    `_compose_terms`, canonical, so none is zero.  Returns whether any entry
-    was touched."""
+                 after, before, seen: dict) -> bool:
+    """Add to column col0 + c of `matrix` (sparse rows, dicts from column to
+    entry) the composites of the c-th label (k, ia, ib, mask) of HOM^i(a, b),
+    read as a one-term morphism x.  Each side is (lines, rows, scale):
+    `after` lines are block columns (see `_lines`), and each g on the one
+    out of x's target adds scale (g o x) at rows (k, ia, row of g, mask);
+    `before` lines are block rows, and each g on the one into x's source
+    adds scale (x o g) at rows (k - 1, column of g, ib, mask).  Labels not
+    in rows are skipped.  Returns whether any entry was touched.
+
+    Terms come off `_compose_terms`, canonical, so a composite that cancels
+    touches nothing.  A composite depends only on g, the side, x's ends and
+    mask, and one g meets every object of the other complex, so `seen` (one
+    dict for all of a caller's calls) keeps it by (id(g), id(src), id(tgt),
+    side), then mask; a, b and the lines hold those objects.  Labels come in
+    runs that share (k, ia, ib), and the lines are read once per run."""
     touched = False
-    for c, (k, ia, ib, mask) in enumerate(basis, col0):
-        x = CobMorphism._from_canonical(a.objects[k][ia].tangle,
-                                        b.objects[k + i][ib].tangle, {mask: 1})
-        composites = [((k, ia, i2), rows, scale, _compose_terms(g, x))
-                      for lines, rows, scale in after
-                      for i2, g in lines.get(k + i, {}).get(ib, {}).items()]
-        composites += [((k - 1, j2, ib), rows, scale, _compose_terms(x, g))
-                       for lines, rows, scale in before
-                       for j2, g in lines.get(k - 1, {}).get(ia, {}).items()]
-        for head, rows, scale, (terms, factor) in composites:
-            factor = scale if factor is None else scale * factor
-            for mask2, coeff in terms.items():
-                row = rows.get((*head, mask2))
-                if row is not None:
-                    matrix[row][c] += factor * coeff
-                    touched = True
+    for (k, ia, ib), run in groupby(enumerate(basis, col0), key=lambda cl: cl[1][:3]):
+        masks = [(c, lab[3]) for c, lab in run]
+        src, tgt = a.objects[k][ia].tangle, b.objects[k + i][ib].tangle
+        sides = [(k, ia, i2, rows, scale, g, True) for lines, rows, scale in after
+                 for i2, g in lines.get(k + i, {}).get(ib, {}).items()]
+        sides += [(k - 1, j2, ib, rows, scale, g, False) for lines, rows, scale in before
+                  for j2, g in lines.get(k - 1, {}).get(ia, {}).items()]
+        for h0, h1, h2, rows, scale, g, g_after in sides:
+            outs = seen.get(key := (id(g), id(src), id(tgt), g_after))
+            if outs is None:
+                outs = seen[key] = {}
+            for c, mask in masks:
+                out = outs.get(mask)
+                if out is None:
+                    x = CobMorphism._from_canonical(src, tgt, {mask: 1})
+                    terms, f = _compose_terms(g, x) if g_after else _compose_terms(x, g)
+                    out = outs[mask] = list(terms.items()) if f is None else \
+                        [(m, f * v) for m, v in terms.items()]
+                for m, v in out:
+                    r = rows.get((h0, h1, h2, m))
+                    if r is not None:
+                        row = matrix[r]
+                        row[c] = row.get(c, 0) + scale * v
+                        touched = True
     return touched
 
 
 def hom_complex(a: Complex, b: Complex) -> ZComplex:
-    """HOM(a, b) as integer matrices over the dotted-disk basis.
+    """HOM(a, b) as sparse integer rows over the dotted-disk basis.
 
     The differential is f -> d_b o f - (-1)^deg_h(f) f o d_a.
     """
     groups = _hom_basis(a, b)
     b_cols, a_rows = _lines(b.diff), _lines(a.diff, by_row=True)
-    diffs: dict[tuple[int, int], list[list[int]]] = {}
+    diffs: dict[tuple[int, int], list[dict[int, int]]] = {}
+    seen: dict = {}
     for (i, j), basis in groups.items():
         tgt = {lab: r for r, lab in enumerate(groups.get((i + 1, j), ()))}
         if not tgt:
             continue
-        matrix = [[0] * len(basis) for _ in range(len(tgt))]
-        _hom_columns(matrix, 0, a, b, i, basis, [(b_cols, tgt, 1)],
-                     [(a_rows, tgt, 1 if i % 2 else -1)])
-        diffs[(i, j)] = matrix
+        rows = [{} for _ in tgt]
+        _hom_columns(rows, 0, a, b, i, basis, [(b_cols, tgt, 1)],
+                     [(a_rows, tgt, 1 if i % 2 else -1)], seen)
+        diffs[(i, j)] = rows
     return ZComplex(groups, diffs)
 
 
@@ -1164,15 +1181,15 @@ def _attach_piece(pieces, offs, comps, k, min_total_degree):
 
     # X_j meets d on E_j and each block D_{j2,j} after it, d on E_k before;
     # one sparse row per equation
-    matrix = [defaultdict(int) for _ in range(n_rows)]
+    matrix = [{} for _ in range(n_rows)]
     src_rows = _lines(src.diff, by_row=True)
-    col0 = 0
+    col0, seen = 0, {}
     for j, basis in unknowns.items():
         after = [(_lines(pieces[j].diff), rows[j], -1 if offs[j] % 2 else 1)]
         after += [(_lines(comps[(j2, j)]), rows[j2], 1)
                   for j2 in range(j + 1, m) if (j2, j) in comps]
         _hom_columns(matrix, col0, src, pieces[j], k + 1 - j, basis, after,
-                     [(src_rows, rows[j], sign_k)])
+                     [(src_rows, rows[j], sign_k)], seen)
         col0 += len(basis)
     sol = solve_integer(matrix, col0, rhs)
     if sol is None:

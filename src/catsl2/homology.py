@@ -2,27 +2,31 @@
 
 Every factorization is one `_eliminate`, in place, over sparse rows of D:
 dicts from column to nonzero Python int (arbitrary precision) plus a column
-count, where swaps only permute position arrays.  Dense lists of lists exist
-only at the public entry points `smith_normal_form`, `invariant_factors`,
-`kernel_basis` and `solve_all`, which convert once; `solve_integer`, the
-convolution solver's, takes sparse rows.  The pivot is the smallest nonzero
-|x| of the remaining block, ties going to the first row and then the first
-column in the current order (to limit entry growth).  Pivots depend on D
-alone; each row (column) operation also acts on that row's (column's)
-companion, so callers carry only what they read: `smith_normal_form` U's
-rows and V's columns, `invariant_factors` nothing, `kernel_basis` V's
-columns, and `solve_all` and `solve_integer` V's columns and the right-hand
-sides as row companions (U B without U).  U and V stay exact results: the
-operations are those of the dense row-major algorithm the sparse one
-replaced, in its order, and tests/goldens/snf.json pins (U, D, V).
+count, where swaps only permute position arrays.  HOM complexes stay sparse
+rows from the composites on (see `ZComplex`): `invariant_factors` and
+`solve_integer` take rows and a column count, and `homology_mod_p`
+eliminates over rows too.  Dense lists of lists exist only at the entry
+points `smith_normal_form`, `kernel_basis` and `solve_all`, which convert
+once; `homology_generators` and `induced_map_on_homology` densify each
+matrix they read at most once to call them.  The pivot is the smallest
+nonzero |x| of the remaining block, ties going to the first row and then
+the first column in the current order (to limit entry growth).  Pivots
+depend on D alone; each row (column) operation also acts on that row's
+(column's) companion, so callers carry only what they read:
+`smith_normal_form` U's rows and V's columns, `invariant_factors` nothing,
+`kernel_basis` V's columns, and `solve_all` and `solve_integer` V's
+columns and the right-hand sides as row companions (U B without U).  U and
+V stay exact results: the operations are those of the dense row-major
+algorithm the sparse one replaced, in its order, and tests/goldens/snf.json
+pins (U, D, V).
 
 Bigraded homology comes from invariant factors: for C_{i-1} --A--> C_i --B-->
 C_{i+1} with BA = 0, H_i = Z^(n_i - rank B - rank A) plus Z/d for each
 invariant factor d > 1 of A, because ker B is a saturated sublattice that
-contains im A.  `integer_homology` therefore factors each nonzero differential
-once.  Ranks and factors exist for any pair of matrices, so it checks d^2 = 0
-first.  `homology_generators`, which needs generators and not only orders,
-takes kernel mod image in its one bidegree.
+contains im A.  `integer_homology` therefore factors a copy of each nonzero
+differential's rows once.  Ranks and factors exist for any pair of
+matrices, so it checks d^2 = 0 first.  `homology_generators`, which needs
+generators and not only orders, takes kernel mod image in its one bidegree.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ def _sparse(matrix: list[list[int]]) -> tuple[list[dict], int]:
     """A dense matrix as the kernel takes it: sparse rows and a column count."""
     return ([{c: int(x) for c, x in enumerate(row) if x} for row in matrix],
             len(matrix[0]) if matrix else 0)
+
+
+def _dense(rows: list[dict], cols: int) -> list[list[int]]:
+    """Sparse rows with `cols` columns as a dense matrix."""
+    return [[row.get(c, 0) for c in range(cols)] for row in rows]
 
 
 def _eliminate(d: list[dict], cols: int, u: list[dict] | None = None,
@@ -165,11 +174,12 @@ def smith_normal_form(matrix: list[list[int]]):
             [[v[c].get(k, 0) for c in col_at] for k in range(cols)])
 
 
-def invariant_factors(matrix: list[list[int]]) -> list[int]:
-    """The nonzero diagonal of the Smith normal form, d1 | d2 | ... ."""
-    d, cols = _sparse(matrix)
-    row_at, col_at, rank = _eliminate(d, cols)
-    return [d[row_at[t]][col_at[t]] for t in range(rank)]
+def invariant_factors(rows: list[dict], cols: int) -> list[int]:
+    """The nonzero diagonal of the Smith normal form, d1 | d2 | ..., of M as
+    sparse rows (no stored zero) with `cols` columns; it eliminates the rows
+    in place, so a caller that keeps them passes copies."""
+    row_at, col_at, rank = _eliminate(rows, cols)
+    return [rows[row_at[t]][col_at[t]] for t in range(rank)]
 
 
 def kernel_basis(matrix: list[list[int]]) -> list[list[int]]:
@@ -281,7 +291,8 @@ def integer_homology(z: ZComplex) -> BigradedGroups:
     d^2 = 0 is checked first.
     """
     z.check()
-    factors = {key: invariant_factors(m) for key, m in z.diffs.items()}
+    factors = {(i, j): invariant_factors([dict(row) for row in m], z.rank(i, j))
+               for (i, j), m in z.diffs.items()}
     out = BigradedGroups()
     for (i, j) in sorted(z.groups):
         a, b = factors.get((i - 1, j), ()), factors.get((i, j), ())
@@ -292,24 +303,25 @@ def integer_homology(z: ZComplex) -> BigradedGroups:
 def homology_mod_p(z: ZComplex, p: int) -> dict[tuple[int, int], int]:
     """Dimensions of homology with F_p coefficients."""
     def rank_mod(m) -> int:
-        if not m or not m[0]:
-            return 0
-        mm = [[x % p for x in row] for row in m]
-        rows, cols = len(mm), len(mm[0])
-        r = 0
-        for c in range(cols):
-            piv = next((i for i in range(r, rows) if mm[i][c] % p), None)
-            if piv is None:
-                continue
-            mm[r], mm[piv] = mm[piv], mm[r]
-            inv = pow(mm[r][c], -1, p)
-            mm[r] = [(x * inv) % p for x in mm[r]]
-            for i in range(rows):
-                if i != r and mm[i][c]:
-                    f = mm[i][c]
-                    mm[i] = [(a - f * b) % p for a, b in zip(mm[i], mm[r])]
-            r += 1
-        return r
+        # echelon rows over F_p, keyed by their lowest column, pivot 1 there
+        pivots: dict[int, dict[int, int]] = {}
+        for row in m:
+            row = {c: x % p for c, x in row.items() if x % p}
+            while row:
+                c = min(row)
+                piv = pivots.get(c)
+                if piv is None:
+                    inv = pow(row[c], -1, p)
+                    pivots[c] = {k: x * inv % p for k, x in row.items()}
+                    break
+                f = row[c]
+                for k, x in piv.items():  # row -= f * piv, which clears c
+                    y = (row.get(k, 0) - f * x) % p
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+        return len(pivots)
 
     dims = {}
     for (i, j) in z.groups:
@@ -411,12 +423,14 @@ def taut_chain_map(f: ChainMap, src_z: ZComplex, tgt_z: ZComplex):
     """Matrices of taut(f) between tautological complexes of Cob_0 complexes.
 
     Basis labels are (0, 0, ib, mask) as produced by hom_complex against the
-    empty diagram; returns dict (i, j) -> matrix into (i + dh, j + dq) for
-    the bidegrees where some composite with f is nonzero.
+    empty diagram; returns dict (i, j) -> matrix into (i + dh, j + dq), as
+    sparse rows like a `ZComplex` differential's, for the bidegrees where
+    some composite with f is nonzero.
     """
     empty = Complex.empty_diagram()
     f_cols = _lines(f.components)
-    out: dict[tuple[int, int], list[list[int]]] = {}
+    out: dict[tuple[int, int], list[dict[int, int]]] = {}
+    seen: dict = {}
     for (i, j), basis in src_z.groups.items():
         tbasis = tgt_z.groups.get((i + f.dh, j + f.dq))
         if not tbasis:
@@ -424,9 +438,9 @@ def taut_chain_map(f: ChainMap, src_z: ZComplex, tgt_z: ZComplex):
         for k, *_ in basis:  # the chain lives at degree i of f.src
             if k != 0:
                 raise InvariantError(f"basis label at degree {k}, not the empty diagram's 0")
-        mat = [[0] * len(basis) for _ in range(len(tbasis))]
+        mat = [{} for _ in tbasis]
         rows = {lab: r for r, lab in enumerate(tbasis)}
-        if _hom_columns(mat, 0, empty, f.src, i, basis, [(f_cols, rows, 1)]):
+        if _hom_columns(mat, 0, empty, f.src, i, basis, [(f_cols, rows, 1)], (), seen):
             out[(i, j)] = mat
     return out
 
@@ -440,12 +454,12 @@ def homology_generators(z: ZComplex, key: tuple[int, int]):
     """
     i, j = key
     b_out = z.diffs.get((i, j))
-    kb = kernel_basis(b_out or [[0] * z.rank(i, j)])
+    kb = kernel_basis(_dense(b_out or [{}], z.rank(i, j)))
     kdim = len(kb[0]) if kb else 0
     a_in = z.diffs.get((i - 1, j))
     orders = [0] * kdim
     if kdim and a_in:
-        x = solve_all(kb, [list(col) for col in zip(*a_in)])
+        x = solve_all(kb, [list(col) for col in zip(*_dense(a_in, z.rank(i - 1, j)))])
         if any(col is None for col in x):
             raise InvariantError(f"image not contained in kernel at {key} (d^2 != 0?)")
         u, d, _ = smith_normal_form([[col[r] for col in x] for r in range(kdim)])
@@ -487,13 +501,13 @@ def induced_map_on_homology(z_src: ZComplex, z_tgt: ZComplex,
         gens_t, ord_t = generators(z_tgt, key_t)
         n_t = z_tgt.rank(*key_t)
         a_in = z_tgt.diffs.get((key_t[0] - 1, key_t[1]))
+        a_in = _dense(a_in, z_tgt.rank(key_t[0] - 1, key_t[1])) if a_in else [[]] * n_t
         g = len(gens_t)
         # img = sum y_i * G_i + boundary; generators + boundaries span cycles
-        big_cols = g + (len(a_in[0]) if a_in else 0)
-        imgs = [[sum(mat[r][c] * gen[c] for c in range(len(gen)))
-                 for r in range(len(mat))] for gen in gens_s]
-        sols = solve_all([[(gens_t[c][r] if c < g else a_in[r][c - g])
-                           for c in range(big_cols)] for r in range(n_t)], imgs)
+        imgs = [[sum(x * gen[c] for c, x in row.items()) for row in mat]
+                for gen in gens_s]
+        sols = solve_all([[gen[r] for gen in gens_t] + a_in[r] for r in range(n_t)],
+                         imgs)
         if any(sol is None for sol in sols):
             raise InvariantError("image of a cycle is not a cycle")
         out[key] = ([sol[:g] for sol in sols], ord_s, ord_t)

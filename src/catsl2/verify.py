@@ -163,7 +163,7 @@ def check_idempotency(cfg: Config):
 
 
 def _w2_oracle(bmax: int) -> ZComplex:
-    """Z[u1,u2]/(u1^2) (x) Lambda[xi], d(u2^b xi) = 2 u1 u2^(b+1), as matrices."""
+    """Z[u1,u2]/(u1^2) (x) Lambda[xi], d(u2^b xi) = 2 u1 u2^(b+1), as sparse rows."""
     groups: dict[tuple[int, int], list] = {}
     for b in range(bmax + 1):
         for a in (0, 1):
@@ -179,16 +179,13 @@ def _w2_oracle(bmax: int) -> ZComplex:
         h, q = key
         if (h + 1, q) not in groups:
             continue
-        mat = [[0] * len(lst) for _ in range(len(groups[(h + 1, q)]))]
-        nz = False
+        mat = [{} for _ in groups[(h + 1, q)]]
         for cidx, (a, b, e) in enumerate(lst):
             if e == 1 and a == 0:
                 row = pos[(h + 1, q)].get((1, b + 1, 0))
                 if row is not None:
                     mat[row][cidx] = 2
-                    nz = True
-        if nz:
-            diffs[key] = mat
+        diffs[key] = mat
     return ZComplex(groups, diffs)
 
 

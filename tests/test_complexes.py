@@ -8,7 +8,7 @@ from catsl2.cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantEr
                               _compose_terms, compose, glue, juxtapose,
                               juxtapose_tangles, stack, stack_tangles)
 from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
-                              _deloop_map, _hom_basis, _hom_columns, _place,
+                              _deloop_map, _hom_basis, _hom_columns, _lines, _place,
                               _product, cone, convolution_complete, deloop,
                               differential_map, direct_sum, dual, gauss,
                               hom_complex, juxtapose_complexes,
@@ -830,10 +830,105 @@ def test_hom_columns_leaves_zero_composites_untouched():
     ]
     for a, b, label, after, before, prefix in cases:
         rows = {(*prefix, idx, mask): idx for idx in range(2) for mask in range(2)}
-        matrix = [[0, 0] for _ in range(2)]
+        matrix = [{} for _ in range(2)]
         assert not _hom_columns(matrix, 1, a, b, 0, [label], [(after, rows, 3)],
-                                [(before, rows, 3)])
-        assert matrix == [[0, 0], [0, 0]]
+                                [(before, rows, 3)], {})
+        assert matrix == [{}, {}]
+
+
+def reference_hom_columns(n_rows, col0, a, b, i, basis, after, before):
+    """`_hom_columns` label by label: each label's one-term morphism x
+    composed with every line entry through the public `compose`, each term
+    added at the row its label names.  Returns (matrix, touched)."""
+    matrix, touched = [{} for _ in range(n_rows)], False
+    for c, (k, ia, ib, mask) in enumerate(basis, col0):
+        x = CobMorphism(a.objects[k][ia].tangle, b.objects[k + i][ib].tangle, {mask: 1})
+        composites = [((k, ia, i2), rows, scale, compose(g, x))
+                      for lines, rows, scale in after
+                      for i2, g in lines.get(k + i, {}).get(ib, {}).items()]
+        composites += [((k - 1, j2, ib), rows, scale, compose(x, g))
+                       for lines, rows, scale in before
+                       for j2, g in lines.get(k - 1, {}).get(ia, {}).items()]
+        for head, rows, scale, m in composites:
+            for mask2, coeff in m.terms.items():
+                r = rows.get((*head, mask2))
+                if r is not None:
+                    matrix[r][c] = matrix[r].get(c, 0) + scale * coeff
+                    touched = True
+    return matrix, touched
+
+
+def random_hom_sides(rng, a, b):
+    """Lines after (d_b) and before (d_a) x as `hom_complex` gives them, plus
+    +-identity and dotted-identity entries on either side (on fresh line
+    indices 10 and up), and one row table over every label a composite can
+    name, with about a fifth of them missing."""
+    after, before = _lines(b.diff), _lines(a.diff, by_row=True)
+    for lines, c in ((after, b), (before, a)):
+        for h, objs in c.objects.items():
+            for idx, o in enumerate(objs):
+                if rng.random() < 0.5:
+                    ident = CobMorphism.identity(o.tangle)
+                    extra = {10: ident, 11: ident.scale(-1)}
+                    if not o.tangle.circles and rng.random() < 0.5:
+                        extra[12] = CobMorphism.dotted_identity(o.tangle, 0)
+                    side_h = h if lines is after else h - 1
+                    lines.setdefault(side_h, {}).setdefault(idx, {}).update(extra)
+    labels = set()
+    for k, objas in a.objects.items():
+        for ia, oa in enumerate(objas):
+            for kb, objbs in b.objects.items():
+                for ib, ob in enumerate(objbs):
+                    for i2, g in after.get(kb, {}).get(ib, {}).items():
+                        labels |= {(k, ia, i2, m) for m in range(1 << len(glue(oa.tangle, g.tgt)))}
+                    for j2, g in before.get(k - 1, {}).get(ia, {}).items():
+                        labels |= {(k - 1, j2, ib, m)
+                                   for m in range(1 << len(glue(g.src, ob.tangle)))}
+    kept = [lab for lab in sorted(labels) if rng.random() < 0.8]
+    return after, before, {lab: r for r, lab in enumerate(kept)}
+
+
+def test_hom_columns_matches_composing_label_by_label(rng):
+    # random objects with circles, multi-term entries, +-identities on both
+    # sides, missing rows, the full groups (one `seen` for all of them, as
+    # hom_complex passes it, and a fresh one per call) and only=(i, j); the
+    # after side given twice at opposite scales leaves its entries stored as 0.
+    # In HOM(a, a) at i = -1 one entry of d_a meets one pair of ends on both
+    # sides, where g o x and x o g differ.
+    groups_seen = cancelled = 0
+    for t in range(8):
+        a = b = random_circled_complex(rng)
+        while t % 2 and b is a or b.n != a.n:
+            b = random_circled_complex(rng)
+        after, before, rows = random_hom_sides(rng, a, b)
+        seen = {}
+        for (i, j), basis in _hom_basis(a, b).items():
+            only = _hom_basis(a, b, (i, j))
+            for labels, memo, sides in (
+                    (basis, seen, ([(after, rows, 3)], [(before, rows, -2)])),
+                    (basis, {}, ([(after, rows, 1)], [(before, rows, 1)])),
+                    (only, {}, ([(after, rows, 3), (after, rows, -3)], ()))):
+                want = reference_hom_columns(len(rows), 2, a, b, i, labels, *sides)
+                matrix = [{} for _ in rows]
+                touched = _hom_columns(matrix, 2, a, b, i, labels, *sides, memo)
+                assert (matrix, touched) == want
+            groups_seen += 1
+            cancelled += sum(not x for row in want[0] for x in row.values())
+    assert groups_seen > 50 and cancelled
+
+
+def test_hom_columns_keeps_the_boundary_check():
+    # a line entry whose end is not x's raises, on either side, as compose does
+    one, e = FlatTangle.identity(2), FlatTangle.e(1, 2)
+    a = b = Complex(2, {0: [GradedObject(one, 0)], 1: [GradedObject(one, 0)]}, {})
+    stray = CobMorphism.identity(e)
+    with pytest.raises(ValueError, match="boundary mismatch"):
+        compose(stray, CobMorphism.identity(one))
+    lines = [({0: {0: {0: stray}}}, {}, 1)]
+    for i, basis, after, before in ((0, [(0, 0, 0, 0)], lines, ()),
+                                    (-1, [(1, 0, 0, 0)], (), lines)):
+        with pytest.raises(ValueError, match="boundary mismatch"):
+            _hom_columns([{}], 0, a, b, i, basis, after, before, {})
 
 
 def test_hom_basis_of_one_bidegree_is_that_group(rng):
@@ -872,9 +967,9 @@ def test_zcomplex_check_sums_over_the_middle_degree():
     # Z --(1, 1)--> Z^2 --(1 -1)--> Z: both products are nonzero, their sum is
     # not; with (1 1) instead the composite is 2 and the check names (0, 2)
     groups = {(0, 2): ["a"], (1, 2): ["b", "c"], (2, 2): ["d"], (5, 0): ["e"]}
-    ZComplex(groups, {(0, 2): [[1], [1]], (1, 2): [[1, -1]]}).check()
+    ZComplex(groups, {(0, 2): [{0: 1}, {0: 1}], (1, 2): [{0: 1, 1: -1}]}).check()
     with pytest.raises(InvariantError, match=r"d\^2 != 0 at \(0, 2\)"):
-        ZComplex(groups, {(0, 2): [[1], [1]], (1, 2): [[1, 1]]}).check()
+        ZComplex(groups, {(0, 2): [{0: 1}, {0: 1}], (1, 2): [{0: 1, 1: 1}]}).check()
 
 
 def test_convolution_two_term_is_cone():

@@ -31,9 +31,12 @@ CLI_CASES = {"qn2.json": ["proj", "qn", "--n", "2"],
 
 
 def zcomplex_text(z) -> str:
+    # the sparse rows, densified: the files hold one full row per target label
     payload = {"groups": [{"i": i, "j": j, "basis": [list(lab) for lab in basis]}
                           for (i, j), basis in sorted(z.groups.items())],
-               "diffs": [{"i": i, "j": j, "matrix": m}
+               "diffs": [{"i": i, "j": j,
+                          "matrix": [[row.get(c, 0) for c in range(z.rank(i, j))]
+                                     for row in m]}
                          for (i, j), m in sorted(z.diffs.items())]}
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 

@@ -16,9 +16,10 @@ from catsl2.homology import (BigradedGroups, closure_complex, homology_mod_p,
                              poincare_string, projector_end_complex,
                              smith_normal_form, solve_all, solve_integer,
                              taut_chain_map, u_action_on_homology)
-from catsl2.projectors import braid_letter_complex, q2, truncated_pn
+from catsl2.projectors import braid_letter_complex, q2, q3, truncated_pn
 from catsl2.series import TruncatedSeries
 from catsl2.tl import closure_evaluate, euler_characteristic
+from catsl2.verify import _w2_oracle
 from test_complexes import random_braid_complex
 
 
@@ -131,7 +132,7 @@ def assert_solves_like_reference(m, rhs_list):
     solve = reference_solver(m)
     assert solve_all(m, rhs_list) == [solve(b) for b in rhs_list]
     d = smith_normal_form(m)[1]
-    assert invariant_factors(m) == [row[k] for k, row in enumerate(d)
+    assert invariant_factors(*homology._sparse(m)) == [row[k] for k, row in enumerate(d)
                                     if k < len(row) and row[k]]
 
 
@@ -248,12 +249,18 @@ def test_unimodular_inverse():
 
 
 def test_integer_homology_toy_cases():
-    z = ZComplex({(0, 0): ["a"], (1, 0): ["b"]}, {(0, 0): [[1]]})
+    z = ZComplex({(0, 0): ["a"], (1, 0): ["b"]}, {(0, 0): [{0: 1}]})
     assert integer_homology(z).is_zero()
-    z = ZComplex({(0, 0): ["a"], (1, 0): ["b"]}, {(0, 0): [[2]]})
+    z = ZComplex({(0, 0): ["a"], (1, 0): ["b"]}, {(0, 0): [{0: 2}]})
     assert integer_homology(z).groups == {(1, 0): (0, (2,))}
     z = ZComplex({(0, 0): ["a"], (1, 0): ["b"]}, {})
     assert integer_homology(z).groups == {(0, 0): (1, ()), (1, 0): (1, ())}
+
+
+def dense(z: ZComplex, key) -> list[list[int]] | None:
+    """The differential out of bidegree key as a dense matrix, or None."""
+    m = z.diffs.get(key)
+    return m and [[row.get(c, 0) for c in range(z.rank(*key))] for row in m]
 
 
 def reference_homology(z: ZComplex) -> BigradedGroups:
@@ -263,11 +270,11 @@ def reference_homology(z: ZComplex) -> BigradedGroups:
     from a second Smith normal form."""
     out = BigradedGroups()
     for (i, j) in sorted(z.groups):
-        b_out = z.diffs.get((i, j))
+        b_out = dense(z, (i, j))
         kb = kernel_basis(b_out) if b_out else \
             [[int(r == c) for c in range(z.rank(i, j))] for r in range(z.rank(i, j))]
         kdim = len(kb[0]) if kb else 0
-        a_in = z.diffs.get((i - 1, j))
+        a_in = dense(z, (i - 1, j))
         orders = [0] * kdim
         if kdim and a_in:
             solve = reference_solver(kb)
@@ -324,8 +331,9 @@ def random_torsion_complex(rng):
         pm, pinv = change[(h, q)][0], change[(h - 1, q)][1]
         pm_m = [[sum(pm[r][k] * m[k][c] for k in range(len(tgt)))
                  for c in range(len(src))] for r in range(len(tgt))]
-        diffs[(h - 1, q)] = [[sum(row[k] * pinv[k][c] for k in range(len(src)))
-                              for c in range(len(src))] for row in pm_m]
+        diffs[(h - 1, q)] = [{c: x for c in range(len(src))
+                              if (x := sum(row[k] * pinv[k][c] for k in range(len(src))))}
+                             for row in pm_m]
     return ZComplex(basis, diffs), expect
 
 
@@ -334,7 +342,7 @@ def test_integer_homology_agrees_with_kernel_mod_image_on_torsion_complexes(
     factor_calls = []
     factor = homology.invariant_factors
     monkeypatch.setattr(homology, "invariant_factors",
-                        lambda m: factor_calls.append(1) or factor(m))
+                        lambda rows, cols: factor_calls.append(1) or factor(rows, cols))
     torsion_seen = 0
     for _ in range(80):
         z, expect = random_torsion_complex(rng)
@@ -371,7 +379,7 @@ def test_integer_homology_rejects_a_non_complex_even_under_optimize_flag(
 from catsl2.complexes import InvariantError, ZComplex
 from catsl2.homology import integer_homology
 z = ZComplex({(0, 0): ["a"], (1, 0): ["b"], (2, 0): ["c"]},
-             {(0, 0): [[1]], (1, 0): [[1]]})
+             {(0, 0): [{0: 1}], (1, 0): [{0: 1}]})
 try:
     print("accepted:", integer_homology(z))
 except InvariantError as exc:
@@ -442,9 +450,38 @@ def test_poincare_polynomial_and_chi_recovery():
 
 
 def test_homology_mod_two_counts_torsion():
-    z = ZComplex({(0, 0): ["a"], (1, 0): ["b"]}, {(0, 0): [[2]]})
+    z = ZComplex({(0, 0): ["a"], (1, 0): ["b"]}, {(0, 0): [{0: 2}]})
     dims = homology_mod_p(z, 2)
     assert dims == {(0, 0): 1, (1, 0): 1}
+
+
+def uct_dims(groups: BigradedGroups, p: int) -> dict[tuple[int, int], int]:
+    """F_p dimensions from the integer groups by universal coefficients: the
+    differential raises h, so Tor(H^(h+1), F_p) lands in degree h."""
+    dims: dict[tuple[int, int], int] = {}
+    for (h, q), (rank, torsion) in groups.groups.items():
+        tors = sum(1 for t in torsion if t % p == 0)
+        for key, add in (((h, q), rank + tors), ((h - 1, q), tors)):
+            if add:
+                dims[key] = dims.get(key, 0) + add
+    return dims
+
+
+def test_homology_mod_p_agrees_with_universal_coefficients(rng):
+    # HOM complexes with 2-torsion, the W_2 oracle (Z/2 in every free tower)
+    # and random complexes with torsion orders 2, 3, 4, 6 and 12
+    p26 = truncated_pn(2, 6).complex
+    cases = [hom_complex(q3(), q3()), hom_complex(p26, p26),
+             projector_end_complex(p26), _w2_oracle(6)]
+    cases += [random_torsion_complex(rng)[0] for _ in range(40)]
+    seen = {2: 0, 3: 0}
+    for z in cases:
+        groups = integer_homology(z)
+        for p in (2, 3):
+            dims = homology_mod_p(z, p)
+            assert dims == uct_dims(groups, p)
+            seen[p] += dims != poincare_polynomial(groups)
+    assert seen[2] > 20 and seen[3] > 10  # the torsion shows in both fields
 
 
 def test_u_action_matches_module_structure():
@@ -488,4 +525,4 @@ def test_taut_chain_map_keys_are_the_bidegrees_it_reaches():
     ident = taut_chain_map(ChainMap.identity(closed), z, z)
     assert set(ident) == set(z.groups)
     for mat in ident.values():
-        assert mat == [[int(r == c) for c in range(len(mat))] for r in range(len(mat))]
+        assert mat == [{r: 1} for r in range(len(mat))]
