@@ -21,7 +21,7 @@ places each term pair's dots on the pieces and expands them through
 `_expand`, one cache shared by every plan, memoized per plan by the pair's
 combined dot mask.  A stack against a collar, the identity of the
 circle-free identity tangle, is the other factor and builds no plan.
-Juxtaposition and the symmetries only relabel curves (`_curve_table`,
+Juxtaposition and the dual only relabel curves (`_curve_table`,
 `_remap`); the identity-like constructors share the cached `_sheets`.
 
 Only the combinatorics of an embedded surface is tracked (component/curve
@@ -602,7 +602,7 @@ def trace_tangle(t: FlatTangle) -> GluedTangle:
 
 
 # ---------------------------------------------------------------------------
-# Relabelling: symmetries and juxtaposition
+# Relabelling: the dual and juxtaposition
 # ---------------------------------------------------------------------------
 
 def _curve_table(info: GlueInfo, info_out: GlueInfo, point_map=None,
@@ -630,12 +630,6 @@ def _remap(f: CobMorphism, new_src: FlatTangle, new_tgt: FlatTangle,
                         for m, c in f.terms.items()})
 
 
-def reflect(f: CobMorphism) -> CobMorphism:
-    """Flip the cobordism upside down: a morphism tgt -> src (same diagrams)."""
-    table = _curve_table(glue(f.src, f.tgt), glue(f.tgt, f.src), swap_sides=True)
-    return _remap(f, f.tgt, f.src, table)
-
-
 def flip_tangle(t: FlatTangle) -> FlatTangle:
     return FlatTangle(t.n, t.matching.flip(), t.circles)
 
@@ -649,17 +643,4 @@ def dual(f: CobMorphism) -> CobMorphism:
     src2, tgt2 = flip_tangle(f.tgt), flip_tangle(f.src)
     table = _curve_table(glue(f.src, f.tgt), glue(src2, tgt2),
                          lambda p: p + n if p < n else p - n, swap_sides=True)
-    return _remap(f, src2, tgt2, table)
-
-
-def rotate_tangle(t: FlatTangle) -> FlatTangle:
-    return FlatTangle(t.n, t.matching.rotate(), t.circles)
-
-
-def rotate(f: CobMorphism) -> CobMorphism:
-    """Rotate the picture by pi (covariant)."""
-    n = f.src.n
-    src2, tgt2 = rotate_tangle(f.src), rotate_tangle(f.tgt)
-    table = _curve_table(glue(f.src, f.tgt), glue(src2, tgt2),
-                         lambda p: 2 * n - 1 - p)
     return _remap(f, src2, tgt2, table)

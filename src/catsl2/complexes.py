@@ -1191,7 +1191,7 @@ def _attach_piece(pieces, offs, comps, k, min_total_degree):
         _hom_columns(matrix, col0, src, pieces[j], k + 1 - j, basis, after,
                      [(src_rows, rows[j], sign_k)], seen)
         col0 += len(basis)
-    sol = solve_integer(matrix, col0, rhs)
+    sol = solve_integer(matrix, col0, [rhs])[0]
     if sol is None:
         raise ObstructionError(m - 1 - k, offs[k])
     out: dict[int, dict[int, dict[tuple[int, int], CobMorphism]]] = {}

@@ -2,23 +2,22 @@
 
 Every factorization is one `_eliminate`, in place, over sparse rows of D:
 dicts from column to nonzero Python int (arbitrary precision) plus a column
-count, where swaps only permute position arrays.  HOM complexes stay sparse
-rows from the composites on (see `ZComplex`): `invariant_factors` and
-`solve_integer` take rows and a column count, and `homology_mod_p`
-eliminates over rows too.  Dense lists of lists exist only at the entry
-points `smith_normal_form`, `kernel_basis` and `solve_all`, which convert
-once; `homology_generators` and `induced_map_on_homology` densify each
-matrix they read at most once to call them.  The pivot is the smallest
-nonzero |x| of the remaining block, ties going to the first row and then
-the first column in the current order (to limit entry growth).  Pivots
-depend on D alone; each row (column) operation also acts on that row's
-(column's) companion, so callers carry only what they read:
-`smith_normal_form` U's rows and V's columns, `invariant_factors` nothing,
-`kernel_basis` V's columns, and `solve_all` and `solve_integer` V's
-columns and the right-hand sides as row companions (U B without U).  U and
-V stay exact results: the operations are those of the dense row-major
-algorithm the sparse one replaced, in its order, and tests/goldens/snf.json
-pins (U, D, V).
+count, where swaps only permute position arrays.  Matrices stay sparse rows
+throughout (see `ZComplex`): `invariant_factors`, `kernel_basis` and
+`solve_integer` take rows and a column count, `homology_mod_p` eliminates
+over rows too, and `homology_generators` and `induced_map_on_homology` read
+the differentials' rows as they are.  Only `smith_normal_form`, whose
+(U, D, V) tests/goldens/snf.json pins, takes and returns dense lists of
+lists; nothing in the engine calls it.  The pivot is the smallest nonzero
+|x| of the remaining block, ties going to the first row and then the first
+column in the current order (to limit entry growth).  Pivots depend on D
+alone; each row (column) operation also acts on that row's (column's)
+companion, so callers carry only what they read: `smith_normal_form` U's
+rows and V's columns, `invariant_factors` nothing, `kernel_basis` V's
+columns, `homology_generators` U's rows, and `solve_integer` V's columns
+and the right-hand sides as row companions (U B without U).  U and V stay
+exact results: the operations are those of the dense row-major algorithm
+the sparse one replaced, in its order.
 
 Bigraded homology comes from invariant factors: for C_{i-1} --A--> C_i --B-->
 C_{i+1} with BA = 0, H_i = Z^(n_i - rank B - rank A) plus Z/d for each
@@ -48,17 +47,6 @@ def _add_to(dst: dict, src: dict, k: int) -> None:  # dst += k * src
             dst[key] = y
         else:
             del dst[key]
-
-
-def _sparse(matrix: list[list[int]]) -> tuple[list[dict], int]:
-    """A dense matrix as the kernel takes it: sparse rows and a column count."""
-    return ([{c: int(x) for c, x in enumerate(row) if x} for row in matrix],
-            len(matrix[0]) if matrix else 0)
-
-
-def _dense(rows: list[dict], cols: int) -> list[list[int]]:
-    """Sparse rows with `cols` columns as a dense matrix."""
-    return [[row.get(c, 0) for c in range(cols)] for row in rows]
 
 
 def _eliminate(d: list[dict], cols: int, u: list[dict] | None = None,
@@ -163,8 +151,8 @@ def _eliminate(d: list[dict], cols: int, u: list[dict] | None = None,
 
 def smith_normal_form(matrix: list[list[int]]):
     """Return (U, D, V) with U*M*V = D diagonal, d1 | d2 | ..., U, V unimodular."""
-    d, cols = _sparse(matrix)
-    rows = len(d)
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    d = [{c: int(x) for c, x in enumerate(row) if x} for row in matrix]
     # U row r is keyed by U column; V column c is keyed by V row
     u = [{r: 1} for r in range(rows)]
     v = [{c: 1} for c in range(cols)]
@@ -182,34 +170,27 @@ def invariant_factors(rows: list[dict], cols: int) -> list[int]:
     return [rows[row_at[t]][col_at[t]] for t in range(rank)]
 
 
-def kernel_basis(matrix: list[list[int]]) -> list[list[int]]:
-    """Columns generating ker(M) over Z (a primitive basis, via SNF)."""
-    d, cols = _sparse(matrix)
+def kernel_basis(rows: list[dict], cols: int) -> list[dict]:
+    """A primitive basis of ker(M) over Z, M as sparse rows with `cols`
+    columns (left as given; stored zeros are dropped): the columns of V past
+    the rank, each a dict from coordinate to nonzero entry."""
     v = [{c: 1} for c in range(cols)]
-    _, col_at, rank = _eliminate(d, cols, None, v)
-    return [[v[col_at[j]].get(i, 0) for j in range(rank, cols)] for i in range(cols)]
+    _, col_at, rank = _eliminate([{c: x for c, x in row.items() if x} for row in rows],
+                                 cols, None, v)
+    return [v[col_at[j]] for j in range(rank, cols)]
 
 
-def solve_all(matrix: list[list[int]], rhs_list: list[list[int]]) -> list[list[int] | None]:
+def solve_integer(rows: list[dict], cols: int,
+                  rhs_list: list[list[int]]) -> list[list[int] | None]:
     """For each b of `rhs_list`, one integer solution of M x = b, or None.
 
-    One elimination serves every b.  With U M V = D, y = D^-1 U b has free
-    parameters zero and x = V y; U b rides along as the row companions, V as
-    sparse columns, so neither is formed densely.
-    """
-    return _solve(*_sparse(matrix), rhs_list)
-
-
-def solve_integer(rows: list[dict], cols: int, rhs: list[int]) -> list[int] | None:
-    """One integer solution of M x = b, or None; free parameters are zero.
-
     M comes as sparse rows, dicts from column to entry, with `cols` columns;
-    zero entries are dropped and the rows are left as they are.
+    stored zeros are dropped and the rows are left as they are.  One
+    elimination serves every b: with U M V = D, y = D^-1 U b has free
+    parameters zero and x = V y, where U b rides along as the row
+    companions and V as sparse columns, so neither is formed densely.
     """
-    return _solve([{c: x for c, x in row.items() if x} for row in rows], cols, [rhs])[0]
-
-
-def _solve(d: list[dict], cols: int, rhs_list: list[list[int]]) -> list[list[int] | None]:
+    d = [{c: x for c, x in row.items() if x} for row in rows]
     ub = [{s: b[r] for s, b in enumerate(rhs_list) if b[r]} for r in range(len(d))]
     v = [{c: 1} for c in range(cols)]
     row_at, col_at, rank = _eliminate(d, cols, ub, v)
@@ -448,38 +429,50 @@ def taut_chain_map(f: ChainMap, src_z: ZComplex, tgt_z: ZComplex):
 def homology_generators(z: ZComplex, key: tuple[int, int]):
     """Generators of H at `key` as chain vectors plus their orders (0 = free).
 
-    Kernel mod image: the columns of a kernel basis kb span the cycles; with
-    the image solved inside them as kb X and U X V = D, the columns of
-    kb U^-1 generate cyclic summands of orders diag(D) (1 = trivial, dropped).
+    Kernel mod image on the differentials' rows: the kernel basis K of the
+    outgoing one spans the cycles, one `solve_integer` writes the incoming
+    image as K X, and U X V = D (an `_eliminate` carrying U) makes the
+    columns of K U^-1 generators of cyclic summands of orders diag(D)
+    (1 = trivial, dropped).  U is unimodular, so U^-1 is the one solution of
+    U Y = I, from one more `solve_integer`.
     """
     i, j = key
-    b_out = z.diffs.get((i, j))
-    kb = kernel_basis(_dense(b_out or [{}], z.rank(i, j)))
-    kdim = len(kb[0]) if kb else 0
-    a_in = z.diffs.get((i - 1, j))
+    n = z.rank(i, j)
+    kernel = kernel_basis(z.diffs.get((i, j), []), n)
+    kdim = len(kernel)
     orders = [0] * kdim
+    coords = [[int(r == c) for r in range(kdim)] for c in range(kdim)]  # over K
+    a_in = z.diffs.get((i - 1, j))
     if kdim and a_in:
-        x = solve_all(kb, [list(col) for col in zip(*_dense(a_in, z.rank(i - 1, j)))])
-        if any(col is None for col in x):
+        k_rows = [{} for _ in range(n)]
+        for c, vec in enumerate(kernel):
+            for r, x in vec.items():
+                k_rows[r][c] = x
+        images = [[0] * n for _ in range(z.rank(i - 1, j))]  # the columns of A
+        for r, row in enumerate(a_in):
+            for s, x in row.items():
+                images[s][r] = x
+        x_cols = solve_integer(k_rows, kdim, images)
+        if any(col is None for col in x_cols):
             raise InvariantError(f"image not contained in kernel at {key} (d^2 != 0?)")
-        u, d, _ = smith_normal_form([[col[r] for col in x] for r in range(kdim)])
-        orders = [d[c][c] if c < min(kdim, len(x)) else 0 for c in range(kdim)]
-        uinv = matrix_inverse_unimodular(u)
-        kb = [[sum(row[k] * uinv[k][c] for k in range(kdim)) for c in range(kdim)]
-              for row in kb]
-    gens = [[row[c] for row in kb] for c, dc in enumerate(orders) if dc != 1]
+        x_rows = [{s: col[r] for s, col in enumerate(x_cols) if col[r]}
+                  for r in range(kdim)]
+        u = [{r: 1} for r in range(kdim)]
+        row_at, col_at, rank = _eliminate(x_rows, len(x_cols), u)
+        orders[:rank] = [x_rows[row_at[t]][col_at[t]] for t in range(rank)]
+        coords = solve_integer([u[r] for r in row_at], kdim, coords)
+        if any(col is None for col in coords):
+            raise InvariantError(f"the change of basis at {key} is not unimodular")
+    gens = []
+    for y, order in zip(coords, orders):
+        if order != 1:
+            gen = [0] * n
+            for vec, yk in zip(kernel, y):
+                if yk:
+                    for r, x in vec.items():
+                        gen[r] += x * yk
+            gens.append(gen)
     return gens, [dc for dc in orders if dc != 1]
-
-
-def matrix_inverse_unimodular(u: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix, from one Smith normal form:
-    U' U V' = I gives U^-1 = V' U'."""
-    n = len(u)
-    left, d, right = smith_normal_form(u)
-    if any(d[k][k] != 1 for k in range(n)):
-        raise ValueError("matrix is not unimodular")
-    return [[sum(right[r][k] * left[k][c] for k in range(n)) for c in range(n)]
-            for r in range(n)]
 
 
 def induced_map_on_homology(z_src: ZComplex, z_tgt: ZComplex,
@@ -499,15 +492,16 @@ def induced_map_on_homology(z_src: ZComplex, z_tgt: ZComplex,
         if not gens_s:
             continue
         gens_t, ord_t = generators(z_tgt, key_t)
-        n_t = z_tgt.rank(*key_t)
-        a_in = z_tgt.diffs.get((key_t[0] - 1, key_t[1]))
-        a_in = _dense(a_in, z_tgt.rank(key_t[0] - 1, key_t[1])) if a_in else [[]] * n_t
-        g = len(gens_t)
-        # img = sum y_i * G_i + boundary; generators + boundaries span cycles
+        g, key_in = len(gens_t), (key_t[0] - 1, key_t[1])
+        # img = sum y_i * G_i + boundary; generators + boundaries span cycles,
+        # so the system's rows are the target generators', then d's shifted by g
+        rows = [{c: gen[r] for c, gen in enumerate(gens_t) if gen[r]}
+                for r in range(z_tgt.rank(*key_t))]
+        for row, a_row in zip(rows, z_tgt.diffs.get(key_in, [])):
+            row.update((g + s, x) for s, x in a_row.items())
         imgs = [[sum(x * gen[c] for c, x in row.items()) for row in mat]
                 for gen in gens_s]
-        sols = solve_all([[gen[r] for gen in gens_t] + a_in[r] for r in range(n_t)],
-                         imgs)
+        sols = solve_integer(rows, g + z_tgt.rank(*key_in), imgs)
         if any(sol is None for sol in sols):
             raise InvariantError("image of a cycle is not a cycle")
         out[key] = ([sol[:g] for sol in sols], ord_s, ord_t)

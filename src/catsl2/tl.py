@@ -121,15 +121,6 @@ class Matching:
             pairing[phi(p)] = phi(q)
         return Matching(n, tuple(pairing))
 
-    def rotate(self) -> Matching:
-        """Rotate the rectangle by pi."""
-        n = self.n
-        rho = lambda p: 2 * n - 1 - p
-        pairing = [0] * (2 * n)
-        for p, q in enumerate(self.pairing):
-            pairing[rho(p)] = rho(q)
-        return Matching(n, tuple(pairing))
-
 
 @lru_cache(maxsize=None)
 def _matching(n: int, pairing: tuple[int, ...]) -> Matching:

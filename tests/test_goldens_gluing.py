@@ -20,7 +20,7 @@ import pytest
 
 from catsl2.cli import main
 from catsl2.cobordism import (CobMorphism, FlatTangle, compose, dual, glue,
-                              juxtapose, partial_trace, reflect, rotate, stack)
+                              juxtapose, partial_trace, stack)
 from catsl2.homology import u_action_on_homology
 from catsl2.projectors import truncated_pn
 from catsl2.tl import all_matchings
@@ -103,12 +103,15 @@ def cobordism_cases() -> list[dict]:
         f = _morphism(rng, _tangle(rng, n1), _tangle(rng, n1))
         g = _morphism(rng, _tangle(rng, n2), _tangle(rng, n2))
         record("juxtapose", [f.to_json(), g.to_json()], juxtapose(f, g))
-    for op, fn in (("partial_trace", partial_trace), ("reflect", reflect),
-                   ("dual", dual), ("rotate", rotate)):
+    # the file was recorded with reflect and rotate cases here; their inputs
+    # are still drawn, so the records after them keep theirs
+    for op, fn in (("partial_trace", partial_trace), ("reflect", None),
+                   ("dual", dual), ("rotate", None)):
         for _ in range(CASES_PER_OP):
             n = rng.randrange(2, 4)
             f = _morphism(rng, _tangle(rng, n), _tangle(rng, n))
-            record(op, [f.to_json()], fn(f))
+            if fn:
+                record(op, [f.to_json()], fn(f))
     for _ in range(CASES_PER_OP // 4):
         t = _tangle(rng, rng.randrange(2, 4))
         record("identity", [t.matching.pairing, t.circles], CobMorphism.identity(t))

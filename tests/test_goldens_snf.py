@@ -80,9 +80,9 @@ def solver_systems() -> list[dict]:
     seen = []
     original = homology.solve_integer
 
-    def spy(rows, cols, rhs):  # recorded dense, as the digests were taken
-        seen.append(([[row.get(c, 0) for c in range(cols)] for row in rows], rhs))
-        return original(rows, cols, rhs)
+    def spy(rows, cols, rhs_list):  # recorded dense, as the digests were taken
+        seen.append(([[row.get(c, 0) for c in range(cols)] for row in rows], rhs_list[0]))
+        return original(rows, cols, rhs_list)
 
     homology.solve_integer = spy
     try:

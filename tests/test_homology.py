@@ -11,16 +11,22 @@ from catsl2.complexes import (CLOSE, ChainMap, Complex, ZComplex, deloop, fold,
                               hom_complex, partial_trace_complex, shift,
                               tautological_complex)
 from catsl2.homology import (BigradedGroups, closure_complex, homology_mod_p,
+                             homology_generators, induced_map_on_homology,
                              integer_homology, invariant_factors, kernel_basis,
-                             matrix_inverse_unimodular, poincare_polynomial,
-                             poincare_string, projector_end_complex,
-                             smith_normal_form, solve_all, solve_integer,
-                             taut_chain_map, u_action_on_homology)
+                             poincare_polynomial, poincare_string,
+                             projector_end_complex, smith_normal_form,
+                             solve_integer, taut_chain_map,
+                             u_action_on_homology)
 from catsl2.projectors import braid_letter_complex, q2, q3, truncated_pn
 from catsl2.series import TruncatedSeries
 from catsl2.tl import closure_evaluate, euler_characteristic
 from catsl2.verify import _w2_oracle
 from test_complexes import random_braid_complex
+
+
+def sparse(m: list[list[int]]) -> tuple[list[dict], int]:
+    """A dense matrix as the engine takes it: sparse rows and a column count."""
+    return [{c: x for c, x in enumerate(row) if x} for row in m], len(m[0]) if m else 0
 
 
 def bareiss_det(m):
@@ -127,13 +133,13 @@ def reference_solver(matrix: list[list[int]]):
 
 
 def assert_solves_like_reference(m, rhs_list):
-    """solve_all gives the reference's very solution (or None) for every b,
-    and its invariant factors are the nonzero diagonal of D."""
+    """solve_integer gives the reference's very solution (or None) for every
+    b, and the invariant factors are the nonzero diagonal of D."""
     solve = reference_solver(m)
-    assert solve_all(m, rhs_list) == [solve(b) for b in rhs_list]
+    assert solve_integer(*sparse(m), rhs_list) == [solve(b) for b in rhs_list]
     d = smith_normal_form(m)[1]
-    assert invariant_factors(*homology._sparse(m)) == [row[k] for k, row in enumerate(d)
-                                    if k < len(row) and row[k]]
+    assert invariant_factors(*sparse(m)) == [row[k] for k, row in enumerate(d)
+                                             if k < len(row) and row[k]]
 
 
 def test_solve_all_matches_reference_on_snf_goldens(rng):
@@ -146,7 +152,7 @@ def test_solve_all_matches_reference_on_snf_goldens(rng):
                for xs in ([rng.randrange(-4, 5) for _ in range(cols)] for _ in range(3))]
         rhs += [[rng.randrange(-9, 10) for _ in range(rows)] for _ in range(2)]
         rhs += [[int(i == r) for i in range(rows)] for r in range(rows)]
-        sols = solve_all(m, rhs)
+        sols = solve_integer(*sparse(m), rhs)
         unsolvable += sols.count(None)
         for b, x in zip(rhs, sols):
             assert x is None or [sum(a * y for a, y in zip(row, x)) for row in m] == b
@@ -164,8 +170,8 @@ def test_kernel_and_solve(rng):
     def apply(m, x):
         return [sum(a * b for a, b in zip(row, x)) for row in m]
 
-    def columns(kb):
-        return [list(col) for col in zip(*kb)]
+    def kernel(m, cols):  # the kernel vectors of m, dense
+        return [[v.get(i, 0) for i in range(cols)] for v in kernel_basis(*sparse(m))]
 
     unsolvable = 0
     for idx in range(90):
@@ -177,28 +183,29 @@ def test_kernel_and_solve(rng):
         elif idx % 3 == 2:
             g = rng.choice((2, 3))
             m = [[g * x for x in row] for row in m]
-        for v in columns(kernel_basis(m)):
+        for v in kernel(m, c):
             assert not any(apply(m, v))
         images = [apply(m, [rng.randrange(-4, 5) for _ in range(c)]) for _ in range(4)]
-        for b, sol in zip(images, solve_all(m, images)):
+        for b, sol in zip(images, solve_integer(*sparse(m), images)):
             assert sol is not None and apply(m, sol) == b
         # y with y^T M = 0 is no image: y.y = y.(M x) = 0 would force y = 0
-        misses = columns(kernel_basis([list(col) for col in zip(*m)]))
+        misses = kernel([list(col) for col in zip(*m)], r)
         for y in misses:
             assert not any(apply(list(zip(*m)), y))
         if g > 1:
             misses.append([1] + [0] * (r - 1))
-        assert solve_all(m, misses) == [None] * len(misses)
+        assert solve_integer(*sparse(m), misses) == [None] * len(misses)
         unsolvable += len(misses)
         assert_solves_like_reference(m, images + misses)
     assert unsolvable > 60
-    assert solve_integer([{0: 2}], 1, [1]) is None
+    assert solve_integer([{0: 2}], 1, [[1]]) == [None]
 
 
 def test_solve_integer_on_sparse_rows_matches_solve_all(rng):
     # the convolution solver hands solve_integer sparse rows, int-defaulting
-    # dicts that may hold zeros; it must give solve_all's very answer on the
-    # dense matrix, None included, and leave the rows as they were
+    # dicts that may hold zeros; it must give the reference's very answer on
+    # the dense matrix, None included, kernel_basis must see the same matrix,
+    # and both must leave the rows as they were
     def apply(m, x):
         return [sum(a * b for a, b in zip(row, x)) for row in m]
 
@@ -218,6 +225,7 @@ def test_solve_integer_on_sparse_rows_matches_solve_all(rng):
         cases.append((m, c))
     unsolvable = 0
     for m, c in cases:
+        solve = reference_solver(m)
         rhs_list = [apply(m, [rng.randrange(-4, 5) for _ in range(c)]),
                     [rng.randrange(-3, 4) for _ in m], [0] * len(m)]
         for rhs in rhs_list:
@@ -229,8 +237,9 @@ def test_solve_integer_on_sparse_rows_matches_solve_all(rng):
                         row[col] += x
                 rows.append(row)
             before = [dict(row) for row in rows]
-            got = solve_integer(rows, c, rhs)
-            assert got == solve_all(m, [rhs])[0]
+            got, = solve_integer(rows, c, [rhs])
+            assert got == solve(rhs)
+            assert kernel_basis(rows, c) == kernel_basis(*sparse(m))
             assert [dict(row) for row in rows] == before
             if got is None:
                 unsolvable += 1
@@ -238,14 +247,8 @@ def test_solve_integer_on_sparse_rows_matches_solve_all(rng):
                 assert apply(m, got) == rhs
     assert unsolvable > 50
     # no equations: every unknown is free, and set to zero
-    assert solve_integer([], 3, []) == [0, 0, 0]
-    assert solve_integer([{}, defaultdict(int, {1: 0})], 2, [0, 1]) is None
-
-
-def test_unimodular_inverse():
-    u = [[1, 2], [0, 1]]
-    ui = matrix_inverse_unimodular(u)
-    assert ui == [[1, -2], [0, 1]]
+    assert solve_integer([], 3, [[]]) == [[0, 0, 0]]
+    assert solve_integer([{}, defaultdict(int, {1: 0})], 2, [[0, 1]]) == [None]
 
 
 def test_integer_homology_toy_cases():
@@ -270,10 +273,10 @@ def reference_homology(z: ZComplex) -> BigradedGroups:
     from a second Smith normal form."""
     out = BigradedGroups()
     for (i, j) in sorted(z.groups):
-        b_out = dense(z, (i, j))
-        kb = kernel_basis(b_out) if b_out else \
-            [[int(r == c) for c in range(z.rank(i, j))] for r in range(z.rank(i, j))]
-        kdim = len(kb[0]) if kb else 0
+        n = z.rank(i, j)
+        kernel = kernel_basis(z.diffs.get((i, j), []), n)
+        kb = [[v.get(r, 0) for v in kernel] for r in range(n)]
+        kdim = len(kernel)
         a_in = dense(z, (i - 1, j))
         orders = [0] * kdim
         if kdim and a_in:
@@ -514,6 +517,64 @@ def test_induced_map_finds_each_generating_set_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 31
     # u_2 has bidegree (-2, 4): each source with generators, and its target
     assert set(action) | {(h - 2, q + 4) for h, q in action} <= set(calls)
+
+
+def homotopic_to_identity(z: ZComplex, rng) -> dict:
+    """The rows of id + d h + h d for a random h of degree -1 (a chain map
+    homotopic to the identity, so it induces the identity on homology)."""
+    def mul(a, b):
+        return [[sum(x * b[k][c] for k, x in enumerate(row)) for c in range(len(b[0]))]
+                for row in a]
+
+    hom = {(h, q): [[rng.randrange(-2, 3) for _ in range(z.rank(h, q))]
+                    for _ in range(z.rank(h - 1, q))] for h, q in z.groups}
+    out = {}
+    for (h, q) in z.groups:
+        n = z.rank(h, q)
+        f = [[int(r == c) for c in range(n)] for r in range(n)]
+        d_in, d_out = dense(z, (h - 1, q)), dense(z, (h, q))
+        for term in ([mul(d_in, hom[(h, q)])] if d_in else []) + \
+                    ([mul(hom[(h + 1, q)], d_out)] if d_out else []):
+            f = [[x + y for x, y in zip(a, b)] for a, b in zip(f, term)]
+        out[(h, q)] = [{c: x for c, x in enumerate(row) if x} for row in f]
+    return out
+
+
+def test_homology_generators_are_cycles_of_the_integer_orders(rng):
+    # on complexes with torsion 2, 3, 4, 6 and 12 and on HOM(q2, q2): every
+    # generator is a cycle and no boundary, order d makes d times it a
+    # boundary, the orders are integer_homology's free rank and torsion, and
+    # the identity, and a map homotopic to it, induce unit columns (modulo
+    # the orders)
+    cases = [random_torsion_complex(rng)[0] for _ in range(40)]
+    cases.append(hom_complex(q2(), q2()))
+    torsion_seen = 0
+    for z in cases:
+        groups = integer_homology(z).groups
+        for (h, q) in z.groups:
+            gens, orders = homology_generators(z, (h, q))
+            assert len(gens) == len(orders)
+            a_in = dense(z, (h - 1, q))
+            boundary = reference_solver(a_in) if a_in else lambda b: None if any(b) else []
+            for gen, order in zip(gens, orders):
+                assert len(gen) == z.rank(h, q)
+                for row in z.diffs.get((h, q), []):
+                    assert sum(x * gen[c] for c, x in row.items()) == 0, (h, q)
+                assert boundary(gen) is None, (h, q)
+                assert not order or boundary([order * x for x in gen]) is not None
+            assert (orders.count(0), tuple(f for f in orders if f)) == \
+                groups.get((h, q), (0, ())), (h, q)
+            torsion_seen += any(orders)
+        ident = {key: [{r: 1} for r in range(z.rank(*key))] for key in z.groups}
+        for maps in (ident, homotopic_to_identity(z, rng)):
+            action = induced_map_on_homology(z, z, maps, 0, 0)
+            assert set(action) == set(groups)
+            for key, (cols, src_orders, tgt_orders) in action.items():
+                assert src_orders == tgt_orders == homology_generators(z, key)[1]
+                for c, col in enumerate(cols):
+                    for r, (x, order) in enumerate(zip(col, tgt_orders)):
+                        assert (x - (r == c)) % order == 0 if order else x == (r == c)
+    assert torsion_seen > 20
 
 
 def test_taut_chain_map_keys_are_the_bidegrees_it_reaches():
