@@ -482,7 +482,8 @@ def induced_map_on_homology(z_src: ZComplex, z_tgt: ZComplex,
     `matrices` maps (i, j) -> chain-level matrix into (i + dh, j + dq).
     Returns dict (i, j) -> (cols, src_orders, tgt_orders) where cols[c] are
     the coordinates of the image of the c-th source generator over the target
-    generators (well-defined modulo the target orders; order 0 means free).
+    generators (order 0 means free).  A coordinate is defined modulo its
+    target order and given reduced, in 0 .. order - 1, when that order is > 0.
     """
     generators = cache(homology_generators)  # once per (complex, bidegree)
     out = {}
@@ -504,5 +505,7 @@ def induced_map_on_homology(z_src: ZComplex, z_tgt: ZComplex,
         sols = solve_integer(rows, g + z_tgt.rank(*key_in), imgs)
         if any(sol is None for sol in sols):
             raise InvariantError("image of a cycle is not a cycle")
-        out[key] = ([sol[:g] for sol in sols], ord_s, ord_t)
+        # zip stops at the g target generators' coordinates
+        out[key] = ([[y % d if d else y for y, d in zip(sol, ord_t)]
+                     for sol in sols], ord_s, ord_t)
     return out

@@ -237,6 +237,19 @@ def bracket_colored(d: ColoredDiagram, window: int = 12) -> tuple[Complex, bool]
 
     Returns (complex, exact) where exact is False when any spliced
     quasi-projector was window-truncated.
+
+    The fold closes each strand as soon as no later slice touches it: the
+    components' top groups (twists, then marks) go right to left, each
+    acting on its own cable, and before the first slice and after every
+    slice the rightmost strand is closed while the accumulator is wider
+    than the columns that the later slices touch.  A plat closure's
+    rainbows touch every column, so its strands close at the end.  Tracing
+    a strand that the remaining slices leave alone commutes with stacking
+    them (a planar isotopy), so the raw closure is isomorphic to the one
+    that closes every strand at the end, and `simplify` keeps its homotopy
+    type: the groups are the same in every degree, truncation artifacts of
+    window-truncated boxes included.  Only the complex differs; only its
+    homology is read (by `link_homology`).
     """
     cabled = cable(d)
     width = cabled.total_width
@@ -247,15 +260,40 @@ def bracket_colored(d: ColoredDiagram, window: int = 12) -> tuple[Complex, bool]
         if boxes[color].valid_h_min is not None:
             exact = False
 
-    steps = [Slice(_crossing(sl, width) if sl[0] == "x"
-                   else pad_columns(boxes[sl[2]].complex, sl[1] + 1, width))
-             for sl in cabled.slices]
+    slices = _decorations_right_to_left(d, cabled.slices)
+    # reach[i]: the columns 0 .. reach[i] - 1 hold every column that
+    # slices[i:] touch, and the rainbows of a plat closure touch them all
+    reach, right = [], width if d.closure == "plat" else 0
+    for sl in reversed(slices):
+        right = max(right, sl[1] + (2 if sl[0] == "x" else sl[2]))
+        reach.append(right)
+    reach.reverse()
+    steps, n = [], width
+    for sl, need in zip(slices, reach):
+        steps += [CLOSE] * (n - need)
+        n = need
+        steps.append(Slice(_crossing(sl, n) if sl[0] == "x"
+                           else pad_columns(boxes[sl[2]].complex, sl[1] + 1, n)))
     if d.closure == "plat":
         steps.append(Slice(_rainbows(d, width)))
     # only the homology of this complex is read: the fill-in key applies
-    cur, _ = fold(Complex.identity_complex(width), steps + [CLOSE] * width,
+    cur, _ = fold(Complex.identity_complex(width), steps + [CLOSE] * n,
                   fill_in=True)
     return cur, exact
+
+
+def _decorations_right_to_left(d: ColoredDiagram, slices: list) -> list:
+    """`cable(d).slices` with the components' top groups in right-to-left
+    order of their cables, each group (twists, then marks) kept as it is."""
+    sizes = [len(full_twist_word(n, f)) + m
+             for n, f, m in zip(d.colors, d.framings, d.marks)]
+    braid = start = len(slices) - sum(sizes)
+    groups = []
+    for size in sizes:
+        groups.append(slices[start:start + size])
+        start += size
+    groups.sort(key=lambda group: group[-1][1], reverse=True)  # by mark column
+    return slices[:braid] + [sl for group in groups for sl in group]
 
 
 def _crossing(sl: tuple, width: int) -> Complex:

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from catsl2 import links
+from catsl2.complexes import CLOSE, Complex, Slice, fold, tautological_complex
+from catsl2.homology import integer_homology
 from catsl2.links import (CabledWord, ColoredDiagram, bracket_colored, cable,
                           framing_check, full_twist_word, invariance_spotcheck,
                           link_homology, merging_check)
-from catsl2.projectors import q2
+from catsl2.projectors import pad_columns, q2, quasi_projector
 from catsl2.series import TruncatedSeries
 from catsl2.tl import closure_evaluate, jw
 from conftest import todays_pivot_key
@@ -276,7 +279,7 @@ def small_trace_closures(draw):
     """At most 3 strands and 4 letters, colors at most 2, random orientations.
 
     The cable is at most 5 strands wide: a 3-strand knot colored 2 (width 6)
-    takes 2-12 s, against at most about 0.8 s here."""
+    takes 0.7-2 s, against at most about 0.3 s here."""
     strands = draw(st.integers(2, 3))
     word = tuple(draw(st.lists(st.integers(1, strands - 1).flatmap(
         lambda i: st.sampled_from((i, -i))), max_size=4)))
@@ -316,6 +319,82 @@ def test_homology_does_not_depend_on_the_pivot_key(d):
     groups, exact = link_homology(d)
     with todays_pivot_key():
         assert link_homology(d) == (groups, exact)
+
+
+def end_closing_homology(d: ColoredDiagram, window: int):
+    """`link_homology` on the fold order that closed every strand at the end:
+    each slice of `cable(d)` at full cable width, a plat closure's rainbows,
+    then CLOSE once per strand, all on the fill-in key."""
+    cabled = cable(d)
+    width = cabled.total_width
+    boxes = {c: quasi_projector(c, d.family_for(c), window) for c in set(d.colors)}
+    steps = [Slice(links._crossing(sl, width) if sl[0] == "x"
+                   else pad_columns(boxes[sl[2]].complex, sl[1] + 1, width))
+             for sl in cabled.slices]
+    if d.closure == "plat":
+        steps.append(Slice(links._rainbows(d, width)))
+    cur, _ = fold(Complex.identity_complex(width), steps + [CLOSE] * width,
+                  fill_in=True)
+    exact = all(b.valid_h_min is None for b in boxes.values())
+    return integer_homology(tautological_complex(cur)), exact
+
+
+@st.composite
+def decorated_closures(draw):
+    """Trace closures on 1-3 strands and plat closures on 2, with framings
+    +-1, one or two marks and boxes of families (c,), (1, 2) and () at
+    window 6-8; the cable is at most 4 strands wide."""
+    closure = draw(st.sampled_from(("trace", "plat")))
+    strands = 2 if closure == "plat" else draw(st.integers(1, 3))
+    letters = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    word = tuple(draw(st.lists(letters, max_size=3))) if strands > 1 else ()
+    k = 1 if closure == "plat" else _component_count(strands, word)
+
+    def per_component(values):
+        return tuple(draw(st.lists(values, min_size=k, max_size=k)))
+
+    colors = per_component(st.integers(1, 2))
+    choices = {1: ((1,), ()), 2: ((2,), (1, 2), ())}
+    family = tuple((c, draw(st.sampled_from(choices[c]))) for c in sorted(set(colors)))
+    d = ColoredDiagram(strands, word, closure, colors,
+                       per_component(st.sampled_from((-1, 0, 1))),
+                       per_component(st.integers(1, 2)), family)
+    assume(cable(d).total_width <= 4)
+    return d, draw(st.integers(6, 8))
+
+
+@given(decorated_closures())
+@settings(max_examples=20, deadline=None)
+@example((ColoredDiagram(2, (1, 1, 1), "trace", (2,), (1,), (2,), ((2, ()),)), 8))
+@example((ColoredDiagram(2, (1, -1), "plat", (2,), (-1,), (2,), ((2, (1, 2)),)), 6))
+@example((ColoredDiagram(3, (1, 2), "trace", (1,), (-1,), (2,), ((1, ()),)), 7))
+@example((ColoredDiagram(2, (1, 1), "trace", (2, 1), (1, -1), (2, 1),
+                         ((1, (1,)), (2, (2,)))), 6))
+def test_closing_plan_matches_closing_at_the_end(case):
+    # a strand that no later slice touches may be closed at once: the groups,
+    # truncation artifacts of family () boxes included, and `exact` agree
+    d, window = case
+    assert link_homology(d, window) == end_closing_homology(d, window)
+
+
+def test_closing_plan_of_the_two_colored_trefoil(monkeypatch):
+    # 12 crossings on the 4-strand cable: column 3 is last touched by the
+    # 10th and column 2 by the 12th; the box sits on columns 0-1
+    d = ColoredDiagram(2, (1, 1, 1), "trace", (2,), (0,), (1,), FAM2)
+    steps = []
+
+    def recording_fold(cur, given, **kwargs):
+        steps.extend(given)
+        return fold(cur, given, **kwargs)
+
+    monkeypatch.setattr(links, "fold", recording_fold)
+    bracket_colored(d)
+    box_objects = sum(map(len, quasi_projector(2, (2,)).complex.objects.values()))
+    plan = [step if step is CLOSE else
+            ("box" if sum(map(len, step.complex.objects.values())) == box_objects
+             else "x", step.complex.n) for step in steps]
+    assert plan == ([("x", 4)] * 10 + [CLOSE] + [("x", 3)] * 2 + [CLOSE]
+                    + [("box", 2), CLOSE, CLOSE])
 
 
 def test_torus_links_stabilize_onto_projector_closure():
