@@ -17,8 +17,7 @@ from .cobordism import FlatTangle, GradedObject
 from .complexes import (CLOSE, Complex, InvariantError, Slice, _json_int, fold,
                         simplify, tautological_complex)
 from .homology import BigradedGroups, integer_homology
-from .projectors import (QnBuild, braid_letter_complex, quasi_projector,
-                         pad_columns)
+from .projectors import braid_letter_complex, pad_columns, quasi_projector
 from .tl import Matching
 
 
@@ -183,7 +182,9 @@ def cable(d: ColoredDiagram) -> CabledWord:
 
     Substrand orientations start 'up, down, up, ...' within each cable and
     travel with the substrands; each elementary crossing records whether its
-    two substrands are parallel, which fixes its oriented complex.
+    two substrands are parallel, which fixes its oriented complex.  Above the
+    braid come the components' top groups (framing twists, then marks), the
+    cables right to left; each group acts on its own cable only.
     """
     comps = d.components()
     color_of_pos = [d.colors[d.component_of(p)] for p in range(d.strands)]
@@ -217,13 +218,13 @@ def cable(d: ColoredDiagram) -> CabledWord:
     for letter in d.word:
         emit_block(abs(letter) - 1, 1 if letter > 0 else -1)
 
-    # at the top: framing twists and marks, one site per component
+    # at the top: framing twists and marks, one site per component, the
+    # components right to left by site
     perm = d.permutation()
-    for cidx, comp in enumerate(comps):
+    sites = [min(perm[p] for p in comp) for comp in comps]
+    for cidx in sorted(range(len(comps)), key=sites.__getitem__, reverse=True):
         n = d.colors[cidx]
-        top_columns = sorted(perm[p] for p in comp)
-        site = top_columns[0]
-        base = col_base(site)
+        base = col_base(sites[cidx])
         if d.framings[cidx]:
             for i in full_twist_word(n, d.framings[cidx]):
                 emit_elementary(base + abs(i) - 1, 1 if i > 0 else -1)
@@ -238,9 +239,9 @@ def bracket_colored(d: ColoredDiagram, window: int = 12) -> tuple[Complex, bool]
     Returns (complex, exact) where exact is False when any spliced
     quasi-projector was window-truncated.
 
-    The fold closes each strand as soon as no later slice touches it: the
-    components' top groups (twists, then marks) go right to left, each
-    acting on its own cable, and before the first slice and after every
+    The fold closes each strand as soon as no later slice touches it: `cable`
+    emits the components' top groups (twists, then marks) right to left,
+    each acting on its own cable, and before the first slice and after every
     slice the rightmost strand is closed while the accumulator is wider
     than the columns that the later slices touch.  A plat closure's
     rainbows touch every column, so its strands close at the end.  Tracing
@@ -252,15 +253,10 @@ def bracket_colored(d: ColoredDiagram, window: int = 12) -> tuple[Complex, bool]
     homology is read (by `link_homology`).
     """
     cabled = cable(d)
-    width = cabled.total_width
-    boxes: dict[int, QnBuild] = {}
-    exact = True
-    for color in set(d.colors):
-        boxes[color] = quasi_projector(color, d.family_for(color), window)
-        if boxes[color].valid_h_min is not None:
-            exact = False
-
-    slices = _decorations_right_to_left(d, cabled.slices)
+    width, slices = cabled.total_width, cabled.slices
+    boxes = {color: quasi_projector(color, d.family_for(color), window)
+             for color in set(d.colors)}
+    exact = all(box.valid_h_min is None for box in boxes.values())
     # reach[i]: the columns 0 .. reach[i] - 1 hold every column that
     # slices[i:] touch, and the rainbows of a plat closure touch them all
     reach, right = [], width if d.closure == "plat" else 0
@@ -280,20 +276,6 @@ def bracket_colored(d: ColoredDiagram, window: int = 12) -> tuple[Complex, bool]
     cur, _ = fold(Complex.identity_complex(width), steps + [CLOSE] * n,
                   fill_in=True)
     return cur, exact
-
-
-def _decorations_right_to_left(d: ColoredDiagram, slices: list) -> list:
-    """`cable(d).slices` with the components' top groups in right-to-left
-    order of their cables, each group (twists, then marks) kept as it is."""
-    sizes = [len(full_twist_word(n, f)) + m
-             for n, f, m in zip(d.colors, d.framings, d.marks)]
-    braid = start = len(slices) - sum(sizes)
-    groups = []
-    for size in sizes:
-        groups.append(slices[start:start + size])
-        start += size
-    groups.sort(key=lambda group: group[-1][1], reverse=True)  # by mark column
-    return slices[:braid] + [sl for group in groups for sl in group]
 
 
 def _crossing(sl: tuple, width: int) -> Complex:

@@ -6,9 +6,10 @@ block, glued by the connecting map -eta o eps (project to a copy's bottom
 object, include into the next copy's top).  Cutting only at copy boundaries
 keeps d^2 = 0 exact everywhere and keeps the stored ring-action maps u_k
 exact cycles (the block shift vanishing on the deepest copy is a module
-structure, not a brutal cutoff).  The recorded window is the range of
-degrees in which the truncation agrees with the untruncated projector; the
-deepest copy's own objects are truncation artifacts outside it.
+structure, not a brutal cutoff).  The recorded window is the build's window
+argument, not a measured depth: how deep the truncation agrees with the
+untruncated projector depends on n, and the deepest copy's own objects are
+truncation artifacts below that depth.
 """
 
 from __future__ import annotations
@@ -187,23 +188,20 @@ class QnBuild:
 
 
 def build_qn(n: int, window: int = 12) -> QnBuild:
-    """A convolution of the symmetric sequence: exact for n = 2, window-valid
-    for n = 3 (relative to a truncated 2-strand projector)."""
-    if n == 2:
-        pieces, alphas = symmetric_sequence(Complex.identity_complex(1), 2)
-        out = convolution_complete(pieces, alphas)
-        out.check()
-        return QnBuild(out, None)
-    if n == 3:
-        proj = truncated_pn(2, window + DEPTH_MARGIN)
-        pieces, alphas = symmetric_sequence(proj.complex, 3)
-        guard = -(window + 2)
-        out = convolution_complete(pieces, alphas, min_total_degree=guard)
+    """A convolution of the symmetric sequence relative to K = P_{n-1}: exact
+    for n = 2, where P_1 is the identity, and window-valid for n = 3, where
+    K is a truncated 2-strand projector."""
+    if n not in (2, 3):
+        raise ValueError("build_qn supports n in {2, 3} at desk scale")
+    pieces, alphas = symmetric_sequence(
+        truncated_pn(n - 1, window + DEPTH_MARGIN).complex, n)
+    guard = -(window + 2) if n > 2 else None  # only a truncated K needs one
+    out = convolution_complete(pieces, alphas, min_total_degree=guard)
+    if guard is not None:
         out = out.truncate_below(guard + 2)
-        out.check()
-        # the trim edge itself carries truncation artifacts
-        return QnBuild(out, guard + 3)
-    raise ValueError("build_qn supports n in {2, 3} at desk scale")
+    out.check()
+    # the trim edge itself carries truncation artifacts
+    return QnBuild(out, None if guard is None else guard + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +211,7 @@ def build_qn(n: int, window: int = 12) -> QnBuild:
 @dataclass
 class TruncatedProjector:
     n: int
-    window: int                      # exact in degrees >= -window; h_min() is lower
+    window: int                      # the window argument of the build
     complex: Complex
     unit: ChainMap                   # 1_n -> complex (inclusion of the top)
     u_maps: dict[int, ChainMap]      # k -> exact cycle of bidegree (2-2k, 2k)
@@ -269,13 +267,10 @@ def _periodic_model(block: Complex, n: int, window: int):
 
 
 def _bare_unit(c: Complex, n: int) -> ChainMap:
-    """Inclusion of the 1_n chain object at degree zero (always a chain map)."""
-    ident = Complex.identity_complex(n)
-    top = c.objects[0]
-    idx = next(i for i, o in enumerate(top)
-               if o.tangle == FlatTangle.identity(n) and o.qshift == 0)
-    return ChainMap(ident, c, 0, 0,
-                    {0: {(idx, 0): CobMorphism.identity(FlatTangle.identity(n))}})
+    """Inclusion of 1_n as the degree-zero object, which `check` requires
+    to be exactly [1_n] (always a chain map)."""
+    return ChainMap(Complex.identity_complex(n), c, 0, 0,
+                    {0: {(0, 0): CobMorphism.identity(FlatTangle.identity(n))}})
 
 
 def _u1_map(c: Complex) -> ChainMap:
@@ -289,30 +284,24 @@ def _u1_map(c: Complex) -> ChainMap:
 def truncated_pn(n: int, window: int = 12) -> TruncatedProjector:
     """Truncated Cooper-Krushkal projector with unit and u-action maps."""
     if n == 1:
-        c = Complex.identity_complex(1)
-        proj = TruncatedProjector(1, window, c, _bare_unit(c, 1), {1: _u1_map(c)})
-        proj.check()
-        return proj
-    if n == 2:
+        simp, higher = Complex.identity_complex(1), []
+    elif n == 2:
         per, u2per = _periodic_model(q2(), 2, window)
-        simp, (u2,) = simplify(per, [u2per])
-        proj = TruncatedProjector(2, window, simp, _bare_unit(simp, 2),
-                                  {1: _u1_map(simp), 2: u2})
-        proj.check()
-        return proj
-    if n == 3:
+        simp, higher = simplify(per, [u2per])
+    elif n == 3:
         p2 = truncated_pn(2, window)
         per3, u3per = _periodic_model(q3(), 3, window)
         strand = Complex.identity_complex(1)
         left = juxtapose_complexes(p2.complex, strand)
         u2left = product_map(left, left, p2.u_maps[2], strand)  # u_2 u 1
-        simp, (u2, u3) = fold(left, [Slice(per3, under=True, maps=(u3per,))],
-                              [u2left])
-        proj = TruncatedProjector(3, window, simp, _bare_unit(simp, 3),
-                                  {1: _u1_map(simp), 2: u2, 3: u3})
-        proj.check()
-        return proj
-    raise ValueError("truncated_pn supports n in 1..3 at desk scale")
+        simp, higher = fold(left, [Slice(per3, under=True, maps=(u3per,))],
+                            [u2left])
+    else:
+        raise ValueError("truncated_pn supports n in 1..3 at desk scale")
+    proj = TruncatedProjector(n, window, simp, _bare_unit(simp, n),
+                              dict(enumerate([_u1_map(simp), *higher], 1)))
+    proj.check()
+    return proj
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,6 @@ class TruncatedSeries:
             out = out + power
         return TruncatedSeries({e - m: c * lead for e, c in out.coeffs.items()}, target)
 
-    def __truediv__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self * other.inverse()
-
     # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other) -> bool:

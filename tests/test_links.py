@@ -57,6 +57,18 @@ def test_cable_examples():
     assert sorted(kinds) == [(0, True), (1, False), (1, False), (2, True)]
 
 
+def test_cable_emits_the_top_groups_right_to_left():
+    # two components above a pure braid: the right cable's marks come first,
+    # then the left cable's group, its framing twist before its mark
+    d = ColoredDiagram(2, (1, 1), "trace", (2, 1), (1, 0), (1, 2),
+                       ((1, (1,)), (2, (2,))))
+    w = cable(d)
+    assert [s[0] for s in w.slices[:4]] == ["x"] * 4
+    assert w.slices[4:] == [("box", 2, 1), ("box", 2, 1),
+                            ("x", 0, 1, False), ("x", 0, 1, False),
+                            ("box", 0, 2)]
+
+
 def test_full_twist_word():
     assert full_twist_word(2, 1) == [1, 1]
     assert full_twist_word(2, -1) == [-1, -1]
@@ -121,6 +133,16 @@ def test_two_colored_plat_invariance():
     assert rep["equal"] and rep["exact"]
 
 
+def test_two_colored_projector_unknot_invariance_inside_the_window():
+    # family () splices the truncated P_2: the groups agree from -window + 6 up
+    fam = ((2, ()),)
+    base = ColoredDiagram(1, (), "trace", (2,), (0,), (1,), fam)
+    for other in (ColoredDiagram(2, (1,), "trace", (2,), (-1,), (1,), fam),
+                  ColoredDiagram(2, (1, -1), "plat", (2,), (0,), (1,), fam)):
+        rep = invariance_spotcheck(base, other, 8)
+        assert rep["equal"] and not rep["exact"]
+
+
 def test_mark_slides_past_crossings():
     # same 2-colored unknot with the mark on either side of a twist pair
     d1 = ColoredDiagram(2, (1, -1), "plat", (2,), (0,), (1,), FAM2)
@@ -134,6 +156,9 @@ def test_framing_shift_values():
     assert rep["matches"] and rep["shift"] == {"t": 2, "q": -4}
     rep = framing_check(1, (1,))
     assert rep["matches"] and rep["shift"] == {"t": 0, "q": 0}
+    # the truncated P_2 compares ranks from valid_h_min + t-shift + 2 up
+    rep = framing_check(2, (), 8)
+    assert rep["matches"] and rep["shift"] == {"t": 2, "q": -4}
 
 
 def test_framed_two_colored_unknot_shifts_by_g2():
