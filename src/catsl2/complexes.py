@@ -87,9 +87,6 @@ class Complex:
 
     # -- inspection ----------------------------------------------------------
 
-    def degrees(self) -> list[int]:
-        return list(self.objects)
-
     def is_zero(self) -> bool:
         return not self.objects
 
@@ -859,38 +856,55 @@ class Slice:
 CLOSE = "close"  # the `fold` step that closes the accumulator's rightmost strand
 
 
-def fold(cur: Complex, steps, maps=(), cancel: bool = True,
+def fold(cur: Complex, steps, maps=(),
          fill_in: bool = False) -> tuple[Complex, list[ChainMap]]:
     """Apply `steps` to `cur` in order, carrying its endomorphisms `maps`.
 
     A `Slice` step takes the undelooped product with the slice on top,
     `tensor_indexed(slice, cur)`, or below it when `under`; a CLOSE step
-    takes `partial_trace_complex(cur)` and traces every component of each
-    map.  The result is simplified, or only delooped when not `cancel`; each
-    map moves by `product_map` (on its factor) and is then carried through
-    that same `simplify` or `deloop` call, on the fill-in pivot key when
-    `fill_in` (set only by `links.bracket_colored`; see `simplify`).
-    Returns (complex, maps): the given maps, then the slices' maps in step
-    order.  The engine functions
-    are module globals looked up at each step, so a tracer that rebinds
-    them sees every one.
+    traces the rightmost strand (`_trace_strand`).  The result is
+    simplified; each map moves by `product_map` (on its factor) or is
+    traced, then is carried through that same `simplify` call, on the
+    fill-in pivot key when `fill_in` (set only by `links.bracket_colored`;
+    see `simplify`).  Returns (complex, maps): the given maps, then the
+    slices' maps in step order.  The engine functions are module globals
+    looked up at each step, so a tracer that rebinds them sees every one.
     """
     maps = list(maps)
     for step in steps:
         if step is CLOSE:
-            raw = partial_trace_complex(cur)
-            maps = [ChainMap(raw, raw, f.dh, f.dq,
-                             {h: {k: trace_morphism(m) for k, m in e.items()}
-                              for h, e in f.components.items()})
-                    for f in maps]
+            raw, maps = _trace_strand(cur, maps)
         else:
             factors = (cur, step.complex) if step.under else (step.complex, cur)
             raw = tensor_indexed(*factors)
             mine = 0 if step.under else 1  # the accumulator's factor
             maps = ([_on_factor(raw, factors, mine, f) for f in maps]
                     + [_on_factor(raw, factors, 1 - mine, g) for g in step.maps])
-        cur, maps = simplify(raw, maps, fill_in) if cancel else deloop(raw, maps)
+        cur, maps = simplify(raw, maps, fill_in)
     return cur, maps
+
+
+def closure(c: Complex, maps=()) -> tuple[Complex, list[ChainMap]]:
+    """q^n T^n(c), the HOM(1_n, c) computation pushed down to Cob_0, with
+    the endomorphisms `maps` of c carried along; returns (complex, maps).
+    Each strand is traced, then delooped, before the next (one deloop at
+    the end orders the objects differently); the q^n is one shift at the
+    end, since a q-shift commutes with tracing and delooping."""
+    n = c.n
+    for _ in range(n):
+        c, maps = deloop(*_trace_strand(c, maps))
+    closed = shift(c, 0, n)
+    return closed, [ChainMap(closed, closed, f.dh, f.dq, f.components) for f in maps]
+
+
+def _trace_strand(c: Complex, maps) -> tuple[Complex, list[ChainMap]]:
+    """`partial_trace_complex(c)`, and each endomorphism in `maps` traced
+    entry by entry to match; the circles made are kept."""
+    raw = partial_trace_complex(c)
+    return raw, [ChainMap(raw, raw, f.dh, f.dq,
+                          {h: {k: trace_morphism(m) for k, m in e.items()}
+                           for h, e in f.components.items()})
+                 for f in maps]
 
 
 def _on_factor(raw: Complex, factors: tuple, k: int, f: ChainMap) -> ChainMap:

@@ -33,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .complexes import (CLOSE, ChainMap, Complex, InvariantError, ZComplex,
-                        _hom_columns, _lines, fold, shift,
-                        tautological_complex)
+from .complexes import (ChainMap, Complex, InvariantError, ZComplex,
+                        _hom_columns, _lines, closure, tautological_complex)
 
 
 def _add_to(dst: dict, src: dict, k: int) -> None:  # dst += k * src
@@ -340,23 +339,6 @@ def poincare_string(coeffs: dict[tuple[int, int], int]) -> str:
 # Ext groups and the partial-trace adjunction
 # ---------------------------------------------------------------------------
 
-def closure_complex(c: Complex) -> Complex:
-    """q^n T^n(c): the HOM(1_n, c) computation pushed down to Cob_0."""
-    return closure_with_transport(c, [])[0]
-
-
-def closure_with_transport(c: Complex, maps: list[ChainMap]):
-    """Close all strands while transporting endomorphisms of c along.
-
-    One `fold` of c.n strand closures that deloop without cancelling, then
-    the q^n as one shift at the end (a q-shift commutes with tracing and
-    delooping); returns (closed complex, transported endomorphisms).
-    """
-    closed, fs = fold(c, [CLOSE] * c.n, maps, cancel=False)
-    closed = shift(closed, 0, c.n)
-    return closed, [ChainMap(closed, closed, f.dh, f.dq, f.components) for f in fs]
-
-
 def u_action_on_homology(proj, k: int):
     """Induced action of u_k on the homology of the projector's closure.
 
@@ -366,7 +348,7 @@ def u_action_on_homology(proj, k: int):
     window only.
     """
     u = proj.u_maps[k]
-    closed, (uc,) = closure_with_transport(proj.complex, [u])
+    closed, (uc,) = closure(proj.complex, [u])
     z = tautological_complex(closed)
     mats = taut_chain_map(uc, z, z)
     groups = integer_homology(z)
@@ -378,7 +360,7 @@ def projector_end_complex(c: Complex) -> ZComplex:
     Use it, valid when c kills turnbacks, for self-Ext of a window-truncated
     projector: there HOM(c, c) has cycles near the cut that corrupt fixed
     bidegrees for every window, while this is exact above the cut."""
-    return tautological_complex(closure_complex(c))
+    return tautological_complex(closure(c)[0])
 
 
 @dataclass(frozen=True)

@@ -77,10 +77,8 @@ class TruncatedSeries:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        acc = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            acc[e] = acc.get(e, 0) + c
-        return TruncatedSeries(acc, min(self.precision, other.precision))
+        return TruncatedSeries([*self.coeffs.items(), *other.coeffs.items()],
+                               min(self.precision, other.precision))
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self + (-other)
@@ -88,10 +86,7 @@ class TruncatedSeries:
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries({e: -c for e, c in self.coeffs.items()}, self.precision)
 
-    def __mul__(self, other) -> TruncatedSeries:
-        if isinstance(other, int):
-            return TruncatedSeries({e: c * other for e, c in self.coeffs.items()},
-                                   self.precision)
+    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         bounds = []
         if other.coeffs:
             bounds.append(self.precision + other.min_exponent)
@@ -99,16 +94,8 @@ class TruncatedSeries:
             bounds.append(other.precision + self.min_exponent)
         if not bounds:
             bounds.append(min(self.precision, other.precision))
-        precision = min(bounds)
-        acc: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e <= precision:
-                    acc[e] = acc.get(e, 0) + c1 * c2
-        return TruncatedSeries(acc, precision)
-
-    __rmul__ = __mul__
+        return TruncatedSeries([(e1 + e2, c1 * c2) for e1, c1 in self.coeffs.items()
+                                for e2, c2 in other.coeffs.items()], min(bounds))
 
     def shift(self, k: int) -> TruncatedSeries:
         """Multiply by q^k (the window moves with the series)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .series import DEFAULT_PRECISION, PrecisionError, TruncatedSeries
 
@@ -278,20 +278,22 @@ def juxtapose_matchings(left: Matching, right: Matching) -> tuple[Matching, dict
 # ---------------------------------------------------------------------------
 
 class TLElement:
-    """Formal sum of crossingless matchings with truncated-series coefficients."""
+    """Formal sum of crossingless matchings with truncated-series coefficients,
+    built from a dict or (matching, series) pairs: a repeated matching's
+    series are summed, as `TruncatedSeries` sums repeated exponents."""
 
     __slots__ = ("n", "terms", "precision")
 
-    def __init__(self, n: int, terms: dict[Matching, TruncatedSeries] | None = None,
+    def __init__(self, n: int, terms: dict | Iterable[tuple[Matching, TruncatedSeries]] = (),
                  precision: int = DEFAULT_PRECISION):
         self.n = n
         self.precision = precision
-        self.terms: dict[Matching, TruncatedSeries] = {}
-        for m, s in sorted((terms or {}).items()):
+        acc: dict[Matching, TruncatedSeries] = {}
+        for m, s in terms.items() if isinstance(terms, dict) else terms:
             if m.n != n:
                 raise InvariantError("mixed strand counts in TL element")
-            if not s.is_zero():
-                self.terms[m] = s
+            acc[m] = acc[m] + s if m in acc else s
+        self.terms = {m: s for m, s in sorted(acc.items()) if not s.is_zero()}
 
     @classmethod
     def identity(cls, n: int, precision: int = DEFAULT_PRECISION) -> TLElement:
@@ -314,10 +316,8 @@ class TLElement:
     def __add__(self, other: TLElement) -> TLElement:
         if self.n != other.n:
             raise InvariantError("adding TL elements on different strand counts")
-        acc = dict(self.terms)
-        for m, s in other.terms.items():
-            acc[m] = acc[m] + s if m in acc else s
-        return TLElement(self.n, acc, self.precision)
+        return TLElement(self.n, [*self.terms.items(), *other.terms.items()],
+                         self.precision)
 
     def __neg__(self) -> TLElement:
         return TLElement(self.n, {m: -s for m, s in self.terms.items()}, self.precision)
@@ -325,7 +325,7 @@ class TLElement:
     def __sub__(self, other: TLElement) -> TLElement:
         return self + (-other)
 
-    def scale(self, s: TruncatedSeries | int) -> TLElement:
+    def scale(self, s: TruncatedSeries) -> TLElement:
         return TLElement(self.n, {m: c * s for m, c in self.terms.items()}, self.precision)
 
     def __mul__(self, other: TLElement) -> TLElement:
@@ -353,16 +353,15 @@ def tl_mul(a: TLElement, b: TLElement) -> TLElement:
     if a.precision != b.precision:
         raise PrecisionError("precision mismatch")
     circle = TruncatedSeries.circle(a.precision)
-    acc: dict[Matching, TruncatedSeries] = {}
+    pairs = []
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             info = stack_matchings(ma, mb)
             coeff = ca * cb
             for _ in range(info.circles):
                 coeff = coeff * circle
-            m = info.result
-            acc[m] = acc[m] + coeff if m in acc else coeff
-    return TLElement(a.n, acc, a.precision)
+            pairs.append((info.result, coeff))
+    return TLElement(a.n, pairs, a.precision)
 
 
 def through_degree(a: TLElement) -> int:
@@ -391,14 +390,10 @@ def jw(n: int, precision: int = DEFAULT_PRECISION) -> TLElement:
 
 def juxtapose_tl(a: TLElement, b: TLElement) -> TLElement:
     if a.precision != b.precision:
-        raise InvariantError("juxtaposing TL elements of different precisions")
-    acc: dict[Matching, TruncatedSeries] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            m, _ = juxtapose_matchings(ma, mb)
-            c = ca * cb
-            acc[m] = acc[m] + c if m in acc else c
-    return TLElement(a.n + b.n, acc, a.precision)
+        raise PrecisionError("precision mismatch")
+    return TLElement(a.n + b.n, [(juxtapose_matchings(ma, mb)[0], ca * cb)
+                                 for ma, ca in a.terms.items()
+                                 for mb, cb in b.terms.items()], a.precision)
 
 
 def partial_trace_tl(a: TLElement) -> TLElement:
@@ -406,13 +401,11 @@ def partial_trace_tl(a: TLElement) -> TLElement:
     if a.n < 1:
         raise ValueError("nothing to trace")
     circle = TruncatedSeries.circle(a.precision)
-    acc: dict[Matching, TruncatedSeries] = {}
+    pairs = []
     for m, c in a.terms.items():
         info = trace_matching(m)
-        val = c * circle if info.circles else c
-        r = info.result
-        acc[r] = acc[r] + val if r in acc else val
-    return TLElement(a.n - 1, acc, a.precision)
+        pairs.append((info.result, c * circle if info.circles else c))
+    return TLElement(a.n - 1, pairs, a.precision)
 
 
 def closure_evaluate(a: TLElement) -> TruncatedSeries:
@@ -425,13 +418,11 @@ def closure_evaluate(a: TLElement) -> TruncatedSeries:
 def euler_characteristic(complex_: "Complex", precision: int = DEFAULT_PRECISION) -> TLElement:
     """Alternating sum of chain objects, loops evaluated at q+q^-1."""
     circle = TruncatedSeries.circle(precision)
-    acc: dict[Matching, TruncatedSeries] = {}
-    for h in complex_.degrees():
-        sign = -1 if h % 2 else 1
-        for obj in complex_.objects[h]:
-            c = TruncatedSeries.monomial(obj.qshift, sign, precision)
+    pairs = []
+    for h, objs in complex_.objects.items():
+        for obj in objs:
+            c = TruncatedSeries.monomial(obj.qshift, -1 if h % 2 else 1, precision)
             for _ in range(obj.tangle.circles):
                 c = c * circle
-            m = obj.tangle.matching
-            acc[m] = acc[m] + c if m in acc else c
-    return TLElement(complex_.n, acc, precision)
+            pairs.append((obj.tangle.matching, c))
+    return TLElement(complex_.n, pairs, precision)

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .cobordism import CobMorphism, FlatTangle, compose, glue
-from .complexes import (Complex, ZComplex, hom_complex, simplify,
+from .complexes import (Complex, ZComplex, closure, hom_complex, simplify,
                         tautological_complex, tensor)
 from .config import Config
 from .homology import integer_homology, projector_end_complex
@@ -156,9 +156,8 @@ def check_idempotency(cfg: Config):
         predicted[(h - 3, q + 4)] = predicted.get((h - 3, q + 4), 0) + r
     _require(qq.graded_ranks() == predicted, "graded ranks of Q2 (x) Q2")
     # closure homology agrees with the direct-sum prediction
-    from .homology import closure_complex
-    h_qq = integer_homology(tautological_complex(closure_complex(qq)))
-    h_q = integer_homology(tautological_complex(closure_complex(q2())))
+    h_qq = integer_homology(tautological_complex(closure(qq)[0]))
+    h_q = integer_homology(tautological_complex(closure(q2())[0]))
     _require(h_qq == h_q + h_q.shifted(-3, 4), "closure homology of Q2 (x) Q2")
 
 

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from catsl2.cli import main
-from catsl2.complexes import (Complex, hom_complex, simplify,
+from catsl2.complexes import (Complex, closure, hom_complex, simplify,
                               tautological_complex, tensor)
-from catsl2.homology import SafeWindow, closure_complex, integer_homology
+from catsl2.homology import SafeWindow, integer_homology
 from catsl2.projectors import braid_letter_complex, q2
 from catsl2.tl import euler_characteristic
 from catsl2.verify import run_suite
@@ -18,8 +18,8 @@ def test_khovanov_bracket_with_box():
     # match the plain boxed unknot
     b1 = bracket(2, q2())
     b2 = bracket(2, braid_letter_complex(1, True), q2(), braid_letter_complex(-1, True))
-    h1 = integer_homology(tautological_complex(closure_complex(b1)))
-    h2 = integer_homology(tautological_complex(closure_complex(b2)))
+    h1 = integer_homology(tautological_complex(closure(b1)[0]))
+    h2 = integer_homology(tautological_complex(closure(b2)[0]))
     assert h1 == h2
 
 
@@ -51,7 +51,7 @@ def test_ext_groups_safe_window_refusal():
 
 
 def test_homology_cli_on_closed_complex(tmp_path, capsys):
-    closed = closure_complex(q2())
+    closed = closure(q2())[0]
     path = tmp_path / "closed.json"
     path.write_text(json.dumps(closed.to_json()))
     code = main(["homology", str(path)])

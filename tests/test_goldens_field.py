@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from catsl2.cli import main
-from catsl2.homology import closure_complex
+from catsl2.complexes import closure
 from catsl2.links import ColoredDiagram, bracket_colored
 from catsl2.projectors import q3, truncated_pn
 
@@ -31,8 +31,8 @@ def _bracket(strands, word, colors):
     return bracket_colored(d)[0]
 
 
-CASES = {"closure_q3": lambda: closure_complex(q3()),
-         "closure_p2_w6": lambda: closure_complex(truncated_pn(2, 6).complex),
+CASES = {"closure_q3": lambda: closure(q3())[0],
+         "closure_p2_w6": lambda: closure(truncated_pn(2, 6).complex)[0],
          "trefoil_color2": lambda: _bracket(2, (1, 1, 1), (2,))}
 
 

@@ -5,9 +5,9 @@ callers still stacked its slices, closed its strands and carried its maps in
 a loop of its own: slices stacked over the accumulator (a bracket front end
 since removed, the twist of `framing_check`), pieces stacked under it
 (`quasi_projector`, the projector under the twist), and strand closures that
-only deloop (`closure_complex`, `closure_with_transport` with u_2 carried
-along).  The `bracket_2_box` case, a twist pair around a flat e slice and a
-Q2 box, is now built from an explicit `Slice` list over the identity.
+only deloop (now `complexes.closure`, alone and with u_2 carried along).
+The `bracket_2_box` case, a twist pair around a flat e slice and a Q2 box,
+is now built from an explicit `Slice` list over the identity.
 None of these outputs may change.  Regenerate (only when a change is meant
 to alter these outputs) with
 
@@ -19,8 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from catsl2.complexes import Complex, Slice, fold
-from catsl2.homology import closure_complex, closure_with_transport
+from catsl2.complexes import Complex, Slice, closure, fold
 from catsl2.links import framing_check
 from catsl2.projectors import braid_letter_complex, q2, quasi_projector, truncated_pn
 
@@ -46,7 +45,7 @@ def _bracket_2_box() -> dict:
 
 def _closure_with_u2() -> dict:
     proj = truncated_pn(2, 8)
-    closed, (u2,) = closure_with_transport(proj.complex, [proj.u_maps[2]])
+    closed, (u2,) = closure(proj.complex, [proj.u_maps[2]])
     return {"complex": closed.to_json(), "u2": _map_json(u2)}
 
 
@@ -55,7 +54,7 @@ CASES = {
     "quasi_3_123_w8": _quasi(3, (1, 2, 3), 8),
     "quasi_2_1_w8": _quasi(2, (1,), 8),
     "bracket_2_box": _bracket_2_box,
-    "closure_q2": lambda: closure_complex(q2()).to_json(),
+    "closure_q2": lambda: closure(q2())[0].to_json(),
     "closure_p2_w8_u2": _closure_with_u2,
     "framing_2_2_w8": lambda: framing_check(2, (2,), 8),
 }

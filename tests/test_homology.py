@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catsl2.homology as homology
-from catsl2.complexes import (CLOSE, ChainMap, Complex, ZComplex, deloop, fold,
+from catsl2.complexes import (ChainMap, Complex, ZComplex, closure, deloop,
                               hom_complex, partial_trace_complex, shift,
                               tautological_complex)
-from catsl2.homology import (BigradedGroups, closure_complex, homology_mod_p,
+from catsl2.homology import (BigradedGroups, homology_mod_p,
                              homology_generators, induced_map_on_homology,
                              integer_homology, invariant_factors, kernel_basis,
                              poincare_polynomial, poincare_string,
@@ -413,8 +413,8 @@ def test_adjunction_reduce_matches_direct_hom():
     p2 = truncated_pn(2, 6)
     one2 = Complex.identity_complex(2)
     direct = integer_homology(hom_complex(one2, p2.complex))
-    # q T(P): one strand closure of the fold, then the q-shift
-    reduced_target = shift(fold(p2.complex, [CLOSE], cancel=False)[0], 0, 1)
+    # q T(P): one strand closed and delooped, then the q-shift
+    reduced_target = shift(deloop(partial_trace_complex(p2.complex))[0], 0, 1)
     once = integer_homology(hom_complex(Complex.identity_complex(1),
                                         reduced_target))
     taut = integer_homology(projector_end_complex(p2.complex))
@@ -439,7 +439,7 @@ def test_ext_p2_values():
 def test_poincare_polynomial_and_chi_recovery():
     assert poincare_polynomial(BigradedGroups()) == {}
     assert poincare_string({}) == "0"
-    c = closure_complex(q2())
+    c = closure(q2())[0]
     groups = integer_homology(tautological_complex(c))
     coeffs = poincare_polynomial(groups)
     # graded Euler characteristic at t = -1 equals the TL closure value
@@ -579,7 +579,7 @@ def test_homology_generators_are_cycles_of_the_integer_orders(rng):
 def test_taut_chain_map_keys_are_the_bidegrees_it_reaches():
     # a zero map reaches no bidegree; the identity reaches every one, as the
     # identity matrix
-    closed = closure_complex(q2())
+    closed = closure(q2())[0]
     z = tautological_complex(closed)
     assert taut_chain_map(ChainMap.zero(closed, closed), z, z) == {}
     ident = taut_chain_map(ChainMap.identity(closed), z, z)

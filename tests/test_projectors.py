@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from catsl2.cobordism import CobMorphism, FlatTangle, GradedObject, glue
-from catsl2.complexes import (CLOSE, ChainMap, Complex, ObstructionError, Slice,
-                              _hom_basis, cone, fold, simplify,
+from catsl2.complexes import (ChainMap, Complex, ObstructionError, Slice,
+                              _hom_basis, closure, cone, fold, simplify,
                               tautological_complex, tensor)
-from catsl2.homology import closure_complex, integer_homology
+from catsl2.homology import integer_homology
 from catsl2.projectors import (DEPTH_MARGIN, braid_letter_complex, build_qn,
                                pad_columns, q1, q2, q3, quasi_projector,
                                symmetric_sequence, truncated_pn, turnback_check)
@@ -83,7 +83,7 @@ for place in (lambda: pad_columns(braid_letter_complex(1, True), 3, 2),
 
 def test_khovanov_bracket_unknot_rank_two():
     c = bracket(2, braid_letter_complex(1, True))
-    closed = closure_complex(c)
+    closed = closure(c)[0]
     h = integer_homology(tautological_complex(closed))
     assert sum(r for r, _ in h.groups.values()) == 2
 
@@ -253,8 +253,8 @@ def test_quasi_projector_k3_is_bounded():
 
 def test_quasi_idempotency_closure_homology():
     qq, _ = simplify(tensor(q2(), q2()))
-    h_qq = integer_homology(tautological_complex(closure_complex(qq)))
-    h_q = integer_homology(tautological_complex(closure_complex(q2())))
+    h_qq = integer_homology(tautological_complex(closure(qq)[0]))
+    h_q = integer_homology(tautological_complex(closure(q2())[0]))
     assert h_qq == h_q + h_q.shifted(-3, 4)
 
 
@@ -282,7 +282,7 @@ def test_fold_carries_accumulator_then_slice_maps(under):
     assert (u2.dh, u2.dq) == (-2, 4) and u2.src is c and u2.is_cycle()
     # pi o sigma = 1, so the slice's identity arrives as the identity of c
     assert ident == ChainMap.identity(c)
-    closed, (u2c,) = fold(c, [CLOSE, CLOSE], [u2], cancel=False)
+    closed, (u2c,) = closure(c, [u2])
     assert closed.n == 0 and u2c.src is closed and u2c.is_cycle()
 
 

@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catsl2.series import TruncatedSeries
-from catsl2.tl import (Matching, TLElement, all_matchings, closure_evaluate,
-                       euler_characteristic, is_planar_matching, jw,
+from catsl2.series import PrecisionError, TruncatedSeries
+from catsl2.tl import (InvariantError, Matching, TLElement, all_matchings,
+                       closure_evaluate, euler_characteristic, is_planar_matching, jw,
                        juxtapose_tl, partial_trace_tl, stack_matchings,
                        through_degree, tl_mul, trace_matching)
 
@@ -203,7 +205,6 @@ def test_jw_axioms(n):
 
 
 def test_jw_precision_guard():
-    from catsl2.series import PrecisionError
     with pytest.raises(PrecisionError):
         jw(5, 4)
 
@@ -232,3 +233,49 @@ def test_juxtapose_counts_strands():
 def test_euler_characteristic_of_zero_complex():
     from catsl2.complexes import Complex
     assert euler_characteristic(Complex(2, {}, {})).is_zero()
+
+
+def test_constructor_sums_the_series_of_a_repeated_matching():
+    e, one = Matching.e(1, 2), Matching.identity(2)
+    x, y = TruncatedSeries.monomial(2, 3), TruncatedSeries.circle()
+    pairs = [(e, x), (one, y), (e, y), (e, -x), (one, -y)]
+    assert TLElement(2, pairs) == TLElement(2, {e: x + y + -x, one: y + -y})
+    assert TLElement(2, pairs).terms == {e: y}
+
+
+def test_constructor_rejects_a_matching_on_another_strand_count():
+    with pytest.raises(InvariantError):
+        TLElement(2, [(Matching.identity(2), TruncatedSeries.one()),
+                      (Matching.identity(3), TruncatedSeries.one())])
+
+
+def test_precision_mismatch_is_a_precision_error():
+    # a ValueError, so a usage error (exit 2) at the CLI
+    a, b = TLElement.identity(2, 12), TLElement.identity(2, 14)
+    for op in (tl_mul, juxtapose_tl):
+        with pytest.raises(PrecisionError):
+            op(a, b)
+
+
+# exact: every exponent a product or trace of these reaches stays far
+# inside the window, so equality compares the whole of each series
+LINEAR_PREC = 40
+
+
+def tl_elements(n: int):
+    series = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3)
+    return st.dictionaries(st.sampled_from(all_matchings(n)),
+                           series.map(lambda d: TruncatedSeries(d, LINEAR_PREC)),
+                           max_size=3).map(lambda t: TLElement(n, t, LINEAR_PREC))
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[tl_elements(n)] * 4)),
+       st.integers(1, 2).flatmap(tl_elements))
+@settings(max_examples=60, deadline=None)
+def test_products_and_trace_are_linear_in_each_argument(same_n, other):
+    a, a2, b, b2 = same_n
+    assert tl_mul(a + a2, b) == tl_mul(a, b) + tl_mul(a2, b)
+    assert tl_mul(a, b + b2) == tl_mul(a, b) + tl_mul(a, b2)
+    assert juxtapose_tl(a + a2, other) == juxtapose_tl(a, other) + juxtapose_tl(a2, other)
+    assert juxtapose_tl(other, a + a2) == juxtapose_tl(other, a) + juxtapose_tl(other, a2)
+    assert partial_trace_tl(a + a2) == partial_trace_tl(a) + partial_trace_tl(a2)
