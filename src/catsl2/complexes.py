@@ -106,9 +106,6 @@ class Complex:
                 out[(h, o.qshift)] = out.get((h, o.qshift), 0) + 1
         return out
 
-    def entry(self, h: int, i: int, j: int) -> CobMorphism | None:
-        return self.diff.get(h, {}).get((i, j))
-
     def check(self) -> None:
         """Validate entry endpoints and degrees, and d^2 = 0."""
         differential_map(self).check_degrees()
@@ -506,18 +503,16 @@ class _Workspace:
     +-identity when pushed, with their cost then, and is built when `pivot`
     first reaches h; a candidate is checked when it reaches the top.  The
     cost is 0 under today's key.  Under the fill-in key it is Markowitz's
-    (|column j| - 1)(|row i| - 1), the composites the elimination makes;
-    units[h] = (columns {j: {i}}, rows {i: {j}}) lists the +-identity
-    entries of each line (and perhaps a few that no longer are), and
-    `gauss` re-pushes those of the lines it changes at its degree.  Lines
-    at a degree not reached yet need no re-push: their heap is built with
-    the costs of that time.  `export` builds one Complex and one ChainMap
-    per map.
+    (|column j| - 1)(|row i| - 1), the composites the elimination makes,
+    and `gauss` re-pushes the +-identity entries it reads on the lines it
+    changes at its degree (`rekey`).  Lines at a degree not reached yet
+    need no re-push: their heap is built with the costs of that time.
+    `export` builds one Complex and one ChainMap per map.
     """
 
     def __init__(self, c: Complex, maps=(), fill_in: bool = False):
         self.c, self.given, self.eliminated = c, list(maps), False
-        self.fill_in, self.heaps, self.units = fill_in, {}, {}
+        self.fill_in, self.heaps = fill_in, {}
         self.objects = {h: dict(enumerate(objs)) for h, objs in c.objects.items()}
         self.out, self.into = _lines(c.diff), _lines(c.diff, by_row=True)
         self.maps = [(f.dh, f.dq, _lines(f.components), _lines(f.components, by_row=True))
@@ -529,18 +524,13 @@ class _Workspace:
             return 0
         return (len(self.out[h][j]) - 1) * (len(self.into[h][i]) - 1)
 
-    def mark(self, h: int, i: int, j: int) -> None:
-        """List the +-identity entry (i, j) at degree h on its two lines."""
-        cols, rows = self.units[h]
-        cols.setdefault(j, set()).add(i)
-        rows.setdefault(i, set()).add(j)
-
-    def rekey(self, h: int, cols=(), rows=()) -> None:
-        """Push each listed entry of columns `cols` and rows `rows` at
+    def rekey(self, h: int, cols, rows) -> None:
+        """Push each +-identity entry of columns `cols` and rows `rows` at
         degree h with its current cost; `pivot` drops the stale copies."""
-        by_col, by_row = self.units[h]
-        keys = {(j, i) for j in cols for i in by_col.get(j, ())}
-        for j, i in keys.union((j, i) for i in rows for j in by_row.get(i, ())):
+        keys = {(j, i) for j in cols for i, m in self.out[h][j].items() if m.is_identity_entry()}
+        keys.update((j, i) for i in rows for j, m in self.into[h][i].items()
+                    if m.is_identity_entry())
+        for j, i in keys:
             heappush(self.heaps[h], (self.cost(h, i, j), j, i))
 
     def pivot(self) -> tuple[int, int, int] | None:
@@ -550,12 +540,9 @@ class _Workspace:
         for h in self.c.diff:
             heap = self.heaps.get(h)
             if heap is None:  # first visit: every +-identity entry, keyed now
-                self.units[h] = ({}, {})
-                keys = [(i, j) for j, col in self.out[h].items()
-                        for i, m in col.items() if m.is_identity_entry()]
-                for i, j in keys if self.fill_in else ():
-                    self.mark(h, i, j)
-                heap = self.heaps[h] = sorted((self.cost(h, i, j), j, i) for i, j in keys)
+                heap = self.heaps[h] = sorted((self.cost(h, i, j), j, i)
+                                              for j, col in self.out[h].items()
+                                              for i, m in col.items() if m.is_identity_entry())
             while heap:
                 cost, j, i = heap[0]
                 m = self.out[h].get(j, {}).get(i)
@@ -616,10 +603,13 @@ def gauss(ws: _Workspace, h: int, i: int, j: int) -> None:
 
     applied as the row update into column j as well, then the column update
     with that column j, so the last term costs no composite of its own.
-    Under the fill-in key it re-keys the lines it changes at h, the columns
-    that met row i and the rows that met column j, once `pivot` has
-    reached h; the rows it shortens at h+1 are keyed when `pivot` reaches
-    h+1, and no +-identity entry is left below h.  Every elimination goes
+    Once `pivot` has reached h, it pushes the new +-identity entries at h:
+    under today's key as they are made (their cost 0 never changes), and
+    under the fill-in key by re-keying every +-identity entry it reads on
+    the lines whose cost moved, the columns that met row i and the rows that
+    met column j (every new entry lies on one of them).  The rows it
+    shortens at h+1 are keyed when `pivot` reaches h+1, and no +-identity
+    entry is left below h.  Every elimination goes
     through this module-level function, so a tracer that rebinds
     `complexes.gauss` counts each one.
     """
@@ -662,21 +652,12 @@ def gauss(ws: _Workspace, h: int, i: int, j: int) -> None:
                 _add_entry(col, lines, x, y, g, a, -eps)
 
     heap = ws.heaps.get(h)  # None until `pivot` reaches h
-    if heap is not None and ws.fill_in:
-        by_col, by_row = ws.units[h]
-        for x in by_col.pop(j, ()):  # the pivot's lines are gone
-            by_row[x].discard(j)
-        for y in by_row.pop(i, ()):
-            by_col[y].discard(i)
+    push = heap is not None and not ws.fill_in
     for s, a in ins.items():
         col = out[s]
         for t, b in outs.items():
             m = _add_entry(col, into, t, s, b, a, -eps)  # col[t] - eps b a
-            if heap is None or not m.is_identity_entry():
-                continue
-            if ws.fill_in:
-                ws.mark(h, t, s)
-            else:  # a new candidate at degree h
+            if push and m.is_identity_entry():  # a new candidate at degree h
                 heappush(heap, (0, s, t))
     if heap is not None and ws.fill_in:  # pushes the new candidates too
         ws.rekey(h, ins, outs)
@@ -693,7 +674,8 @@ def simplify(c: Complex, maps=(), fill_in: bool = False) -> tuple[Complex, list[
     complex or a map, so each gets the same one as before: `proj pn/qn/quasi`,
     `complex simplify`, `truncated_pn`, `build_qn` and `framing_check`.
     `fill_in` puts the least fill-in (|column| - 1)(|row| - 1) first: fewer
-    composites, another complex, the same homology.  Only the fold of
+    composites, another complex, the same homology; the costs are read off
+    the lines `gauss` changes, with no index beside them.  Only the fold of
     `links.bracket_colored` takes it, whose complex `link_homology` (so
     `colored homology`, `merging_check`, `invariance_spotcheck`) reads for
     its homology alone.  `deloop` splits each map and every `gauss`

@@ -269,13 +269,7 @@ def check_invariance(cfg: Config):
 def check_solver(cfg: Config):
     b2 = build_qn(2)
     _require(b2.valid_h_min is None, "build_qn(2) claims a truncation window")
-    _require(b2.complex.graded_ranks() == q2().graded_ranks(), "build_qn(2) ranks")
-    for h, entries in q2().diff.items():
-        for key, m in entries.items():
-            _require(b2.complex.entry(h, *key) == m, "build_qn(2) differential")
-    for h, entries in b2.complex.diff.items():
-        for key in entries:
-            _require(q2().entry(h, *key) is not None, "spurious higher component")
+    _require(b2.complex.to_json() == q2().to_json(), "build_qn(2) differs from q2")
     b3 = build_qn(3, cfg.window)
     s3, _ = simplify(b3.complex)
     window_ranks = {k: v for k, v in s3.graded_ranks().items()

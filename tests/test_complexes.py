@@ -576,7 +576,7 @@ def one_step(c, h, i, j):
     ws = _Workspace(c)
     gauss(ws, h, i, j)
     out, _ = ws.export()
-    eps = c.entry(h, i, j).terms[0]
+    eps = c.diff[h][(i, j)].terms[0]
     pos = {k: {x: p for p, x in enumerate(ids)} for k, ids in ws.objects.items()}
     pi, sigma = {}, {}
     for k, ids in pos.items():
@@ -638,13 +638,14 @@ def test_gauss_preserves_d_squared_and_chi(rng):
         assert euler_characteristic(c) == chi
 
 
-def folded_retract(c):
-    """Reference: what simplify(c) computes, with the retract c -> result
-    that folds the delooping retract and every one-step gauss retract by
-    SDRData.then; also how many steps had both an a_s and a b_t."""
+def folded_retract(c, fill_in=False):
+    """Reference: what simplify(c, fill_in=fill_in) computes, with the
+    retract c -> result that folds the delooping retract and every one-step
+    gauss retract by SDRData.then; also how many steps had both an a_s and
+    a b_t."""
     cur, sdr = reference_deloop(c)
     both = 0
-    while (pivot := reference_pivot(cur)) is not None:
+    while (pivot := reference_pivot(cur, fill_in)) is not None:
         h, i, j = pivot
         keys = [k for k in cur.diff[h] if (k[0] == i) != (k[1] == j)]
         both += len({k[0] == i for k in keys}) == 2
@@ -664,33 +665,39 @@ def test_reference_retract_of_simplify_verifies(rng):
 
 def test_simplify_carries_maps_as_the_folded_retract(rng):
     # every carried map is sigma o f o pi for the reference retract, entry
-    # for entry: the identity (dh 0), the differential (dh 1, the only
-    # degree where b f[i, j] a counts; it comes out as the new
-    # differential), random maps of other degrees, and the periodic model's
-    # u-maps (dh -2, -4), whose eliminations sit next to their entries
+    # for entry, under either pivot key: the identity (dh 0), the
+    # differential (dh 1, the only degree where b f[i, j] a counts; it comes
+    # out as the new differential), random maps of other degrees, and the
+    # periodic model's u-maps (dh -2, -4), whose eliminations sit next to
+    # their entries
     from catsl2.projectors import _periodic_model
     cases = [_periodic_model(q2(), 2, 6), _periodic_model(q3(), 3, 3)]
     for _ in range(3):
         c = random_braid_complex(rng, 3, 4)
         cases += [(c, random_map(rng, c, c, 1, 2)),
                   (partial_trace_complex(c), None)]
-    fill_ins = 0
-    for c, u in cases:
-        maps = [ChainMap.identity(c), differential_map(c)]
-        maps += [u] if u is not None else [random_map(rng, c, c, dh, dq)
-                                           for dh, dq in ((0, 2), (-1, 0), (2, -2))]
-        ref_c, ref, both = folded_retract(c)
-        ref.verify()
-        s, carried = simplify(c, maps)
-        assert s.to_json() == ref_c.to_json()
-        assert len(carried) == len(maps)
-        for f, mine in zip(maps, carried):
-            assert mine.src is s and mine.tgt is s
-            assert map_json(mine) == map_json(conjugate(f, ref))
-        assert carried[0] == ChainMap.identity(s)
-        assert carried[1] == differential_map(s)
-        fill_ins += both
-    assert fill_ins > 20
+    cases = [(c, [ChainMap.identity(c), differential_map(c)]
+              + ([u] if u is not None else [random_map(rng, c, c, dh, dq)
+                                            for dh, dq in ((0, 2), (-1, 0), (2, -2))]))
+             for c, u in cases]
+    results = {}
+    for fill_in in (False, True):
+        fill_ins = 0
+        for c, maps in cases:
+            ref_c, ref, both = folded_retract(c, fill_in)
+            ref.verify()
+            s, carried = simplify(c, maps, fill_in)
+            assert s.to_json() == ref_c.to_json()
+            results.setdefault(fill_in, []).append(s.to_json())
+            assert len(carried) == len(maps)
+            for f, mine in zip(maps, carried):
+                assert mine.src is s and mine.tgt is s
+                assert map_json(mine) == map_json(conjugate(f, ref))
+            assert carried[0] == ChainMap.identity(s)
+            assert carried[1] == differential_map(s)
+            fill_ins += both
+        assert fill_ins > 20
+    assert results[False] != results[True]  # the keys part on some case
 
 
 def test_workspace_pivots_follow_reference_scan(rng):
@@ -699,23 +706,28 @@ def test_workspace_pivots_follow_reference_scan(rng):
 
 def test_fill_in_pivots_follow_markowitz_scan(rng):
     # each degree's heap is built when the pivot first reaches it and gauss
-    # re-keys only lines at its own degree; the sequence must still be the
-    # one an exhaustive scan with current costs picks
+    # re-keys only lines at its own degree, read off the lines themselves;
+    # the sequence must still be the one an exhaustive scan with current
+    # costs picks
     check_pivots_against_scan(rng, fill_in=True)
 
 
 def check_pivots_against_scan(rng, fill_in):
-    cases = []
+    from catsl2.projectors import _periodic_model
+    cases = [_periodic_model(q2(), 2, 6)[0], _periodic_model(q3(), 3, 3)[0]]
     for _ in range(6):
         c = random_braid_complex(rng, 3, 4)
         cases += [c, partial_trace_complex(c)]
-    from_fill_in = 0
+    from_fill_in = rekeyed = 0
     for c in cases:
         start, _ = deloop(c)
         ws = _Workspace(start, fill_in=fill_in)
+        recorded = {}  # each heap's (j, i) -> cost when `pivot` first reached it
         while True:
             pivot = ws.pivot()
             ref = reference_pivot(ws.export()[0], fill_in)
+            for h in ws.heaps.keys() - recorded.keys():
+                recorded[h] = {(j, i): cost for cost, j, i in ws.heaps[h]}
             if pivot is None:
                 assert ref is None
                 break
@@ -724,11 +736,15 @@ def check_pivots_against_scan(rng, fill_in):
             assert ref == (h, ids[0].index(i), ids[1].index(j))
             # ids are the indices of `start`: an entry that was not +-identity
             # there became one by fill-in at degree h
-            m = start.entry(h, i, j)
+            m = start.diff[h].get((i, j))
             from_fill_in += m is None or not m.is_identity_entry()
+            # a recorded candidate taken at another cost came from a re-push
+            cost = recorded[h].get((j, i))
+            rekeyed += cost is not None and cost != ws.cost(h, i, j)
             gauss(ws, h, i, j)
         assert ws.export()[0].to_json() == simplify(c, fill_in=fill_in)[0].to_json()
     assert from_fill_in
+    assert rekeyed or not fill_in
 
 
 def test_tracer_counts_every_elimination():
