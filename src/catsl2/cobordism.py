@@ -39,42 +39,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from .tl import (Glued, InvariantError, Matching, follow, juxtapose_matchings,
-                 stack_matchings, trace_matching)
+from typing import NamedTuple
+
+from .tl import (Glued, InvariantError, Matching, follow, interned,
+                 juxtapose_matchings, stack_matchings, trace_matching)
 
 
 @dataclass(frozen=True, order=True, init=False)
 class FlatTangle:
     """A matching plus `circles` closed loops; interned like `Matching`
-    (one instance per value while `_flat_tangle`'s cache lives, checked and
-    hashed once), with equality rejecting on the hash and then falling back
-    to the fields.  `_bare_identity` marks the circle-free identity tangle,
-    found once per instance."""
+    (one live instance per value, checked when built, with equality and
+    hashing by identity and order by the fields).  `_bare_identity` marks
+    the circle-free identity tangle, found once per instance."""
 
     n: int
     matching: Matching
     circles: int = 0
-    # the kernel's caches are keyed by tangles: hash each one once
-    _hash: int = field(repr=False, compare=False)
     _bare_identity: bool = field(repr=False, compare=False)
+    __eq__ = object.__eq__  # one live instance per value
+    __hash__ = object.__hash__
 
     def __new__(cls, n: int, matching: Matching, circles: int = 0) -> FlatTangle:
         return _flat_tangle(n, matching, circles)
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not FlatTangle:
-            return NotImplemented
-        if self._hash != other._hash:  # equal values hash alike
-            return False
-        return (self.n == other.n and self.circles == other.circles
-                and self.matching == other.matching)
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # copies and unpickled values are interned too
+    def __reduce__(self):  # copies and unpickled values are the live instance
         return FlatTangle, (self.n, self.matching, self.circles)
 
     @classmethod
@@ -91,9 +79,9 @@ class FlatTangle:
         return FlatTangle(self.n, self.matching, self.circles - 1)
 
 
-@lru_cache(maxsize=None)
+@interned
 def _flat_tangle(n: int, matching: Matching, circles: int) -> FlatTangle:
-    """The interned FlatTangle(n, matching, circles), checked when first built."""
+    """A new FlatTangle(n, matching, circles), checked."""
     if matching.n != n or circles < 0:
         raise InvariantError(f"bad flat tangle: {n} strands, "
                              f"{matching.n}-strand matching, {circles} circles")
@@ -102,14 +90,12 @@ def _flat_tangle(n: int, matching: Matching, circles: int) -> FlatTangle:
     object.__setattr__(t, "n", n)
     object.__setattr__(t, "matching", matching)
     object.__setattr__(t, "circles", circles)
-    object.__setattr__(t, "_hash", hash((n, matching, circles)))
     object.__setattr__(t, "_bare_identity", circles == 0 and all(
         q == (p + n) % (2 * n) for p, q in enumerate(matching.pairing)))
     return t
 
 
-@dataclass(frozen=True)
-class GradedObject:
+class GradedObject(NamedTuple):
     tangle: FlatTangle
     qshift: int
 
@@ -256,7 +242,7 @@ class CobMorphism:
         return not self.terms
 
     def __add__(self, other: CobMorphism) -> CobMorphism:
-        if self.src != other.src or self.tgt != other.tgt:
+        if self.src is not other.src or self.tgt is not other.tgt:
             raise InvariantError("adding cobordisms with different ends")
         acc = dict(self.terms)
         for m, c in other.terms.items():
@@ -279,7 +265,7 @@ class CobMorphism:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CobMorphism):
             return NotImplemented
-        return (self.src == other.src and self.tgt == other.tgt
+        return (self.src is other.src and self.tgt is other.tgt
                 and self.terms == other.terms)
 
     def __repr__(self):
@@ -301,7 +287,7 @@ class CobMorphism:
         integer multiple of the identity (dots would break homogeneity), so
         these are precisely the unimodular pivots for Gaussian elimination.
         """
-        return (self.src == self.tgt and len(self.terms) == 1
+        return (self.src is self.tgt and len(self.terms) == 1
                 and self.terms.get(0) in (1, -1) and self.src.circles == 0)
 
     def to_json(self) -> dict:
@@ -451,14 +437,14 @@ def _compose_terms(g: CobMorphism, f: CobMorphism):
     """The terms of g after f, as (terms, k): k times the canonical terms of
     a factor when the other is k times an identity, else the canonical
     glued terms with k None."""
-    if f.tgt is not g.src and f.tgt != g.src:  # interned: mostly the same object
+    if f.tgt is not g.src:
         raise ValueError("boundary mismatch in composition")
     mid = f.tgt
     if mid.circles == 0:
         # on a circle-free tangle the undotted disks (mask 0) are the identity
-        if len(g.terms) == 1 and 0 in g.terms and g.tgt == mid:
+        if len(g.terms) == 1 and 0 in g.terms and g.tgt is mid:
             return f.terms, g.terms[0]
-        if len(f.terms) == 1 and 0 in f.terms and f.src == mid:
+        if len(f.terms) == 1 and 0 in f.terms and f.src is mid:
             return g.terms, f.terms[0]
     return _glue_terms(_merged_plan(_compose_plan, f.src, mid, g.tgt), f, g), None
 
@@ -497,7 +483,7 @@ def _stack_plan(f_src: FlatTangle, f_tgt: FlatTangle,
 def _is_collar(m: CobMorphism) -> bool:
     """m is the identity of the circle-free identity tangle: the undotted
     sheets (mask 0, coefficient 1) on the identity matching."""
-    return (m.src._bare_identity and m.tgt == m.src
+    return (m.src._bare_identity and m.tgt is m.src
             and len(m.terms) == 1 and m.terms.get(0) == 1)
 
 

@@ -294,14 +294,16 @@ class ChainMap:
             for (i, j), m in entries.items():
                 src = self.src.objects[h][j]
                 tgt = self.tgt.objects[h + self.dh][i]
-                if m.src != src.tangle or m.tgt != tgt.tangle:
+                if m.src is not src.tangle or m.tgt is not tgt.tangle:
                     raise InvariantError(f"component endpoints at h={h} ({i},{j})")
                 if m.deg_raw() != src.qshift + self.dq - tgt.qshift:
                     raise InvariantError(f"component degree at h={h} ({i},{j})")
 
+    def _shape(self) -> tuple:  # what maps must share to be added or equal
+        return self.src, self.tgt, self.dh, self.dq
+
     def __add__(self, other: ChainMap) -> ChainMap:
-        if (self.src, self.tgt, self.dh, self.dq) != \
-                (other.src, other.tgt, other.dh, other.dq):
+        if self._shape() != other._shape():
             raise InvariantError("adding chain maps of different shape")
         comps = {h: dict(entries) for h, entries in self.components.items()}
         for h, entries in other.components.items():
@@ -336,8 +338,7 @@ class ChainMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChainMap):
             return NotImplemented
-        return ((self.dh, self.dq) == (other.dh, other.dq)
-                and (self - other).is_zero())
+        return self._shape() == other._shape() and (self - other).is_zero()
 
     def is_cycle(self) -> bool:
         """Whether [d, f] = d_tgt o f - (-1)^dh f o d_src is zero, with both
@@ -452,6 +453,13 @@ def _split(block: dict, dh: int, src_exp: dict, tgt_exp: dict) -> dict:
     return out_block
 
 
+def _check_endomorphisms(c: Complex, maps) -> None:
+    """Raise unless every map in `maps` goes from c (or its objects) to c."""
+    for f in maps:
+        if not all(x is c or x.objects == c.objects for x in (f.src, f.tgt)):
+            raise InvariantError("a carried map must be an endomorphism of the complex")
+
+
 def deloop(c: Complex, maps=()) -> tuple[Complex, list[ChainMap]]:
     """Replace every circle by the pair of q-shifted circle-free objects,
     carrying the endomorphisms `maps` of c along; returns (complex, maps).
@@ -466,9 +474,7 @@ def deloop(c: Complex, maps=()) -> tuple[Complex, list[ChainMap]]:
     any morphism by them only selects terms (`_split`): the differential and
     each map are split by that one rule.
     """
-    for f in maps:
-        if not all(x is c or x.objects == c.objects for x in (f.src, f.tgt)):
-            raise InvariantError("a carried map must be an endomorphism of the complex")
+    _check_endomorphisms(c, maps)
     if all(o.tangle.circles == 0 for objs in c.objects.values() for o in objs):
         return c, list(maps)
     objects, exp = _expansion(c)
@@ -699,41 +705,26 @@ def tensor(a: Complex, b: Complex) -> Complex:
     return deloop(tensor_indexed(a, b))[0]
 
 
-def _place(a: Complex, b: Complex, tangle_op):
-    """The objects of the product of a and b and index[(ha, ia, hb, ib)], the
-    position at degree ha + hb of tangle_op(oa, ob) with q-shift qa + qb;
-    the objects of a degree are ordered by (ha, hb, ia, ib)."""
-    ceiling = object_ceiling()
-    index: dict[tuple[int, int, int, int], int] = {}
-    objects: dict[int, list[GradedObject]] = {}
+def _starts(a: Complex, b: Complex) -> dict[tuple[int, int], int]:
+    """The placement of the product of a and b: its objects of a degree are
+    ordered by (ha, ia, ib), so the product of a's object ia at degree ha
+    and b's ib at hb sits at start[(ha, hb)] + ia * len(b.objects[hb]) + ib."""
+    start: dict[tuple[int, int], int] = {}
+    size: dict[int, int] = {}
     for ha, objas in a.objects.items():
         for hb, objbs in b.objects.items():
-            lst = objects.setdefault(ha + hb, [])
-            for ia, oa in enumerate(objas):
-                for ib, ob in enumerate(objbs):
-                    index[(ha, ia, hb, ib)] = len(lst)
-                    lst.append(GradedObject(tangle_op(oa.tangle, ob.tangle),
-                                            oa.qshift + ob.qshift))
-            _check_ceiling("product", ha + hb, len(lst), ceiling)
-    return objects, index
+            at = start[(ha, hb)] = size.get(ha + hb, 0)
+            size[ha + hb] = at + len(objas) * len(objbs)
+    return start
 
 
-def _product(n: int, a: Complex, b: Complex, left: ChainMap | None = None,
-             right: ChainMap | None = None):
-    """The bilinear product of complexes a and b on n strands, and of maps on
-    its factors: f (x) 1 + 1 (x) g for `left` None or f out of a and `right`
-    None or g out of b.
-
-    It stacks (a on top) when a and b have n strands and juxtaposes (a on
-    the left) when their counts add up to n; closed factors (n = 0), whose
-    stacking and juxtaposition are both the disjoint union, are stacked, so
-    b's circles come first.  A component m of f gives morphism_op(m, 1),
-    one of g the Koszul-signed (-1)^(ha * g.dh) morphism_op(1, m); the
-    differential is the product of differential_map(a) and
-    differential_map(b).  A map whose target differs from its source (given
-    alone) lands in the targets' product, placed by the same `_place`.
-    Returns (objects of a (x) b, objects of the targets' product, components).
-    """
+def _place(n: int, a: Complex, b: Complex):
+    """The objects of the product of a and b on n strands, in `_starts`
+    order, and its morphism_op.  It stacks (a on top) when a and b have n
+    strands and juxtaposes (a on the left) when their counts add up to n;
+    closed factors (n = 0), whose stacking and juxtaposition are both the
+    disjoint union, are stacked, so b's circles come first.  The product
+    of oa and ob is the product of their tangles, with q-shift qa + qb."""
     if a.n == b.n == n:
         tangle_op, morphism_op = (lambda s, t: stack_tangles(s, t).tangle), stack
     elif a.n + b.n == n:
@@ -742,11 +733,26 @@ def _product(n: int, a: Complex, b: Complex, left: ChainMap | None = None,
     else:
         raise ValueError(f"factors on {a.n} and {b.n} strands have no product "
                          f"on {n} strands")
-    objects, index = _place(a, b, tangle_op)
-    tgt_a, tgt_b = left.tgt if left else a, right.tgt if right else b
-    tgt_objects, tgt_index = ((objects, index) if tgt_a is a and tgt_b is b
-                              else _place(tgt_a, tgt_b, tangle_op))
+    ceiling = object_ceiling()
+    objects: dict[int, list[GradedObject]] = {}
+    for ha, objas in a.objects.items():
+        for hb, objbs in b.objects.items():
+            lst = objects.setdefault(ha + hb, [])
+            lst += [GradedObject(tangle_op(oa.tangle, ob.tangle), oa.qshift + ob.qshift)
+                    for oa in objas for ob in objbs]
+            _check_ceiling("product", ha + hb, len(lst), ceiling)
+    return objects, morphism_op
 
+
+def _product(morphism_op, a: Complex, b: Complex, start: dict,
+             left: ChainMap | None = None, right: ChainMap | None = None) -> dict:
+    """The components of f (x) 1 + 1 (x) g on the product of a and b placed
+    by `start`, for `left` None or f out of a and `right` None or g out of
+    b: a component m of f gives morphism_op(m, 1), one of g the
+    Koszul-signed (-1)^(ha * g.dh) morphism_op(1, m).  The targets' product
+    is placed by `start` unless a map's target is another complex."""
+    tgt_a, tgt_b = left.tgt if left else a, right.tgt if right else b
+    tgt_start = start if tgt_a is a and tgt_b is b else _starts(tgt_a, tgt_b)
     # components[h][(i, j)] of each side as cols[h][j] = {i: m}, in order
     cols_l, cols_r = (_lines(f.components) if f else {} for f in (left, right))
     # Each product with an identity is built once per (component, tangle,
@@ -756,26 +762,39 @@ def _product(n: int, a: Complex, b: Complex, left: ChainMap | None = None,
     # differential, so summing would only filter zeros.
     made: dict[tuple, CobMorphism] = {}
     comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    for (ha, ia, hb, ib), idx in index.items():
+    for (ha, hb), at in start.items():
         slot = comps.setdefault(ha + hb, {})
-        oa, ob = a.objects[ha][ia].tangle, b.objects[hb][ib].tangle
-        for i2, m in cols_l.get(ha, {}).get(ia, {}).items():
-            p = made.get(key := (id(m), ob, 0)) or made.setdefault(
-                key, morphism_op(m, CobMorphism.identity(ob)))
-            if p.terms:
-                slot[(tgt_index[(ha + left.dh, i2, hb, ib)], idx)] = p
+        objbs, cols_a, cols_b = b.objects[hb], cols_l.get(ha, {}), cols_r.get(hb, {})
+        nb = len(objbs)
+        # f sends (ia, ib) to (i2, ib), g to (ia, i2), as `_starts` places them
+        if cols_a:
+            at_f, nb_f = tgt_start[(ha + left.dh, hb)], len(tgt_b.objects[hb])
+        if cols_b:
+            at_g = tgt_start[(ha, hb + right.dh)]
+            nb_g = len(tgt_b.objects[hb + right.dh])
         sign = -1 if right and (ha * right.dh) % 2 else 1
-        for i2, m in cols_r.get(hb, {}).get(ib, {}).items():
-            p = made.get(key := (id(m), oa, sign)) or made.setdefault(
-                key, morphism_op(CobMorphism.identity(oa), m.scale(-1) if sign < 0 else m))
-            if p.terms:
-                slot[(tgt_index[(ha, ia, hb + right.dh, i2)], idx)] = p
-    return objects, tgt_objects, comps
+        for ia, oa in enumerate(a.objects[ha]):
+            col_f = cols_a.get(ia, {})
+            for ib, ob in enumerate(objbs):
+                idx = at + ia * nb + ib
+                for i2, m in col_f.items():
+                    p = made.get(key := (id(m), ob.tangle, 0)) or made.setdefault(
+                        key, morphism_op(m, CobMorphism.identity(ob.tangle)))
+                    if p.terms:
+                        slot[(at_f + i2 * nb_f + ib, idx)] = p
+                for i2, m in cols_b.get(ib, {}).items():
+                    p = made.get(key := (id(m), oa.tangle, sign)) or made.setdefault(
+                        key, morphism_op(CobMorphism.identity(oa.tangle),
+                                         m.scale(-1) if sign < 0 else m))
+                    if p.terms:
+                        slot[(at_g + ia * nb_g + i2, idx)] = p
+    return comps
 
 
 def _product_complex(n: int, a: Complex, b: Complex) -> Complex:
-    objects, _, diff = _product(n, a, b, differential_map(a), differential_map(b))
-    return Complex(n, objects, diff)
+    objects, morphism_op = _place(n, a, b)
+    return Complex(n, objects, _product(morphism_op, a, b, _starts(a, b),
+                                        differential_map(a), differential_map(b)))
 
 
 def tensor_indexed(a: Complex, b: Complex) -> Complex:
@@ -792,18 +811,21 @@ def product_map(src: Complex, tgt: Complex, left: Complex | ChainMap,
     One of `left`, `right` is a ChainMap on that factor, the other a Complex
     standing for its identity.  src must be the undelooped product of the
     factors' sources (`tensor_indexed` or `juxtapose_complexes`) and tgt
-    that of their targets; it stacks or juxtaposes as `_product` does for
+    that of their targets; it stacks or juxtaposes as `_place` does for
     src's strand count.
     """
     f, g = (x if isinstance(x, ChainMap) else None for x in (left, right))
     if (f is None) == (g is None):
         raise InvariantError("product_map takes a map on exactly one factor")
-    objects, tgt_objects, comps = _product(src.n, f.src if f else left,
-                                           g.src if g else right, f, g)
-    if objects != src.objects or tgt_objects != tgt.objects:
+    a, b = f.src if f else left, g.src if g else right
+    tgt_a, tgt_b = f.tgt if f else a, g.tgt if g else b
+    objects, morphism_op = _place(src.n, a, b)
+    if objects != src.objects or tgt.objects != (
+            objects if tgt_a is a and tgt_b is b else _place(src.n, tgt_a, tgt_b)[0]):
         raise InvariantError("product_map: src and tgt must be the products "
                              "of the factors' sources and targets")
-    return ChainMap(src, tgt, (f or g).dh, (f or g).dq, comps)
+    return ChainMap(src, tgt, (f or g).dh, (f or g).dq,
+                    _product(morphism_op, a, b, _starts(a, b), f, g))
 
 
 def juxtapose_complexes(a: Complex, b: Complex) -> Complex:
@@ -845,7 +867,8 @@ def fold(cur: Complex, steps, maps=(),
     A `Slice` step takes the undelooped product with the slice on top,
     `tensor_indexed(slice, cur)`, or below it when `under`; a CLOSE step
     traces the rightmost strand (`_trace_strand`).  The result is
-    simplified; each map moves by `product_map` (on its factor) or is
+    simplified; each map moves as the product with the identity of the
+    other factor, its components placed by the product's `_starts`, or is
     traced, then is carried through that same `simplify` call, on the
     fill-in pivot key when `fill_in` (set only by `links.bracket_colored`;
     see `simplify`).  Returns (complex, maps): the given maps, then the
@@ -857,11 +880,17 @@ def fold(cur: Complex, steps, maps=(),
         if step is CLOSE:
             raw, maps = _trace_strand(cur, maps)
         else:
+            _check_endomorphisms(cur, maps)
+            _check_endomorphisms(step.complex, step.maps)
             factors = (cur, step.complex) if step.under else (step.complex, cur)
-            raw = tensor_indexed(*factors)
-            mine = 0 if step.under else 1  # the accumulator's factor
-            maps = ([_on_factor(raw, factors, mine, f) for f in maps]
-                    + [_on_factor(raw, factors, 1 - mine, g) for g in step.maps])
+            raw, start = tensor_indexed(*factors), _starts(*factors)
+            # (map on the left factor, map on the right factor) per map
+            sides = [(f, None) for f in maps] + [(None, g) for g in step.maps]
+            if not step.under:  # the accumulator is the right factor
+                sides = [(g, f) for f, g in sides]
+            maps = [ChainMap(raw, raw, (f or g).dh, (f or g).dq,
+                             _product(stack, *factors, start, f, g))
+                    for f, g in sides]
         cur, maps = simplify(raw, maps, fill_in)
     return cur, maps
 
@@ -887,13 +916,6 @@ def _trace_strand(c: Complex, maps) -> tuple[Complex, list[ChainMap]]:
                           {h: {k: trace_morphism(m) for k, m in e.items()}
                            for h, e in f.components.items()})
                  for f in maps]
-
-
-def _on_factor(raw: Complex, factors: tuple, k: int, f: ChainMap) -> ChainMap:
-    """The endomorphism f of factors[k], as one of their product raw."""
-    args = list(factors)
-    args[k] = f
-    return product_map(raw, raw, *args)
 
 
 def shift(c: Complex, dh: int, dq: int) -> Complex:

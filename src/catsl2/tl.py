@@ -11,7 +11,8 @@ middle contributes a factor (q + q^-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -62,32 +63,21 @@ def is_planar_matching(pairing: tuple[int, ...]) -> bool:
 class Matching:
     """A crossingless matching of the 2n boundary points.
 
-    Interned: `Matching(n, pairing)` returns the one instance of that value
-    held by `_matching`, so it is validated and hashed once per value.  The
-    cache can be cleared, so equality still falls back to the fields, once
-    the hashes agree.
+    Interned: `Matching(n, pairing)` returns the one live instance of that
+    value (see `interned`), so it is validated once while an instance
+    lives, and equality and hashing are object identity.  Order reads the
+    fields.
     """
 
     n: int
     pairing: tuple[int, ...]
-    _hash: int = field(repr=False, compare=False)
+    __eq__ = object.__eq__  # one live instance per value
+    __hash__ = object.__hash__
 
     def __new__(cls, n: int, pairing: tuple[int, ...]) -> Matching:
         return _matching(n, pairing)
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Matching:
-            return NotImplemented
-        if self._hash != other._hash:  # equal values hash alike
-            return False
-        return self.n == other.n and self.pairing == other.pairing
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # copies and unpickled values are interned too
+    def __reduce__(self):  # copies and unpickled values are the live instance
         return Matching, (self.n, self.pairing)
 
     @classmethod
@@ -122,9 +112,27 @@ class Matching:
         return Matching(n, tuple(pairing))
 
 
-@lru_cache(maxsize=None)
+def interned(build):
+    """The live instance for a value, built by `build(*key)` (which checks
+    the key) only when none lives.  `table` holds each instance weakly, so
+    its entry goes with the last instance, and no two live instances ever
+    share a value whatever caches are cleared: equality and hashing can be
+    identity, and a value is checked again only after it was collected."""
+    table = weakref.WeakValueDictionary()
+
+    def get(*key):
+        obj = table.get(key)
+        if obj is None:
+            obj = table[key] = build(*key)
+        return obj
+
+    get.table = table
+    return get
+
+
+@interned
 def _matching(n: int, pairing: tuple[int, ...]) -> Matching:
-    """The interned Matching(n, pairing), checked when first built."""
+    """A new Matching(n, pairing), checked."""
     # explicit raises, not asserts, so the checks survive `python -O`
     if len(pairing) != 2 * n:
         raise ValueError("pairing length must be 2n")
@@ -134,7 +142,6 @@ def _matching(n: int, pairing: tuple[int, ...]) -> Matching:
     # frozen; setting attributes one by one keeps the compact shared-key dict
     object.__setattr__(m, "n", n)
     object.__setattr__(m, "pairing", pairing)
-    object.__setattr__(m, "_hash", hash((n, pairing)))
     return m
 
 

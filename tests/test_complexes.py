@@ -9,8 +9,8 @@ from catsl2.cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantEr
                               juxtapose_tangles, partial_trace, stack, stack_tangles)
 from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
                               _deloop_map, _hom_basis, _hom_columns, _lines, _place,
-                              _product, closure, cone, convolution_complete, deloop,
-                              differential_map, direct_sum, dual, gauss,
+                              _product, _starts, closure, cone, convolution_complete,
+                              deloop, differential_map, direct_sum, dual, gauss,
                               hom_complex, juxtapose_complexes,
                               partial_trace_complex, product_map, shift,
                               simplify, tautological_complex, tensor,
@@ -370,16 +370,23 @@ def reference_then(f, g):
                     reference_block_product(g.components, f.components, f.dh))
 
 
+def reference_index(a, b):
+    """(ha, ia, hb, ib) -> the position at degree ha + hb of the product of
+    those objects of a and b, whose objects are ordered by (ha, ia, ib)."""
+    index, size = {}, Counter()
+    for ha, hb in sorted(product(a.objects, b.objects)):
+        for ia, ib in product(range(len(a.objects[ha])), range(len(b.objects[hb]))):
+            index[(ha, ia, hb, ib)] = size[ha + hb]
+            size[ha + hb] += 1
+    return index
+
+
 def reference_product(n, a, b, left=None, right=None):
     """Reference: the components of f (x) 1 + 1 (x) g on the product of a
     and b (see `_product`), one stack or juxtaposition per entry."""
-    if a.n == b.n == n:
-        tangle_op, op = (lambda s, t: stack_tangles(s, t).tangle), stack
-    else:
-        tangle_op, op = (lambda s, t: juxtapose_tangles(s, t)[0]), juxtapose
-    _, index = _place(a, b, tangle_op)
-    _, tgt_index = _place(left.tgt if left else a, right.tgt if right else b,
-                          tangle_op)
+    op = stack if a.n == b.n == n else juxtapose
+    index = reference_index(a, b)
+    tgt_index = reference_index(left.tgt if left else a, right.tgt if right else b)
     comps = {}
     for (ha, ia, hb, ib), idx in index.items():
         slot = comps.setdefault(ha + hb, {})
@@ -522,8 +529,15 @@ def test_product_maps_match_reference(rng):
                 maps += [(random_map(rng, a, a, dh, dq), None),
                          (None, random_map(rng, b, b, dh, dq)),
                          (None, random_map(rng, b, shift(b, 1, 0), dh, dq))]
+            objects, op = _place(n, a, b)
+            tangle_op = ((lambda s, t: stack_tangles(s, t).tangle) if op is stack
+                         else (lambda s, t: juxtapose_tangles(s, t)[0]))
+            for (ha, ia, hb, ib), idx in reference_index(a, b).items():
+                oa, ob = a.objects[ha][ia], b.objects[hb][ib]
+                assert objects[ha + hb][idx] == GradedObject(
+                    tangle_op(oa.tangle, ob.tangle), oa.qshift + ob.qshift)
             for left, right in maps:
-                mine = _product(n, a, b, left, right)[2]
+                mine = _product(op, a, b, _starts(a, b), left, right)
                 ref = reference_product(n, a, b, left, right)
                 assert block_json(mine) == block_json(ref)
 
@@ -807,6 +821,10 @@ def test_shift_dual_sum():
 def test_cone_examples():
     a = Complex.identity_complex(2)
     ident = ChainMap.identity(a)
+    assert ident == ChainMap.identity(a) and ident != ident.scale(2)
+    # maps of different shape compare unequal instead of raising
+    assert ChainMap.identity(q2()) != ChainMap.identity(q3())
+    assert ident != ChainMap.identity(shift(a, 0, 1)) and ident != differential_map(a)
     c = cone(ident)
     s, _ = simplify(c)
     assert s.is_zero()

@@ -1,13 +1,15 @@
 """Morphism values: interned tangles and the canonical-terms constructor.
 
-`Matching` and `FlatTangle` are interned through lru_caches that can be
-cleared at any time (the benchmark clears every catsl2 cache before each
-op), so equal but distinct instances must still behave as one value; and
-morphisms built by the private `CobMorphism._from_canonical` must be
+`Matching` and `FlatTangle` keep one live instance per value in a weak
+interning table (`tl.interned`), which no cache clear touches (the
+benchmark clears every catsl2 cache before each op), so equality and
+hashing are identity and a value is checked once while an instance lives;
+and morphisms built by the private `CobMorphism._from_canonical` must be
 exactly what the public constructor builds from the same terms.
 """
 
 import copy
+import gc
 import json
 import pickle
 import sys
@@ -19,7 +21,7 @@ from catsl2.cobordism import (CobMorphism, FlatTangle, InvariantError, compose,
                               partial_trace, stack)
 from catsl2.complexes import tensor
 from catsl2.projectors import truncated_pn
-from catsl2.tl import Matching
+from catsl2.tl import Matching, all_matchings
 from test_cobordism import rand_multi, rand_tangle
 
 
@@ -51,38 +53,42 @@ def dump(c) -> str:
 
 
 def test_each_pairing_is_validated_once(monkeypatch):
-    pairing = Matching.identity(3).pairing
-    tl._matching.cache_clear()
+    clear_catsl2_caches()
+    pairing = Matching.e(4, 7).pairing  # its instance goes at once
+    gc.collect()
+    key = (7, pairing)
+    assert key not in tl._matching.table
     checked = []
     planar = tl.is_planar_matching
     monkeypatch.setattr(tl, "is_planar_matching",
                         lambda p: checked.append(p) or planar(p))
-    first = Matching(3, pairing)
-    assert Matching(3, pairing) is first and Matching.identity(3) is first
-    assert checked == [pairing]
-    tl._matching.cache_clear()
-    again = Matching(3, pairing)
-    assert again is not first and again == first and hash(again) == hash(first)
-    assert checked == [pairing, pairing]
+    first = Matching(7, pairing)
+    assert Matching(7, pairing) is first and Matching.e(4, 7) is first
+    clear_catsl2_caches()  # leaves the live instance in the table
+    assert Matching(7, pairing) is first and checked == [pairing]
+    del first
+    gc.collect()
+    assert key not in tl._matching.table
+    again = Matching(7, pairing)
+    assert checked == [pairing, pairing] and tl._matching.table[key] is again
 
 
 def test_copies_and_pickles_are_the_interned_value():
-    clear_catsl2_caches()  # so that t.matching is the interned matching
     t = FlatTangle(3, Matching.e(1, 3), 1)
     for same in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         assert same(t) is t and same(t.matching) is t.matching
     data = pickle.dumps(t)
     clear_catsl2_caches()
-    again = pickle.loads(data)
-    assert again is not t and again == t and hash(again) == hash(t)
+    assert pickle.loads(data) is t  # t lives, so it is the value's instance
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
 def test_bad_values_raise_before_and_after_a_cache_clear(run_python, optimize):
     script = """
+import gc
 from catsl2 import cobordism, tl
 from catsl2.cobordism import FlatTangle, InvariantError
-from catsl2.tl import Matching
+from catsl2.tl import Matching, all_matchings
 for _ in range(2):
     for pairing in ((1, 0, 3, 2, 0), (3, 2, 1, 0)):
         try:
@@ -95,8 +101,11 @@ for _ in range(2):
         print("accepted")
     except InvariantError:
         print("rejected tangle")
-    tl._matching.cache_clear()
-    cobordism._flat_tangle.cache_clear()
+    for mod in (tl, cobordism):
+        for val in vars(mod).values():
+            if hasattr(val, "cache_clear"):
+                val.cache_clear()
+    gc.collect()
 """
     out = run_python("-c", script, optimize=optimize)
     assert out.returncode == 0, out.stderr
@@ -106,20 +115,67 @@ for _ in range(2):
         "rejected tangle"] * 2
 
 
-def test_mixed_instances_after_a_cache_clear():
+def test_one_instance_per_value_across_a_cache_clear():
     caches = clear_catsl2_caches()
-    assert tl._matching in caches and cobordism._flat_tangle in caches
+    assert tl._matching not in caches and cobordism._flat_tangle not in caches
     before = truncated_pn(2, 6).complex
-    reference = dump(tensor(before, truncated_pn(2, 6).complex))
+    reference = dump(tensor(before, before))
     clear_catsl2_caches()
     after = truncated_pn(2, 6).complex
-    top, top_after = before.objects[0][0].tangle, after.objects[0][0].tangle
-    assert top_after is not top and top_after == top
-    assert top_after.matching is not top.matching
+    assert after is not before  # rebuilt, from the live tangles
+    for objs, objs_after in zip(before.objects.values(), after.objects.values()):
+        for o, o_after in zip(objs, objs_after):
+            assert o_after.tangle is o.tangle and o_after == o
+    t = before.objects[0][0].tangle
+    assert FlatTangle(t.n, t.matching, t.circles) is t
+    assert Matching(t.n, t.matching.pairing) is t.matching
     assert dump(after) == dump(before)
-    # equality falls back to the fields wherever `is` fails
     assert dump(tensor(before, after)) == reference
     assert dump(tensor(after, before)) == reference
+
+
+def test_collected_values_leave_the_table():
+    clear_catsl2_caches()
+    pairing = Matching.e(2, 6).pairing
+    gc.collect()
+    t = FlatTangle(6, Matching(6, pairing), 2)
+    clear_catsl2_caches()
+    assert FlatTangle(6, Matching(6, pairing), 2) is t
+    assert Matching(6, pairing) is t.matching
+    assert cobordism._flat_tangle.table[(6, t.matching, 2)] is t
+    del t
+    gc.collect()
+    assert (6, pairing) not in tl._matching.table
+    assert not [key for key in cobordism._flat_tangle.table
+                if key[0] == 6 and key[1].pairing == pairing and key[2] == 2]
+    # distinct values are distinct instances, equal ones the same
+    tangles = [FlatTangle(n, mt, c) for n in (1, 2, 3)
+               for mt in all_matchings(n) for c in (0, 2)]
+    again = [FlatTangle(x.n, Matching(x.n, x.matching.pairing), x.circles)
+             for x in tangles]
+    assert all(y is x for x, y in zip(tangles, again))
+    assert len(set(tangles)) == len(tangles) == 2 * (1 + 2 + 5)
+    assert len({t.matching for t in tangles if t.n == 3}) == 5
+
+
+def test_flat_tangle_identity_is_invisible():
+    m = Matching.e(1, 2)
+    t = FlatTangle(2, m, 1)
+    assert {t: "x"}[FlatTangle(2, Matching.e(1, 2), 1)] == "x"
+    # hashes follow memory addresses; repr, order and JSON read the fields
+    assert repr(t) == f"FlatTangle(n=2, matching={m!r}, circles=1)"
+    assert repr(m) == "Matching(n=2, pairing=(1, 0, 3, 2))"
+    data = json.dumps(CobMorphism.canonical(t, t).to_json())
+    assert json.loads(data)["source"] == {"matching": [1, 0, 3, 2], "circles": 1}
+    assert str(hash(t)) not in data and str(hash(m)) not in data
+    tangles = [FlatTangle(n, mt, c) for n in (1, 2, 3)
+               for mt in all_matchings(n) for c in (0, 1)]
+    fields = {t: (t.n, t.matching.pairing, t.circles) for t in tangles}
+    for x in tangles:
+        for y in tangles:
+            fx, fy = fields[x], fields[y]
+            assert (x < y) == (fx < fy) and (x <= y) == (fx <= fy)
+            assert (x == y) == (fx == fy) and (x.matching < y.matching) == (fx[:2] < fy[:2])
 
 
 def canonical_form(m: CobMorphism) -> CobMorphism:
