@@ -231,32 +231,33 @@ def _block_terms(*products) -> dict:
     return {h: slot for h, slot in out.items() if slot}
 
 
-def _assemble(n: int, parts: list[Complex], blocks=()) -> tuple[Complex, dict]:
-    """The direct sum of `parts`, plus off-diagonal blocks in its differential.
+def _assemble(n: int, parts: list[tuple[Complex, int, int]], blocks=()) -> tuple[Complex, dict]:
+    """The direct sum of `parts`, each (complex, dh, dq) at t^dh q^dq, plus
+    off-diagonal blocks in its differential; degrees are the sum's.
 
     Objects are placed degree by degree, in part order and then in index
-    order; place[(p, h, idx)] is the position at degree h of object idx of
-    part p.  The differential is each part's own plus every block
-    (k2, k1, components), whose components[h][(i, j)] go from object j at
-    degree h of part k1 to object i at degree h + 1 of part k2.
+    order; at[(p, h)] is where part p's objects at degree h start.  The
+    differential is each part's own times (-1)^dh (shared when dh is even)
+    plus every block (k2, k1, components), whose components[h][(i, j)] go
+    from object j at degree h of part k1 to object i at h + 1 of part k2.
     """
     objects: dict[int, list[GradedObject]] = {}
-    place: dict[tuple[int, int, int], int] = {}
-    for p, part in enumerate(parts):
+    at: dict[tuple[int, int], int] = {}
+    for p, (part, dh, dq) in enumerate(parts):
         for h, objs in part.objects.items():
-            lst = objects.setdefault(h, [])
-            for idx, o in enumerate(objs):
-                place[(p, h, idx)] = len(lst)
-                lst.append(o)
+            lst = objects.setdefault(h + dh, [])
+            at[(p, h + dh)] = len(lst)
+            lst += [GradedObject(o.tangle, o.qshift + dq) for o in objs] if dq else objs
+    own = [(p, p, {h + dh: {k: -m for k, m in e.items()} if dh % 2 else e
+                   for h, e in part.diff.items()}) for p, (part, dh, _) in enumerate(parts)]
     diff: dict[int, dict[tuple[int, int], CobMorphism]] = {}
-    own = [(p, p, part.diff) for p, part in enumerate(parts)]
     for k2, k1, comps in own + list(blocks):
         for h, entries in comps.items():
-            slot = diff.setdefault(h, {})
+            slot, at2, at1 = diff.setdefault(h, {}), at[(k2, h + 1)], at[(k1, h)]
             for (i, j), m in entries.items():
-                key = (place[(k2, h + 1, i)], place[(k1, h, j)])
+                key = (at2 + i, at1 + j)
                 slot[key] = slot[key] + m if key in slot else m
-    return Complex(n, objects, diff), place
+    return Complex(n, objects, diff), at
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +423,9 @@ def _expansion(c: Complex):
     return objects, expansion
 
 
-def _split(block: dict, dh: int, src_exp: dict, tgt_exp: dict) -> dict:
+def _split(block: dict, dh: int, exp: dict) -> dict:
     """The block {h: {(i, j): m}}, out of degree h into h + dh, between the
-    delooped summands that src_exp and tgt_exp list (see `_expansion`).
+    delooped summands that exp lists (see `_expansion`).
 
     Entry (b, a) of m keeps the terms that dot source circle k exactly where
     a_k = -1 and target circle k exactly where b_k = +1, each as its mask
@@ -434,7 +435,7 @@ def _split(block: dict, dh: int, src_exp: dict, tgt_exp: dict) -> dict:
     for h, entries in block.items():
         out = out_block[h] = {}
         for (i, j), m in entries.items():
-            (src, s_exp), (tgt, t_exp) = src_exp[h][j], tgt_exp[h + dh][i]
+            (src, s_exp), (tgt, t_exp) = exp[h][j], exp[h + dh][i]
             cs, ct = m.src.circles, m.tgt.circles
             if cs == ct == 0:
                 out[(t_exp[0][0], s_exp[0][0])] = m
@@ -478,16 +479,9 @@ def deloop(c: Complex, maps=()) -> tuple[Complex, list[ChainMap]]:
     if all(o.tangle.circles == 0 for objs in c.objects.values() for o in objs):
         return c, list(maps)
     objects, exp = _expansion(c)
-    result = Complex(c.n, objects, _split(c.diff, 1, exp, exp))
+    result = Complex(c.n, objects, _split(c.diff, 1, exp))
     return result, [ChainMap(result, result, f.dh, f.dq,
-                             _split(f.components, f.dh, exp, exp)) for f in maps]
-
-
-def _deloop_map(f: ChainMap, src: Complex, tgt: Complex) -> ChainMap:
-    """f: M -> N as a map between the deloopings src of M and tgt of N."""
-    return ChainMap(src, tgt, f.dh, f.dq, _split(f.components, f.dh,
-                                                 _expansion(f.src)[1],
-                                                 _expansion(f.tgt)[1]))
+                             _split(f.components, f.dh, exp)) for f in maps]
 
 
 # ---------------------------------------------------------------------------
@@ -919,19 +913,14 @@ def _trace_strand(c: Complex, maps) -> tuple[Complex, list[ChainMap]]:
 
 
 def shift(c: Complex, dh: int, dq: int) -> Complex:
-    """t^dh q^dq; the differential picks up (-1)^dh (for dh even it shares
-    c's morphisms, whose terms cannot change)."""
-    objects = {h + dh: [GradedObject(o.tangle, o.qshift + dq) for o in objs]
-               for h, objs in c.objects.items()}
-    diff = {h + dh: {k: m.scale(-1) for k, m in entries.items()} if dh % 2 else entries
-            for h, entries in c.diff.items()}
-    return Complex(c.n, objects, diff)
+    """t^dh q^dq; the differential picks up (-1)^dh (see `_assemble`)."""
+    return _assemble(c.n, [(c, dh, dq)])[0]
 
 
 def direct_sum(a: Complex, b: Complex) -> Complex:
     if a.n != b.n:
         raise ValueError("strand-count mismatch in direct sum")
-    return _assemble(a.n, [a, b])[0]
+    return _assemble(a.n, [(a, 0, 0), (b, 0, 0)])[0]
 
 
 def dual(c: Complex) -> Complex:
@@ -947,9 +936,9 @@ def cone(f: ChainMap) -> Complex:
     """Mapping cone of a cycle f; for bidegree (0,0) this is t^-1 src + tgt."""
     if not f.is_cycle():
         raise InvariantError("cone of a non-chain-map")
-    parts = [shift(f.src, f.dh - 1, f.dq), f.tgt]
     block = {k + f.dh - 1: entries for k, entries in f.components.items()}
-    out, _ = _assemble(f.src.n, parts, [(1, 0, block)])
+    out, _ = _assemble(f.src.n, [(f.src, f.dh - 1, f.dq), (f.tgt, 0, 0)],
+                       [(1, 0, block)])
     out.check()
     return out
 
@@ -1126,7 +1115,7 @@ def convolution_complete(pieces: list[Complex], alphas: list[ChainMap],
     whose consecutive composites are null-homotopic.  Pieces are attached
     right to left as iterated mapping cones: at each attachment all higher
     components out of the new piece are solved jointly as one integer linear
-    system over the dotted-disk basis (Smith normal form), so earlier greedy
+    system over the dotted-disk basis (`solve_integer`), so earlier greedy
     choices cannot obstruct later lengths within one attachment.
 
     With min_total_degree set, obstruction equations whose target lies below
@@ -1149,12 +1138,12 @@ def convolution_complete(pieces: list[Complex], alphas: list[ChainMap],
         for j, block in _attach_piece(pieces, offs, comps, k, min_total_degree).items():
             comps[(j, k)] = block
 
-    # the total complex: piece k at offset offs[k], where the shift supplies
-    # the sign (-1)^offset of its own differential
-    parts = [shift(piece, off, 0) for piece, off in zip(pieces, offs)]
+    # the total complex: piece k at offset offs[k], where `_assemble`
+    # supplies the sign (-1)^offset of its own differential
     blocks = [(k2, k1, {h + offs[k1]: e for h, e in block.items()})
               for (k2, k1), block in comps.items()]
-    return _assemble(pieces[0].n, parts, blocks)[0]
+    return _assemble(pieces[0].n, [(piece, off, 0) for piece, off in zip(pieces, offs)],
+                     blocks)[0]
 
 
 def _attach_piece(pieces, offs, comps, k, min_total_degree):

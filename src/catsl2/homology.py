@@ -213,6 +213,15 @@ def solve_integer(rows: list[dict], cols: int,
 # Bigraded homology
 # ---------------------------------------------------------------------------
 
+def _invariant_torsion(orders) -> tuple[int, ...]:
+    """Cyclic orders as the group's invariant factors (each > 1, dividing)."""
+    t = tuple(orders)
+    if all(d > 1 for d in t) and all(b % a == 0 for a, b in zip(t, t[1:])):
+        return t  # already in that form, as integer_homology's factors are
+    factors = invariant_factors([{i: d} for i, d in enumerate(t)], len(t))
+    return tuple(d for d in factors if d > 1)
+
+
 @dataclass
 class BigradedGroups:
     """Per (h, q): free rank and torsion invariant factors (each > 1, dividing)."""
@@ -220,8 +229,9 @@ class BigradedGroups:
     groups: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = field(default_factory=dict)
 
     def set(self, h: int, q: int, rank: int, torsion: tuple[int, ...] = ()):
+        torsion = _invariant_torsion(torsion) if torsion else ()
         if rank or torsion:
-            self.groups[(h, q)] = (rank, tuple(torsion))
+            self.groups[(h, q)] = (rank, torsion)
 
     def is_zero(self) -> bool:
         return not self.groups
@@ -233,13 +243,13 @@ class BigradedGroups:
         out = dict(self.groups)
         for key, (r, t) in other.groups.items():
             r0, t0 = out.get(key, (0, ()))
-            out[key] = (r0 + r, tuple(sorted(t0 + t)))
+            out[key] = (r0 + r, _invariant_torsion(t0 + t))
         return BigradedGroups(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BigradedGroups):
             return NotImplemented
-        norm = lambda g: {k: (r, tuple(sorted(t))) for k, (r, t) in g.items()
+        norm = lambda g: {k: (r, _invariant_torsion(t)) for k, (r, t) in g.items()
                           if r or t}
         return norm(self.groups) == norm(other.groups)
 

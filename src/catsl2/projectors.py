@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cobordism import CobMorphism, FlatTangle, GradedObject, stack_tangles
+from .cobordism import CobMorphism, FlatTangle, GradedObject, stack, stack_tangles
 from .complexes import (ChainMap, Complex, InvariantError, Slice, _assemble,
-                        _check_ceiling, _deloop_map, cone, convolution_complete,
-                        deloop, fold, juxtapose_complexes, object_ceiling,
-                        product_map, shift, simplify, tensor, tensor_indexed)
+                        _check_ceiling, _product, _starts, cone, convolution_complete,
+                        fold, juxtapose_complexes, object_ceiling, product_map,
+                        shift, simplify, tensor, tensor_indexed)
 
 # extra projector depth used when feeding a truncated projector into the
 # convolution solver, keeping the guarded equations clear of its artifacts
@@ -153,9 +153,9 @@ def symmetric_sequence(k_complex: Complex, n: int):
     the last piece at shift zero.
 
     Piece k is (K u 1) over the hook cascade D_d, d = min(k, 2n-1-k),
-    q-shifted, and delooped; alpha_k is id (x) g_k, split between the
-    deloopings by the rule `deloop` applies to a differential, with g_k the
-    saddle between consecutive hooks or, between the two copies of the
+    q-shifted; it is circle-free, which is checked, so it needs no
+    delooping.  alpha_k is id (x) g_k on the pieces' own placement, with g_k
+    the saddle between consecutive hooks or, between the two copies of the
     deepest hook, its cap-dot minus its cup-dot.  Pieces k and 2n-1-k share
     their hook and differ only in q-shift, so each product is built once,
     for k < n, and shifted for k >= n.
@@ -167,17 +167,18 @@ def symmetric_sequence(k_complex: Complex, n: int):
     depth = [min(k, 2 * n - 1 - k) for k in range(2 * n)]
     ends = [Complex.from_object(GradedObject(hooks[d], 2 * n - k if k < n else d), n)
             for k, d in enumerate(depth)]
-    raw = [tensor_indexed(k1, end) for end in ends[:n]]
-    raw += [shift(raw[d], 0, 2 * d - 2 * n) for d in depth[n:]]  # q^d, not q^(2n-d)
-    pieces = [deloop(r)[0] for r in raw]
+    pieces = [tensor_indexed(k1, end) for end in ends[:n]]
+    if any(o.tangle.circles for p in pieces for objs in p.objects.values() for o in objs):
+        raise InvariantError("a symmetric-sequence piece has a circle")
+    pieces += [shift(pieces[d], 0, 2 * d - 2 * n) for d in depth[n:]]  # q^d, not q^(2n-d)
     alphas = []
     for k in range(2 * n - 1):
         hook, nxt = hooks[depth[k]], hooks[depth[k + 1]]
         g = (CobMorphism.canonical(hook, nxt) if hook != nxt
              else _dotted(hook, cap) - _dotted(hook, 0))  # 0 is on the innermost cup
         g_k = ChainMap(ends[k], ends[k + 1], 0, 0, {0: {(0, 0): g}})
-        alpha = product_map(raw[k], raw[k + 1], k1, g_k)
-        alphas.append(_deloop_map(alpha, pieces[k], pieces[k + 1]))
+        alphas.append(ChainMap(pieces[k], pieces[k + 1], 0, 0, _product(
+            stack, k1, ends[k], _starts(k1, ends[k]), None, g_k)))
     return pieces, alphas
 
 
@@ -252,17 +253,17 @@ def _periodic_model(block: Complex, n: int, window: int):
         raise InvariantError("connector degree mismatch")
     # copy b + 1's top object sits one degree above copy b's bottom object
     connector = {(0, 0): CobMorphism.identity(bottom[0].tangle).scale(-1)}
-    shifted = [shift(block, b * dh, b * dq) for b in range(copies)]
-    per, place = _assemble(n, shifted, [(b + 1, b, {block.h_min() + b * dh: connector})
-                                        for b in range(copies - 1)])
+    per, at = _assemble(n, [(block, b * dh, b * dq) for b in range(copies)],
+                        [(b + 1, b, {block.h_min() + b * dh: connector})
+                         for b in range(copies - 1)])
+    # u sends each object of copy b to the same object of copy b + 1
     u_comps: dict[int, dict[tuple[int, int], CobMorphism]] = {}
     for b in range(copies - 1):
-        for h, objs in shifted[b].objects.items():
+        for h, objs in block.objects.items():
+            src, tgt = at[(b, h + b * dh)], at[(b + 1, h + b * dh + dh)]
+            slot = u_comps.setdefault(h + b * dh, {})
             for idx, o in enumerate(objs):
-                tgt = place.get((b + 1, h + dh, idx))
-                if tgt is not None:
-                    u_comps.setdefault(h, {})[(tgt, place[(b, h, idx)])] = \
-                        CobMorphism.identity(o.tangle)
+                slot[(tgt + idx, src + idx)] = CobMorphism.identity(o.tangle)
     return per, ChainMap(per, per, dh, dq, u_comps)
 
 

@@ -8,7 +8,7 @@ from catsl2.cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantEr
                               _compose_terms, compose, glue, juxtapose,
                               juxtapose_tangles, partial_trace, stack, stack_tangles)
 from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
-                              _deloop_map, _hom_basis, _hom_columns, _lines, _place,
+                              _assemble, _hom_basis, _hom_columns, _lines, _place,
                               _product, _starts, closure, cone, convolution_complete,
                               deloop, differential_map, direct_sum, dual, gauss,
                               hom_complex, juxtapose_complexes,
@@ -210,10 +210,9 @@ def reference_deloop(c):
                            ChainMap.zero(c, c, -1, 0))
 
 
-def conjugate(f, src_sdr, tgt_sdr=None):
-    """Reference: f carried through retracts, sigma o f o pi, with the
-    target's retract for a map between two complexes."""
-    return src_sdr.sigma.then(f).then((tgt_sdr or src_sdr).pi)
+def conjugate(f, sdr):
+    """Reference: an endomorphism f carried through a retract, sigma o f o pi."""
+    return sdr.sigma.then(f).then(sdr.pi)
 
 
 def map_json(f):
@@ -287,27 +286,6 @@ def test_deloop_matches_reference_on_braid_products(rng):
             most = max(most, max(o.tangle.circles for objs in raw.objects.values()
                                  for o in objs))
     assert most >= 2
-
-
-def test_deloop_map_between_two_complexes_matches_reference(rng):
-    # a map M -> N of two different circled complexes, split between their
-    # deloopings, is sigma_M o f o pi_N; as symmetric_sequence's alpha_k
-    circled = 0
-    for _ in range(4):
-        m, n = (partial_trace_complex(tensor_indexed(random_braid_complex(rng, 3, 2),
-                                                     random_braid_complex(rng, 3, 1)))
-                for _ in range(2))
-        (_, sdr_m), (_, sdr_n) = reference_deloop(m), reference_deloop(n)
-        dm, dn = deloop(m)[0], deloop(n)[0]
-        for dh, dq in product((-1, 0, 1), (-2, 0, 2)):
-            f = random_map(rng, m, n, dh, dq)
-            mine = _deloop_map(f, dm, dn)
-            assert mine.src is dm and mine.tgt is dn
-            assert map_json(mine) == map_json(conjugate(f, sdr_m, sdr_n))
-            circled += any(e.src.circles and e.tgt.circles
-                           for entries in f.components.values()
-                           for e in entries.values())
-    assert circled
 
 
 def test_deloop_object_with_circle():
@@ -816,6 +794,71 @@ def test_shift_dual_sum():
     s = direct_sum(a, shift(a, 0, 1))
     s.check()
     assert s.total_objects() == 2 * a.total_objects()
+
+
+def _shifted_reference(c, dh, dq):
+    """t^dh q^dq of c written out: objects moved and q-shifted, and the
+    differential's morphisms negated for odd dh."""
+    objects = {h + dh: [GradedObject(o.tangle, o.qshift + dq) for o in objs]
+               for h, objs in c.objects.items()}
+    diff = {h + dh: {k: m.scale(-1) if dh % 2 else m for k, m in entries.items()}
+            for h, entries in c.diff.items()}
+    return Complex(c.n, objects, diff)
+
+
+def _assembled_reference(n, parts, blocks):
+    """Each part shifted first, then placed object by object: degree by
+    degree in part order, with each shifted part's differential and the
+    blocks between them."""
+    shifted = [_shifted_reference(*part) for part in parts]
+    objects, place, diff = {}, {}, {}
+    for p, part in enumerate(shifted):
+        for h, objs in part.objects.items():
+            for idx, o in enumerate(objs):
+                lst = objects.setdefault(h, [])
+                place[(p, h, idx)] = len(lst)
+                lst.append(o)
+    for k2, k1, comps in [(p, p, c.diff) for p, c in enumerate(shifted)] + blocks:
+        for h, entries in comps.items():
+            for (i, j), m in entries.items():
+                slot = diff.setdefault(h, {})
+                key = (place[(k2, h + 1, i)], place[(k1, h, j)])
+                slot[key] = slot[key] + m if key in slot else m
+    return Complex(n, objects, diff)
+
+
+def _layout(c):
+    """A complex's JSON and the order of its differential's entries."""
+    return c.to_json(), [(h, list(entries)) for h, entries in c.diff.items()]
+
+
+def test_assemble_matches_shift_then_place(rng):
+    # _assemble shifts each part as it places it; a reference that shifts
+    # first and places afterwards gives the same complex, with the blocks'
+    # degrees read in the sum's grading
+    seen = Counter()
+    for _ in range(12):
+        m = rng.randrange(1, 4)
+        parts = [(random_braid_complex(rng, 3, rng.randrange(1, 3)),
+                  rng.randrange(-2, 3), rng.randrange(-3, 4)) for _ in range(m)]
+        blocks = []
+        for k1, k2 in combinations(range(m), 2):
+            (c1, dh1, dq1), (c2, dh2, dq2) = parts[k1], parts[k2]
+            f = random_map(rng, c1, c2, dh1 + 1 - dh2, dq1 - dq2)
+            blocks.append((k2, k1, {h + dh1: e for h, e in f.components.items()}))
+        out, at = _assemble(3, parts, blocks)
+        assert _layout(out) == _layout(_assembled_reference(3, parts, blocks))
+        for p, (c, dh, dq) in enumerate(parts):
+            for h, objs in c.objects.items():
+                start = at[(p, h + dh)]
+                assert out.objects[h + dh][start:start + len(objs)] == [
+                    GradedObject(o.tangle, o.qshift + dq) for o in objs]
+            assert _layout(shift(c, dh, dq)) == _layout(_shifted_reference(c, dh, dq))
+            seen["odd dh"] += dh % 2
+            seen["even dh"] += 1 - dh % 2
+            seen["dq"] += dq != 0
+        seen["block"] += any(b[2] for b in blocks)
+    assert min(seen.values()) > 0, seen
 
 
 def test_cone_examples():

@@ -436,6 +436,22 @@ def test_ext_p2_values():
             assert (h + q) not in (1, 3), ((h, q), v)
 
 
+def test_torsion_sums_are_in_invariant_factor_form():
+    def cyclic(*orders):
+        g = BigradedGroups()
+        g.set(0, 0, 0, orders)
+        return g
+    assert cyclic(2) + cyclic(3) == cyclic(6)
+    assert (cyclic(2) + cyclic(3)).groups == {(0, 0): (0, (6,))}
+    assert (cyclic(2) + cyclic(4)).groups == {(0, 0): (0, (2, 4))}
+    assert (cyclic(6) + cyclic(4)).groups == {(0, 0): (0, (2, 12))}
+    assert cyclic(3, 2).groups == {(0, 0): (0, (6,))}
+    assert cyclic(1).is_zero()
+    # equality reads any listing of the same group as its invariant factors
+    assert BigradedGroups({(0, 0): (1, (3, 2))}) == BigradedGroups({(0, 0): (1, (6,))})
+    assert cyclic(2) + cyclic(2) != cyclic(4)
+
+
 def test_poincare_polynomial_and_chi_recovery():
     assert poincare_polynomial(BigradedGroups()) == {}
     assert poincare_string({}) == "0"

@@ -2,16 +2,18 @@ import itertools
 
 import pytest
 
-from catsl2.cobordism import CobMorphism, FlatTangle, GradedObject, glue
+from catsl2.cobordism import (CobMorphism, FlatTangle, GradedObject, glue,
+                              juxtapose_tangles, stack_tangles)
 from catsl2.complexes import (ChainMap, Complex, ObstructionError, Slice,
-                              _hom_basis, closure, cone, fold, simplify,
+                              _hom_basis, closure, cone, deloop, fold,
+                              juxtapose_complexes, product_map, simplify,
                               tautological_complex, tensor)
 from catsl2.homology import integer_homology
-from catsl2.projectors import (DEPTH_MARGIN, braid_letter_complex, build_qn,
-                               pad_columns, q1, q2, q3, quasi_projector,
+from catsl2.projectors import (DEPTH_MARGIN, _hook_tangles, braid_letter_complex,
+                               build_qn, pad_columns, q1, q2, q3, quasi_projector,
                                symmetric_sequence, truncated_pn, turnback_check)
 from catsl2.series import TruncatedSeries
-from catsl2.tl import euler_characteristic, jw
+from catsl2.tl import all_matchings, euler_characteristic, jw
 
 
 def one_minus_q2n(n, prec=30):
@@ -133,6 +135,73 @@ def test_symmetric_sequence_shape():
         right = pieces3[5 - k].graded_ranks()  # shift q^{2n-1-(5-k)} = q^k
         delta = (2 * 3 - k) - k
         assert {(h, q - delta): v for (h, q), v in left.items()} == right
+
+
+def test_hook_stackings_close_no_circle():
+    # symmetric_sequence needs no deloop: over every matching on n - 1
+    # strands u 1 and every hook of the cascade, no stacking closes a circle
+    count = 0
+    for n in range(2, 7):
+        hooks, _ = _hook_tangles(n)
+        for m in all_matchings(n - 1):
+            top = juxtapose_tangles(FlatTangle(n - 1, m), FlatTangle.identity(1))[0]
+            for hook in hooks:
+                assert stack_tangles(top, hook).tangle.circles == 0
+                count += 1
+    assert count == 350
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_symmetric_sequence_rejects_a_circled_piece(run_python, optimize):
+    # a cascade whose deepest hook carries a circle makes a circled piece
+    script = """
+from catsl2 import projectors
+from catsl2.cobordism import FlatTangle
+from catsl2.complexes import Complex, InvariantError
+circled = FlatTangle(2, FlatTangle.e(1, 2).matching, 1)
+projectors._hook_tangles = lambda n: ([FlatTangle.identity(2), circled], None)
+try:
+    projectors.symmetric_sequence(Complex.identity_complex(1), 2)
+    print("accepted")
+except InvariantError as exc:
+    print("rejected:", exc)
+"""
+    out = run_python("-c", script, optimize=optimize)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "rejected: a symmetric-sequence piece has a circle"]
+
+
+def _entries(f):
+    """A map's entries in their order, each morphism as JSON."""
+    return [(h, key, m.to_json()) for h, entries in f.components.items()
+            for key, m in entries.items()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_symmetric_sequence_alphas_are_product_maps(n):
+    # each alpha_k is id (x) g_k as product_map builds it, after that
+    # function's check that the pieces are the factors' products; the
+    # pieces are their own delooping
+    k_complex = truncated_pn(n - 1, 2).complex
+    pieces, alphas = symmetric_sequence(k_complex, n)
+    k1 = juxtapose_complexes(k_complex, Complex.identity_complex(1))
+    hooks, cap = _hook_tangles(n)
+    depth = [min(k, 2 * n - 1 - k) for k in range(2 * n)]
+    ends = [Complex.from_object(GradedObject(hooks[d], 2 * n - k if k < n else d), n)
+            for k, d in enumerate(depth)]
+    for p in pieces:
+        assert deloop(p)[0] is p
+    for k, alpha in enumerate(alphas):
+        hook, nxt = hooks[depth[k]], hooks[depth[k + 1]]
+        g = (CobMorphism.canonical(hook, nxt) if hook != nxt else
+             CobMorphism.dotted_identity(hook, cap) - CobMorphism.dotted_identity(hook, 0))
+        g_k = ChainMap(ends[k], ends[k + 1], 0, 0, {0: {(0, 0): g}})
+        ref = product_map(pieces[k], pieces[k + 1], k1, g_k)
+        assert alpha.src is pieces[k] and alpha.tgt is pieces[k + 1]
+        assert (alpha.dh, alpha.dq) == (0, 0)
+        assert _entries(alpha) == _entries(ref)
+        assert alpha.is_cycle()
 
 
 def test_build_qn2_is_exact():
