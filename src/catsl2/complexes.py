@@ -403,11 +403,14 @@ class SDRData:
 
 def _expansion(c: Complex):
     """The delooped objects of c per degree, and per degree and object of c
-    its circle-free tangle and [(new index, mask of the circles signed -1)]."""
+    its circle-free tangle and [(new index, mask of the circles signed -1)].
+    A degree's count, 2^k summands per object with k circles, is checked
+    against the ceiling before any of its summands is built."""
     ceiling = object_ceiling()
     objects: dict[int, list[GradedObject]] = {}
     expansion: dict[int, list[tuple[FlatTangle, list[tuple[int, int]]]]] = {}
     for h, objs in c.objects.items():
+        _check_ceiling("deloop", h, sum(1 << o.tangle.circles for o in objs), ceiling)
         objects[h], expansion[h] = [], []
         for obj in objs:
             t = obj.tangle
@@ -419,7 +422,6 @@ def _expansion(c: Complex):
                 objects[h].append(GradedObject(bare, obj.qshift + sum(signs))
                                   if signs else obj)
             expansion[h].append((bare, exp))
-        _check_ceiling("deloop", h, len(objects[h]), ceiling)
     return objects, expansion
 
 

@@ -22,10 +22,16 @@ the sparse one replaced, in its order.
 Bigraded homology comes from invariant factors: for C_{i-1} --A--> C_i --B-->
 C_{i+1} with BA = 0, H_i = Z^(n_i - rank B - rank A) plus Z/d for each
 invariant factor d > 1 of A, because ker B is a saturated sublattice that
-contains im A.  `integer_homology` therefore factors a copy of each nonzero
-differential's rows once.  Ranks and factors exist for any pair of
-matrices, so it checks d^2 = 0 first.  `homology_generators`, which needs
-generators and not only orders, takes kernel mod image in its one bidegree.
+contains im A.  `integer_homology` therefore factors each nonzero
+differential once, and A only on the rows that B's pivots leave: when B's
+elimination U B V = D is clean (never re-picks a pivot, so every column
+operation adds a multiple of a final pivot column), V^-1 A differs from A
+only in the rows at B's pivot columns, and D V^-1 A = U B A = 0 makes those
+rows zero, so A's other rows carry its rank and invariant factors.  After
+an unclean elimination A keeps every row.  Ranks and factors exist for any
+pair of matrices, and dropping rows is sound only when BA = 0, so it checks
+d^2 = 0 first.  `homology_generators`, which needs generators and not only
+orders, takes kernel mod image in its one bidegree.
 """
 
 from __future__ import annotations
@@ -58,9 +64,14 @@ def _eliminate(d: list[dict], cols: int, u: list[dict] | None = None,
     nonzero residue is left), then, if the pivot fails to divide the rest of
     the block, adds the first such row to row t and clears again.  Row r's
     operations also act on the companion u[r], column c's on v[c] (None:
-    nothing rides along).  Returns (row_at, col_at, rank): the row and column
-    at each position, and the number of pivots, which sit at
-    d[row_at[t]][col_at[t]].
+    nothing rides along).  Returns (row_at, col_at, rank, clean): the row
+    and column at each position, the number of pivots, which sit at
+    d[row_at[t]][col_at[t]], and whether no pivot was ever re-picked.  A
+    clean elimination adds to other columns only multiples of columns that
+    end as pivot columns, col_at[:rank]; so for any A, V^-1 A differs from
+    A only in the rows at those labels, which are zero when this matrix
+    times A is (`integer_homology` drops them from the previous
+    differential, once d^2 = 0 is checked).
     """
     rows = len(d)
     row_at, col_at, col_pos = list(range(rows)), list(range(cols)), list(range(cols))
@@ -86,7 +97,7 @@ def _eliminate(d: list[dict], cols: int, u: list[dict] | None = None,
         col_pos[col_at[t]], col_pos[col_at[j]] = t, j
         return True
 
-    t = 0
+    t, clean = 0, True
     while t < min(rows, cols):
         if not move_best_pivot(t):
             break
@@ -127,6 +138,7 @@ def _eliminate(d: list[dict], cols: int, u: list[dict] | None = None,
                         _add_to(v[j], v[c], k)
                 dirty |= j in pivot_row
             if dirty:
+                clean = False
                 move_best_pivot(t)
                 r, c = row_at[t], col_at[t]
                 continue
@@ -145,7 +157,7 @@ def _eliminate(d: list[dict], cols: int, u: list[dict] | None = None,
             if u is not None:
                 u[r] = {k: -x for k, x in u[r].items()}
         t += 1
-    return row_at, col_at, t
+    return row_at, col_at, t, clean
 
 
 def smith_normal_form(matrix: list[list[int]]):
@@ -155,7 +167,7 @@ def smith_normal_form(matrix: list[list[int]]):
     # U row r is keyed by U column; V column c is keyed by V row
     u = [{r: 1} for r in range(rows)]
     v = [{c: 1} for c in range(cols)]
-    row_at, col_at, _ = _eliminate(d, cols, u, v)
+    row_at, col_at, _, _ = _eliminate(d, cols, u, v)
     return ([[u[r].get(k, 0) for k in range(rows)] for r in row_at],
             [[d[r].get(c, 0) for c in col_at] for r in row_at],
             [[v[c].get(k, 0) for c in col_at] for k in range(cols)])
@@ -165,7 +177,7 @@ def invariant_factors(rows: list[dict], cols: int) -> list[int]:
     """The nonzero diagonal of the Smith normal form, d1 | d2 | ..., of M as
     sparse rows (no stored zero) with `cols` columns; it eliminates the rows
     in place, so a caller that keeps them passes copies."""
-    row_at, col_at, rank = _eliminate(rows, cols)
+    row_at, col_at, rank, _ = _eliminate(rows, cols)
     return [rows[row_at[t]][col_at[t]] for t in range(rank)]
 
 
@@ -174,8 +186,8 @@ def kernel_basis(rows: list[dict], cols: int) -> list[dict]:
     columns (left as given; stored zeros are dropped): the columns of V past
     the rank, each a dict from coordinate to nonzero entry."""
     v = [{c: 1} for c in range(cols)]
-    _, col_at, rank = _eliminate([{c: x for c, x in row.items() if x} for row in rows],
-                                 cols, None, v)
+    _, col_at, rank, _ = _eliminate([{c: x for c, x in row.items() if x} for row in rows],
+                                    cols, None, v)
     return [v[col_at[j]] for j in range(rank, cols)]
 
 
@@ -192,7 +204,7 @@ def solve_integer(rows: list[dict], cols: int,
     d = [{c: x for c, x in row.items() if x} for row in rows]
     ub = [{s: b[r] for s, b in enumerate(rhs_list) if b[r]} for r in range(len(d))]
     v = [{c: 1} for c in range(cols)]
-    row_at, col_at, rank = _eliminate(d, cols, ub, v)
+    row_at, col_at, rank, _ = _eliminate(d, cols, ub, v)
     out = []
     for s in range(len(rhs_list)):
         x = [0] * cols
@@ -275,14 +287,26 @@ def integer_homology(z: ZComplex) -> BigradedGroups:
 
     For C_{i-1} --A--> C_i --B--> C_{i+1} with BA = 0, ker B is a saturated
     sublattice of C_i containing im A, so H_i = Z^(n_i - rank B - rank A)
-    plus Z/d for each invariant factor d > 1 of A.  One Smith normal form per
-    nonzero differential serves both bidegrees it touches.  The formula reads
-    only ranks and factors, so it would return groups for a non-complex too:
-    d^2 = 0 is checked first.
+    plus Z/d for each invariant factor d > 1 of A.  One elimination per
+    nonzero differential serves both bidegrees it touches.
+
+    Each q-degree is walked from the top homological degree down, and A is
+    factored only on its rows whose labels are not pivot columns of B's
+    elimination U B V = D.  When that elimination is clean (no pivot
+    re-picked, see `_eliminate`), V^-1 A differs from A only in those rows,
+    and D V^-1 A = U B A = 0 makes them zero; so A's other rows alone have
+    A's rank and invariant factors.  After an unclean one A keeps every row.
+    Both the formula and the dropping need d^2 = 0, so it is checked first.
     """
     z.check()
-    factors = {(i, j): invariant_factors([dict(row) for row in m], z.rank(i, j))
-               for (i, j), m in z.diffs.items()}
+    factors, pivots = {}, {}
+    for (i, j) in sorted(z.diffs, reverse=True):  # (i + 1, j) comes before (i, j)
+        drop = pivots.get((i + 1, j), ())
+        rows = [dict(row) for r, row in enumerate(z.diffs[(i, j)]) if r not in drop]
+        row_at, col_at, rank, clean = _eliminate(rows, z.rank(i, j))
+        factors[(i, j)] = [rows[row_at[t]][col_at[t]] for t in range(rank)]
+        if clean:
+            pivots[(i, j)] = set(col_at[:rank])
     out = BigradedGroups()
     for (i, j) in sorted(z.groups):
         a, b = factors.get((i - 1, j), ()), factors.get((i, j), ())
@@ -450,7 +474,7 @@ def homology_generators(z: ZComplex, key: tuple[int, int]):
         x_rows = [{s: col[r] for s, col in enumerate(x_cols) if col[r]}
                   for r in range(kdim)]
         u = [{r: 1} for r in range(kdim)]
-        row_at, col_at, rank = _eliminate(x_rows, len(x_cols), u)
+        row_at, col_at, rank, _ = _eliminate(x_rows, len(x_cols), u)
         orders[:rank] = [x_rows[row_at[t]][col_at[t]] for t in range(rank)]
         coords = solve_integer([u[r] for r in row_at], kdim, coords)
         if any(col is None for col in coords):

@@ -179,6 +179,26 @@ sys.exit(main(["colored", "homology", {str(path)!r}]))
                           "with 6 objects (QPE_MAX_OBJECTS=5)\n")
 
 
+@pytest.mark.parametrize("command", [["complex", "simplify"], ["homology"]],
+                         ids=["simplify", "homology"])
+def test_deloop_ceiling_exits_one_before_expanding(tmp_path, capsys, monkeypatch,
+                                                   command):
+    from catsl2.cobordism import FlatTangle, GradedObject
+    from catsl2.tl import Matching
+    from test_extras import bounded_sign_vectors
+    built = bounded_sign_vectors(monkeypatch)
+    # one object with 30 circles would deloop into 2^30 summands
+    circles = GradedObject(FlatTangle(0, Matching(0, ()), 30), 0)
+    path = tmp_path / "circles.json"
+    path.write_text(json.dumps(Complex(0, {0: [circles]}, {}).to_json()))
+    monkeypatch.setenv("QPE_MAX_OBJECTS", "8")
+    assert main([*command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert captured.err == ("error: deloop exceeded object ceiling at degree 0 "
+                            f"with {2 ** 30} objects (QPE_MAX_OBJECTS=8)\n")
+
+
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
 @pytest.mark.parametrize("command, n", [("pn", "2"), ("qn", "3"), ("quasi", "2")])
 def test_unbounded_window_is_one_line(run_python, command, n, optimize):

@@ -99,3 +99,40 @@ def test_deloop_ceiling_names_stage_degree_and_count(monkeypatch):
     with pytest.raises(EngineLimitError) as exc:
         deloop(c)
     assert str(exc.value) == "deloop exceeded object ceiling at degree 1 with 4 objects"
+
+
+def bounded_sign_vectors(monkeypatch, limit=64):
+    """Stand in for complexes.product, the sign vectors deloop expands
+    objects by: the list of those it yields, and none past `limit`."""
+    from itertools import product
+
+    from catsl2 import complexes
+    built = []
+
+    def counting_product(*args, **kwargs):
+        for signs in product(*args, **kwargs):
+            if len(built) == limit:
+                raise AssertionError(f"deloop built more than {limit} summands")
+            built.append(signs)
+            yield signs
+    monkeypatch.setattr(complexes, "product", counting_product)
+    return built
+
+
+def test_deloop_ceiling_is_checked_before_any_summand_is_built(monkeypatch):
+    from catsl2.cobordism import FlatTangle, GradedObject
+    from catsl2.complexes import EngineLimitError, deloop
+    from catsl2.tl import Matching
+    built = bounded_sign_vectors(monkeypatch)
+    circles = lambda k: GradedObject(FlatTangle(0, Matching(0, ()), k), 0)
+    monkeypatch.setenv("QPE_MAX_OBJECTS", "4")
+    # under the ceiling the stand-in builds every summand
+    assert len(deloop(Complex(0, {1: [circles(2)]}, {}))[0].objects[1]) == 4
+    assert len(built) == 4
+    del built[:]
+    # one circle, then thirty, at degree 0: 2 + 2^30 objects, none built
+    with pytest.raises(EngineLimitError) as exc:
+        deloop(Complex(0, {0: [circles(1), circles(30)], 1: [circles(0)]}, {}))
+    assert str(exc.value) == ("deloop exceeded object ceiling at degree 0 "
+                              f"with {2 + 2 ** 30} objects")
+    assert built == []

@@ -343,9 +343,9 @@ def random_torsion_complex(rng):
 def test_integer_homology_agrees_with_kernel_mod_image_on_torsion_complexes(
         rng, monkeypatch):
     factor_calls = []
-    factor = homology.invariant_factors
-    monkeypatch.setattr(homology, "invariant_factors",
-                        lambda rows, cols: factor_calls.append(1) or factor(rows, cols))
+    eliminate = homology._eliminate
+    monkeypatch.setattr(homology, "_eliminate",
+                        lambda *args: factor_calls.append(1) or eliminate(*args))
     torsion_seen = 0
     for _ in range(80):
         z, expect = random_torsion_complex(rng)
@@ -363,6 +363,48 @@ def test_integer_homology_agrees_with_kernel_mod_image_on_torsion_complexes(
             assert product == order, key
         torsion_seen += sum(len(t) > 0 for _, t in got.groups.values())
     assert torsion_seen > 40
+
+
+def test_integer_homology_drops_rows_only_after_a_clean_successor(rng, monkeypatch):
+    # per elimination: rows given, rank, clean; A = d_i loses exactly the
+    # rows at B = d_(i+1)'s pivot columns when B's elimination was clean
+    calls = []
+    eliminate = homology._eliminate
+
+    def spy(rows, *args):
+        given = len(rows)
+        _, _, rank, clean = out = eliminate(rows, *args)
+        calls.append((given, rank, clean))
+        return out
+    monkeypatch.setattr(homology, "_eliminate", spy)
+    branches = set()
+    for _ in range(80):
+        z, _ = random_torsion_complex(rng)
+        del calls[:]
+        got = integer_homology(z)
+        # one elimination per differential, each q-degree from the top down
+        seen = dict(zip(sorted(z.diffs, reverse=True), calls, strict=True))
+        for (i, j), (given, _, _) in seen.items():
+            succ = seen.get((i + 1, j))
+            if succ:
+                branches.add(succ[2])
+            dropped = succ[1] if succ and succ[2] else 0
+            assert given == len(z.diffs[(i, j)]) - dropped, (i, j)
+        assert got == reference_homology(z)
+    assert branches == {True, False}
+
+
+def test_integer_homology_keeps_every_row_after_a_re_picked_pivot():
+    # B = [2 3], A = [3, -2]^T: B's elimination re-picks its pivot (column 0,
+    # then column 1), so dropping A's row 1 would leave [3] and report
+    # H_1 = Z/3; A has gcd 1 and the complex is exact
+    b, a = [{0: 2, 1: 3}], [{0: 3}, {0: -2}]
+    _, col_at, rank, clean = homology._eliminate([dict(row) for row in b], 2)
+    assert (col_at[:rank], clean) == ([1], False)
+    z = ZComplex({(0, 0): ["a"], (1, 0): ["b0", "b1"], (2, 0): ["c"]},
+                 {(0, 0): a, (1, 0): b})
+    assert integer_homology(z).is_zero()
+    assert reference_homology(z).is_zero()
 
 
 def test_integer_homology_agrees_with_kernel_mod_image_on_hom_complexes(rng):
