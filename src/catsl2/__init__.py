@@ -21,7 +21,7 @@ from .projectors import (TruncatedProjector, braid_letter_complex, build_qn,
                          symmetric_sequence, truncated_pn, turnback_check)
 from .series import TruncatedSeries
 from .tl import (Matching, TLElement, closure_evaluate, euler_characteristic,
-                 jw, through_degree, tl_mul)
+                 jw, tl_mul)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

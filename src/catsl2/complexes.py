@@ -137,9 +137,10 @@ class Complex:
     @classmethod
     def from_json(cls, data: dict) -> Complex:
         """Read `to_json` output.  Non-integer n, h, qshift, circles, matching,
-        row, col, dots or coeff, a degree listed twice, and entries that cannot be a differential's
-        (indices out of range, no degree h+1, dots off the glued diagram,
-        wrong degree) raise ValueError."""
+        row, col, dots or coeff, a degree, entry or term listed twice, and
+        entries that cannot be a differential's (indices out of range, no
+        degree h+1, dots off the glued diagram, wrong degree) raise
+        ValueError."""
         from .tl import Matching
         n = _json_int(data["n"], "n")
         objects = {}
@@ -169,6 +170,8 @@ class Complex:
                 i, j = _json_int(e["row"], "row"), _json_int(e["col"], "col")
                 if not (0 <= j < len(objects[h]) and 0 <= i < len(objects[h + 1])):
                     raise ValueError(f"entry ({i},{j}) at h={h} is out of range")
+                if (i, j) in entries:
+                    raise ValueError(f"entry ({i},{j}) at h={h} is listed twice")
                 src, tgt = objects[h][j], objects[h + 1][i]
                 curves = len(glue(src.tangle, tgt.tangle))
                 terms = {}
@@ -179,7 +182,11 @@ class Complex:
                                          f"the {curves} curves of the glued diagram")
                     if n - curves + 2 * len(dots) != src.qshift - tgt.qshift:
                         raise ValueError(f"entry ({i},{j}) at h={h} has the wrong degree")
-                    terms[sum(1 << c for c in dots)] = _json_int(t["coeff"], "coeff")
+                    mask = sum(1 << c for c in dots)
+                    if mask in terms:
+                        raise ValueError(f"entry ({i},{j}) at h={h} lists the term "
+                                         f"with dots {sorted(dots)} twice")
+                    terms[mask] = _json_int(t["coeff"], "coeff")
                 entries[(i, j)] = CobMorphism(src.tangle, tgt.tangle, terms)
             diff[h] = entries
         return cls(n, objects, diff)
@@ -714,32 +721,6 @@ def _starts(a: Complex, b: Complex) -> dict[tuple[int, int], int]:
     return start
 
 
-def _place(n: int, a: Complex, b: Complex):
-    """The objects of the product of a and b on n strands, in `_starts`
-    order, and its morphism_op.  It stacks (a on top) when a and b have n
-    strands and juxtaposes (a on the left) when their counts add up to n;
-    closed factors (n = 0), whose stacking and juxtaposition are both the
-    disjoint union, are stacked, so b's circles come first.  The product
-    of oa and ob is the product of their tangles, with q-shift qa + qb."""
-    if a.n == b.n == n:
-        tangle_op, morphism_op = (lambda s, t: stack_tangles(s, t).tangle), stack
-    elif a.n + b.n == n:
-        tangle_op, morphism_op = ((lambda s, t: juxtapose_tangles(s, t)[0]),
-                                  juxtapose_morphism)
-    else:
-        raise ValueError(f"factors on {a.n} and {b.n} strands have no product "
-                         f"on {n} strands")
-    ceiling = object_ceiling()
-    objects: dict[int, list[GradedObject]] = {}
-    for ha, objas in a.objects.items():
-        for hb, objbs in b.objects.items():
-            lst = objects.setdefault(ha + hb, [])
-            lst += [GradedObject(tangle_op(oa.tangle, ob.tangle), oa.qshift + ob.qshift)
-                    for oa in objas for ob in objbs]
-            _check_ceiling("product", ha + hb, len(lst), ceiling)
-    return objects, morphism_op
-
-
 def _product(morphism_op, a: Complex, b: Complex, start: dict,
              left: ChainMap | None = None, right: ChainMap | None = None) -> dict:
     """The components of f (x) 1 + 1 (x) g on the product of a and b placed
@@ -788,7 +769,28 @@ def _product(morphism_op, a: Complex, b: Complex, start: dict,
 
 
 def _product_complex(n: int, a: Complex, b: Complex) -> Complex:
-    objects, morphism_op = _place(n, a, b)
+    """The undelooped product of a and b on n strands, its objects in
+    `_starts` order.  It stacks (a on top) when a and b have n strands and
+    juxtaposes (a on the left) when their counts add up to n; closed factors
+    (n = 0), whose stacking and juxtaposition are both the disjoint union,
+    are stacked, so b's circles come first.  The product of oa and ob is the
+    product of their tangles, with q-shift qa + qb."""
+    if a.n == b.n == n:
+        tangle_op, morphism_op = (lambda s, t: stack_tangles(s, t).tangle), stack
+    elif a.n + b.n == n:
+        tangle_op, morphism_op = ((lambda s, t: juxtapose_tangles(s, t)[0]),
+                                  juxtapose_morphism)
+    else:
+        raise ValueError(f"factors on {a.n} and {b.n} strands have no product "
+                         f"on {n} strands")
+    ceiling = object_ceiling()
+    objects: dict[int, list[GradedObject]] = {}
+    for ha, objas in a.objects.items():
+        for hb, objbs in b.objects.items():
+            lst = objects.setdefault(ha + hb, [])
+            lst += [GradedObject(tangle_op(oa.tangle, ob.tangle), oa.qshift + ob.qshift)
+                    for oa in objas for ob in objbs]
+            _check_ceiling("product", ha + hb, len(lst), ceiling)
     return Complex(n, objects, _product(morphism_op, a, b, _starts(a, b),
                                         differential_map(a), differential_map(b)))
 
@@ -798,30 +800,6 @@ def tensor_indexed(a: Complex, b: Complex) -> Complex:
     if a.n != b.n:
         raise ValueError("strand-count mismatch in tensor")
     return _product_complex(a.n, a, b)
-
-
-def product_map(src: Complex, tgt: Complex, left: Complex | ChainMap,
-                right: Complex | ChainMap) -> ChainMap:
-    """f (x) 1 or the Koszul-signed 1 (x) g, as a map src -> tgt.
-
-    One of `left`, `right` is a ChainMap on that factor, the other a Complex
-    standing for its identity.  src must be the undelooped product of the
-    factors' sources (`tensor_indexed` or `juxtapose_complexes`) and tgt
-    that of their targets; it stacks or juxtaposes as `_place` does for
-    src's strand count.
-    """
-    f, g = (x if isinstance(x, ChainMap) else None for x in (left, right))
-    if (f is None) == (g is None):
-        raise InvariantError("product_map takes a map on exactly one factor")
-    a, b = f.src if f else left, g.src if g else right
-    tgt_a, tgt_b = f.tgt if f else a, g.tgt if g else b
-    objects, morphism_op = _place(src.n, a, b)
-    if objects != src.objects or tgt.objects != (
-            objects if tgt_a is a and tgt_b is b else _place(src.n, tgt_a, tgt_b)[0]):
-        raise InvariantError("product_map: src and tgt must be the products "
-                             "of the factors' sources and targets")
-    return ChainMap(src, tgt, (f or g).dh, (f or g).dq,
-                    _product(morphism_op, a, b, _starts(a, b), f, g))
 
 
 def juxtapose_complexes(a: Complex, b: Complex) -> Complex:

@@ -397,21 +397,6 @@ def projector_end_complex(c: Complex) -> ZComplex:
     return tautological_complex(closure(c)[0])
 
 
-@dataclass(frozen=True)
-class SafeWindow:
-    """Bidegrees (h, q) provably unaffected by a homological truncation at -N."""
-
-    h_min: int
-
-    def contains(self, h: int, q: int) -> bool:
-        return h >= self.h_min
-
-    def require(self, h: int, q: int) -> None:
-        if not self.contains(h, q):
-            raise ValueError(
-                f"bidegree ({h},{q}) is outside the safe window h >= {self.h_min}")
-
-
 # ---------------------------------------------------------------------------
 # Induced maps on homology
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cobordism import CobMorphism, FlatTangle, GradedObject, stack, stack_tangles
+from .cobordism import (CobMorphism, FlatTangle, GradedObject, juxtapose, stack,
+                        stack_tangles)
 from .complexes import (ChainMap, Complex, InvariantError, Slice, _assemble,
                         _check_ceiling, _product, _starts, cone, convolution_complete,
-                        fold, juxtapose_complexes, object_ceiling, product_map,
-                        shift, simplify, tensor, tensor_indexed)
+                        fold, juxtapose_complexes, object_ceiling, shift, simplify,
+                        tensor, tensor_indexed)
 
 # extra projector depth used when feeding a truncated projector into the
 # convolution solver, keeping the guarded equations clear of its artifacts
@@ -293,8 +294,10 @@ def truncated_pn(n: int, window: int = 12) -> TruncatedProjector:
         p2 = truncated_pn(2, window)
         per3, u3per = _periodic_model(q3(), 3, window)
         strand = Complex.identity_complex(1)
-        left = juxtapose_complexes(p2.complex, strand)
-        u2left = product_map(left, left, p2.u_maps[2], strand)  # u_2 u 1
+        left, u2 = juxtapose_complexes(p2.complex, strand), p2.u_maps[2]
+        # u_2 u 1 on left's own placement, as symmetric_sequence places alpha_k
+        u2left = ChainMap(left, left, u2.dh, u2.dq, _product(
+            juxtapose, p2.complex, strand, _starts(p2.complex, strand), u2))
         simp, higher = fold(left, [Slice(per3, under=True, maps=(u3per,))],
                             [u2left])
     else:

@@ -39,6 +39,8 @@ def _cyclic_pos(p: int, n: int) -> int:
 
 
 def is_planar_matching(pairing: tuple[int, ...]) -> bool:
+    """Whether pairing is a fixed-point-free involution whose chords do not
+    cross: read in cyclic order, each label closes the innermost open one."""
     m = len(pairing)
     n = m // 2
     if m % 2:
@@ -46,17 +48,16 @@ def is_planar_matching(pairing: tuple[int, ...]) -> bool:
     for i, j in enumerate(pairing):
         if not 0 <= j < m or j == i or pairing[j] != i:
             return False
-    pos = [_cyclic_pos(p, n) for p in range(m)]
-    chords = []
-    for i, j in enumerate(pairing):
-        if i < j:
-            a, b = sorted((pos[i], pos[j]))
-            chords.append((a, b))
-    for idx, (a, b) in enumerate(chords):
-        for c, d in chords[idx + 1:]:
-            if a < c < b < d or c < a < d < b:
-                return False
-    return True
+    order = [0] * m
+    for p in range(m):
+        order[_cyclic_pos(p, n)] = p
+    open_labels: list[int] = []
+    for p in order:
+        if open_labels and open_labels[-1] == pairing[p]:
+            open_labels.pop()
+        else:
+            open_labels.append(p)
+    return not open_labels
 
 
 @dataclass(frozen=True, order=True, init=False)
@@ -98,9 +99,6 @@ class Matching:
 
     def arcs(self) -> list[Arc]:
         return [frozenset((i, j)) for i, j in enumerate(self.pairing) if i < j]
-
-    def through_strands(self) -> int:
-        return sum(1 for i in range(self.n) if self.pairing[i] >= self.n)
 
     def flip(self) -> Matching:
         """Reflect top-to-bottom."""
@@ -369,13 +367,6 @@ def tl_mul(a: TLElement, b: TLElement) -> TLElement:
                 coeff = coeff * circle
             pairs.append((info.result, coeff))
     return TLElement(a.n, pairs, a.precision)
-
-
-def through_degree(a: TLElement) -> int:
-    """Largest number of top-to-bottom strands among contributing diagrams."""
-    if a.is_zero():
-        raise ValueError("through-degree of the zero element is undefined")
-    return max(m.through_strands() for m in a.terms)
 
 
 @lru_cache(maxsize=None)

@@ -36,15 +36,12 @@ SRC = ROOT / "src" / "catsl2"
 KEPT = {
     "u_action_on_homology": "the paper's u-action on homology, pinned by "
                             "tests/goldens/u_action_p2_w8.json",
-    "SafeWindow": "the window type that truncated builds are to carry",
-    "through_degree": "Temperley-Lieb oracle the engine is tested against",
     "dual": "ROADMAP direction 2: the mirror image matches the dual",
 }
 
 KEPT_METHODS = {
     "CobMorphism.cap_circle": "pinned by tests/goldens/cobordism_ops.json",
     "CobMorphism.cup_circle": "pinned by tests/goldens/cobordism_ops.json",
-    "SafeWindow.require": "the refusal that truncated builds are to make",
     "SDRData.verify": "the five SDR identities the tests check; ROADMAP "
                       "direction 3 moves SDRData into the tests",
 }

@@ -274,6 +274,16 @@ def _repeat_last_degree(data):
     data["degrees"].append(dict(data["degrees"][-1]))
 
 
+def _repeat_first_entry(data):
+    entries = data["differential"][0]["entries"]
+    entries.append(entries[0])
+
+
+def _repeat_first_term(data):
+    terms = data["differential"][0]["entries"][0]["morphism"]["terms"]
+    terms.append(terms[0])
+
+
 _COEFF = ["differential", 0, "entries", 0, "morphism", "terms", 0, "coeff"]
 _MATCHING = ["degrees", 0, "objects", 0, "matching"]
 
@@ -297,11 +307,14 @@ _MATCHING = ["degrees", 0, "objects", 0, "matching"]
     (_q2_edited(_set(["differential", 1, "entries", 0, "morphism", "terms", 1,
                       "dots"], [True])), "dots: expected an integer, got True"),
     (_q2_edited(_repeat_last_degree), "degree h=0 is listed twice"),
+    (_q2_edited(_repeat_first_entry), "entry (0,0) at h=-3 is listed twice"),
+    (_q2_edited(_repeat_first_term),
+     "entry (0,0) at h=-3 lists the term with dots [] twice"),
     (_q2_edited(_set(_MATCHING, [True, 0, 3, 2])), "matching: expected an integer, got True"),
     (_q2_edited(_set(_MATCHING, [1.0, 0, 3, 2])), "matching: expected an integer, got 1.0"),
 ], ids=["qshift-str", "qshift-bool", "h-str", "circles-float", "n-bool",
-        "coeff-str", "coeff-float", "dots-bool", "repeated-h", "matching-bool",
-        "matching-float"])
+        "coeff-str", "coeff-float", "dots-bool", "repeated-h", "repeated-entry",
+        "repeated-term", "matching-bool", "matching-float"])
 def test_ill_typed_complex_field_is_one_line_usage_error(tmp_path, capsys, command,
                                                          data, message):
     # each was once accepted (some rows silently dropped) or a traceback

@@ -8,11 +8,11 @@ from catsl2.cobordism import (CobMorphism, FlatTangle, GradedObject, InvariantEr
                               _compose_terms, compose, glue, juxtapose,
                               juxtapose_tangles, partial_trace, stack, stack_tangles)
 from catsl2.complexes import (ChainMap, Complex, SDRData, ZComplex, _Workspace,
-                              _assemble, _hom_basis, _hom_columns, _lines, _place,
-                              _product, _starts, closure, cone, convolution_complete,
-                              deloop, differential_map, direct_sum, dual, gauss,
-                              hom_complex, juxtapose_complexes,
-                              partial_trace_complex, product_map, shift,
+                              _assemble, _hom_basis, _hom_columns, _lines,
+                              _product, _product_complex, _starts, closure, cone,
+                              convolution_complete, deloop, differential_map,
+                              direct_sum, dual, gauss, hom_complex,
+                              juxtapose_complexes, partial_trace_complex, shift,
                               simplify, tautological_complex, tensor,
                               tensor_indexed)
 from catsl2.homology import integer_homology
@@ -86,9 +86,10 @@ def test_juxtapose_euler_characteristic(rng):
         juxtapose_tl(euler_characteristic(a), euler_characteristic(b))
 
 
-@pytest.mark.parametrize("product", [tensor_indexed, juxtapose_complexes],
+@pytest.mark.parametrize("product, op", [(tensor_indexed, stack),
+                                         (juxtapose_complexes, juxtapose)],
                          ids=["stacked", "juxtaposed"])
-def test_product_differential_is_sum_of_factor_maps(product):
+def test_product_differential_is_sum_of_factor_maps(product, op):
     # d = d_a (x) 1 + (-1)^ha 1 (x) d_b; the right factor's map has odd dh,
     # which no u-map golden reaches
     xp, xm = xplus(), xminus_parallel()
@@ -96,12 +97,11 @@ def test_product_differential_is_sum_of_factor_maps(product):
         c = product(a, b)
         assert c.total_objects() == a.total_objects() * b.total_objects()
         c.check()  # the Koszul sign makes d^2 = 0
-        d = (product_map(c, c, differential_map(a), b)
-             + product_map(c, c, a, differential_map(b)))
+        start = _starts(a, b)
+        d = (ChainMap(c, c, 1, 0, _product(op, a, b, start, differential_map(a)))
+             + ChainMap(c, c, 1, 0, _product(op, a, b, start, None, differential_map(b))))
         assert d == differential_map(c)
         assert not d.is_zero()
-    with pytest.raises(InvariantError):  # src is not the product of a and b
-        product_map(shift(c, 0, 1), c, differential_map(a), b)
 
 
 def test_partial_trace_examples():
@@ -507,7 +507,8 @@ def test_product_maps_match_reference(rng):
                 maps += [(random_map(rng, a, a, dh, dq), None),
                          (None, random_map(rng, b, b, dh, dq)),
                          (None, random_map(rng, b, shift(b, 1, 0), dh, dq))]
-            objects, op = _place(n, a, b)
+            objects = _product_complex(n, a, b).objects
+            op = stack if a.n == b.n == n else juxtapose
             tangle_op = ((lambda s, t: stack_tangles(s, t).tangle) if op is stack
                          else (lambda s, t: juxtapose_tangles(s, t)[0]))
             for (ha, ia, hb, ib), idx in reference_index(a, b).items():
@@ -1093,6 +1094,25 @@ def test_convolution_two_term_is_cone():
     conv = convolution_complete([a, b], [f])
     assert conv.graded_ranks() == cone(f).graded_ranks()
     conv.check()
+
+
+def test_from_json_rejects_a_repeated_entry_or_term():
+    # d = 1 + 1 listed as two entries, or as two terms, is not read as d = 1
+    def repeated(kind):
+        data = q2().to_json()
+        row = data["differential"][1]
+        if kind == "entry":
+            row["entries"].append(row["entries"][0])
+        else:
+            terms = row["entries"][0]["morphism"]["terms"]
+            terms.append(terms[1])
+        return data
+    with pytest.raises(ValueError, match=r"entry \(0,0\) at h=-2 is listed twice"):
+        Complex.from_json(repeated("entry"))
+    with pytest.raises(ValueError, match=r"entry \(0,0\) at h=-2 lists the term "
+                                         r"with dots \[1\] twice"):
+        Complex.from_json(repeated("term"))
+    assert Complex.from_json(q2().to_json()).to_json() == q2().to_json()
 
 
 def test_json_roundtrip():

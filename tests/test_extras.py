@@ -3,9 +3,9 @@ import json
 import pytest
 
 from catsl2.cli import main
-from catsl2.complexes import (Complex, closure, hom_complex, simplify,
-                              tautological_complex, tensor)
-from catsl2.homology import SafeWindow, integer_homology
+from catsl2.complexes import (Complex, closure, simplify, tautological_complex,
+                              tensor)
+from catsl2.homology import integer_homology
 from catsl2.projectors import braid_letter_complex, q2
 from catsl2.tl import euler_characteristic
 from catsl2.verify import run_suite
@@ -38,16 +38,6 @@ def test_simplify_preserves_euler_characteristic():
     c = tensor(q2(), q2())
     s, _ = simplify(c)
     assert euler_characteristic(s) == euler_characteristic(c)
-
-
-def test_ext_groups_safe_window_refusal():
-    one = Complex.identity_complex(1)
-    safe = SafeWindow(h_min=-3)
-    groups = integer_homology(hom_complex(one, one)).restrict(safe.contains)
-    assert groups.groups == {(0, 0): (1, ()), (0, 2): (1, ())}
-    with pytest.raises(ValueError):
-        safe.require(-5, 0)
-    safe.require(0, 0)
 
 
 def test_homology_cli_on_closed_complex(tmp_path, capsys):

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from catsl2.cobordism import (CobMorphism, FlatTangle, GradedObject, glue,
-                              juxtapose_tangles, stack_tangles)
+                              juxtapose_tangles, stack, stack_tangles)
 from catsl2.complexes import (ChainMap, Complex, ObstructionError, Slice,
-                              _hom_basis, closure, cone, deloop, fold,
-                              juxtapose_complexes, product_map, simplify,
+                              _hom_basis, _product_complex, closure, cone, deloop,
+                              fold, juxtapose_complexes, simplify,
                               tautological_complex, tensor)
 from catsl2.homology import integer_homology
 from catsl2.projectors import (DEPTH_MARGIN, _hook_tangles, braid_letter_complex,
@@ -180,9 +180,10 @@ def _entries(f):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_symmetric_sequence_alphas_are_product_maps(n):
-    # each alpha_k is id (x) g_k as product_map builds it, after that
-    # function's check that the pieces are the factors' products; the
-    # pieces are their own delooping
+    # each alpha_k is id (x) g_k: the pieces are the products of K u 1 with
+    # their one-object hook, so object i of K u 1 at h sits at (h, i), and
+    # alpha_k stacks the identity of that object over g_k there, unsigned
+    # as g_k has dh = 0; the pieces are their own delooping
     k_complex = truncated_pn(n - 1, 2).complex
     pieces, alphas = symmetric_sequence(k_complex, n)
     k1 = juxtapose_complexes(k_complex, Complex.identity_complex(1))
@@ -196,8 +197,12 @@ def test_symmetric_sequence_alphas_are_product_maps(n):
         hook, nxt = hooks[depth[k]], hooks[depth[k + 1]]
         g = (CobMorphism.canonical(hook, nxt) if hook != nxt else
              CobMorphism.dotted_identity(hook, cap) - CobMorphism.dotted_identity(hook, 0))
-        g_k = ChainMap(ends[k], ends[k + 1], 0, 0, {0: {(0, 0): g}})
-        ref = product_map(pieces[k], pieces[k + 1], k1, g_k)
+        for p, end in ((pieces[k], ends[k]), (pieces[k + 1], ends[k + 1])):
+            assert p.objects == _product_complex(n, k1, end).objects
+        comps = {h: {(i, i): m for i, o in enumerate(objs)
+                     if (m := stack(CobMorphism.identity(o.tangle), g)).terms}
+                 for h, objs in k1.objects.items()}
+        ref = ChainMap(pieces[k], pieces[k + 1], 0, 0, comps)
         assert alpha.src is pieces[k] and alpha.tgt is pieces[k + 1]
         assert (alpha.dh, alpha.dq) == (0, 0)
         assert _entries(alpha) == _entries(ref)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from catsl2.series import PrecisionError, TruncatedSeries
 from catsl2.tl import (InvariantError, Matching, TLElement, all_matchings,
                        closure_evaluate, euler_characteristic, is_planar_matching, jw,
-                       juxtapose_tl, partial_trace_tl, stack_matchings,
-                       through_degree, tl_mul, trace_matching)
+                       juxtapose_tl, partial_trace_tl, stack_matchings, tl_mul,
+                       trace_matching)
 
 
 # layer keys and lookups of the provenance that stack_matchings and
@@ -121,6 +122,66 @@ def test_matching_counts_are_catalan():
         assert is_planar_matching(m.pairing)
 
 
+def _involutions(labels):
+    """Every fixed-point-free involution of the labels, as a pairing."""
+    if not labels:
+        yield {}
+        return
+    first = labels[0]
+    for k, other in enumerate(labels[1:], 1):
+        for rest in _involutions(labels[1:k] + labels[k + 1:]):
+            yield {**rest, first: other, other: first}
+
+
+def _crossing_free(pairing):
+    """Reference: a fixed-point-free involution no two of whose chords cross
+    in the boundary cyclic order, checked pair by pair."""
+    m, n = len(pairing), len(pairing) // 2
+    if m % 2 or not all(0 <= j < m and j != i and pairing[j] == i
+                        for i, j in enumerate(pairing)):
+        return False
+    pos = [p if p < n else 3 * n - 1 - p for p in range(m)]
+    chords = [sorted((pos[i], pos[j])) for i, j in enumerate(pairing) if i < j]
+    return not any(a < c < b < d or c < a < d < b
+                   for (a, b), (c, d) in itertools.combinations(chords, 2))
+
+
+def test_planarity_matches_pairwise_chord_reference(rng):
+    # every fixed-point-free involution on up to 10 labels (1,070 of them),
+    # whose planar ones are the crossingless matchings
+    count = 0
+    for n in range(6):
+        planar = set()
+        for pairs in _involutions(list(range(2 * n))):
+            pairing = tuple(pairs[p] for p in range(2 * n))
+            assert is_planar_matching(pairing) == _crossing_free(pairing), pairing
+            if _crossing_free(pairing):
+                planar.add(pairing)
+            count += 1
+        assert planar == {m.pairing for m in all_matchings(n)}
+    assert count == 1070
+    # malformed pairings: odd lengths, labels out of range, fixed points,
+    # labels paired twice, and involutions with one label changed
+    for _ in range(3000):
+        m = rng.randrange(0, 9)
+        pairing = [rng.randrange(-1, m + 1) for _ in range(m)]
+        if m % 2 == 0 and m and rng.random() < 0.5:
+            pairing = list(rng.choice(all_matchings(m // 2)).pairing)
+            pairing[rng.randrange(m)] = rng.randrange(-1, m + 1)
+        assert is_planar_matching(tuple(pairing)) == _crossing_free(pairing), pairing
+
+
+def test_planarity_is_linear_in_the_strand_count():
+    n = 20000
+    identity = tuple((p + n) % (2 * n) for p in range(2 * n))
+    crossed = list(identity)  # strands 0 and 1 swap their top ends
+    crossed[0], crossed[1], crossed[n], crossed[n + 1] = n + 1, n, 1, 0
+    start = time.perf_counter()
+    assert is_planar_matching(identity)
+    assert not is_planar_matching(tuple(crossed))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_generator_relations(rng):
     circle = TruncatedSeries.circle()
     for n in range(2, 5):
@@ -174,14 +235,6 @@ def test_associativity_on_random_triples(rng):
         a, b, c = (TLElement.from_matching(rng.choice(all_matchings(n)))
                    for _ in range(3))
         assert (a * b) * c == a * (b * c)
-
-
-def test_through_degree():
-    assert through_degree(TLElement.identity(3)) == 3
-    assert through_degree(TLElement.generator(1, 2)) == 0
-    assert through_degree(jw(3) - TLElement.identity(3)) <= 2
-    with pytest.raises(ValueError):
-        through_degree(TLElement(2))
 
 
 def test_jw_small_values():
